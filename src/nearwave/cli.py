@@ -23,7 +23,7 @@ from .core import talbot_time
 from .csl import (CslParameters, MassOutOfRangeError, OtimaTemplate,
                   exclusion_map)
 from .decoherence import (GasEnvironment, QuadratureError,
-                          collisional_channel)
+                          collisional_channel, collisional_rate)
 from .engine import (CoherencePreparationError, grating_coefficients,
                      talbot_pattern, time_domain_visibility,
                      velocity_averaged_signal)
@@ -313,13 +313,16 @@ def decohere(scenario_path, velocities, seed, out, fmt):
     cfg = scenario.config
 
     def compute():
+        # eta does not depend on the pressure: one table, one rate per point
+        gas = GasEnvironment(gas_mass=values["gas.mass"],
+                             temperature=values["gas.temperature"],
+                             pressure=0.0)
+        sigma = values["gas.cross_section"]
+        table = collisional_channel(gas, cfg.species, sigma)
         records = []
         for p in pressures:
-            env = GasEnvironment(gas_mass=values["gas.mass"],
-                                 temperature=values["gas.temperature"],
-                                 pressure=float(p))
-            channel = collisional_channel(env, cfg.species,
-                                          values["gas.cross_section"])
+            env = replace(gas, pressure=float(p))
+            channel = replace(table, rate=collisional_rate(env, sigma))
             signal = velocity_averaged_signal(cfg, n_velocities=velocities,
                                               m_max=1, channels=[channel])
             records.append({"pressure_pa": float(p),

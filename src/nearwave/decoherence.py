@@ -1,14 +1,19 @@
 """Environmental decoherence channels and their fringe-coefficient reduction.
 
 A channel is an event rate R(t) plus a decoherence function eta(x) with
-|eta| <= 1 and eta(0) = 1. Between the outer gratings the path separation
-probed by the environment grows linearly from zero to its maximum at the
-central grating; the order-m fringe coefficient is multiplied by
+|eta| <= 1 and eta(0) = 1. Every shipped eta is real and even in x: the
+collisional, emission and localization couplings are isotropic. Between
+the outer gratings the path separation probed by the environment grows
+linearly from zero to its maximum at the central grating; the order-m
+fringe coefficient is multiplied by
 
     exp( -int R(t) [1 - eta( (m d / 2) (|v_z t| - L) / L_T )] dt )
 
 over the transit (with L, v_z t, L_T replaced by T, t, T_T in the time
-domain).
+domain). For a constant rate the integral is 2 (L / v_z) R (1 - mean eta),
+the mean taken over [0, x_max] with x_max = |m| d L / (2 L_T): an eta that
+knows its own mean (``TabulatedEta``, ``GaussianEta``) is reduced in
+closed form, any other is integrated adaptively.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
 from .core import de_broglie_wavelength, talbot_length, talbot_time
@@ -31,21 +35,76 @@ class QuadratureError(RuntimeError):
     """Decoherence-factor quadrature failed to converge."""
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class DecoherenceChannel:
     """One environmental coupling: event rate and coherence reduction.
 
     ``rate`` may be a constant (events/s) or a callable of time relative to
-    the central grating; ``eta`` maps a path separation in meters to a
-    complex factor with magnitude <= 1.
+    the central grating; ``eta`` maps a path separation in meters to a real
+    factor with magnitude <= 1 (the imaginary part of an isotropic coupling
+    vanishes). An ``eta`` with a ``mean(x_max)`` method gives its average
+    over [0, x_max], which a constant-rate channel uses instead of
+    quadrature.
     """
 
     rate: Union[float, Callable[[float], float]]
-    eta: Callable[[float], complex]
+    eta: Callable[[float], float]
     label: str = "channel"
 
     def rate_at(self, t: float) -> float:
         return self.rate(t) if callable(self.rate) else float(self.rate)
+
+
+class TabulatedEta:
+    """eta interpolated linearly between knots and constant past the last.
+
+    ``mean`` is the exact integral of that interpolant, so the closed-form
+    reduction agrees with quadrature of the same function.
+    """
+
+    def __init__(self, x_grid: np.ndarray, values: np.ndarray):
+        self.x_grid = np.asarray(x_grid, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        self._area = np.concatenate(([0.0], np.cumsum(
+            0.5 * (self.values[1:] + self.values[:-1])
+            * np.diff(self.x_grid))))
+
+    def __call__(self, x: float) -> float:
+        return float(np.interp(abs(x), self.x_grid, self.values))
+
+    def mean(self, x_max: float) -> float:
+        if x_max == 0.0:
+            return float(self.values[0])
+        x_end = self.x_grid[-1]
+        if x_max >= x_end:
+            area = self._area[-1] + self.values[-1] * (x_max - x_end)
+        else:
+            k = int(np.searchsorted(self.x_grid, x_max, side="right")) - 1
+            area = self._area[k] + 0.5 * (self.values[k] + self(x_max)) * (
+                x_max - self.x_grid[k])
+        return float(area / x_max)
+
+
+@dataclass(frozen=True)
+class GaussianEta:
+    """eta(x) = exp(-x^2 / (4 r_c^2)); its mean over [0, x_max] is an erf."""
+
+    r_c: float
+
+    def __call__(self, x: float) -> float:
+        return math.exp(-x * x / (4.0 * self.r_c * self.r_c))
+
+    def mean(self, x_max: float) -> float:
+        if x_max == 0.0:
+            return 1.0
+        return (self.r_c * math.sqrt(math.pi)
+                * math.erf(x_max / (2.0 * self.r_c)) / x_max)
 
 
 @dataclass(frozen=True)
@@ -59,6 +118,8 @@ class GasEnvironment:
     scattering_table: tuple = ()   # (theta_rad, |f|^2) rows for "user_table"
 
     def __post_init__(self):
+        _require_finite(gas_mass=self.gas_mass, temperature=self.temperature,
+                        pressure=self.pressure)
         if self.gas_mass <= 0.0 or self.temperature <= 0.0 or self.pressure < 0.0:
             raise ValueError("gas parameters must be positive")
         if self.scattering_model not in ("isotropic_constant_amplitude",
@@ -75,28 +136,30 @@ def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
     ``half_span`` is L/v_z (spatial) or T (time domain); ``talbot_scale``
     is L_T/v_z or T_T so that the separation argument reads
     (m d / 2)(|t| - half_span) / talbot_scale with t the time relative to
-    the central grating.
+    the central grating. eta is real, so the factor is real; it is returned
+    as a complex number to multiply complex coefficients.
     """
     if m == 0 and not callable(channel.rate):
         return 1.0 + 0.0j
 
-    def integrand_real(t):
+    mean = getattr(channel.eta, "mean", None)
+    if mean is not None and not callable(channel.rate):
+        x_max = (abs(m) * period_d / 2.0) * half_span / talbot_scale
+        exponent = 2.0 * half_span * float(channel.rate) * (1.0 - mean(x_max))
+        return complex(math.exp(-exponent))
+
+    from scipy import integrate
+
+    def integrand(t):
         x = (m * period_d / 2.0) * (abs(t) - half_span) / talbot_scale
         return channel.rate_at(t) * (1.0 - np.real(channel.eta(x)))
 
-    def integrand_imag(t):
-        x = (m * period_d / 2.0) * (abs(t) - half_span) / talbot_scale
-        return -channel.rate_at(t) * np.imag(channel.eta(x))
-
-    re, re_err = integrate.quad(integrand_real, -half_span, half_span,
+    value, err = integrate.quad(integrand, -half_span, half_span,
                                 epsrel=QUAD_RELTOL, epsabs=1e-300, limit=400)
-    im, im_err = integrate.quad(integrand_imag, -half_span, half_span,
-                                epsrel=QUAD_RELTOL, epsabs=1e-300, limit=400)
-    for value, err in ((re, re_err), (im, im_err)):
-        if abs(value) > 1e-12 and err > 10.0 * QUAD_RELTOL * abs(value) + 1e-9:
-            raise QuadratureError(
-                f"decoherence quadrature residual {err:.2e} for value {value:.2e}")
-    return complex(math.exp(-re) * complex(math.cos(-im), math.sin(-im)))
+    if abs(value) > 1e-12 and err > 10.0 * QUAD_RELTOL * abs(value) + 1e-9:
+        raise QuadratureError(
+            f"decoherence quadrature residual {err:.2e} for value {value:.2e}")
+    return complex(math.exp(-value))
 
 
 def channel_factor(channel: DecoherenceChannel, cfg, m: int,
@@ -136,15 +199,18 @@ def _maxwell_speed_nodes(gas_mass: float, temperature: float, n: int):
     return v, w / w.sum()
 
 
-def collisional_eta(env: GasEnvironment, x: float, n_angle: int = 64,
-                    n_velocity: int = 32) -> complex:
+def collisional_eta(env: GasEnvironment, x: float | np.ndarray,
+                    n_angle: int = 64,
+                    n_velocity: int = 32) -> float | np.ndarray:
     """Decoherence function of one gas collision at path separation x.
 
     Angular average of sinc(sin(theta/2) 2 v_g m_g x / hbar) over the
     normalized differential cross section, then a thermal average over the
-    gas speed.
+    gas speed. ``x`` may be a scalar (a float is returned) or an array of
+    separations; the quadrature nodes are built once for all of them.
     """
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError("x must be nonnegative")
     theta_nodes, theta_weights = np.polynomial.legendre.leggauss(n_angle)
     theta = 0.5 * (theta_nodes + 1.0) * math.pi
@@ -164,9 +230,13 @@ def collisional_eta(env: GasEnvironment, x: float, n_angle: int = 64,
 
     v_nodes, v_weights = _maxwell_speed_nodes(env.gas_mass, env.temperature,
                                               n_velocity)
-    z = np.outer(v_nodes, np.sin(theta / 2.0)) * (2.0 * env.gas_mass * x / HBAR)
-    sinc = np.sinc(z / math.pi)   # sin(z)/z
-    return complex(np.sum(v_weights[:, None] * weight[None, :] * sinc))
+    kick = np.outer(v_nodes, np.sin(theta / 2.0)).ravel()
+    weights = (v_weights[:, None] * weight[None, :]).ravel()
+    # one separation at a time keeps the speed x angle operands in cache;
+    # broadcasting all separations at once is slower and holds ~18 MB
+    eta = np.array([np.sum(weights * np.sinc(kick * scale / math.pi))
+                    for scale in (2.0 * env.gas_mass * x.ravel() / HBAR)])
+    return float(eta[0]) if x.ndim == 0 else eta.reshape(x.shape)
 
 
 def mean_gas_speed(env: GasEnvironment) -> float:
@@ -175,31 +245,35 @@ def mean_gas_speed(env: GasEnvironment) -> float:
                      / (math.pi * env.gas_mass))
 
 
+def collisional_rate(env: GasEnvironment, total_cross_section: float) -> float:
+    """Collision rate n sigma v_rel with n = p / (kB T).
+
+    The mean Maxwell-Boltzmann gas speed is the relative-speed convention
+    (the beam is slow compared to a room-temperature gas).
+    """
+    _require_finite(total_cross_section=total_cross_section)
+    if total_cross_section <= 0.0:
+        raise ValueError("cross section must be positive")
+    n_density = env.pressure / (BOLTZMANN_KB * env.temperature)
+    return n_density * total_cross_section * mean_gas_speed(env)
+
+
 def collisional_channel(env: GasEnvironment, s: Species,
                         total_cross_section: float,
                         n_angle: int = 64, n_velocity: int = 32,
                         n_table: int = 200) -> DecoherenceChannel:
     """Channel for scattering of residual gas off the delocalized particle.
 
-    R = n sigma v_rel with the gas number density n = p / (kB T) and the
-    mean Maxwell-Boltzmann gas speed as relative-speed convention (the beam
-    is slow compared to a room-temperature gas). eta is tabulated on a
-    separation grid and interpolated.
+    The rate is ``collisional_rate``; eta is tabulated on a separation grid
+    and interpolated. eta does not depend on the pressure, so a pressure
+    sweep builds one channel and replaces only its rate.
     """
-    if total_cross_section <= 0.0:
-        raise ValueError("cross section must be positive")
-    n_density = env.pressure / (BOLTZMANN_KB * env.temperature)
-    rate = n_density * total_cross_section * mean_gas_speed(env)
-
+    rate = collisional_rate(env, total_cross_section)
     # eta decays on the momentum-exchange wavelength scale; tabulate out to
     # a few microns which covers every near-field separation of interest
     x_grid = np.linspace(0.0, 5e-6, n_table)
-    eta_grid = np.array([collisional_eta(env, x, n_angle, n_velocity)
-                         for x in x_grid])
-
-    def eta(x):
-        return complex(np.interp(abs(x), x_grid, eta_grid.real))
-
+    eta = TabulatedEta(x_grid, collisional_eta(env, x_grid, n_angle,
+                                               n_velocity))
     return DecoherenceChannel(rate=rate, eta=eta, label="collisional")
 
 
@@ -217,6 +291,7 @@ def thermal_emission_channel(spectrum) -> DecoherenceChannel:
     if not spectrum:
         raise ValueError("emission spectrum is empty")
     for lam, r in spectrum:
+        _require_finite(wavelength=lam, rate=r)
         if lam <= 0.0 or r < 0.0:
             raise ValueError("wavelengths must be positive and rates nonnegative")
     total = sum(r for _, r in spectrum)
@@ -226,7 +301,7 @@ def thermal_emission_channel(spectrum) -> DecoherenceChannel:
 
     def eta(x):
         z = 2.0 * np.pi * abs(x) / lams
-        return complex(np.sum(weights * np.sinc(z / np.pi)))
+        return float(np.sum(weights * np.sinc(z / np.pi)))
 
     return DecoherenceChannel(rate=total, eta=eta, label="thermal_emission")
 
@@ -254,16 +329,13 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
     Rate lambda0 (m / amu)^2 with the single-nucleon rate convention, and a
     gaussian localization function of width r_c.
     """
+    _require_finite(lambda0=lambda0, r_c=r_c, mass=mass)
     if lambda0 <= 0.0 or r_c <= 0.0:
         raise ValueError("lambda0 and r_c must be positive")
     if mass <= 0.0:
         raise ValueError("mass must be positive")
     rate = lambda0 * (mass / AMU) ** 2
-
-    def eta(x):
-        return math.exp(-x * x / (4.0 * r_c * r_c))
-
-    return DecoherenceChannel(rate=rate, eta=eta, label="csl")
+    return DecoherenceChannel(rate=rate, eta=GaussianEta(r_c), label="csl")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +370,8 @@ def load_scattering_table(path) -> tuple:
 
 __all__ = [
     "DecoherenceChannel", "GasEnvironment", "decoherence_factor",
-    "channel_factor", "apply_channel", "collisional_eta", "mean_gas_speed",
+    "channel_factor", "apply_channel", "TabulatedEta", "GaussianEta",
+    "collisional_eta", "mean_gas_speed", "collisional_rate",
     "collisional_channel", "thermal_emission_channel",
     "absorption_visibility_factor", "csl_channel",
     "load_two_column", "load_emission_spectrum", "load_scattering_table",

@@ -1,9 +1,14 @@
 import importlib.resources
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import nearwave
 from nearwave.cli import main
 
 
@@ -185,6 +190,34 @@ def test_decohere_missing_gas_keys(runner, tmp_path):
     path.write_text(text)
     result = invoke(runner, "decohere", str(path))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("line", ["gas.cross_section = nan m^2",
+                                  "gas.temperature = inf K"])
+def test_decohere_non_finite_gas_exits_2(runner, tmp_path, line):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.startswith(key + " ") else row
+                     for row in DECOHERE.splitlines()) + "\n"
+    assert line in text
+    path = tmp_path / "gas.cfg"
+    path.write_text(text)
+    result = invoke(runner, "decohere", str(path), "--velocities", "1")
+    assert result.exit_code == 2
+    assert "pressure_pa" not in result.output
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where adaptive quadrature runs
+    src = str(pathlib.Path(nearwave.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, nearwave.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_otima_map(runner):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from nearwave.constants import AMU
 from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
-                                  absorption_visibility_factor,
+                                  TabulatedEta, absorption_visibility_factor,
                                   apply_channel, channel_factor,
                                   QUAD_RELTOL, collisional_channel,
-                                  collisional_eta, csl_channel,
+                                  collisional_eta, collisional_rate,
+                                  csl_channel,
                                   decoherence_factor,
                                   load_emission_spectrum,
                                   load_scattering_table, load_two_column,
@@ -144,6 +146,11 @@ def test_thermal_emission_eta():
         thermal_emission_channel([])
     with pytest.raises(ValueError):
         thermal_emission_channel([(-1e-6, 10.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            thermal_emission_channel([(bad, 10.0)])
+        with pytest.raises(ValueError):
+            thermal_emission_channel([(5e-6, bad)])
 
 
 def sine_integral_exponent(n_photons, wavelength, x_max):
@@ -208,6 +215,11 @@ def test_csl_channel_scalings():
     assert heavier.rate == pytest.approx(4.0 * c.rate, rel=1e-12)
     with pytest.raises(ValueError):
         csl_channel(-1.0, 1e-7, 1e6 * AMU)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1e-7, 1e6 * AMU), (1e-10, bad, 1e6 * AMU),
+                     (1e-10, 1e-7, bad)):
+            with pytest.raises(ValueError):
+                csl_channel(*args)
 
 
 def test_two_column_loader(tmp_path):
@@ -236,3 +248,89 @@ def test_gas_environment_guards():
     with pytest.raises(ValueError):
         collisional_eta(GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                                        pressure=1e-6), -1e-9)
+    env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
+                         pressure=1e-6)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("gas_mass", "temperature", "pressure"):
+            with pytest.raises(ValueError):
+                replace(env, **{field: bad})
+        with pytest.raises(ValueError):
+            collisional_channel(env, C70, bad)
+
+
+# ---------------------------------------------------------------------------
+# closed-form ramp averages against adaptive quadrature of the same eta
+
+def ramp_exponents(channel, x_max, m=2, d=991e-9, half_span=2.2e-3):
+    """-log of the factor by the channel's own route and by quadrature of
+    the same eta and rate wrapped in a plain callable."""
+    scale = (m * d / 2.0) * half_span / x_max
+    adaptive = DecoherenceChannel(rate=channel.rate,
+                                  eta=lambda x: channel.eta(x))
+    exponents = []
+    for c in (channel, adaptive):
+        f = decoherence_factor(c, m, period_d=d, half_span=half_span,
+                               talbot_scale=scale)
+        assert f.imag == 0.0
+        exponents.append(-math.log(f.real))
+    return exponents
+
+
+def knot_position(where, grid):
+    """x_max between two knots, on a knot, or past the table end."""
+    return {"between_knots": 0.5 * (grid[7] + grid[8]),
+            "on_knot": grid[12],
+            "past_table_end": 1.2 * grid[-1]}[where]
+
+
+@pytest.mark.parametrize("where", ["between_knots", "on_knot",
+                                   "past_table_end"])
+def test_tabulated_eta_mean_matches_quadrature(where):
+    env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
+                         pressure=1e-6)
+    gas = collisional_channel(env, C70, 1e-17)
+    assert isinstance(gas.eta, TabulatedEta)
+    # a slowly varying table on coarse knots, so the mean weighs every
+    # segment and the quadrature reference converges across the kinks
+    x = np.linspace(0.0, 5e-6, 21)
+    smooth = DecoherenceChannel(
+        rate=300.0, eta=TabulatedEta(x, np.exp(-x / 2e-6) * np.cos(x / 1e-6)))
+    for channel in (gas, smooth):
+        x_max = knot_position(where, channel.eta.x_grid)
+        closed, adaptive = ramp_exponents(channel, x_max)
+        assert closed == pytest.approx(adaptive, rel=QUAD_RELTOL)
+
+
+@pytest.mark.parametrize("r_c", [1e-9, 1e-4], ids=["r_c_small", "r_c_large"])
+def test_gaussian_eta_mean_matches_quadrature(r_c):
+    # x_max = 1 um; the rate is chosen so the exponent is of order one
+    x_max = 1e-6
+    channel = csl_channel(1e-10, r_c, 1e6 * AMU)
+    rate = 1.0 / (2.0 * 2.2e-3 * (1.0 - channel.eta.mean(x_max)))
+    channel = replace(channel, rate=rate)
+    closed, adaptive = ramp_exponents(channel, x_max)
+    assert closed == pytest.approx(adaptive, rel=QUAD_RELTOL)
+    assert closed == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pressure_rescale_matches_fresh_channel():
+    gas = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
+                         pressure=1e-7)
+    table = collisional_channel(gas, C70, 1e-17)
+    for pressure in (0.0, 3e-8, 2e-5):
+        env = replace(gas, pressure=pressure)
+        fresh = collisional_channel(env, C70, 1e-17)
+        rescaled = replace(table, rate=collisional_rate(env, 1e-17))
+        assert rescaled.rate == fresh.rate
+        assert np.array_equal(rescaled.eta.x_grid, fresh.eta.x_grid)
+        assert np.array_equal(rescaled.eta.values, fresh.eta.values)
+
+
+def test_collisional_eta_vectorised_matches_scalar():
+    env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
+                         pressure=1e-6)
+    xs = np.array([0.0, 5e-13, 1e-12, 1e-9, 1e-7])
+    table = collisional_eta(env, xs)
+    assert table.shape == xs.shape
+    np.testing.assert_allclose(table, [collisional_eta(env, x) for x in xs],
+                               rtol=1e-14, atol=0.0)
