@@ -6,7 +6,6 @@ interferometers (material masks, optical phase gratings and pulsed
 ionizing gratings).
 """
 
-from .constants import CONST, Constants
 from .core import (BeamState, coherence_width, de_broglie_wavelength,
                    far_field_distance, talbot_length, talbot_time,
                    velocity_weights)
@@ -17,8 +16,8 @@ from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
                        material_transmission)
 from .engine import (FourierPattern, InterferometerConfig, detector_signal,
                      sinusoidal_visibility, talbot_lau_coefficient,
-                     talbot_lau_coefficients, talbot_pattern,
-                     time_domain_visibility, velocity_averaged_pattern)
+                     talbot_pattern, time_domain_visibility,
+                     velocity_averaged_pattern)
 from .classical import RayEnsemble, classical_visibility, deflection_kick
 from .decoherence import (DecoherenceChannel, GasEnvironment, apply_channel,
                           absorption_visibility_factor, collisional_channel,

@@ -122,10 +122,16 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     return float(_kick_array(g, s, v_z, np.array([x]))[0])
 
 
-def _probability_coefficient(g, s, v_z, m, grid_size=4096):
-    profile = grating_transmission(g, s, v_z, grid_size)
-    table = transmission_probability_coefficients(profile, max(m, 1))
-    return table.get(m)
+def _mask_window(g, s: Species, v_z: float):
+    """Coefficients 0 and 1 of the mask's |t(x)|^2, from one table.
+
+    Without a mask (``g`` None) the window is (1, 1).
+    """
+    if g is None:
+        return 1.0, 1.0 + 0.0j
+    table = transmission_probability_coefficients(
+        grating_transmission(g, s, v_z), 1)
+    return table.get(0).real, table.get(1)
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -195,7 +201,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
             f"only {survivors} rays survive (< {MIN_SURVIVORS})")
 
     centers = (np.arange(n_bins) + 0.5) * d / n_bins
-    t3_0, t3_1 = _third_mask_coefficients(cfg, s, v)
+    t3_0, t3_1 = _mask_window(cfg.grating3, s, v)
 
     def fringe(hist):
         s0 = hist.sum() * t3_0
@@ -216,14 +222,6 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
                            stat_error=stat_error, histogram=total,
                            bin_centers=centers, n_survivors=survivors,
                            fringe_phase=float(phase))
-
-
-def _third_mask_coefficients(cfg, s, v):
-    if cfg.grating3 is None:
-        return 1.0, 1.0 + 0.0j
-    t3_0 = _probability_coefficient(cfg.grating3, s, v, 0).real
-    t3_1 = _probability_coefficient(cfg.grating3, s, v, 1)
-    return t3_0, t3_1
 
 
 def classical_visibility_quadrature(cfg: InterferometerConfig,
@@ -258,9 +256,8 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         kick = _kick_array(cfg.grating2, s, v, x)
         q0 = t2.mean()
         q1 = np.mean(t2 * np.exp(-2j * np.pi * (2.0 * x + kick * t_flight) / d))
-        t1_0 = _probability_coefficient(cfg.grating1, s, v, 0).real
-        t1_1 = _probability_coefficient(cfg.grating1, s, v, 1)
-        t3_0, t3_1 = _third_mask_coefficients(cfg, s, v)
+        t1_0, t1_1 = _mask_window(cfg.grating1, s, v)
+        t3_0, t3_1 = _mask_window(cfg.grating3, s, v)
         numerator += w * t1_1 * q1 * np.conj(t3_1)
         denominator += w * t1_0 * q0 * t3_0
     return float(2.0 * abs(numerator) / denominator)

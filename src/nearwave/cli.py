@@ -20,8 +20,7 @@ import numpy as np
 from .classical import classical_visibility_quadrature
 from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
-from .csl import (CslParameters, MassOutOfRangeError, OtimaTemplate,
-                  exclusion_map)
+from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
 from .decoherence import (GasEnvironment, QuadratureError,
                           collisional_channel, collisional_rate)
 from .engine import (CoherencePreparationError, grating_coefficients,
@@ -114,30 +113,24 @@ def _guard(func, *args, **kwargs):
         sys.exit(EXIT_IO)
 
 
-def _require_sweep(scenario: Scenario, parameter: str):
+def _require_sweep(scenario: Scenario, parameter: str) -> list[float]:
     if scenario.sweep is None or scenario.sweep.parameter != parameter:
         click.echo(f"config error: scenario must sweep {parameter!r}",
                    err=True)
         sys.exit(EXIT_CONFIG)
-    return scenario.sweep.values()
+    return [float(v) for v in scenario.sweep.values()]
 
 
 def _pmap(func, items):
-    """Map preserving input order; worker count from NEARWAVE_WORKERS."""
-    workers = int(os.environ.get("NEARWAVE_WORKERS", "1"))
+    """Map preserving input order over NEARWAVE_WORKERS processes, clamped
+    to 1 .. min(len(items), os.cpu_count())."""
     items = list(items)
-    if workers <= 1 or len(items) < 2:
+    workers = min(int(os.environ.get("NEARWAVE_WORKERS", "1")), len(items),
+                  os.cpu_count() or 1)
+    if workers <= 1:
         return [func(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items))
-
-
-def _sweep_point(scenario: Scenario, n_velocities: int, value: float):
-    cfg = apply_sweep_value(scenario, value)
-    signal = velocity_averaged_signal(cfg, n_velocities=n_velocities, m_max=2)
-    quantum = 2.0 * abs(signal[1] / signal[0])
-    classical = classical_visibility_quadrature(cfg, n_velocities=n_velocities)
-    return float(quantum), float(classical)
 
 
 def _all_material(cfg) -> bool:
@@ -155,32 +148,49 @@ def _with_interaction(cfg, interaction: str):
                    grating2=swap(cfg.grating2), grating3=swap(cfg.grating3))
 
 
-def _velocity_point(scenario: Scenario, n_velocities: int, value: float):
-    """One velocity-sweep record; material masks get the interaction family."""
-    cfg = apply_sweep_value(scenario, value)
-    record = {"velocity_m_per_s": float(value)}
-    if _all_material(cfg):
-        for label, interaction in (("quantum_vdw", "vdw_r3"),
-                                   ("quantum_cp", "casimir_polder_r4"),
-                                   ("quantum_ideal", "none")):
-            variant = _with_interaction(cfg, interaction)
-            signal = velocity_averaged_signal(variant,
-                                              n_velocities=n_velocities,
-                                              m_max=2)
-            record[f"{label}_visibility"] = float(
-                2.0 * abs(signal[1] / signal[0]))
-        record["classical_visibility"] = float(
-            classical_visibility_quadrature(cfg, n_velocities=n_velocities))
-    else:
-        quantum, classical = _sweep_point(scenario, n_velocities, value)
-        record["quantum_visibility"] = quantum
-        record["classical_visibility"] = classical
+# quantum columns: (name, wall interaction given to every material mask,
+# or None to keep the configured ones)
+QUANTUM = (("quantum_visibility", None),)
+INTERACTIONS = (("quantum_vdw_visibility", "vdw_r3"),
+                ("quantum_cp_visibility", "casimir_polder_r4"),
+                ("quantum_ideal_visibility", "none"))
+
+
+def _point(n_velocities: int, columns, setting) -> dict:
+    """Visibility columns of one (config, decoherence channels) setting.
+
+    Each quantum column is 2 |S_1 / S_0| of the velocity-averaged signal;
+    only S_0 and S_1 are computed. The classical twin has no decoherence
+    model, so it is added only to settings without channels.
+    """
+    cfg, channels = setting
+    record = {}
+    for column, interaction in columns:
+        variant = (cfg if interaction is None
+                   else _with_interaction(cfg, interaction))
+        signal = velocity_averaged_signal(variant, n_velocities=n_velocities,
+                                          m_max=1, channels=channels)
+        record[column] = float(2.0 * abs(signal[1] / signal[0]))
+    if not channels:
+        record["classical_visibility"] = float(classical_visibility_quadrature(
+            cfg, n_velocities=n_velocities))
     return record
 
 
+def _sweep(label: str, values, setting, n_velocities: int, columns,
+           out: str, fmt: str):
+    """Emit one record per value: the value under ``label``, then the
+    ``_point`` columns of the setting ``setting(value)``."""
+    def compute():
+        settings = [setting(value) for value in values]
+        return _pmap(partial(_point, n_velocities, columns), settings)
+
+    rows = _guard(compute)
+    records = [{label: value, **row} for value, row in zip(values, rows)]
+    emit(records, list(records[0]), out, fmt)
+
+
 common_options = [
-    click.option("--seed", type=int, default=None,
-                 help="Override the scenario seed."),
     click.option("--out", default="-", show_default=True,
                  help="Output path, '-' for stdout."),
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
@@ -202,11 +212,10 @@ def main():
 @main.command()
 @click.argument("scenario_path")
 @with_common
-def validate(scenario_path, seed, out, fmt):
+def validate(scenario_path, out, fmt):
     """Parse and schema-check a scenario file."""
     scenario = _load(scenario_path)
-    emit([{"scenario": scenario.name, "status": "ok",
-           "seed": scenario.seed if seed is None else seed}],
+    emit([{"scenario": scenario.name, "status": "ok", "seed": scenario.seed}],
          ["scenario", "status", "seed"], out, fmt)
 
 
@@ -215,25 +224,18 @@ def validate(scenario_path, seed, out, fmt):
 @click.option("--velocities", default=16, show_default=True,
               help="Velocity quadrature nodes.")
 @with_common
-def visibility(scenario_path, velocities, seed, out, fmt):
+def visibility(scenario_path, velocities, out, fmt):
     """Quantum (and classical) fringe visibility of one configuration."""
     scenario = _load(scenario_path)
     cfg = scenario.config
-
-    def compute():
-        if cfg.mode == "time_domain":
-            quantum = time_domain_visibility(cfg, cfg.pulse_delay_T)
-            classical = float("nan")
-        else:
-            signal = velocity_averaged_signal(cfg, n_velocities=velocities)
-            quantum = 2.0 * abs(signal[1] / signal[0])
-            classical = classical_visibility_quadrature(
-                cfg, n_velocities=velocities)
-        return float(quantum), float(classical)
-
-    quantum, classical = _guard(compute)
-    emit([{"scenario": scenario.name, "quantum_visibility": quantum,
-           "classical_visibility": classical}],
+    if cfg.mode == "spatial":
+        _sweep("scenario", [scenario.name], lambda _: (cfg, ()), velocities,
+               QUANTUM, out, fmt)
+        return
+    # velocity independent, and the classical twin is spatial only
+    quantum = _guard(time_domain_visibility, cfg, cfg.pulse_delay_T)
+    emit([{"scenario": scenario.name, "quantum_visibility": float(quantum),
+           "classical_visibility": float("nan")}],
          ["scenario", "quantum_visibility", "classical_visibility"], out, fmt)
 
 
@@ -241,29 +243,30 @@ def visibility(scenario_path, velocities, seed, out, fmt):
 @click.argument("scenario_path")
 @click.option("--velocities", default=12, show_default=True)
 @with_common
-def velocity_sweep(scenario_path, velocities, seed, out, fmt):
-    """Visibility versus mean beam velocity (quantum and classical)."""
+def velocity_sweep(scenario_path, velocities, out, fmt):
+    """Visibility versus mean beam velocity (quantum and classical).
+
+    All-material interferometers get one quantum curve per wall
+    interaction.
+    """
     scenario = _load(scenario_path)
     values = _require_sweep(scenario, "beam.velocity")
-    records = _guard(_pmap, partial(_velocity_point, scenario, velocities),
-                     [float(v) for v in values])
-    emit(records, list(records[0].keys()), out, fmt)
+    columns = INTERACTIONS if _all_material(scenario.config) else QUANTUM
+    _sweep("velocity_m_per_s", values,
+           lambda v: (apply_sweep_value(scenario, v), ()), velocities,
+           columns, out, fmt)
 
 
 @main.command("power-sweep")
 @click.argument("scenario_path")
 @click.option("--velocities", default=12, show_default=True)
 @with_common
-def power_sweep(scenario_path, velocities, seed, out, fmt):
+def power_sweep(scenario_path, velocities, out, fmt):
     """Visibility versus central laser power (quantum and classical)."""
     scenario = _load(scenario_path)
     values = _require_sweep(scenario, "grating2.power")
-    points = _guard(_pmap, partial(_sweep_point, scenario, velocities), values)
-    records = [{"power_w": float(p), "quantum_visibility": q,
-                "classical_visibility": c}
-               for p, (q, c) in zip(values, points)]
-    emit(records, ["power_w", "quantum_visibility", "classical_visibility"],
-         out, fmt)
+    _sweep("power_w", values, lambda p: (apply_sweep_value(scenario, p), ()),
+           velocities, QUANTUM, out, fmt)
 
 
 @main.command()
@@ -275,7 +278,7 @@ def power_sweep(scenario_path, velocities, seed, out, fmt):
 @click.option("--order", default=8, show_default=True,
               help="Fourier truncation of the reconstructed density.")
 @with_common
-def carpet(scenario_path, z_max, z_points, x_points, order, seed, out, fmt):
+def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
     """Near-field intensity carpet behind the first grating."""
     scenario = _load(scenario_path)
     cfg = scenario.config
@@ -300,7 +303,7 @@ def carpet(scenario_path, z_max, z_points, x_points, order, seed, out, fmt):
 @click.argument("scenario_path")
 @click.option("--velocities", default=8, show_default=True)
 @with_common
-def decohere(scenario_path, velocities, seed, out, fmt):
+def decohere(scenario_path, velocities, out, fmt):
     """Visibility versus residual-gas pressure (collisional channel)."""
     scenario = _load(scenario_path)
     values = scenario.values
@@ -311,26 +314,23 @@ def decohere(scenario_path, velocities, seed, out, fmt):
         sys.exit(EXIT_CONFIG)
     pressures = _require_sweep(scenario, "gas.pressure")
     cfg = scenario.config
+    sigma = values["gas.cross_section"]
 
-    def compute():
+    def build():
         # eta does not depend on the pressure: one table, one rate per point
         gas = GasEnvironment(gas_mass=values["gas.mass"],
                              temperature=values["gas.temperature"],
                              pressure=0.0)
-        sigma = values["gas.cross_section"]
-        table = collisional_channel(gas, cfg.species, sigma)
-        records = []
-        for p in pressures:
-            env = replace(gas, pressure=float(p))
-            channel = replace(table, rate=collisional_rate(env, sigma))
-            signal = velocity_averaged_signal(cfg, n_velocities=velocities,
-                                              m_max=1, channels=[channel])
-            records.append({"pressure_pa": float(p),
-                            "visibility": float(2.0 * abs(signal[1] / signal[0]))})
-        return records
+        return gas, collisional_channel(gas, cfg.species, sigma)
 
-    records = _guard(compute)
-    emit(records, ["pressure_pa", "visibility"], out, fmt)
+    gas, table = _guard(build)
+
+    def setting(p):
+        rate = collisional_rate(replace(gas, pressure=p), sigma)
+        return cfg, [replace(table, rate=rate)]
+
+    _sweep("pressure_pa", pressures, setting, velocities,
+           (("visibility", None),), out, fmt)
 
 
 @main.command("otima-map")
@@ -343,7 +343,7 @@ def decohere(scenario_path, velocities, seed, out, fmt):
 @click.option("--n0-points", default=16, show_default=True)
 @with_common
 def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
-              n0_min, n0_max, n0_points, seed, out, fmt):
+              n0_min, n0_max, n0_points, out, fmt):
     """Visibility map over pulse delay (in Talbot times) and photon number."""
     scenario = _load(scenario_path)
     cfg = scenario.config
@@ -374,7 +374,7 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
 @main.command()
 @click.argument("scenario_path")
 @with_common
-def deflect(scenario_path, seed, out, fmt):
+def deflect(scenario_path, out, fmt):
     """Stark fringe deflection versus beam velocity."""
     scenario = _load(scenario_path)
     values = scenario.values
@@ -416,21 +416,26 @@ def deflect(scenario_path, seed, out, fmt):
               help="Reduction-factor threshold defining the critical mass.")
 @with_common
 def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
-            rc_min, rc_max, rc_points, threshold, seed, out, fmt):
+            rc_min, rc_max, rc_points, threshold, out, fmt):
     """Critical-mass map over localization parameters (masses in amu)."""
     scenario = _load(scenario_path)
     cfg = scenario.config
-    if cfg.mode == "time_domain" and isinstance(cfg.grating1, IonizingGrating):
-        tt = talbot_time(cfg.species.mass, cfg.period_d)
-        template = OtimaTemplate(
-            grating=cfg.grating1,
-            delay_over_talbot_time=cfg.pulse_delay_T / tt)
-    else:
-        template = OtimaTemplate()
     lambda_grid = np.logspace(np.log10(lambda_min), np.log10(lambda_max),
                               lambda_points)
     rc_grid = np.logspace(np.log10(rc_min), np.log10(rc_max), rc_points)
-    emap = _guard(exclusion_map, lambda_grid, rc_grid, template, threshold)
+
+    def compute():
+        if cfg.mode == "time_domain" and isinstance(cfg.grating1,
+                                                    IonizingGrating):
+            tt = talbot_time(cfg.species.mass, cfg.period_d)
+            template = OtimaTemplate(
+                grating=cfg.grating1,
+                delay_over_talbot_time=cfg.pulse_delay_T / tt)
+        else:
+            template = OtimaTemplate()
+        return exclusion_map(lambda_grid, rc_grid, template, threshold)
+
+    emap = _guard(compute)
     emit_matrix("lambda0_hz", lambda_grid, "r_c_m", rc_grid,
                 emap.critical_mass / AMU, out, fmt)
 

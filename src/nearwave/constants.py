@@ -1,12 +1,11 @@
 """CODATA 2018 physical constants and unit conversion factors (SI throughout).
 
-Safe to import from any layer: primitive values and a frozen container only.
+Safe to import from any layer: primitive values only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 PLANCK_H = 6.62607015e-34       # J s
 HBAR = PLANCK_H / (2.0 * math.pi)
@@ -19,31 +18,7 @@ DEBYE = 3.33564095e-30          # C m
 # 1 meV nm^3 in J m^3, handy for dispersion coefficients quoted in that unit.
 MEV_NM3 = 1.602176634e-22 * 1e-27
 
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the fundamental constants used by every formula in the package."""
-
-    planck_h: float = PLANCK_H
-    hbar: float = HBAR
-    light_speed_c: float = LIGHT_SPEED_C
-    vacuum_permittivity_eps0: float = VACUUM_PERMITTIVITY_EPS0
-    boltzmann_kB: float = BOLTZMANN_KB
-    amu: float = AMU
-    debye: float = DEBYE
-
-    def __post_init__(self):
-        for name in ("planck_h", "hbar", "light_speed_c",
-                     "vacuum_permittivity_eps0", "boltzmann_kB", "amu", "debye"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
-        if abs(self.hbar * 2.0 * math.pi / self.planck_h - 1.0) > 1e-12:
-            raise ValueError("hbar must equal planck_h / 2 pi")
-
-
-CONST = Constants()
-
 __all__ = [
     "PLANCK_H", "HBAR", "LIGHT_SPEED_C", "VACUUM_PERMITTIVITY_EPS0",
-    "BOLTZMANN_KB", "AMU", "DEBYE", "MEV_NM3", "Constants", "CONST",
+    "BOLTZMANN_KB", "AMU", "DEBYE", "MEV_NM3",
 ]

@@ -49,9 +49,10 @@ class OtimaTemplate:
     """Mass-parametric pulsed interferometer for collapse-model tests.
 
     The pulse delay tracks the Talbot time of the candidate mass; the
-    grating period stays fixed. A cell is unusable when the unperturbed
-    quantum visibility at the operating point drops below
-    ``min_quantum_visibility``.
+    grating period stays fixed. The unperturbed quantum visibility at the
+    operating point does not depend on the mass; a template whose
+    visibility falls below ``min_quantum_visibility`` is rejected with
+    ``ValueError``.
     """
 
     grating: IonizingGrating = field(
@@ -60,6 +61,11 @@ class OtimaTemplate:
             phase_amplitude_phi0=0.0))
     delay_over_talbot_time: float = 1.0
     min_quantum_visibility: float = 0.1
+
+    def __post_init__(self):
+        if quantum_operating_visibility(self) < self.min_quantum_visibility:
+            raise ValueError(
+                "operating point has insufficient quantum visibility")
 
     def config(self, mass_amu: float) -> InterferometerConfig:
         species = gold_cluster(mass_amu)
@@ -110,9 +116,6 @@ def critical_mass(params: CslParameters, template: OtimaTemplate | None = None,
     if not 0.0 < reduction_threshold < 1.0:
         raise ValueError("reduction_threshold must lie in (0, 1)")
     template = template or OtimaTemplate()
-    if quantum_operating_visibility(template) < template.min_quantum_visibility:
-        raise ValueError("operating point has insufficient quantum visibility")
-
     lo, hi = MASS_BRACKET_AMU
     if csl_reduction_factor(params, template, lo) < reduction_threshold:
         raise MassOutOfRangeError("threshold crossed below the mass bracket")
@@ -152,19 +155,9 @@ def exclusion_map(lambda0_grid, r_c_grid, template: OtimaTemplate | None = None,
                         critical_mass=masses)
 
 
-def write_exclusion_csv(emap: ExclusionMap, path):
-    """Matrix CSV: first row the r_c axis, first column the lambda0 axis."""
-    with open(path, "w") as fh:
-        header = ["lambda0_hz\\r_c_m"] + [repr(float(v)) for v in emap.r_c_grid]
-        fh.write(",".join(header) + "\n")
-        for lam0, row in zip(emap.lambda0_grid, emap.critical_mass):
-            cells = [repr(float(lam0))] + [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
-
-
 __all__ = [
     "CslParameters", "OtimaTemplate", "ExclusionMap", "csl_visibility",
     "csl_reduction_factor", "critical_mass", "exclusion_map",
-    "write_exclusion_csv", "quantum_operating_visibility",
+    "quantum_operating_visibility",
     "MassOutOfRangeError", "DEFAULT_OTIMA_PERIOD",
 ]

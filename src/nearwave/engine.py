@@ -11,7 +11,7 @@ the ratio 2 |S_1 / S_0| of the transmitted signal components.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,15 +125,22 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z: float,
     return fourier_coefficients(grating_transmission(g, s, v_z, grid_size), j_max)
 
 
-def talbot_lau_coefficient(b: CoefficientTable, m: int, xi: float) -> complex:
-    """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi)."""
-    if abs(xi) >= XI_SANITY_BOUND:
+def talbot_lau_coefficient(b: CoefficientTable, m, xi):
+    """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi).
+
+    ``m`` and ``xi`` broadcast against each other; scalars give a complex
+    scalar, arrays an array of coefficients of the broadcast shape.
+    """
+    m, xi = np.broadcast_arrays(m, xi)
+    if np.any(np.abs(xi) >= XI_SANITY_BOUND):
         raise ValueError("xi outside sanity bound")
+    m, xi = m[..., None], xi[..., None]
     j_max = b.j_max
     j = np.arange(-j_max, j_max + 1)
-    shifted = b.padded(j_max + abs(m))[j - m + j_max + abs(m)]
+    pad = j_max + int(np.max(np.abs(m), initial=0))
+    shifted = b.padded(pad)[j - m + pad]
     phases = np.exp(1j * np.pi * (m - 2 * j) * xi)
-    return complex(np.sum(b.values * np.conj(shifted) * phases))
+    return np.sum(b.values * np.conj(shifted) * phases, axis=-1)
 
 
 def _check_truncation(b: CoefficientTable):
@@ -144,17 +151,6 @@ def _check_truncation(b: CoefficientTable):
                       stacklevel=3)
 
 
-def talbot_lau_coefficients(b: CoefficientTable, xi: float,
-                            m_max: int = DEFAULT_M_MAX) -> CoefficientTable:
-    """Table of B_m(xi) for |m| <= m_max at a common argument xi."""
-    if m_max > b.j_max:
-        raise ValueError("m_max must not exceed j_max")
-    _check_truncation(b)
-    values = np.array([talbot_lau_coefficient(b, m, xi)
-                       for m in range(-m_max, m_max + 1)])
-    return CoefficientTable(j_max=m_max, values=values)
-
-
 def talbot_pattern(b: CoefficientTable, L_over_LT: float,
                    m_max: int = DEFAULT_M_MAX) -> FourierPattern:
     """Coherent self-imaging pattern: component m is B_m(m L / L_T).
@@ -163,8 +159,8 @@ def talbot_pattern(b: CoefficientTable, L_over_LT: float,
     caller scales the x axis; period 1 is used here.
     """
     _check_truncation(b)
-    comps = np.array([talbot_lau_coefficient(b, m, m * L_over_LT)
-                      for m in range(-m_max, m_max + 1)])
+    m = np.arange(-m_max, m_max + 1)
+    comps = talbot_lau_coefficient(b, m, m * L_over_LT)
     residual = abs(b.get(b.j_max)) ** 2 + abs(b.get(-b.j_max)) ** 2
     return FourierPattern(period_d=1.0, components=comps,
                           truncation_residual=residual)
@@ -179,17 +175,6 @@ def _require_absorptive(table_profile, which: str):
             raise CoherencePreparationError(
                 f"{which} is a pure phase grating: no coherence "
                 "preparation/readout")
-
-
-def _decoherence_factor(channels, cfg: InterferometerConfig, m: int,
-                        v_z: float) -> complex:
-    if not channels:
-        return 1.0
-    from .decoherence import channel_factor
-    factor = 1.0 + 0.0j
-    for channel in channels:
-        factor *= channel_factor(channel, cfg, m, v_z)
-    return factor
 
 
 def detector_signal(cfg: InterferometerConfig, v_z: float,
@@ -220,15 +205,31 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     else:
         b3 = None
 
-    signal = np.zeros(m_max + 1, dtype=complex)
-    for m in range(m_max + 1):
-        term = np.conj(talbot_lau_coefficient(b1, m, 0.0))
-        term *= talbot_lau_coefficient(b2, 2 * m, m * xi_unit)
-        if b3 is not None:
-            term *= np.conj(talbot_lau_coefficient(b3, m, 0.0))
-        term *= _decoherence_factor(channels, cfg, 2 * m, v_z)
-        signal[m] = term
+    m = np.arange(m_max + 1)
+    signal = _product(np.conj(talbot_lau_coefficient(b1, m, 0.0)),
+                      talbot_lau_coefficient(b2, 2 * m, m * xi_unit))
+    if b3 is not None:
+        signal = _product(signal, np.conj(talbot_lau_coefficient(b3, m, 0.0)))
+    if channels:
+        from .decoherence import channel_factor
+        factor = np.ones(m_max + 1, dtype=complex)
+        for channel in channels:
+            factor = _product(factor, [channel_factor(channel, cfg, 2 * k, v_z)
+                                       for k in range(m_max + 1)])
+        signal = _product(signal, factor)
     return signal
+
+
+def _product(a, b) -> np.ndarray:
+    """Elementwise complex product, rounded like the scalar product.
+
+    numpy's array loop for complex multiplication may fuse a multiply and
+    an add, which changes the last bit; rounding each real product and
+    sum separately gives the same numbers as multiplying order by order.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.real * b.real - a.imag * b.imag) \
+        + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 def _xi_per_order(cfg: InterferometerConfig, v_z: float) -> float:
@@ -281,7 +282,6 @@ def velocity_averaged_pattern(cfg: InterferometerConfig,
 
 
 def time_domain_visibility(cfg: InterferometerConfig, T: float,
-                           m_max: int = DEFAULT_M_MAX,
                            j_max: int = DEFAULT_J_MAX,
                            grid_size: int = DEFAULT_GRID_SIZE,
                            channels: Sequence = ()) -> float:
@@ -294,9 +294,9 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
         raise ValueError("T must be positive")
     if cfg.mode != "time_domain":
         raise ValueError("config must be in time_domain mode")
-    run_cfg = _with_delay(cfg, T)
     # v_z is a dummy for ionizing gratings
-    signal = detector_signal(run_cfg, 1.0, m_max, j_max, grid_size, channels)
+    signal = detector_signal(replace(cfg, pulse_delay_T=T), 1.0, 1, j_max,
+                             grid_size, channels)
     if signal[0] == 0:
         return 0.0
     if abs(signal[1]) == 0.0:
@@ -304,19 +304,10 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
     return sinusoidal_visibility(signal)
 
 
-def _with_delay(cfg: InterferometerConfig, T: float) -> InterferometerConfig:
-    if cfg.pulse_delay_T == T:
-        return cfg
-    return InterferometerConfig(
-        grating1=cfg.grating1, grating2=cfg.grating2, grating3=cfg.grating3,
-        species=cfg.species, beam=cfg.beam, pulse_delay_T=T,
-        mode="time_domain")
-
-
 __all__ = [
     "InterferometerConfig", "FourierPattern", "GratingSpec",
     "grating_transmission", "grating_coefficients",
-    "talbot_lau_coefficient", "talbot_lau_coefficients", "talbot_pattern",
+    "talbot_lau_coefficient", "talbot_pattern",
     "detector_signal", "sinusoidal_visibility",
     "velocity_averaged_signal", "velocity_averaged_pattern",
     "time_domain_visibility",

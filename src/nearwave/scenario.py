@@ -8,6 +8,7 @@ whole file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -37,10 +38,8 @@ UNITS: Dict[str, Dict[str, float]] = {
     "mass": {"kg": 1.0, "amu": AMU},
     "pressure": {"Pa": 1.0, "mbar": 1e2, "bar": 1e5},
     "temperature": {"K": 1.0},
-    "rate": {"Hz": 1.0, "mHz": 1e-3, "1/s": 1.0},
     "angle": {"rad": 1.0},
     "area": {"m^2": 1.0, "nm^2": 1e-18},
-    "acceleration": {"m/s^2": 1.0},
     "field_gradient": {"V^2/m^3": 1.0},
 }
 
@@ -55,7 +54,10 @@ def parse_quantity(text: str, dimension: str) -> float:
     if unit not in table:
         raise ValueError(f"unknown {dimension} unit {unit!r} "
                          f"(expected one of {sorted(table)})")
-    return float(value) * table[unit]
+    number = float(value) * table[unit]
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite {dimension}: {text!r}")
+    return number
 
 
 # key -> kind; kind is "quantity:<dimension>", "number", "int",
@@ -93,9 +95,6 @@ SCHEMA: Dict[str, str] = {
     "gas.temperature": "quantity:temperature",
     "gas.pressure": "quantity:pressure",
     "gas.cross_section": "quantity:area",
-    "emission.spectrum_file": "string",
-    "csl.lambda0": "quantity:rate",
-    "csl.r_c": "quantity:length",
     "deflect.geometry_constant": "number",
     "deflect.grad_e_squared": "quantity:field_gradient",
 }
@@ -108,8 +107,6 @@ SWEEPABLE = {
     "beam.velocity": "velocity",
     "grating2.power": "power",
     "gas.pressure": "pressure",
-    "pulse_delay": "time",
-    "separation": "length",
 }
 
 REQUIRED = ("name", "species", "grating1.type", "grating2.type")
@@ -163,10 +160,13 @@ def _check_value(key: str, value: str, kind: str, problems: List[str]):
         return value
     if kind == "number":
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
-            problems.append(f"{key}: not a number: {value!r}")
+            number = math.nan
+        if not math.isfinite(number):
+            problems.append(f"{key}: not a finite number: {value!r}")
             return None
+        return number
     if kind == "int":
         try:
             return int(value)
@@ -323,10 +323,6 @@ def apply_sweep_value(scenario: Scenario, value: float) -> InterferometerConfig:
         return replace(cfg, beam=replace(cfg.beam, mean_velocity=value))
     if target == "grating2.power":
         return replace(cfg, grating2=replace(cfg.grating2, power_P=value))
-    if target == "pulse_delay":
-        return replace(cfg, pulse_delay_T=value)
-    if target == "separation":
-        return replace(cfg, separation_L=value)
     raise ValueError(f"sweep parameter {target!r} does not modify the config")
 
 

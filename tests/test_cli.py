@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.resources
 import json
 import os
@@ -9,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import nearwave
+from nearwave import cli
 from nearwave.cli import main
 
 
@@ -76,6 +79,17 @@ def runner():
 
 def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
+
+
+def with_line(text, line):
+    """Scenario text with the key of ``line`` set by ``line``."""
+    key = line.split(" = ")[0]
+    return "\n".join(line if row.startswith(key + " ") else row
+                     for row in text.splitlines()) + "\n"
+
+
+def read(path):
+    return pathlib.Path(path).read_text()
 
 
 def test_validate_ok(runner):
@@ -195,15 +209,107 @@ def test_decohere_missing_gas_keys(runner, tmp_path):
 @pytest.mark.parametrize("line", ["gas.cross_section = nan m^2",
                                   "gas.temperature = inf K"])
 def test_decohere_non_finite_gas_exits_2(runner, tmp_path, line):
-    key = line.split(" = ")[0]
-    text = "\n".join(line if row.startswith(key + " ") else row
-                     for row in DECOHERE.splitlines()) + "\n"
+    text = with_line(DECOHERE, line)
     assert line in text
     path = tmp_path / "gas.cfg"
     path.write_text(text)
     result = invoke(runner, "decohere", str(path), "--velocities", "1")
     assert result.exit_code == 2
     assert "pressure_pa" not in result.output
+
+
+@pytest.mark.parametrize("scenario, line", [
+    ("c70_tli_velocity_sweep.cfg", "separation = nan m"),
+    ("pfns8_kdtli_power_sweep.cfg", "grating2.power = nan W"),
+    ("otima_gold_clusters.cfg", "grating2.n0 = nan"),
+    ("otima_gold_clusters.cfg", "grating2.n0 = inf"),
+])
+def test_non_finite_scenario_value_exits_2(runner, tmp_path, scenario, line):
+    text = with_line(read(data_path(scenario)), line)
+    assert line in text
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(text)
+    result = invoke(runner, "visibility", str(path), "--velocities", "1")
+    assert result.exit_code == 2
+    assert "quantum_visibility" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    "validate", "visibility", "velocity-sweep", "power-sweep", "carpet",
+    "decohere", "otima-map", "deflect", "csl-map"])
+def test_seed_option_rejected(runner, command):
+    result = runner.invoke(main, [command, TLI, "--seed", "1"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+@pytest.mark.parametrize("lines", [
+    ["emission.spectrum_file = spectrum.csv"],
+    ["csl.lambda0 = 1e-10 Hz"],
+    ["csl.r_c = 100 nm"],
+    ["sweep.parameter = separation", "sweep.start = 0.1 m",
+     "sweep.stop = 0.3 m"],
+    ["sweep.parameter = pulse_delay", "sweep.start = 10 ms",
+     "sweep.stop = 20 ms"],
+], ids=["emission.spectrum_file", "csl.lambda0", "csl.r_c",
+        "sweep-separation", "sweep-pulse_delay"])
+def test_removed_scenario_keys_rejected(runner, tmp_path, lines):
+    text = read(TLI)
+    for line in lines:
+        text = with_line(text, line) if line.startswith("sweep.") \
+            else text + line + "\n"
+    path = tmp_path / "removed.cfg"
+    path.write_text(text)
+    result = invoke(runner, "validate", str(path))
+    assert result.exit_code == 2
+    assert "status" not in result.output
+
+
+@pytest.mark.parametrize("workers", ["4096", "3", "1", "0", "-5"])
+def test_worker_count_clamped(monkeypatch, workers):
+    requested = []
+
+    class InProcessPool:
+        # records the pool size and maps in this process: no process starts
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setenv("NEARWAVE_WORKERS", workers)
+    items = [-1, -2, -3, -4, -5]
+    assert cli._pmap(abs, items) == [1, 2, 3, 4, 5]
+    clamped = min(int(workers), len(items), os.cpu_count() or 1)
+    assert requested == ([clamped] if clamped > 1 else [])
+
+
+def test_trace_lookup_sites_resolve():
+    # the benchmark's layer trace wraps these module attributes; one that
+    # no longer exists would silently drop out of the trace
+    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+        / "spans.py"
+    tables = {}
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            name = node.targets[0].id
+            if name in ("LAYERS", "COUNTED"):
+                tables[name] = ast.literal_eval(node.value)
+    sites = [site for names in tables["LAYERS"].values() for site in names]
+    sites += list(tables["COUNTED"].values())
+    assert len(sites) > 10
+    for site in sites:
+        module, attr = site.split(":")
+        assert callable(getattr(importlib.import_module(f"nearwave.{module}"),
+                                attr, None)), site
 
 
 def test_cli_import_leaves_scipy_unloaded():

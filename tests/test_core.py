@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nearwave.constants import AMU, CONST, PLANCK_H
+from nearwave.constants import AMU, HBAR, PLANCK_H
 from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, coherence_width,
                            de_broglie_wavelength, far_field_distance,
                            talbot_length, talbot_time, velocity_weights)
 
 
 def test_constants_consistency():
-    assert CONST.planck_h == PLANCK_H
-    assert CONST.hbar == pytest.approx(PLANCK_H / (2 * np.pi), rel=1e-15)
+    assert HBAR == PLANCK_H / (2 * np.pi)
 
 
 def test_de_broglie_wavelength_c70():

@@ -1,17 +1,26 @@
+import importlib.resources
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from nearwave.constants import AMU
+from nearwave.cli import main
 from nearwave.csl import (CslParameters, MassOutOfRangeError, OtimaTemplate,
                           critical_mass, csl_reduction_factor, csl_visibility,
-                          exclusion_map, quantum_operating_visibility,
-                          write_exclusion_csv)
+                          exclusion_map, quantum_operating_visibility)
 
 
 def test_operating_point_has_contrast():
     assert quantum_operating_visibility(OtimaTemplate()) > 0.3
+
+
+def test_template_without_contrast_rejected():
+    # the operating point of the default template is near 0.4 visibility
+    with pytest.raises(ValueError):
+        OtimaTemplate(min_quantum_visibility=0.99)
 
 
 def test_reduction_monotone_in_mass():
@@ -73,12 +82,31 @@ def test_exclusion_map_and_csv(tmp_path):
     assert np.all(emap.critical_mass[1] < emap.critical_mass[0])
     # unreachable corner is flagged, not silently clamped
     assert np.all(np.isnan(emap.critical_mass[2]))
-    path = tmp_path / "map.csv"
-    write_exclusion_csv(emap, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0].split(",")[1] == repr(5e-8)
-    back = float(lines[1].split(",")[1])
-    assert back == emap.critical_mass[0, 0]
     with pytest.raises(ValueError):
         exclusion_map(np.array([1e-10]), r_c_grid)
+
+    # the CLI writes the same matrix as CSV: r_c axis in the header row,
+    # lambda0 axis in the first column, masses in amu, NaN kept
+    scenario = str(importlib.resources.files("nearwave") / "data"
+                   / "otima_gold_clusters.cfg")
+    args = ["csl-map", scenario, "--lambda-min", "1e-12", "--lambda-max",
+            "1e6", "--lambda-points", "3", "--rc-min", "5e-8", "--rc-max",
+            "1e-7", "--rc-points", "2", "--format"]
+    path = tmp_path / "map.csv"
+    result = CliRunner().invoke(main, args + ["csv", "--out", str(path)])
+    assert result.exit_code == 0
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 4
+    header = lines[0].split(",")
+    assert header[0] == "lambda0_hz\\r_c_m"
+    assert [float(c) for c in header[1:]] == pytest.approx([5e-8, 1e-7])
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in lines[1:]])
+    assert rows[:, 0] == pytest.approx([1e-12, 1e-3, 1e6])
+    assert np.all(rows[0, 1:] > 1e5)
+    assert np.all(np.isnan(rows[2, 1:]))
+    # every CSV cell reads back to the number of the JSON matrix
+    payload = json.loads(CliRunner().invoke(main, args + ["json"]).output)
+    assert [float(c) for c in header[1:]] == payload["r_c_m"]
+    np.testing.assert_array_equal(
+        rows, [[r["lambda0_hz"], *r["values"]] for r in payload["rows"]])

@@ -9,7 +9,7 @@ from nearwave.core import BeamState
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, detector_signal,
                              sinusoidal_visibility, talbot_lau_coefficient,
-                             talbot_lau_coefficients, talbot_pattern,
+                             talbot_pattern,
                              time_domain_visibility,
                              velocity_averaged_pattern)
 from nearwave.core import talbot_time
@@ -85,14 +85,40 @@ def test_phase_grating_coefficient_closed_form():
                 expected, abs=1e-9)
 
 
-def test_coefficient_table_wrapper():
-    b = fourier_coefficients(material_transmission(binary(0.4), C70, 100.0), 16)
-    table = talbot_lau_coefficients(b, 0.25, m_max=4)
-    for m in range(-4, 5):
-        assert table.get(m) == pytest.approx(
-            talbot_lau_coefficient(b, m, 0.25), rel=1e-12)
+def test_coefficient_array_form_equals_scalar_form():
+    # one broadcast call gives exactly the numbers of a loop over (m, xi)
+    g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                        thickness_b=500e-9, interaction="vdw_r3")
+    b = fourier_coefficients(material_transmission(g, C70, 100.0))
+    m = np.arange(-8, 9)[:, None]
+    xi = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, 1.7, -2.2])
+    table = talbot_lau_coefficient(b, m, m * xi)
+    assert table.shape == (17, 6)
+    for i, mi in enumerate(range(-8, 9)):
+        for k, x in enumerate(xi):
+            assert table[i, k] == talbot_lau_coefficient(b, mi, mi * x)
     with pytest.raises(ValueError):
-        talbot_lau_coefficients(b, 0.25, m_max=32)
+        talbot_lau_coefficient(b, m, np.full(17, 2e6))
+
+
+def test_signal_orders_do_not_depend_on_m_max():
+    # S_0 and S_1 are the same numbers whether or not higher orders are
+    # computed, so the visibility needs only m_max = 1
+    laser = LaserPhaseGrating(period_d=266e-9, power_P=3.0,
+                              vertical_waist_wy=20e-6, laser_wavelength=532e-9)
+    mask = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
+    vdw = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                          thickness_b=500e-9, interaction="vdw_r3")
+    tli = InterferometerConfig(grating1=vdw, grating2=vdw, grating3=vdw,
+                               species=C70, beam=BeamState(100.0, 0.0),
+                               separation_L=0.22)
+    kdtli = InterferometerConfig(grating1=mask, grating2=laser,
+                                 grating3=mask, species=get_species("PFNS8"),
+                                 beam=BeamState(75.0, 0.0),
+                                 separation_L=0.105)
+    for cfg, v in ((tli, 100.0), (kdtli, 75.0), (_otima_config(), 1.0)):
+        full = detector_signal(cfg, v, m_max=8)
+        assert list(detector_signal(cfg, v, m_max=1)) == list(full[:2])
 
 
 def test_talbot_pattern_revival_at_integer():
