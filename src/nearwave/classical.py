@@ -16,8 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .constants import HBAR
+from .core import velocity_weights
 from .engine import InterferometerConfig, grating_transmission
 from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
+                       _wall_coefficient, laser_phase_amplitude,
                        transmission_probability_coefficients)
 from .species import Species
 
@@ -66,7 +68,7 @@ class ClassicalResult:
     fringe_phase: float
 
 
-def _survival_probability(g, s: Species, v_z: float, x: np.ndarray) -> np.ndarray:
+def _survival_probability(g, x: np.ndarray) -> np.ndarray:
     """|t(x)|^2 for rays at transverse positions x (any real values)."""
     d = g.period_d
     if isinstance(g, MaterialGrating):
@@ -82,28 +84,34 @@ def _survival_probability(g, s: Species, v_z: float, x: np.ndarray) -> np.ndarra
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def _kick_array(g, s: Species, v_z: float, x: np.ndarray) -> np.ndarray:
-    """Transverse velocity change at positions x (vectorized, no absorption check)."""
+def _kick(g, s: Species, x: np.ndarray):
+    """Transverse velocity change at positions x, as a function of v_z.
+
+    The position dependence is evaluated once (vectorized, no absorption
+    check); the returned function scales it by the v_z-dependent strength.
+    """
     d = g.period_d
     if isinstance(g, MaterialGrating):
-        from .gratings import _wall_coefficient
         coeff, power = _wall_coefficient(g, s)
         if coeff == 0.0 or g.thickness_b == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=float))
+            zeros = np.zeros_like(np.asarray(x, dtype=float))
+            return lambda v_z: zeros
         a = g.open_fraction_f * d
         offset = np.mod(np.asarray(x, dtype=float) + d / 2.0, d) - d / 2.0
         r_plus = np.maximum(a / 2.0 - offset, g.wall_cutoff)
         r_minus = np.maximum(a / 2.0 + offset, g.wall_cutoff)
-        scale = g.thickness_b * coeff * power / (s.mass * v_z)
-        return scale * (r_plus ** -(power + 1) - r_minus ** -(power + 1))
+        shape = r_plus ** -(power + 1) - r_minus ** -(power + 1)
+        return lambda v_z: (g.thickness_b * coeff * power / (s.mass * v_z)
+                            * shape)
     if isinstance(g, LaserPhaseGrating):
-        from .gratings import laser_phase_amplitude
-        phi0 = laser_phase_amplitude(g, s, v_z)
-        return -(HBAR / (s.mass * v_z)) * phi0 * (np.pi / d) \
-            * np.sin(2.0 * np.pi * np.asarray(x) / d)
+        shape = np.sin(2.0 * np.pi * np.asarray(x) / d)
+        return lambda v_z: (-(HBAR / (s.mass * v_z))
+                            * laser_phase_amplitude(g, s, v_z)
+                            * (np.pi / d) * shape)
     if isinstance(g, IonizingGrating):
-        return -(HBAR / (s.mass * v_z)) * g.phase_amplitude_phi0 * (np.pi / d) \
-            * np.sin(2.0 * np.pi * np.asarray(x) / d)
+        shape = np.sin(2.0 * np.pi * np.asarray(x) / d)
+        return lambda v_z: (-(HBAR / (s.mass * v_z)) * g.phase_amplitude_phi0
+                            * (np.pi / d) * shape)
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
@@ -117,21 +125,24 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     Raises :class:`AbsorbedRayError` if x sits on a bar of a material mask.
     """
     if isinstance(g, MaterialGrating):
-        if _survival_probability(g, s, v_z, np.array([x]))[0] == 0.0:
+        if _survival_probability(g, np.array([x]))[0] == 0.0:
             raise AbsorbedRayError("ray absorbed on a grating bar")
-    return float(_kick_array(g, s, v_z, np.array([x]))[0])
+    return float(_kick(g, s, np.array([x]))(v_z)[0])
 
 
-def _mask_window(g, s: Species, v_z: float):
-    """Coefficients 0 and 1 of the mask's |t(x)|^2, from one table.
+def _mask_windows(g, s: Species, velocities):
+    """Coefficients 0 and 1 of the mask's |t(x)|^2 at each speed.
 
-    Without a mask (``g`` None) the window is (1, 1).
+    One node-stacked table covers all speeds (one row if the mask does not
+    depend on the speed). Without a mask (``g`` None) every window is
+    (1, 1).
     """
     if g is None:
-        return 1.0, 1.0 + 0.0j
-    table = transmission_probability_coefficients(
-        grating_transmission(g, s, v_z), 1)
-    return table.get(0).real, table.get(1)
+        return [(1.0, 1.0 + 0.0j)] * len(velocities)
+    values = transmission_probability_coefficients(
+        grating_transmission(g, s, np.array(velocities, dtype=float)), 1).values
+    return [(complex(row[1]).real, complex(row[2]))
+            for row in np.broadcast_to(values, (len(velocities), 3))]
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -181,15 +192,15 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
             continue
         x1 = rng.uniform(0.0, d, n)
         vx = rng.uniform(-window, window, n)
-        alive = rng.uniform(size=n) < _survival_probability(cfg.grating1, s, v, x1)
+        alive = rng.uniform(size=n) < _survival_probability(cfg.grating1, x1)
         x1, vx = x1[alive], vx[alive]
 
         x2 = x1 + vx * t_flight + 0.5 * a_ext * t_flight ** 2
         alive = rng.uniform(size=len(x2)) < _survival_probability(
-            cfg.grating2, s, v, x2)
+            cfg.grating2, x2)
         x1, vx, x2 = x1[alive], vx[alive], x2[alive]
 
-        vx2 = vx + a_ext * t_flight + _kick_array(cfg.grating2, s, v, x2)
+        vx2 = vx + a_ext * t_flight + _kick(cfg.grating2, s, x2)(v)
         x3 = x2 + vx2 * t_flight + 0.5 * a_ext * t_flight ** 2
 
         hist, _ = np.histogram(np.mod(x3, d), bins=n_bins, range=(0.0, d))
@@ -201,7 +212,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
             f"only {survivors} rays survive (< {MIN_SURVIVORS})")
 
     centers = (np.arange(n_bins) + 0.5) * d / n_bins
-    t3_0, t3_1 = _mask_window(cfg.grating3, s, v)
+    t3_0, t3_1 = _mask_windows(cfg.grating3, s, [v])[0]
 
     def fringe(hist):
         s0 = hist.sum() * t3_0
@@ -235,6 +246,10 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     single-grating integrals, with the force impulse entering the central
     one. With ``n_velocities > 1`` the fringe components are averaged over
     the beam's longitudinal velocity distribution before taking the ratio.
+
+    The central grating's survival mask and kick shape are computed once;
+    each velocity node only scales the kick, and the outer masks' windows
+    come from one node-stacked table per distinct mask.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -243,21 +258,30 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     x = (np.arange(n_grid) + 0.5) * d / n_grid
 
     if n_velocities > 1:
-        from .core import velocity_weights
         pairs = velocity_weights(cfg.beam, n_velocities)
     else:
         pairs = [(cfg.beam.mean_velocity if v_z is None else v_z, 1.0)]
+    velocities = [v for v, _ in pairs]
+
+    t2 = _survival_probability(cfg.grating2, x)
+    q0 = t2.mean()
+    # blocked cells add exact zeros to q1, so only open ones are evaluated
+    is_open = t2 != 0.0
+    t2_open, x_open = t2[is_open], x[is_open]
+    kick = _kick(cfg.grating2, s, x_open)
+    two_x = 2.0 * x_open
+    terms = np.zeros(n_grid, dtype=complex)
+    windows1 = _mask_windows(cfg.grating1, s, velocities)
+    windows3 = (windows1 if cfg.grating3 == cfg.grating1
+                else _mask_windows(cfg.grating3, s, velocities))
 
     numerator = 0.0 + 0.0j
     denominator = 0.0
-    for v, w in pairs:
+    for (v, w), (t1_0, t1_1), (t3_0, t3_1) in zip(pairs, windows1, windows3):
         t_flight = cfg.separation_L / v
-        t2 = _survival_probability(cfg.grating2, s, v, x)
-        kick = _kick_array(cfg.grating2, s, v, x)
-        q0 = t2.mean()
-        q1 = np.mean(t2 * np.exp(-2j * np.pi * (2.0 * x + kick * t_flight) / d))
-        t1_0, t1_1 = _mask_window(cfg.grating1, s, v)
-        t3_0, t3_1 = _mask_window(cfg.grating3, s, v)
+        terms[is_open] = t2_open * np.exp(
+            -2j * np.pi * (two_x + kick(v) * t_flight) / d)
+        q1 = np.mean(terms)
         numerator += w * t1_1 * q1 * np.conj(t3_1)
         denominator += w * t1_0 * q0 * t3_0
     return float(2.0 * abs(numerator) / denominator)

@@ -7,6 +7,7 @@ coherence width and the far-field crossover distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,17 @@ from .constants import PLANCK_H
 # Quadrature nodes below this fraction of the mean velocity are clipped:
 # near-zero forward velocities are unphysical for a selected beam.
 MIN_VELOCITY_FRACTION = 0.05
+
+
+def require_finite(**values):
+    """Raise ValueError naming the first value that is NaN or infinite.
+
+    None values are skipped. Range checks written as ``x <= 0`` let NaN
+    through, so input guards call this first.
+    """
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +43,11 @@ class BeamState:
     distribution_shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.mean_velocity <= 0.0:
-            raise ValueError("mean_velocity must be positive")
+        # one comparison chain, also false for NaN: configs are built per
+        # bisection step of a critical-mass search
+        if not 0.0 < self.mean_velocity < math.inf:
+            raise ValueError("mean_velocity must be positive and finite, "
+                             f"got {self.mean_velocity!r}")
         if not 0.0 <= self.relative_spread < 1.0:
             raise ValueError("relative_spread must lie in [0, 1)")
         if self.distribution_shape not in ("gaussian", "top_hat"):
@@ -85,7 +100,7 @@ def velocity_weights(beam: BeamState, n_points: int):
         raise ValueError("n_points must be >= 1")
     v0 = beam.mean_velocity
     if n_points == 1 or beam.relative_spread == 0.0:
-        return [(v0, 1.0)] if n_points == 1 else [(v0, 1.0)]
+        return [(v0, 1.0)]
 
     if beam.distribution_shape == "gaussian":
         sigma = beam.relative_spread * v0
@@ -105,5 +120,5 @@ def velocity_weights(beam: BeamState, n_points: int):
 __all__ = [
     "BeamState", "de_broglie_wavelength", "talbot_length", "talbot_time",
     "coherence_width", "far_field_distance", "velocity_weights",
-    "MIN_VELOCITY_FRACTION",
+    "MIN_VELOCITY_FRACTION", "require_finite",
 ]

@@ -28,6 +28,9 @@ DEFAULT_OTIMA_PERIOD = 78.5e-9
 MASS_BRACKET_AMU = (1e3, 1e12)
 BISECTION_TOLERANCE = 0.01
 MAX_BISECTIONS = 60
+# the pulsed (time-domain) signal does not depend on the beam; one shared
+# placeholder spares a BeamState per bisection step
+_PULSED_BEAM = BeamState(mean_velocity=1.0)
 
 
 class MassOutOfRangeError(ValueError):
@@ -73,7 +76,7 @@ class OtimaTemplate:
         return InterferometerConfig(
             grating1=self.grating, grating2=self.grating,
             grating3=self.grating, species=species,
-            beam=BeamState(mean_velocity=1.0),
+            beam=_PULSED_BEAM,
             pulse_delay_T=self.delay_over_talbot_time * tt,
             mode="time_domain")
 

@@ -25,7 +25,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
-from .core import de_broglie_wavelength, talbot_length, talbot_time
+from .core import (de_broglie_wavelength, require_finite, talbot_length,
+                   talbot_time)
 from .species import Species
 
 QUAD_RELTOL = 1e-6
@@ -33,12 +34,6 @@ QUAD_RELTOL = 1e-6
 
 class QuadratureError(RuntimeError):
     """Decoherence-factor quadrature failed to converge."""
-
-
-def _require_finite(**values):
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -118,8 +113,8 @@ class GasEnvironment:
     scattering_table: tuple = ()   # (theta_rad, |f|^2) rows for "user_table"
 
     def __post_init__(self):
-        _require_finite(gas_mass=self.gas_mass, temperature=self.temperature,
-                        pressure=self.pressure)
+        require_finite(gas_mass=self.gas_mass, temperature=self.temperature,
+                       pressure=self.pressure)
         if self.gas_mass <= 0.0 or self.temperature <= 0.0 or self.pressure < 0.0:
             raise ValueError("gas parameters must be positive")
         if self.scattering_model not in ("isotropic_constant_amplitude",
@@ -251,7 +246,7 @@ def collisional_rate(env: GasEnvironment, total_cross_section: float) -> float:
     The mean Maxwell-Boltzmann gas speed is the relative-speed convention
     (the beam is slow compared to a room-temperature gas).
     """
-    _require_finite(total_cross_section=total_cross_section)
+    require_finite(total_cross_section=total_cross_section)
     if total_cross_section <= 0.0:
         raise ValueError("cross section must be positive")
     n_density = env.pressure / (BOLTZMANN_KB * env.temperature)
@@ -291,7 +286,7 @@ def thermal_emission_channel(spectrum) -> DecoherenceChannel:
     if not spectrum:
         raise ValueError("emission spectrum is empty")
     for lam, r in spectrum:
-        _require_finite(wavelength=lam, rate=r)
+        require_finite(wavelength=lam, rate=r)
         if lam <= 0.0 or r < 0.0:
             raise ValueError("wavelengths must be positive and rates nonnegative")
     total = sum(r for _, r in spectrum)
@@ -329,7 +324,7 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
     Rate lambda0 (m / amu)^2 with the single-nucleon rate convention, and a
     gaussian localization function of width r_c.
     """
-    _require_finite(lambda0=lambda0, r_c=r_c, mass=mass)
+    require_finite(lambda0=lambda0, r_c=r_c, mass=mass)
     if lambda0 <= 0.0 or r_c <= 0.0:
         raise ValueError("lambda0 and r_c must be positive")
     if mass <= 0.0:

@@ -6,10 +6,16 @@ the mask coefficients of the outer gratings enter at zero argument and the
 diffraction coefficients of the central grating at the Talbot argument
 m L / L_T (or m T / T_T in the time domain). The sinusoidal visibility is
 the ratio 2 |S_1 / S_0| of the transmitted signal components.
+
+A velocity average builds each distinct grating's table once for all
+velocity nodes: one node-stacked transmission and coefficient table per
+grating, or a single row for a grating whose t(x) does not depend on the
+speed, and one coefficient evaluation over node x order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -63,6 +69,13 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.mode not in ("spatial", "time_domain"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # comparison chains, also false for NaN, keep this guard cheap:
+        # a critical-mass search builds a config per bisection step
+        L, T = self.separation_L, self.pulse_delay_T
+        if not ((L is None or -math.inf < L < math.inf)
+                and (T is None or -math.inf < T < math.inf)):
+            raise ValueError("separation_L and pulse_delay_T must be finite, "
+                             f"got {L!r} and {T!r}")
         if self.mode == "spatial":
             if self.separation_L is None or self.separation_L <= 0.0:
                 raise ValueError("spatial mode requires separation_L > 0")
@@ -107,9 +120,15 @@ class FourierPattern:
         return np.real(phases @ self.components)
 
 
-def grating_transmission(g: GratingSpec, s: Species, v_z: float,
+def grating_transmission(g: GratingSpec, s: Species, v_z,
                          grid_size: int = DEFAULT_GRID_SIZE):
-    """Transmission profile of any grating family at longitudinal speed v_z."""
+    """Transmission profile of any grating family at longitudinal speed v_z.
+
+    An array of speeds gives samples of shape ``shape(v_z) + (grid_size,)``,
+    or a single row if t(x) does not depend on the speed (ionizing
+    gratings, material masks without an eikonal phase); both broadcast
+    against each other.
+    """
     if isinstance(g, MaterialGrating):
         return material_transmission(g, s, v_z, grid_size)
     if isinstance(g, LaserPhaseGrating):
@@ -119,7 +138,7 @@ def grating_transmission(g: GratingSpec, s: Species, v_z: float,
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def grating_coefficients(g: GratingSpec, s: Species, v_z: float,
+def grating_coefficients(g: GratingSpec, s: Species, v_z,
                          grid_size: int = DEFAULT_GRID_SIZE,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
     return fourier_coefficients(grating_transmission(g, s, v_z, grid_size), j_max)
@@ -128,8 +147,9 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z: float,
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
     """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi).
 
-    ``m`` and ``xi`` broadcast against each other; scalars give a complex
-    scalar, arrays an array of coefficients of the broadcast shape.
+    ``m``, ``xi`` and the leading axes of a node-stacked table broadcast
+    against each other; scalars and a single table give a complex scalar,
+    arrays an array of coefficients of the broadcast shape.
     """
     m, xi = np.broadcast_arrays(m, xi)
     if np.any(np.abs(xi) >= XI_SANITY_BOUND):
@@ -138,7 +158,11 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
     j_max = b.j_max
     j = np.arange(-j_max, j_max + 1)
     pad = j_max + int(np.max(np.abs(m), initial=0))
-    shifted = b.padded(pad)[j - m + pad]
+    padded, index = b.padded(pad), j - m + pad
+    lead = np.broadcast_shapes(padded.shape[:-1], index.shape[:-1])
+    shifted = np.take_along_axis(
+        np.broadcast_to(padded, lead + padded.shape[-1:]),
+        np.broadcast_to(index, lead + index.shape[-1:]), axis=-1)
     phases = np.exp(1j * np.pi * (m - 2 * j) * xi)
     return np.sum(b.values * np.conj(shifted) * phases, axis=-1)
 
@@ -166,12 +190,13 @@ def talbot_pattern(b: CoefficientTable, L_over_LT: float,
                           truncation_residual=residual)
 
 
-def _require_absorptive(table_profile, which: str):
-    amp = np.abs(table_profile.samples)
-    amp_span = float(np.max(amp) - np.min(amp))
-    if amp_span < 1e-12:
-        phase = np.angle(table_profile.samples)
-        if float(np.max(phase) - np.min(phase)) > 1e-9:
+def _require_absorptive(profile, which: str):
+    """Reject a profile of which some row is a pure phase mask."""
+    amp = np.abs(profile.samples)
+    flat = np.max(amp, axis=-1) - np.min(amp, axis=-1) < 1e-12
+    if np.any(flat):
+        phase = np.angle(profile.samples[flat])
+        if np.any(np.max(phase, axis=-1) - np.min(phase, axis=-1) > 1e-9):
             raise CoherencePreparationError(
                 f"{which} is a pure phase grating: no coherence "
                 "preparation/readout")
@@ -191,31 +216,47 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     """
     if v_z <= 0.0:
         raise ValueError("v_z must be positive")
+    return _node_signals(cfg, [v_z], m_max, j_max, grid_size, channels)[0]
+
+
+def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
+                  j_max: int, grid_size: int, channels: Sequence) -> np.ndarray:
+    """``detector_signal`` for each of ``velocities``, one row per node.
+
+    Each distinct grating (the three masks of a symmetric TLI are one) gets
+    one table covering all nodes; row i is bit for bit the signal of node i
+    alone.
+    """
     s = cfg.species
-    xi_unit = _xi_per_order(cfg, v_z)
+    velocities = [float(v) for v in velocities]
+    nodes = np.array(velocities)[:, None]
+    tables = {}
 
-    p1 = grating_transmission(cfg.grating1, s, v_z, grid_size)
+    def table(g):
+        if g not in tables:
+            profile = grating_transmission(g, s, nodes, grid_size)
+            tables[g] = profile, fourier_coefficients(profile, j_max)
+        return tables[g]
+
+    p1, b1 = table(cfg.grating1)
     _require_absorptive(p1, "grating1")
-    b1 = fourier_coefficients(p1, j_max)
-    b2 = grating_coefficients(cfg.grating2, s, v_z, grid_size, j_max)
-    if cfg.grating3 is not None:
-        p3 = grating_transmission(cfg.grating3, s, v_z, grid_size)
-        _require_absorptive(p3, "grating3")
-        b3 = fourier_coefficients(p3, j_max)
-    else:
-        b3 = None
-
+    _, b2 = table(cfg.grating2)
     m = np.arange(m_max + 1)
+    xi_unit = np.array([[_xi_per_order(cfg, v)] for v in velocities])
     signal = _product(np.conj(talbot_lau_coefficient(b1, m, 0.0)),
                       talbot_lau_coefficient(b2, 2 * m, m * xi_unit))
-    if b3 is not None:
+    if cfg.grating3 is not None:
+        p3, b3 = table(cfg.grating3)
+        if p3 is not p1:
+            _require_absorptive(p3, "grating3")
         signal = _product(signal, np.conj(talbot_lau_coefficient(b3, m, 0.0)))
     if channels:
         from .decoherence import channel_factor
-        factor = np.ones(m_max + 1, dtype=complex)
+        factor = np.ones(signal.shape, dtype=complex)
         for channel in channels:
-            factor = _product(factor, [channel_factor(channel, cfg, 2 * k, v_z)
-                                       for k in range(m_max + 1)])
+            factor = _product(factor, [[channel_factor(channel, cfg, 2 * k, v)
+                                        for k in range(m_max + 1)]
+                                       for v in velocities])
         signal = _product(signal, factor)
     return signal
 
@@ -258,10 +299,17 @@ def velocity_averaged_signal(cfg: InterferometerConfig,
                              j_max: int = DEFAULT_J_MAX,
                              grid_size: int = DEFAULT_GRID_SIZE,
                              channels: Sequence = ()) -> np.ndarray:
-    """Signal components averaged over the beam velocity distribution."""
+    """Signal components averaged over the beam velocity distribution.
+
+    All nodes are evaluated together (``_node_signals``); the weighted sum
+    runs node by node, in the order of a per-node loop.
+    """
+    pairs = velocity_weights(cfg.beam, n_velocities)
+    signals = _node_signals(cfg, [v for v, _ in pairs], m_max, j_max,
+                            grid_size, channels)
     total = np.zeros(m_max + 1, dtype=complex)
-    for v, w in velocity_weights(cfg.beam, n_velocities):
-        total += w * detector_signal(cfg, v, m_max, j_max, grid_size, channels)
+    for (_, w), signal in zip(pairs, signals):
+        total += w * signal
     return total
 
 

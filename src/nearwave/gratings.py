@@ -6,6 +6,11 @@ extracted. Material masks carry an eikonal dispersion phase accumulated on
 straight trajectories through the slit; laser gratings are pure phase
 masks; pulsed ionizing gratings combine a periodic survival amplitude with
 a dipole phase.
+
+The builders accept an array of speeds and return one row of samples per
+speed (a node-stacked profile), computing the speed-free parts once; each
+row is the same arithmetic as a build at that speed alone. Fourier tables
+keep the leading (node) axes of their profile.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, LIGHT_SPEED_C, VACUUM_PERMITTIVITY_EPS0
+from .core import require_finite
 from .species import Species
 
 DEFAULT_GRID_SIZE = 4096
@@ -48,6 +54,8 @@ class MaterialGrating:
     wall_cutoff: float = DEFAULT_WALL_CUTOFF
 
     def __post_init__(self):
+        require_finite(period_d=self.period_d, thickness_b=self.thickness_b,
+                       wall_cutoff=self.wall_cutoff)
         if self.period_d <= 0.0:
             raise ValueError("period_d must be positive")
         if not 0.0 < self.open_fraction_f < 1.0:
@@ -70,6 +78,9 @@ class LaserPhaseGrating:
     laser_wavelength: float
 
     def __post_init__(self):
+        require_finite(period_d=self.period_d, power_P=self.power_P,
+                       vertical_waist_wy=self.vertical_waist_wy,
+                       laser_wavelength=self.laser_wavelength)
         if self.period_d <= 0.0 or self.vertical_waist_wy <= 0.0 \
                 or self.laser_wavelength <= 0.0:
             raise ValueError("geometry parameters must be positive")
@@ -88,6 +99,9 @@ class IonizingGrating:
     phase_amplitude_phi0: float = 0.0
 
     def __post_init__(self):
+        require_finite(period_d=self.period_d,
+                       mean_absorbed_photons_n0=self.mean_absorbed_photons_n0,
+                       phase_amplitude_phi0=self.phase_amplitude_phi0)
         if self.period_d <= 0.0:
             raise ValueError("period_d must be positive")
         if self.mean_absorbed_photons_n0 < 0.0:
@@ -96,7 +110,11 @@ class IonizingGrating:
 
 @dataclass(frozen=True)
 class TransmissionProfile:
-    """One period of t(x) on a uniform grid starting at the slit center."""
+    """One period of t(x) on a uniform grid starting at the slit center.
+
+    ``samples`` holds the grid on its last axis; leading axes, if any,
+    stack the profiles of several speeds.
+    """
 
     period_d: float
     samples: np.ndarray
@@ -106,7 +124,7 @@ class TransmissionProfile:
         n = self.grid_size
         if n < 256 or n & (n - 1):
             raise ValueError("grid_size must be a power of two >= 256")
-        if len(self.samples) != n:
+        if self.samples.shape[-1] != n:
             raise ValueError("sample count must equal grid_size")
         if np.max(np.abs(self.samples)) > 1.0 + 1e-12:
             raise ValueError("|t(x)| must not exceed 1")
@@ -124,10 +142,12 @@ def _wall_coefficient(g: MaterialGrating, s: Species):
     return 0.0, 3
 
 
-def material_slit_phase(g: MaterialGrating, s: Species, v_z: float, x):
+def material_slit_phase(g: MaterialGrating, s: Species, v_z, x):
     """Eikonal phase at offset ``x`` from the slit center (walls at +-a/2).
 
     phi(x) = (b / hbar v_z) [C(r-) + C(r+)] with r+- the wall distances.
+    ``v_z`` and ``x`` broadcast against each other; the wall-distance sum
+    is computed once for all speeds.
     """
     a = g.open_fraction_f * g.period_d
     coeff, power = _wall_coefficient(g, s)
@@ -153,10 +173,18 @@ def _cell_open_fraction(centers, half_width, open_half):
     return overlap / (2.0 * half_width)
 
 
-def material_transmission(g: MaterialGrating, s: Species, v_z: float,
+def material_transmission(g: MaterialGrating, s: Species, v_z,
                           grid_size: int = DEFAULT_GRID_SIZE) -> TransmissionProfile:
-    """Sample t(x) of a material mask over one period (slit centered at x=0)."""
-    if v_z <= 0.0:
+    """Sample t(x) of a material mask over one period (slit centered at x=0).
+
+    ``v_z`` is a speed or an array of speeds, giving samples of shape
+    ``shape(v_z) + (grid_size,)``. A mask without an eikonal phase does not
+    depend on the speed and gives a single row for any ``v_z``. The slit
+    geometry and the wall-distance sum are computed once; each speed only
+    scales the sum by b C / (hbar v_z).
+    """
+    v_z = np.asarray(v_z, dtype=float)
+    if np.any(v_z <= 0.0):
         raise ValueError("v_z must be positive")
     a = g.open_fraction_f * g.period_d
     # the cutoff models absorption where the eikonal phase diverges; an
@@ -171,32 +199,43 @@ def material_transmission(g: MaterialGrating, s: Species, v_z: float,
     # signed offset from the nearest slit center
     offset = np.where(x > d / 2.0, x - d, x)
     amp = _cell_open_fraction(offset, d / (2.0 * grid_size), open_half)
-    phase = np.zeros(grid_size)
+    if g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0:
+        # no eikonal phase: amp * exp(0j), bit for bit
+        return TransmissionProfile(period_d=d, samples=amp.astype(complex),
+                                   grid_size=grid_size)
+    # closed cells stay 0: amp * exp(1j * phase) is 0 there for any phase;
+    # in place, a stacked build holds one node x open-cell temporary
     inside = amp > 0.0
-    if g.interaction != "none":
-        phase[inside] = material_slit_phase(g, s, v_z, offset[inside])
-    samples = amp * np.exp(1j * phase)
+    factor = 1j * material_slit_phase(g, s, v_z[..., None], offset[inside])
+    np.exp(factor, out=factor)
+    factor *= amp[inside]
+    samples = np.zeros(v_z.shape + (grid_size,), dtype=complex)
+    samples[..., inside] = factor
     return TransmissionProfile(period_d=d, samples=samples, grid_size=grid_size)
 
 
-def laser_phase_amplitude(g: LaserPhaseGrating, s: Species, v_z: float) -> float:
+def laser_phase_amplitude(g: LaserPhaseGrating, s: Species, v_z) -> float:
     """Peak phase phi0 of the standing-wave dipole potential.
 
     Line-integrating the time-averaged dipole potential of a retro-reflected
     gaussian beam along the trajectory gives
     phi0 = 8 sqrt(2 pi) alpha_vol P / (hbar c w_y v_z); the longitudinal
-    waist cancels in the integral.
+    waist cancels in the integral. An array of speeds gives an array.
     """
-    if v_z <= 0.0:
+    if np.any(np.asarray(v_z) <= 0.0):
         raise ValueError("v_z must be positive")
     return (8.0 * math.sqrt(2.0 * math.pi) * s.alpha_opt_vol * g.power_P
             / (HBAR * LIGHT_SPEED_C * g.vertical_waist_wy * v_z))
 
 
-def laser_phase_transmission(g: LaserPhaseGrating, s: Species, v_z: float,
+def laser_phase_transmission(g: LaserPhaseGrating, s: Species, v_z,
                              grid_size: int = DEFAULT_GRID_SIZE) -> TransmissionProfile:
-    """Pure phase mask t(x) = exp(i phi0 cos^2(pi x / d))."""
-    phi0 = laser_phase_amplitude(g, s, v_z)
+    """Pure phase mask t(x) = exp(i phi0 cos^2(pi x / d)).
+
+    ``v_z`` is a speed or an array of speeds, giving samples of shape
+    ``shape(v_z) + (grid_size,)``.
+    """
+    phi0 = laser_phase_amplitude(g, s, np.asarray(v_z, dtype=float)[..., None])
     x = np.arange(grid_size) * g.period_d / grid_size
     samples = np.exp(1j * phi0 * np.cos(np.pi * x / g.period_d) ** 2)
     return TransmissionProfile(period_d=g.period_d, samples=samples,
@@ -222,15 +261,16 @@ def ionizing_transmission(g: IonizingGrating,
 class CoefficientTable:
     """Fourier coefficients b_j of a periodic function, |j| <= j_max.
 
-    Index ``j`` maps to ``values[j + j_max]``; orders outside the table are
-    treated as zero.
+    Index ``j`` maps to ``values[..., j + j_max]``; orders outside the table
+    are treated as zero. Leading axes of ``values``, if any, stack the
+    tables of several speeds; ``get`` reads a single table.
     """
 
     j_max: int
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != 2 * self.j_max + 1:
+        if self.values.shape[-1] != 2 * self.j_max + 1:
             raise ValueError("values must have length 2 j_max + 1")
 
     def get(self, j: int) -> complex:
@@ -240,30 +280,41 @@ class CoefficientTable:
 
     def padded(self, j_max: int) -> np.ndarray:
         """Coefficient array re-indexed for |j| <= j_max, zero outside."""
-        out = np.zeros(2 * j_max + 1, dtype=complex)
+        out = np.zeros(self.values.shape[:-1] + (2 * j_max + 1,), dtype=complex)
         lo = min(self.j_max, j_max)
-        out[j_max - lo:j_max + lo + 1] = self.values[self.j_max - lo:self.j_max + lo + 1]
+        out[..., j_max - lo:j_max + lo + 1] = \
+            self.values[..., self.j_max - lo:self.j_max + lo + 1]
         return out
 
 
 def fourier_coefficients(p: TransmissionProfile,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
-    """b_j of the sampled transmission, t(x) = sum_j b_j exp(2 pi i j x / d)."""
+    """b_j of the sampled transmission, t(x) = sum_j b_j exp(2 pi i j x / d).
+
+    A node-stacked profile gives one table per row. Each row is transformed
+    on its own and only its 2 j_max + 1 orders are kept, so no full
+    node x grid spectrum is held next to the samples.
+    """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if j_max > p.grid_size // 2:
         raise AliasingError(
             f"j_max={j_max} exceeds grid_size/2={p.grid_size // 2}")
-    spectrum = np.fft.fft(p.samples) / p.grid_size
     j = np.arange(-j_max, j_max + 1)
-    values = spectrum[np.mod(j, p.grid_size)]
-    return CoefficientTable(j_max=j_max, values=values)
+    columns = np.mod(j, p.grid_size)
+    rows = p.samples.reshape(-1, p.grid_size)
+    values = np.array([np.fft.fft(row)[columns] for row in rows]) / p.grid_size
+    return CoefficientTable(
+        j_max=j_max, values=values.reshape(p.samples.shape[:-1] + (len(j),)))
 
 
 def transmission_probability_coefficients(p: TransmissionProfile,
                                           m_max: int) -> CoefficientTable:
     """Fourier coefficients of the transmission probability |t(x)|^2."""
-    probability = (np.abs(p.samples) ** 2).astype(complex)
+    # squared in place and transformed as real samples (the FFT of the real
+    # row equals that of its complex copy), so no complex node x grid copy
+    probability = np.abs(p.samples)
+    np.square(probability, out=probability)
     intensity = TransmissionProfile(p.period_d, probability, p.grid_size)
     return fourier_coefficients(intensity, m_max)
 

@@ -278,6 +278,10 @@ def load_scenario(path: str) -> Scenario:
     g1 = _build_grating(1, parsed, problems)
     g2 = _build_grating(2, parsed, problems)
     g3 = _build_grating(3, parsed, problems)
+    if parsed.get("sweep.parameter") == "grating2.power" \
+            and g2 is not None and not isinstance(g2, LaserPhaseGrating):
+        problems.append("sweep.parameter: 'grating2.power' needs a laser "
+                        "grating2")
 
     beam = None
     try:

@@ -6,9 +6,12 @@ from nearwave.classical import (AbsorbedRayError, DegenerateEnsembleError,
                                 classical_visibility,
                                 classical_visibility_quadrature,
                                 deflection_kick)
-from nearwave.core import BeamState
-from nearwave.engine import InterferometerConfig
-from nearwave.gratings import LaserPhaseGrating, MaterialGrating
+from nearwave.constants import HBAR
+from nearwave.core import BeamState, velocity_weights
+from nearwave.engine import InterferometerConfig, grating_transmission
+from nearwave.gratings import (LaserPhaseGrating, MaterialGrating,
+                               _wall_coefficient, laser_phase_amplitude,
+                               transmission_probability_coefficients)
 from nearwave.species import get_species
 
 C70 = get_species("C70")
@@ -149,3 +152,70 @@ def test_time_domain_config_rejected():
         classical_visibility_quadrature(cfg)
     with pytest.raises(ValueError):
         classical_visibility(cfg, RayEnsemble(count=10_000))
+
+
+def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
+    """The quadrature twin written out node by node: survival mask, kick
+    and both outer windows rebuilt at every speed."""
+    s, d, g2 = cfg.species, cfg.period_d, cfg.grating2
+    x = (np.arange(n_grid) + 0.5) * d / n_grid
+
+    def window(g, v):
+        if g is None:
+            return 1.0, 1.0 + 0.0j
+        table = transmission_probability_coefficients(
+            grating_transmission(g, s, v), 1)
+        return table.get(0).real, table.get(1)
+
+    numerator, denominator = 0.0 + 0.0j, 0.0
+    for v, w in velocity_weights(cfg.beam, n_velocities):
+        t_flight = cfg.separation_L / v
+        if isinstance(g2, MaterialGrating):
+            offset = np.mod(x + d / 2.0, d) - d / 2.0
+            cutoff = g2.wall_cutoff if g2.interaction != "none" else 0.0
+            t2 = (np.abs(offset) < g2.open_fraction_f * d / 2.0
+                  - cutoff).astype(float)
+            coeff, power = _wall_coefficient(g2, s)
+            a = g2.open_fraction_f * d
+            r_plus = np.maximum(a / 2.0 - offset, g2.wall_cutoff)
+            r_minus = np.maximum(a / 2.0 + offset, g2.wall_cutoff)
+            scale = g2.thickness_b * coeff * power / (s.mass * v)
+            kick = scale * (r_plus ** -(power + 1) - r_minus ** -(power + 1))
+        else:
+            t2 = np.ones_like(x)
+            kick = -(HBAR / (s.mass * v)) * laser_phase_amplitude(g2, s, v) \
+                * (np.pi / d) * np.sin(2.0 * np.pi * x / d)
+        q0 = t2.mean()
+        q1 = np.mean(t2 * np.exp(-2j * np.pi * (2.0 * x + kick * t_flight) / d))
+        t1_0, t1_1 = window(cfg.grating1, v)
+        t3_0, t3_1 = window(cfg.grating3, v)
+        numerator += w * t1_1 * q1 * np.conj(t3_1)
+        denominator += w * t1_0 * q0 * t3_0
+    return float(2.0 * abs(numerator) / denominator)
+
+
+def test_quadrature_equals_per_node_formula():
+    # the hoisted survival mask and kick shape, the open-cell evaluation
+    # and the node-stacked windows give the per-node numbers bit for bit
+    cp = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
+                         thickness_b=300e-9, interaction="casimir_polder_r4")
+    laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
+                              vertical_waist_wy=20e-6, laser_wavelength=532e-9)
+    outer = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
+    cases = [
+        tli_config(vdw_mask(), spread=0.2),
+        InterferometerConfig(grating1=vdw_mask(), grating2=vdw_mask(),
+                             grating3=cp, species=C70,
+                             beam=BeamState(120.0, 0.15, "top_hat"),
+                             separation_L=0.2),
+        InterferometerConfig(grating1=vdw_mask(), grating2=vdw_mask(),
+                             species=C70, beam=BeamState(100.0, 0.2),
+                             separation_L=0.22),
+        InterferometerConfig(grating1=outer, grating2=laser, grating3=outer,
+                             species=PFNS8, beam=BeamState(75.0, 0.1),
+                             separation_L=0.105),
+    ]
+    for cfg in cases:
+        for n in (1, 12):
+            assert classical_visibility_quadrature(cfg, n_velocities=n) \
+                == _per_node_quadrature(cfg, n)

@@ -177,6 +177,47 @@ def test_power_sweep_runs(runner, tmp_path):
     assert len(lines) == 1 + 90
 
 
+def test_power_sweep_needs_laser_grating2(runner, tmp_path):
+    # a material grating2 has no power to sweep: config error, no traceback
+    text = with_line(read(KDTLI), "grating2.type = material") \
+        + "grating2.open_fraction = 0.42\n"
+    path = tmp_path / "material.cfg"
+    path.write_text(text)
+    for args in (["validate"], ["power-sweep", "--velocities", "1"]):
+        result = runner.invoke(main, [args[0], str(path), *args[1:]])
+        assert result.exit_code == 2
+        assert "config error: sweep.parameter: 'grating2.power' needs a " \
+            "laser grating2" in result.output
+
+
+def test_point_builds_each_table_once(monkeypatch):
+    # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
+    # no interaction; g1 == g2 == g3 in each) builds one node-stacked
+    # transmission and one coefficient table, and the classical twin one
+    # stacked transmission for its outer masks; a per-node build needs up
+    # to 12 of each per grating
+    from nearwave import classical, engine
+    calls = dict.fromkeys(["engine.material_transmission",
+                           "engine.fourier_coefficients",
+                           "classical.transmission_probability_coefficients"],
+                          0)
+    for site in calls:
+        module_name, attr = site.split(".")
+        module = {"engine": engine, "classical": classical}[module_name]
+
+        def counted(*args, _site=site, _func=getattr(module, attr), **kw):
+            calls[_site] += 1
+            return _func(*args, **kw)
+        monkeypatch.setattr(module, attr, counted)
+    cfg = nearwave.load_scenario(TLI).config
+    record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
+    assert list(record) == [name for name, _ in cli.INTERACTIONS] \
+        + ["classical_visibility"]
+    assert calls["engine.material_transmission"] <= 4
+    assert calls["engine.fourier_coefficients"] <= 3
+    assert calls["classical.transmission_probability_coefficients"] <= 1
+
+
 def test_carpet_matrix_shape(runner):
     result = invoke(runner, "carpet", TLI, "--z-points", "5",
                     "--x-points", "16", "--format", "json")

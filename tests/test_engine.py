@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from nearwave.core import BeamState
+from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
+                           velocity_weights)
+from nearwave.decoherence import (GasEnvironment, channel_factor,
+                                  collisional_channel)
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, detector_signal,
+                             grating_transmission,
                              sinusoidal_visibility, talbot_lau_coefficient,
                              talbot_pattern,
                              time_domain_visibility,
-                             velocity_averaged_pattern)
+                             velocity_averaged_pattern,
+                             velocity_averaged_signal)
 from nearwave.core import talbot_time
 from nearwave.constants import AMU
 from nearwave.gratings import (CoefficientTable, IonizingGrating,
@@ -261,3 +266,137 @@ def test_config_invariants():
         InterferometerConfig(grating1=g, grating2=g, grating3=g, species=C70,
                              beam=BeamState(100.0, 0.0), separation_L=0.1,
                              mode="fancy")
+
+
+def _per_node_signal(cfg, v, m_max, channels=()):
+    """S_m at one speed, the way a per-node loop builds it: a fresh table
+    for every grating, real-arithmetic products order by order."""
+    def product(a, b):
+        return (a.real * b.real - a.imag * b.imag) \
+            + 1j * (a.real * b.imag + a.imag * b.real)
+
+    def table(g):
+        return fourier_coefficients(grating_transmission(g, cfg.species, v))
+
+    m = np.arange(m_max + 1)
+    lam = de_broglie_wavelength(cfg.species.mass, v)
+    xi_unit = cfg.separation_L / talbot_length(cfg.period_d, lam)
+    signal = product(np.conj(talbot_lau_coefficient(table(cfg.grating1), m, 0.0)),
+                     talbot_lau_coefficient(table(cfg.grating2), 2 * m,
+                                            m * xi_unit))
+    if cfg.grating3 is not None:
+        signal = product(signal, np.conj(
+            talbot_lau_coefficient(table(cfg.grating3), m, 0.0)))
+    if channels:
+        factor = np.ones(m_max + 1, dtype=complex)
+        for channel in channels:
+            factor = product(factor, np.array(
+                [channel_factor(channel, cfg, 2 * k, v)
+                 for k in range(m_max + 1)]))
+        signal = product(signal, factor)
+    return signal
+
+
+def _oracle_case(name):
+    mask = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                           thickness_b=500e-9, interaction="vdw_r3")
+    tli = dict(grating1=mask, grating2=mask, grating3=mask, species=C70,
+               beam=BeamState(100.0, 0.2), separation_L=0.22)
+    if name in ("vdw_r3", "casimir_polder_r4", "none"):
+        g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                            thickness_b=500e-9, interaction=name)
+        return InterferometerConfig(**dict(tli, grating1=g, grating2=g,
+                                           grating3=g)), ()
+    if name == "kdtli":
+        outer = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
+        laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
+                                  vertical_waist_wy=20e-6,
+                                  laser_wavelength=532e-9)
+        return InterferometerConfig(
+            grating1=outer, grating2=laser, grating3=outer,
+            species=get_species("PFNS8"), beam=BeamState(75.0, 0.1),
+            separation_L=0.105), ()
+    if name == "surface_imaging":
+        return InterferometerConfig(**dict(tli, grating3=None)), ()
+    if name == "top_hat":
+        return InterferometerConfig(
+            **dict(tli, beam=BeamState(100.0, 0.3, "top_hat"))), ()
+    # distinct outer masks and a collisional channel
+    thin = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
+                           thickness_b=300e-9, interaction="casimir_polder_r4")
+    gas = GasEnvironment(gas_mass=28 * AMU, temperature=300.0, pressure=1e-6)
+    return (InterferometerConfig(**dict(tli, grating3=thin)),
+            (collisional_channel(gas, C70, 1e-17),))
+
+
+@pytest.mark.parametrize("name", ["vdw_r3", "casimir_polder_r4", "none",
+                                  "kdtli", "surface_imaging", "top_hat",
+                                  "collisional"])
+def test_velocity_average_equals_per_node_loop(name):
+    # one table per distinct grating for all nodes gives, bit for bit, the
+    # weighted per-node sum of detector_signal and of a per-node build
+    cfg, channels = _oracle_case(name)
+    n, m_max = 12, 3
+    averaged = velocity_averaged_signal(cfg, n, m_max=m_max,
+                                        channels=channels)
+    by_node = np.zeros(m_max + 1, dtype=complex)
+    rebuilt = np.zeros(m_max + 1, dtype=complex)
+    for v, w in velocity_weights(cfg.beam, n):
+        single = detector_signal(cfg, v, m_max, channels=channels)
+        assert np.array_equal(single, _per_node_signal(cfg, v, m_max,
+                                                       channels))
+        by_node += w * single
+        rebuilt += w * _per_node_signal(cfg, v, m_max, channels)
+    assert np.array_equal(averaged, by_node)
+    assert np.array_equal(averaged, rebuilt)
+
+
+def _laser(**kw):
+    return LaserPhaseGrating(**{**dict(period_d=266e-9, power_P=1.0,
+                                       vertical_waist_wy=20e-6,
+                                       laser_wavelength=532e-9), **kw})
+
+
+def _material(**kw):
+    return MaterialGrating(**{**dict(period_d=991e-9, open_fraction_f=0.475),
+                              **kw})
+
+
+def _ionizing(**kw):
+    return IonizingGrating(**{**dict(period_d=78.5e-9,
+                                     mean_absorbed_photons_n0=6.0), **kw})
+
+
+# field -> (constructor of a valid object with that field set, a finite value)
+GUARDS = {
+    "material.period_d": (lambda x: _material(period_d=x), 991e-9),
+    "material.thickness_b": (lambda x: _material(thickness_b=x), 500e-9),
+    "material.wall_cutoff": (lambda x: _material(wall_cutoff=x), 1e-9),
+    "laser.period_d": (lambda x: _laser(period_d=x), 266e-9),
+    "laser.power_P": (lambda x: _laser(power_P=x), 3.0),
+    "laser.vertical_waist_wy": (lambda x: _laser(vertical_waist_wy=x), 2e-5),
+    "laser.laser_wavelength": (lambda x: _laser(laser_wavelength=x), 532e-9),
+    "ionizing.period_d": (lambda x: _ionizing(period_d=x), 78.5e-9),
+    "ionizing.mean_absorbed_photons_n0":
+        (lambda x: _ionizing(mean_absorbed_photons_n0=x), 6.0),
+    "ionizing.phase_amplitude_phi0":
+        (lambda x: _ionizing(phase_amplitude_phi0=x), 0.5),
+    "beam.mean_velocity": (lambda x: BeamState(x), 100.0),
+    "config.separation_L": (lambda x: InterferometerConfig(
+        grating1=_material(), grating2=_material(), species=C70,
+        beam=BeamState(100.0), separation_L=x), 0.22),
+    "config.pulse_delay_T": (lambda x: InterferometerConfig(
+        grating1=_ionizing(), grating2=_ionizing(), species=C70,
+        beam=BeamState(100.0), pulse_delay_T=x, mode="time_domain"), 1e-3),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(GUARDS))
+def test_guards_reject_non_finite(field, value):
+    # NaN passes range checks such as x <= 0; equal gratings share a table,
+    # and NaN would break that equality
+    build, finite = GUARDS[field]
+    build(finite)
+    with pytest.raises(ValueError, match="finite"):
+        build(value)

@@ -205,3 +205,42 @@ def test_grid_convergence():
     # low orders still agree to a few parts in 1e3
     for j in range(-8, 9):
         assert b1.get(j) == pytest.approx(b2.get(j), abs=2e-3)
+
+
+@pytest.mark.parametrize("grating", [
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                    thickness_b=500e-9, interaction="vdw_r3"),
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                    thickness_b=500e-9, interaction="casimir_polder_r4"),
+    LaserPhaseGrating(period_d=266e-9, power_P=5.0, vertical_waist_wy=20e-6,
+                      laser_wavelength=532e-9),
+], ids=["vdw_r3", "casimir_polder_r4", "laser"])
+def test_stacked_rows_equal_single_speed_builds(grating):
+    # an array of speeds gives, row by row, the samples and the table of a
+    # build at that speed alone
+    build = (material_transmission if isinstance(grating, MaterialGrating)
+             else laser_phase_transmission)
+    speeds = np.array([61.0, 80.5, 100.0, 173.25])
+    stacked = build(grating, C70, speeds, 1024)
+    table = fourier_coefficients(stacked, 32)
+    assert stacked.samples.shape == (4, 1024)
+    assert table.values.shape == (4, 65)
+    for row, v in enumerate(speeds):
+        single = build(grating, C70, float(v), 1024)
+        assert np.array_equal(stacked.samples[row], single.samples)
+        assert np.array_equal(table.values[row],
+                              fourier_coefficients(single, 32).values)
+
+
+@pytest.mark.parametrize("grating", [
+    binary(0.475),
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.475, thickness_b=0.0,
+                    interaction="vdw_r3"),
+], ids=["no_interaction", "zero_thickness"])
+def test_mask_without_eikonal_phase_gives_one_row(grating):
+    single = material_transmission(grating, C70, 100.0, 1024)
+    stacked = material_transmission(grating, C70, np.array([[50.0], [200.0]]),
+                                    1024)
+    assert np.array_equal(stacked.samples, single.samples)
+    with pytest.raises(ValueError):
+        material_transmission(grating, C70, np.array([100.0, -1.0]), 1024)
