@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import HBAR
-from .core import velocity_weights
+from .core import bessel_j, velocity_weights
 from .engine import InterferometerConfig, grating_transmission
 from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
                        _wall_coefficient, laser_phase_amplitude,
@@ -247,15 +247,20 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     one. With ``n_velocities > 1`` the fringe components are averaged over
     the beam's longitudinal velocity distribution before taking the ratio.
 
-    The central grating's survival mask and kick shape are computed once;
-    each velocity node only scales the kick, and the outer masks' windows
-    come from one node-stacked table per distinct mask.
+    A laser phase grating in the centre transmits everything and kicks by
+    K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
+    Bessel value J_2(-2 pi K(v) (L / v) / d), with K(v) read from the same
+    kick as the ray tracer. Material and ionizing central gratings are
+    sampled on ``n_grid`` points, which apply only to them: the survival
+    mask and kick shape are computed once, and each velocity node only
+    scales the kick. The outer masks' windows come from one node-stacked
+    table per distinct mask.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
     s = cfg.species
     d = cfg.period_d
-    x = (np.arange(n_grid) + 0.5) * d / n_grid
+    g2 = cfg.grating2
 
     if n_velocities > 1:
         pairs = velocity_weights(cfg.beam, n_velocities)
@@ -263,25 +268,34 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         pairs = [(cfg.beam.mean_velocity if v_z is None else v_z, 1.0)]
     velocities = [v for v, _ in pairs]
 
-    t2 = _survival_probability(cfg.grating2, x)
-    q0 = t2.mean()
-    # blocked cells add exact zeros to q1, so only open ones are evaluated
-    is_open = t2 != 0.0
-    t2_open, x_open = t2[is_open], x[is_open]
-    kick = _kick(cfg.grating2, s, x_open)
-    two_x = 2.0 * x_open
-    terms = np.zeros(n_grid, dtype=complex)
+    if isinstance(g2, LaserPhaseGrating):
+        v = np.array(velocities)
+        peak_kick = _kick(g2, s, np.array([d / 4.0]))(v)  # K(v), at sin = 1
+        q0 = 1.0
+        q1s = bessel_j(2, -2.0 * np.pi * peak_kick * (cfg.separation_L / v)
+                       / d).tolist()
+    else:
+        x = (np.arange(n_grid) + 0.5) * d / n_grid
+        t2 = _survival_probability(g2, x)
+        q0 = t2.mean()
+        # blocked cells add exact zeros to q1, so only open ones are evaluated
+        is_open = t2 != 0.0
+        t2_open, two_x = t2[is_open], 2.0 * x[is_open]
+        kick = _kick(g2, s, x[is_open])
+        terms = np.zeros(n_grid, dtype=complex)
+        q1s = []
+        for v in velocities:
+            terms[is_open] = t2_open * np.exp(
+                -2j * np.pi * (two_x + kick(v) * (cfg.separation_L / v)) / d)
+            q1s.append(np.mean(terms))
     windows1 = _mask_windows(cfg.grating1, s, velocities)
     windows3 = (windows1 if cfg.grating3 == cfg.grating1
                 else _mask_windows(cfg.grating3, s, velocities))
 
     numerator = 0.0 + 0.0j
     denominator = 0.0
-    for (v, w), (t1_0, t1_1), (t3_0, t3_1) in zip(pairs, windows1, windows3):
-        t_flight = cfg.separation_L / v
-        terms[is_open] = t2_open * np.exp(
-            -2j * np.pi * (two_x + kick(v) * t_flight) / d)
-        q1 = np.mean(terms)
+    for (_, w), q1, (t1_0, t1_1), (t3_0, t3_1) in zip(pairs, q1s, windows1,
+                                                      windows3):
         numerator += w * t1_1 * q1 * np.conj(t3_1)
         denominator += w * t1_0 * q0 * t3_0
     return float(2.0 * abs(numerator) / denominator)

@@ -76,6 +76,14 @@ _GRATING_KEYS = {
     "phi0": "quantity:angle",
 }
 
+# keys that only one grating family reads; on another family they are
+# rejected rather than ignored
+_FAMILY_KEYS = {
+    "material": ("open_fraction", "thickness", "interaction", "wall_cutoff"),
+    "laser": ("power", "waist_y", "laser_wavelength"),
+    "ionizing": ("n0", "phi0"),
+}
+
 SCHEMA: Dict[str, str] = {
     "name": "string",
     "species": "string",
@@ -237,6 +245,11 @@ def _build_grating(n: int, parsed, problems: List[str]):
     def get(key, default=None):
         return parsed.get(prefix + key, default)
 
+    for family, keys in _FAMILY_KEYS.items():
+        for key in keys:
+            if family != gtype and prefix + key in parsed:
+                problems.append(f"{prefix}{key}: applies only to a {family} "
+                                f"grating, not to a {gtype} one")
     try:
         if gtype == "material":
             return MaterialGrating(

@@ -190,6 +190,32 @@ def test_power_sweep_needs_laser_grating2(runner, tmp_path):
             "laser grating2" in result.output
 
 
+@pytest.mark.parametrize("path, line, family", [
+    (TLI, "grating2.power = 1 W", "laser"),
+    (TLI, "grating2.waist_y = 20 um", "laser"),
+    (TLI, "grating2.laser_wavelength = 532 nm", "laser"),
+    (TLI, "grating2.n0 = 1", "ionizing"),
+    (TLI, "grating2.phi0 = 1 rad", "ionizing"),
+    (KDTLI, "grating2.open_fraction = 0.42", "material"),
+    (KDTLI, "grating2.thickness = 100 nm", "material"),
+    (KDTLI, "grating2.interaction = vdw_r3", "material"),
+    (KDTLI, "grating2.wall_cutoff = 1 nm", "material"),
+    (KDTLI, "grating2.phi0 = 1 rad", "ionizing"),
+    (OTIMA, "grating2.thickness = 100 nm", "material"),
+    (OTIMA, "grating2.power = 1 W", "laser"),
+])
+def test_key_of_another_grating_family_rejected(runner, tmp_path, path, line,
+                                                family):
+    # a key that the grating's family does not read is an error, not a no-op
+    scenario = tmp_path / "foreign.cfg"
+    scenario.write_text(read(path) + line + "\n")
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2
+    key = line.split(" = ")[0]
+    assert f"config error: {key}: applies only to a {family} grating" \
+        in result.output
+
+
 def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked

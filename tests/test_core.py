@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nearwave.constants import AMU, HBAR, PLANCK_H
-from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, coherence_width,
-                           de_broglie_wavelength, far_field_distance,
-                           talbot_length, talbot_time, velocity_weights)
+from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, _unit_rule,
+                           bessel_j, coherence_width, de_broglie_wavelength,
+                           far_field_distance, talbot_length, talbot_time,
+                           velocity_weights)
 
 
 def test_constants_consistency():
@@ -106,3 +107,46 @@ def test_velocity_weights_mean_recovered():
 def test_velocity_weights_deterministic():
     beam = BeamState(75.0, 0.1)
     assert velocity_weights(beam, 12) == velocity_weights(beam, 12)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "top_hat"])
+def test_velocity_weights_cached_nodes(shape):
+    # the cached rule gives the numbers of a fresh Gauss rule bit for bit
+    beam = BeamState(75.0, 0.1, shape)
+    rule = (np.polynomial.hermite_e.hermegauss if shape == "gaussian"
+            else np.polynomial.legendre.leggauss)
+    nodes, weights = rule(12)
+    expected = np.maximum(75.0 + 0.1 * 75.0 * nodes,
+                          MIN_VELOCITY_FRACTION * 75.0)
+    expected = list(zip(expected.tolist(), (weights / weights.sum()).tolist()))
+    pairs = velocity_weights(beam, 12)
+    assert pairs == expected
+    # a caller can change its own list but not the shared nodes
+    pairs[0] = (0.0, 0.0)
+    cached = _unit_rule(shape, 12)
+    assert _unit_rule(shape, 12) is cached
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert velocity_weights(beam, 12) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+def test_bessel_j_matches_scipy(n):
+    # absolute error: a relative one means nothing near the zeros
+    from scipy.special import jv
+    x = np.concatenate([np.linspace(-3000.0, 3000.0, 6001),
+                        np.linspace(-20.0, 20.0, 801)])
+    for chunk in np.array_split(x, 16):
+        assert np.max(np.abs(bessel_j(n, chunk) - jv(n, chunk))) < 1e-13
+    assert bessel_j(n, 975.3) == pytest.approx(jv(n, 975.3), rel=0.0,
+                                               abs=1e-13)
+
+
+def test_bessel_j_shape_and_finite_input():
+    assert bessel_j(2, np.zeros((3, 4))).shape == (3, 4)
+    assert np.ndim(bessel_j(2, 1.5)) == 0
+    assert bessel_j(0, 0.0) == 1.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bessel_j(2, np.array([1.0, bad]))
