@@ -19,13 +19,15 @@ from .constants import HBAR
 from .core import bessel_j, velocity_weights
 from .engine import InterferometerConfig, grating_transmission
 from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
-                       _wall_coefficient, laser_phase_amplitude,
+                       _wall_coefficient, _wall_distances,
+                       laser_phase_amplitude,
                        transmission_probability_coefficients)
 from .species import Species
 
 MIN_SURVIVORS = 1000
-DEFAULT_BINS = 256
-DEFAULT_PARTITIONS = 16
+HISTOGRAM_BINS = 256
+PARTITIONS = 16
+BOOTSTRAP_RESAMPLES = 64
 
 
 class AbsorbedRayError(ValueError):
@@ -73,9 +75,7 @@ def _survival_probability(g, x: np.ndarray) -> np.ndarray:
     d = g.period_d
     if isinstance(g, MaterialGrating):
         offset = np.mod(x + d / 2.0, d) - d / 2.0
-        cutoff = g.wall_cutoff if g.interaction != "none" else 0.0
-        open_half = g.open_fraction_f * d / 2.0 - cutoff
-        return (np.abs(offset) < open_half).astype(float)
+        return (np.abs(offset) < g.open_half_width).astype(float)
     if isinstance(g, LaserPhaseGrating):
         return np.ones_like(np.asarray(x, dtype=float))
     if isinstance(g, IonizingGrating):
@@ -96,10 +96,8 @@ def _kick(g, s: Species, x: np.ndarray):
         if coeff == 0.0 or g.thickness_b == 0.0:
             zeros = np.zeros_like(np.asarray(x, dtype=float))
             return lambda v_z: zeros
-        a = g.open_fraction_f * d
         offset = np.mod(np.asarray(x, dtype=float) + d / 2.0, d) - d / 2.0
-        r_plus = np.maximum(a / 2.0 - offset, g.wall_cutoff)
-        r_minus = np.maximum(a / 2.0 + offset, g.wall_cutoff)
+        r_minus, r_plus = _wall_distances(g, offset)
         shape = r_plus ** -(power + 1) - r_minus ** -(power + 1)
         return lambda v_z: (g.thickness_b * coeff * power / (s.mass * v_z)
                             * shape)
@@ -147,17 +145,14 @@ def _mask_windows(g, s: Species, velocities):
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
                          v_z: Optional[float] = None,
-                         n_bins: int = DEFAULT_BINS,
-                         n_partitions: int = DEFAULT_PARTITIONS,
-                         n_bootstrap: int = 64,
                          transverse_acceleration: float = 0.0) -> ClassicalResult:
     """Monte Carlo moire visibility of a spatial-mode configuration.
 
     Rays are traced G1 -> G2 -> G3 with Bernoulli survival at the masks and
     a force impulse at G2; the arrival histogram (modulo one period) is
     convolved with the third mask and fitted by its first Fourier
-    component. Identical seed and partition count give bit-identical
-    results.
+    component. Identical seeds give bit-identical results; ``stat_error``
+    is the bootstrap spread over the independently seeded partitions.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -178,14 +173,14 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
         warnings.warn("fewer than 1e4 rays: statistics will be poor",
                       stacklevel=2)
 
-    seeds = np.random.SeedSequence(ensemble.seed).spawn(n_partitions)
-    counts = np.full(n_partitions, ensemble.count // n_partitions)
-    counts[:ensemble.count % n_partitions] += 1
+    seeds = np.random.SeedSequence(ensemble.seed).spawn(PARTITIONS)
+    counts = np.full(PARTITIONS, ensemble.count // PARTITIONS)
+    counts[:ensemble.count % PARTITIONS] += 1
 
-    part_hist = np.zeros((n_partitions, n_bins))
+    part_hist = np.zeros((PARTITIONS, HISTOGRAM_BINS))
     survivors = 0
     a_ext = transverse_acceleration
-    for p in range(n_partitions):
+    for p in range(PARTITIONS):
         rng = np.random.default_rng(seeds[p])
         n = int(counts[p])
         if n == 0:
@@ -203,7 +198,8 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
         vx2 = vx + a_ext * t_flight + _kick(cfg.grating2, s, x2)(v)
         x3 = x2 + vx2 * t_flight + 0.5 * a_ext * t_flight ** 2
 
-        hist, _ = np.histogram(np.mod(x3, d), bins=n_bins, range=(0.0, d))
+        hist, _ = np.histogram(np.mod(x3, d), bins=HISTOGRAM_BINS,
+                               range=(0.0, d))
         part_hist[p] = hist
         survivors += len(x3)
 
@@ -211,7 +207,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
         raise StatisticsError(
             f"only {survivors} rays survive (< {MIN_SURVIVORS})")
 
-    centers = (np.arange(n_bins) + 0.5) * d / n_bins
+    centers = (np.arange(HISTOGRAM_BINS) + 0.5) * d / HISTOGRAM_BINS
     t3_0, t3_1 = _mask_windows(cfg.grating3, s, [v])[0]
 
     def fringe(hist):
@@ -223,11 +219,11 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
     visibility, phase = fringe(total)
 
     boot_rng = np.random.default_rng(np.random.SeedSequence([ensemble.seed, 0xB007]))
-    boot = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        pick = boot_rng.integers(0, n_partitions, n_partitions)
+    boot = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        pick = boot_rng.integers(0, PARTITIONS, PARTITIONS)
         boot[b] = fringe(part_hist[pick].sum(axis=0))[0]
-    stat_error = float(boot.std(ddof=1)) if n_bootstrap > 1 else 0.0
+    stat_error = float(boot.std(ddof=1))
 
     return ClassicalResult(visibility=float(visibility),
                            stat_error=stat_error, histogram=total,

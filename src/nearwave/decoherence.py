@@ -194,20 +194,20 @@ def _maxwell_speed_nodes(gas_mass: float, temperature: float, n: int):
     return v, w / w.sum()
 
 
-def collisional_eta(env: GasEnvironment, x: float | np.ndarray,
-                    n_angle: int = 64,
-                    n_velocity: int = 32) -> float | np.ndarray:
+def collisional_eta(env: GasEnvironment,
+                    x: float | np.ndarray) -> float | np.ndarray:
     """Decoherence function of one gas collision at path separation x.
 
     Angular average of sinc(sin(theta/2) 2 v_g m_g x / hbar) over the
     normalized differential cross section, then a thermal average over the
-    gas speed. ``x`` may be a scalar (a float is returned) or an array of
-    separations; the quadrature nodes are built once for all of them.
+    gas speed, on 64 and 32 Gauss-Legendre nodes. ``x`` may be a scalar (a
+    float is returned) or an array of separations; the quadrature nodes
+    are built once for all of them.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("x must be nonnegative")
-    theta_nodes, theta_weights = np.polynomial.legendre.leggauss(n_angle)
+    theta_nodes, theta_weights = np.polynomial.legendre.leggauss(64)
     theta = 0.5 * (theta_nodes + 1.0) * math.pi
     solid = np.sin(theta) * theta_weights
     if env.scattering_model == "isotropic_constant_amplitude":
@@ -224,7 +224,7 @@ def collisional_eta(env: GasEnvironment, x: float | np.ndarray,
     weight = weight / norm
 
     v_nodes, v_weights = _maxwell_speed_nodes(env.gas_mass, env.temperature,
-                                              n_velocity)
+                                              32)
     kick = np.outer(v_nodes, np.sin(theta / 2.0)).ravel()
     weights = (v_weights[:, None] * weight[None, :]).ravel()
     # one separation at a time keeps the speed x angle operands in cache;
@@ -254,9 +254,7 @@ def collisional_rate(env: GasEnvironment, total_cross_section: float) -> float:
 
 
 def collisional_channel(env: GasEnvironment, s: Species,
-                        total_cross_section: float,
-                        n_angle: int = 64, n_velocity: int = 32,
-                        n_table: int = 200) -> DecoherenceChannel:
+                        total_cross_section: float) -> DecoherenceChannel:
     """Channel for scattering of residual gas off the delocalized particle.
 
     The rate is ``collisional_rate``; eta is tabulated on a separation grid
@@ -266,9 +264,8 @@ def collisional_channel(env: GasEnvironment, s: Species,
     rate = collisional_rate(env, total_cross_section)
     # eta decays on the momentum-exchange wavelength scale; tabulate out to
     # a few microns which covers every near-field separation of interest
-    x_grid = np.linspace(0.0, 5e-6, n_table)
-    eta = TabulatedEta(x_grid, collisional_eta(env, x_grid, n_angle,
-                                               n_velocity))
+    x_grid = np.linspace(0.0, 5e-6, 200)
+    eta = TabulatedEta(x_grid, collisional_eta(env, x_grid))
     return DecoherenceChannel(rate=rate, eta=eta, label="collisional")
 
 

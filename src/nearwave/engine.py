@@ -27,7 +27,8 @@ from .core import (BeamState, de_broglie_wavelength, talbot_length,
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        fourier_coefficients, ionizing_transmission,
-                       laser_phase_transmission, material_transmission)
+                       is_pure_phase, laser_phase_transmission,
+                       material_transmission)
 from .species import Species
 
 DEFAULT_M_MAX = 8
@@ -55,6 +56,7 @@ class InterferometerConfig:
 
     ``grating3 = None`` selects surface-imaging mode: the fringe pattern at
     the third-grating plane is returned without the readout convolution.
+    A pure phase grating1 or grating3 raises ``CoherencePreparationError``.
     """
 
     grating1: GratingSpec
@@ -82,13 +84,16 @@ class InterferometerConfig:
         else:
             if self.pulse_delay_T is None or self.pulse_delay_T <= 0.0:
                 raise ValueError("time domain mode requires pulse_delay_T > 0")
-        d = self.grating1.period_d
-        gratings = [self.grating1, self.grating2]
-        if self.grating3 is not None:
-            gratings.append(self.grating3)
-        for g in gratings:
-            if abs(g.period_d - d) > 1e-9 * d:
+        g1, g3 = self.grating1, self.grating3
+        d = g1.period_d
+        for g in (self.grating2, g3):
+            if g is not None and abs(g.period_d - d) > 1e-9 * d:
                 raise ValueError("all grating periods must be equal")
+        if is_pure_phase(g1) or is_pure_phase(g3):
+            which = "grating1" if is_pure_phase(g1) else "grating3"
+            raise CoherencePreparationError(
+                f"{which} is a pure phase grating: no coherence "
+                "preparation/readout")
 
     @property
     def period_d(self) -> float:
@@ -101,7 +106,6 @@ class FourierPattern:
 
     period_d: float
     components: np.ndarray  # length 2 m_max + 1, index m + m_max
-    truncation_residual: float = 0.0
 
     @property
     def m_max(self) -> int:
@@ -138,10 +142,8 @@ def grating_transmission(g: GratingSpec, s: Species, v_z,
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def grating_coefficients(g: GratingSpec, s: Species, v_z,
-                         grid_size: int = DEFAULT_GRID_SIZE,
-                         j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
-    return fourier_coefficients(grating_transmission(g, s, v_z, grid_size), j_max)
+def grating_coefficients(g: GratingSpec, s: Species, v_z) -> CoefficientTable:
+    return fourier_coefficients(grating_transmission(g, s, v_z))
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -185,27 +187,11 @@ def talbot_pattern(b: CoefficientTable, L_over_LT: float,
     _check_truncation(b)
     m = np.arange(-m_max, m_max + 1)
     comps = talbot_lau_coefficient(b, m, m * L_over_LT)
-    residual = abs(b.get(b.j_max)) ** 2 + abs(b.get(-b.j_max)) ** 2
-    return FourierPattern(period_d=1.0, components=comps,
-                          truncation_residual=residual)
-
-
-def _require_absorptive(profile, which: str):
-    """Reject a profile of which some row is a pure phase mask."""
-    amp = np.abs(profile.samples)
-    flat = np.max(amp, axis=-1) - np.min(amp, axis=-1) < 1e-12
-    if np.any(flat):
-        phase = np.angle(profile.samples[flat])
-        if np.any(np.max(phase, axis=-1) - np.min(phase, axis=-1) > 1e-9):
-            raise CoherencePreparationError(
-                f"{which} is a pure phase grating: no coherence "
-                "preparation/readout")
+    return FourierPattern(period_d=1.0, components=comps)
 
 
 def detector_signal(cfg: InterferometerConfig, v_z: float,
                     m_max: int = DEFAULT_M_MAX,
-                    j_max: int = DEFAULT_J_MAX,
-                    grid_size: int = DEFAULT_GRID_SIZE,
                     channels: Sequence = ()) -> np.ndarray:
     """Fourier components S_m (m = 0 .. m_max) of the transmitted signal.
 
@@ -216,7 +202,8 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     """
     if v_z <= 0.0:
         raise ValueError("v_z must be positive")
-    return _node_signals(cfg, [v_z], m_max, j_max, grid_size, channels)[0]
+    return _node_signals(cfg, [v_z], m_max, DEFAULT_J_MAX, DEFAULT_GRID_SIZE,
+                         channels)[0]
 
 
 def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
@@ -234,22 +221,18 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
 
     def table(g):
         if g not in tables:
-            profile = grating_transmission(g, s, nodes, grid_size)
-            tables[g] = profile, fourier_coefficients(profile, j_max)
+            tables[g] = fourier_coefficients(
+                grating_transmission(g, s, nodes, grid_size), j_max)
         return tables[g]
 
-    p1, b1 = table(cfg.grating1)
-    _require_absorptive(p1, "grating1")
-    _, b2 = table(cfg.grating2)
+    b1, b2 = table(cfg.grating1), table(cfg.grating2)
     m = np.arange(m_max + 1)
     xi_unit = np.array([[_xi_per_order(cfg, v)] for v in velocities])
     signal = _product(np.conj(talbot_lau_coefficient(b1, m, 0.0)),
                       talbot_lau_coefficient(b2, 2 * m, m * xi_unit))
     if cfg.grating3 is not None:
-        p3, b3 = table(cfg.grating3)
-        if p3 is not p1:
-            _require_absorptive(p3, "grating3")
-        signal = _product(signal, np.conj(talbot_lau_coefficient(b3, m, 0.0)))
+        signal = _product(signal, np.conj(talbot_lau_coefficient(
+            table(cfg.grating3), m, 0.0)))
     if channels:
         from .decoherence import channel_factor
         factor = np.ones(signal.shape, dtype=complex)
@@ -316,22 +299,16 @@ def velocity_averaged_signal(cfg: InterferometerConfig,
 def velocity_averaged_pattern(cfg: InterferometerConfig,
                               n_velocities: int = 16,
                               m_max: int = DEFAULT_M_MAX,
-                              j_max: int = DEFAULT_J_MAX,
-                              grid_size: int = DEFAULT_GRID_SIZE,
                               channels: Sequence = ()):
     """(FourierPattern, visibility) after velocity averaging."""
-    signal = velocity_averaged_signal(cfg, n_velocities, m_max, j_max,
-                                      grid_size, channels)
+    signal = velocity_averaged_signal(cfg, n_velocities, m_max,
+                                      channels=channels)
     comps = np.concatenate([np.conj(signal[:0:-1]), signal])
-    residual = abs(signal[m_max]) / max(abs(signal[0]), 1e-300)
-    pattern = FourierPattern(period_d=cfg.period_d, components=comps,
-                             truncation_residual=float(residual))
+    pattern = FourierPattern(period_d=cfg.period_d, components=comps)
     return pattern, sinusoidal_visibility(signal)
 
 
 def time_domain_visibility(cfg: InterferometerConfig, T: float,
-                           j_max: int = DEFAULT_J_MAX,
-                           grid_size: int = DEFAULT_GRID_SIZE,
                            channels: Sequence = ()) -> float:
     """Visibility of a pulsed (time-domain) configuration at delay T.
 
@@ -343,8 +320,7 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
     if cfg.mode != "time_domain":
         raise ValueError("config must be in time_domain mode")
     # v_z is a dummy for ionizing gratings
-    signal = detector_signal(replace(cfg, pulse_delay_T=T), 1.0, 1, j_max,
-                             grid_size, channels)
+    signal = detector_signal(replace(cfg, pulse_delay_T=T), 1.0, 1, channels)
     if signal[0] == 0:
         return 0.0
     if abs(signal[1]) == 0.0:

@@ -66,6 +66,16 @@ class MaterialGrating:
             raise ValueError("wall_cutoff must be positive")
         if self.interaction not in ("none", "vdw_r3", "casimir_polder_r4"):
             raise ValueError(f"unknown interaction {self.interaction!r}")
+        if self.open_half_width <= 0.0:
+            raise SlitBlockedError(
+                "wall_cutoff >= half the slit width: slit fully blocked")
+
+    @property
+    def open_half_width(self) -> float:
+        """Half-width of the transmitting slit: f d / 2, less ``wall_cutoff``
+        if a wall interaction absorbs there (where its phase diverges)."""
+        cutoff = self.wall_cutoff if self.interaction != "none" else 0.0
+        return self.open_fraction_f * self.period_d / 2.0 - cutoff
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,17 @@ class IonizingGrating:
             raise ValueError("mean_absorbed_photons_n0 must be nonnegative")
 
 
+def is_pure_phase(g) -> bool:
+    """Whether |t(x)| = 1 with a varying phase: such a grating can neither
+    prepare nor probe transverse coherence. ``None`` is not one."""
+    if isinstance(g, LaserPhaseGrating):
+        return g.power_P > 0.0
+    if isinstance(g, IonizingGrating):
+        return (g.mean_absorbed_photons_n0 == 0.0
+                and g.phase_amplitude_phi0 != 0.0)
+    return False
+
+
 @dataclass(frozen=True)
 class TransmissionProfile:
     """One period of t(x) on a uniform grid starting at the slit center.
@@ -142,6 +163,17 @@ def _wall_coefficient(g: MaterialGrating, s: Species):
     return 0.0, 3
 
 
+def _wall_distances(g: MaterialGrating, x):
+    """Distances (r-, r+) from offset ``x`` to the walls at -+a/2, a = f d.
+
+    Both are clamped to ``wall_cutoff``, where the wall potential is cut.
+    """
+    a = g.open_fraction_f * g.period_d
+    x = np.asarray(x, dtype=float)
+    return (np.maximum(a / 2.0 + x, g.wall_cutoff),
+            np.maximum(a / 2.0 - x, g.wall_cutoff))
+
+
 def material_slit_phase(g: MaterialGrating, s: Species, v_z, x):
     """Eikonal phase at offset ``x`` from the slit center (walls at +-a/2).
 
@@ -149,12 +181,10 @@ def material_slit_phase(g: MaterialGrating, s: Species, v_z, x):
     ``v_z`` and ``x`` broadcast against each other; the wall-distance sum
     is computed once for all speeds.
     """
-    a = g.open_fraction_f * g.period_d
     coeff, power = _wall_coefficient(g, s)
     if coeff == 0.0 or g.thickness_b == 0.0:
         return np.zeros_like(np.asarray(x, dtype=float))
-    r_minus = np.maximum(a / 2.0 + np.asarray(x, dtype=float), g.wall_cutoff)
-    r_plus = np.maximum(a / 2.0 - np.asarray(x, dtype=float), g.wall_cutoff)
+    r_minus, r_plus = _wall_distances(g, x)
     return g.thickness_b / (HBAR * v_z) * coeff * (r_minus ** -power
                                                    + r_plus ** -power)
 
@@ -186,19 +216,12 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     v_z = np.asarray(v_z, dtype=float)
     if np.any(v_z <= 0.0):
         raise ValueError("v_z must be positive")
-    a = g.open_fraction_f * g.period_d
-    # the cutoff models absorption where the eikonal phase diverges; an
-    # interaction-free mask keeps its full geometric open fraction
-    cutoff = g.wall_cutoff if g.interaction != "none" else 0.0
-    open_half = a / 2.0 - cutoff
-    if open_half <= 0.0:
-        raise SlitBlockedError("wall_cutoff >= half the slit width: slit fully blocked")
-
     d = g.period_d
     x = np.arange(grid_size) * d / grid_size
     # signed offset from the nearest slit center
     offset = np.where(x > d / 2.0, x - d, x)
-    amp = _cell_open_fraction(offset, d / (2.0 * grid_size), open_half)
+    amp = _cell_open_fraction(offset, d / (2.0 * grid_size),
+                              g.open_half_width)
     if g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0:
         # no eikonal phase: amp * exp(0j), bit for bit
         return TransmissionProfile(period_d=d, samples=amp.astype(complex),
@@ -325,7 +348,7 @@ __all__ = [
     "material_transmission", "laser_phase_transmission",
     "ionizing_transmission", "fourier_coefficients",
     "transmission_probability_coefficients",
-    "material_slit_phase", "laser_phase_amplitude",
+    "material_slit_phase", "laser_phase_amplitude", "is_pure_phase",
     "SlitBlockedError", "AliasingError",
     "DEFAULT_GRID_SIZE", "DEFAULT_J_MAX", "DEFAULT_WALL_CUTOFF",
 ]

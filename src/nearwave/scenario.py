@@ -138,7 +138,6 @@ class Scenario:
     config: InterferometerConfig
     sweep: Optional[SweepSpec] = None
     seed: int = 0
-    raw: Dict[str, str] = field(default_factory=dict)
     values: Dict[str, object] = field(default_factory=dict)  # parsed SI values
 
 
@@ -327,8 +326,7 @@ def load_scenario(path: str) -> Scenario:
                           points=parsed["sweep.points"])
 
     return Scenario(name=parsed["name"], config=config, sweep=sweep,
-                    seed=parsed.get("seed", 0), raw=dict(pairs),
-                    values=parsed)
+                    seed=parsed.get("seed", 0), values=parsed)
 
 
 def apply_sweep_value(scenario: Scenario, value: float) -> InterferometerConfig:

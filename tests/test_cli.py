@@ -216,6 +216,37 @@ def test_key_of_another_grating_family_rejected(runner, tmp_path, path, line,
         in result.output
 
 
+@pytest.mark.parametrize("power, code", [("0 W", 0), ("1 W", 2)])
+def test_pure_phase_grating1_rejected_by_validate(runner, tmp_path, power,
+                                                   code):
+    # grating1 written as the KDTLI's laser grating2: a pure phase grating
+    # at any nonzero power, which cannot prepare coherence; at 0 W it
+    # transmits everything and is accepted
+    text = read(KDTLI)
+    laser = [line.replace("grating2.", "grating1.")
+             for line in text.splitlines() if line.startswith("grating2.")]
+    text = "\n".join(line for line in text.splitlines()
+                     if not line.startswith("grating1.")) + "\n"
+    text += "\n".join(laser) + "\n"
+    path = tmp_path / "laser_g1.cfg"
+    path.write_text(with_line(text, f"grating1.power = {power}"))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == code
+    if code:
+        assert "config error: config: grating1 is a pure phase grating" \
+            in result.output
+
+
+def test_blocked_slit_rejected_by_validate(runner, tmp_path):
+    # f d / 2 = 0.5 nm is inside the 1 nm wall cutoff: nothing transmits
+    path = tmp_path / "blocked.cfg"
+    path.write_text(with_line(read(TLI), "grating1.open_fraction = 0.001"))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert "config error: grating1: wall_cutoff >= half the slit width" \
+        in result.output
+
+
 def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked

@@ -22,6 +22,7 @@ from nearwave.constants import AMU
 from nearwave.gratings import (CoefficientTable, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
                                fourier_coefficients, ionizing_transmission,
+                               is_pure_phase,
                                laser_phase_amplitude, laser_phase_transmission,
                                material_transmission,
                                transmission_probability_coefficients)
@@ -159,11 +160,10 @@ def test_half_open_masks_null_at_full_talbot_separation():
 def test_pure_phase_outer_grating_rejected():
     laser = LaserPhaseGrating(period_d=266e-9, power_P=1.0,
                               vertical_waist_wy=20e-6, laser_wavelength=532e-9)
-    cfg = InterferometerConfig(
-        grating1=laser, grating2=laser, grating3=None,
-        species=C70, beam=BeamState(100.0, 0.0), separation_L=0.1)
     with pytest.raises(CoherencePreparationError):
-        detector_signal(cfg, 100.0)
+        InterferometerConfig(
+            grating1=laser, grating2=laser, grating3=None,
+            species=C70, beam=BeamState(100.0, 0.0), separation_L=0.1)
 
 
 def test_non_sinusoidal_warning_for_narrow_slits():
@@ -400,3 +400,59 @@ def test_guards_reject_non_finite(field, value):
     build(finite)
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+def _sampled_pure_phase(g, species, velocities=(50.0, 100.0, 200.0)):
+    # the former sampled check: some node row has a flat |t| (to 1e-12)
+    # and a varying arg t (by more than 1e-9 rad)
+    samples = grating_transmission(g, species,
+                                   np.array(velocities)[:, None]).samples
+    amp = np.abs(samples)
+    flat = np.max(amp, axis=-1) - np.min(amp, axis=-1) < 1e-12
+    if not np.any(flat):
+        return False
+    phase = np.angle(samples[flat])
+    return bool(np.any(np.max(phase, axis=-1) - np.min(phase, axis=-1) > 1e-9))
+
+
+OUTER_CANDIDATES = (
+    [_laser(power_P=p) for p in (0.0, 1e-3, 1.0, 18.0)]
+    + [_ionizing(mean_absorbed_photons_n0=n0, phase_amplitude_phi0=phi0)
+       for n0 in (0.0, 0.5, 6.0) for phi0 in (0.0, 1.0, 2.0 * math.pi)]
+    + [_material(thickness_b=500e-9, interaction=i)
+       for i in ("none", "vdw_r3", "casimir_polder_r4")])
+
+
+@pytest.mark.parametrize("which", ["grating1", "grating3"])
+@pytest.mark.parametrize("g", OUTER_CANDIDATES, ids=repr)
+def test_config_rejects_what_the_sampled_check_rejected(g, which):
+    # the config's exact rule agrees with the sampled |t| and arg t of the
+    # grating on every case above both thresholds
+    species = get_species("PFNS8") if isinstance(g, LaserPhaseGrating) else C70
+    mask = _material(period_d=g.period_d)
+    outer = dict(grating1=g, grating3=mask) if which == "grating1" \
+        else dict(grating1=mask, grating3=g)
+
+    def build():
+        return InterferometerConfig(grating2=g, species=species,
+                                    beam=BeamState(100.0), separation_L=0.1,
+                                    **outer)
+    if _sampled_pure_phase(g, species):
+        with pytest.raises(CoherencePreparationError, match=which):
+            build()
+    else:
+        build()
+
+
+@pytest.mark.parametrize("g, pure", [
+    (_laser(power_P=1e-12), True),
+    (_ionizing(mean_absorbed_photons_n0=0.0, phase_amplitude_phi0=1e-9), True),
+    (_ionizing(mean_absorbed_photons_n0=1e-13, phase_amplitude_phi0=1.0),
+     False),
+], ids=["laser_1e-12_W", "phi0_1e-9", "n0_1e-13"])
+def test_pure_phase_rule_is_exact_below_sampling_thresholds(g, pure):
+    # the sampled check misjudged these: its phase and amplitude thresholds
+    # hide a faint laser, a faint phase and a faint depletion
+    species = get_species("PFNS8") if isinstance(g, LaserPhaseGrating) else C70
+    assert is_pure_phase(g) is pure
+    assert _sampled_pure_phase(g, species) is not pure

@@ -104,10 +104,9 @@ def test_phase_scales_inverse_velocity():
 
 
 def test_slit_blocked_error():
-    g = MaterialGrating(period_d=100e-9, open_fraction_f=0.01,
-                        interaction="vdw_r3", wall_cutoff=1e-9)
     with pytest.raises(SlitBlockedError):
-        material_transmission(g, C70, 100.0)
+        MaterialGrating(period_d=100e-9, open_fraction_f=0.01,
+                        interaction="vdw_r3", wall_cutoff=1e-9)
 
 
 def test_laser_phase_amplitude_value():
