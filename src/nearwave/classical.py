@@ -28,6 +28,8 @@ MIN_SURVIVORS = 1000
 HISTOGRAM_BINS = 256
 PARTITIONS = 16
 BOOTSTRAP_RESAMPLES = 64
+# sample points of a material or ionizing central grating in the twin
+QUADRATURE_GRID = 1 << 14
 
 
 class AbsorbedRayError(ValueError):
@@ -144,20 +146,20 @@ def _mask_windows(g, s: Species, velocities):
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
-                         v_z: Optional[float] = None,
                          transverse_acceleration: float = 0.0) -> ClassicalResult:
     """Monte Carlo moire visibility of a spatial-mode configuration.
 
     Rays are traced G1 -> G2 -> G3 with Bernoulli survival at the masks and
     a force impulse at G2; the arrival histogram (modulo one period) is
     convolved with the third mask and fitted by its first Fourier
-    component. Identical seeds give bit-identical results; ``stat_error``
-    is the bootstrap spread over the independently seeded partitions.
+    component. Rays fly at the beam's mean velocity. Identical seeds give
+    bit-identical results; ``stat_error`` is the bootstrap spread over the
+    independently seeded partitions.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
     s = cfg.species
-    v = cfg.beam.mean_velocity if v_z is None else v_z
+    v = cfg.beam.mean_velocity
     d = cfg.period_d
     L = cfg.separation_L
     t_flight = L / v
@@ -232,25 +234,24 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
 
 
 def classical_visibility_quadrature(cfg: InterferometerConfig,
-                                    v_z: Optional[float] = None,
-                                    n_grid: int = 1 << 14,
                                     n_velocities: int = 1) -> float:
     """Deterministic twin of the Monte Carlo moire visibility.
 
     Valid for an exactly incoherent divergence window (an integer number of
     shadow periods): the arrival phase factorizes into independent
     single-grating integrals, with the force impulse entering the central
-    one. With ``n_velocities > 1`` the fringe components are averaged over
-    the beam's longitudinal velocity distribution before taking the ratio.
+    one. The fringe components are averaged over ``n_velocities`` nodes of
+    the beam's longitudinal velocity distribution before taking the ratio;
+    one node is the mean velocity.
 
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
     Bessel value J_2(-2 pi K(v) (L / v) / d), with K(v) read from the same
     kick as the ray tracer. Material and ionizing central gratings are
-    sampled on ``n_grid`` points, which apply only to them: the survival
-    mask and kick shape are computed once, and each velocity node only
-    scales the kick. The outer masks' windows come from one node-stacked
-    table per distinct mask.
+    sampled on ``QUADRATURE_GRID`` points: the survival mask and kick shape
+    are computed once, and each velocity node only scales the kick. The
+    outer masks' windows come from one node-stacked table per distinct
+    mask.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -258,10 +259,7 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     d = cfg.period_d
     g2 = cfg.grating2
 
-    if n_velocities > 1:
-        pairs = velocity_weights(cfg.beam, n_velocities)
-    else:
-        pairs = [(cfg.beam.mean_velocity if v_z is None else v_z, 1.0)]
+    pairs = velocity_weights(cfg.beam, n_velocities)
     velocities = [v for v, _ in pairs]
 
     if isinstance(g2, LaserPhaseGrating):
@@ -271,14 +269,14 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         q1s = bessel_j(2, -2.0 * np.pi * peak_kick * (cfg.separation_L / v)
                        / d).tolist()
     else:
-        x = (np.arange(n_grid) + 0.5) * d / n_grid
+        x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
         t2 = _survival_probability(g2, x)
         q0 = t2.mean()
         # blocked cells add exact zeros to q1, so only open ones are evaluated
         is_open = t2 != 0.0
         t2_open, two_x = t2[is_open], 2.0 * x[is_open]
         kick = _kick(g2, s, x[is_open])
-        terms = np.zeros(n_grid, dtype=complex)
+        terms = np.zeros(QUADRATURE_GRID, dtype=complex)
         q1s = []
         for v in velocities:
             terms[is_open] = t2_open * np.exp(

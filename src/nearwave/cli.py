@@ -26,7 +26,7 @@ from .decoherence import (GasEnvironment, QuadratureError,
 from .engine import (CoherencePreparationError, grating_coefficients,
                      talbot_pattern, time_domain_visibility,
                      velocity_averaged_signal)
-from .gratings import IonizingGrating, MaterialGrating
+from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
 from .metrology import DeflectionField, stark_fringe_shift
 from .scenario import Scenario, ScenarioError, apply_sweep_value, load_scenario
 
@@ -139,13 +139,18 @@ def _all_material(cfg) -> bool:
                if g is not None)
 
 
-def _with_interaction(cfg, interaction: str):
-    def swap(g):
-        if g is None:
-            return None
-        return replace(g, interaction=interaction)
-    return replace(cfg, grating1=swap(cfg.grating1),
-                   grating2=swap(cfg.grating2), grating3=swap(cfg.grating3))
+def _with_interaction(cfg, column: str, interaction: str):
+    """``cfg`` with ``interaction`` on every mask, for quantum ``column``."""
+    swapped = {}
+    for name in ("grating1", "grating2", "grating3"):
+        g = getattr(cfg, name)
+        try:
+            swapped[name] = (None if g is None
+                             else replace(g, interaction=interaction))
+        except SlitBlockedError as exc:
+            raise SlitBlockedError(f"{column}: {name} with interaction "
+                                   f"{interaction!r}: {exc}") from None
+    return replace(cfg, **swapped)
 
 
 # quantum columns: (name, wall interaction given to every material mask,
@@ -167,7 +172,7 @@ def _point(n_velocities: int, columns, setting) -> dict:
     record = {}
     for column, interaction in columns:
         variant = (cfg if interaction is None
-                   else _with_interaction(cfg, interaction))
+                   else _with_interaction(cfg, column, interaction))
         signal = velocity_averaged_signal(variant, n_velocities=n_velocities,
                                           m_max=1, channels=channels)
         record[column] = float(2.0 * abs(signal[1] / signal[0]))

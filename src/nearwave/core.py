@@ -44,11 +44,9 @@ class BeamState:
     distribution_shape: str = "gaussian"
 
     def __post_init__(self):
-        # one comparison chain, also false for NaN: configs are built per
-        # bisection step of a critical-mass search
-        if not 0.0 < self.mean_velocity < math.inf:
-            raise ValueError("mean_velocity must be positive and finite, "
-                             f"got {self.mean_velocity!r}")
+        require_finite(mean_velocity=self.mean_velocity)
+        if self.mean_velocity <= 0.0:
+            raise ValueError("mean_velocity must be positive")
         if not 0.0 <= self.relative_spread < 1.0:
             raise ValueError("relative_spread must lie in [0, 1)")
         if self.distribution_shape not in ("gaussian", "top_hat"):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import decoherence
 from .constants import AMU
 from .core import BeamState, talbot_time
-from .decoherence import channel_factor, csl_channel
+from .decoherence import csl_channel
 from .engine import InterferometerConfig, time_domain_visibility
 from .gratings import IonizingGrating
 from .species import gold_cluster
@@ -28,9 +29,7 @@ DEFAULT_OTIMA_PERIOD = 78.5e-9
 MASS_BRACKET_AMU = (1e3, 1e12)
 BISECTION_TOLERANCE = 0.01
 MAX_BISECTIONS = 60
-# the pulsed (time-domain) signal does not depend on the beam; one shared
-# placeholder spares a BeamState per bisection step
-_PULSED_BEAM = BeamState(mean_velocity=1.0)
+MIN_QUANTUM_VISIBILITY = 0.1
 
 
 class MassOutOfRangeError(ValueError):
@@ -54,7 +53,7 @@ class OtimaTemplate:
     The pulse delay tracks the Talbot time of the candidate mass; the
     grating period stays fixed. The unperturbed quantum visibility at the
     operating point does not depend on the mass; a template whose
-    visibility falls below ``min_quantum_visibility`` is rejected with
+    visibility falls below ``MIN_QUANTUM_VISIBILITY`` is rejected with
     ``ValueError``.
     """
 
@@ -63,10 +62,9 @@ class OtimaTemplate:
             period_d=DEFAULT_OTIMA_PERIOD, mean_absorbed_photons_n0=6.0,
             phase_amplitude_phi0=0.0))
     delay_over_talbot_time: float = 1.0
-    min_quantum_visibility: float = 0.1
 
     def __post_init__(self):
-        if quantum_operating_visibility(self) < self.min_quantum_visibility:
+        if quantum_operating_visibility(self) < MIN_QUANTUM_VISIBILITY:
             raise ValueError(
                 "operating point has insufficient quantum visibility")
 
@@ -76,7 +74,7 @@ class OtimaTemplate:
         return InterferometerConfig(
             grating1=self.grating, grating2=self.grating,
             grating3=self.grating, species=species,
-            beam=_PULSED_BEAM,
+            beam=BeamState(mean_velocity=1.0),  # a pulsed signal ignores it
             pulse_delay_T=self.delay_over_talbot_time * tt,
             mode="time_domain")
 
@@ -96,10 +94,16 @@ def csl_visibility(cfg: InterferometerConfig, params: CslParameters) -> float:
 
 def csl_reduction_factor(params: CslParameters, template: OtimaTemplate,
                          mass_amu: float) -> float:
-    """Factor multiplying the first-order signal component at this mass."""
-    cfg = template.config(mass_amu)
-    channel = csl_channel(params.lambda0, params.r_c, cfg.species.mass)
-    return abs(channel_factor(channel, cfg, 2, 1.0))
+    """Factor multiplying the first-order signal component at this mass;
+    it reads only the mass, the grating period and T / T_T."""
+    mass = mass_amu * AMU
+    d = template.grating.period_d
+    tt = talbot_time(mass, d)
+    channel = csl_channel(params.lambda0, params.r_c, mass)
+    # looked up on the module, where a layer trace can wrap it
+    return abs(decoherence.decoherence_factor(
+        channel, 2, period_d=d,
+        half_span=template.delay_over_talbot_time * tt, talbot_scale=tt))
 
 
 def quantum_operating_visibility(template: OtimaTemplate) -> float:
@@ -162,5 +166,5 @@ __all__ = [
     "CslParameters", "OtimaTemplate", "ExclusionMap", "csl_visibility",
     "csl_reduction_factor", "critical_mass", "exclusion_map",
     "quantum_operating_visibility",
-    "MassOutOfRangeError", "DEFAULT_OTIMA_PERIOD",
+    "MassOutOfRangeError", "DEFAULT_OTIMA_PERIOD", "MIN_QUANTUM_VISIBILITY",
 ]

@@ -124,8 +124,7 @@ class GasEnvironment:
 
 
 def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
-                       half_span: float, talbot_scale: float,
-                       speed: float = 1.0) -> complex:
+                       half_span: float, talbot_scale: float) -> complex:
     """Exponential reduction factor of the order-m coefficient.
 
     ``half_span`` is L/v_z (spatial) or T (time domain); ``talbot_scale``

@@ -15,15 +15,14 @@ speed, and one coefficient evaluation over node x order.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BeamState, de_broglie_wavelength, talbot_length,
-                   talbot_time, velocity_weights)
+from .core import (BeamState, de_broglie_wavelength, require_finite,
+                   talbot_length, talbot_time, velocity_weights)
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        fourier_coefficients, ionizing_transmission,
@@ -71,13 +70,8 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.mode not in ("spatial", "time_domain"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        # comparison chains, also false for NaN, keep this guard cheap:
-        # a critical-mass search builds a config per bisection step
-        L, T = self.separation_L, self.pulse_delay_T
-        if not ((L is None or -math.inf < L < math.inf)
-                and (T is None or -math.inf < T < math.inf)):
-            raise ValueError("separation_L and pulse_delay_T must be finite, "
-                             f"got {L!r} and {T!r}")
+        require_finite(separation_L=self.separation_L,
+                       pulse_delay_T=self.pulse_delay_T)
         if self.mode == "spatial":
             if self.separation_L is None or self.separation_L <= 0.0:
                 raise ValueError("spatial mode requires separation_L > 0")

@@ -63,10 +63,10 @@ def test_acceptance_01_tli_quantum_classical_discrimination():
     quantum = 2.0 * abs(signal[1] / signal[0])
 
     classical_max = max(
-        classical_visibility_quadrature(tli_config(spread=0.0), v_z=float(v))
+        classical_visibility_quadrature(tli_config(v=float(v), spread=0.0))
         for v in np.linspace(80.0, 220.0, 29))
     classical_ideal = classical_visibility_quadrature(
-        tli_config("none", spread=0.0), v_z=100.0)
+        tli_config("none", v=100.0, spread=0.0))
     elapsed = time.monotonic() - start
 
     ok = (0.25 <= quantum <= 0.50 and classical_max <= 0.18
@@ -110,8 +110,7 @@ def test_acceptance_02_kdtli_power_sweep():
         signal = velocity_averaged_signal(cfg, n_velocities=12, m_max=1,
                                           j_max=j_max, grid_size=grid)
         quantum[i] = 2.0 * abs(signal[1] / signal[0])
-        classical[i] = classical_visibility_quadrature(cfg, n_velocities=12,
-                                                       n_grid=4096)
+        classical[i] = classical_visibility_quadrature(cfg, n_velocities=12)
     elapsed = time.monotonic() - start
     q_max, c_max = float(quantum.max()), float(classical.max())
     ok = 0.35 <= q_max <= 0.60 and c_max < q_max and elapsed < 60.0

@@ -90,16 +90,14 @@ def test_monte_carlo_agrees_with_quadrature():
 
 def test_moire_visibility_velocity_independent_without_forces():
     # straight shadow rays: the moire contrast cannot depend on speed
-    cfg = tli_config(binary())
-    v100 = classical_visibility_quadrature(cfg, v_z=100.0)
-    v200 = classical_visibility_quadrature(cfg, v_z=200.0)
+    v100 = classical_visibility_quadrature(tli_config(binary(), v=100.0))
+    v200 = classical_visibility_quadrature(tli_config(binary(), v=200.0))
     assert v100 == pytest.approx(v200, rel=1e-9)
 
 
 def test_forces_introduce_velocity_dependence():
-    cfg = tli_config(vdw_mask())
-    v100 = classical_visibility_quadrature(cfg, v_z=100.0)
-    v200 = classical_visibility_quadrature(cfg, v_z=200.0)
+    v100 = classical_visibility_quadrature(tli_config(vdw_mask(), v=100.0))
+    v200 = classical_visibility_quadrature(tli_config(vdw_mask(), v=200.0))
     assert abs(v100 - v200) > 1e-3
 
 
@@ -109,6 +107,11 @@ def test_velocity_averaged_quadrature():
     single = classical_visibility_quadrature(cfg)
     assert 0.0 <= averaged <= 1.0
     assert averaged != pytest.approx(single, rel=1e-6)
+
+
+def test_quadrature_needs_a_velocity_node():
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        classical_visibility_quadrature(tli_config(binary()), n_velocities=0)
 
 
 def test_degenerate_ensemble_rejected():

@@ -247,6 +247,25 @@ def test_blocked_slit_rejected_by_validate(runner, tmp_path):
         in result.output
 
 
+def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
+                                                                 tmp_path):
+    # interaction-free masks with f d / 2 = 0.5 nm are open and pass
+    # validate; the vdW column puts the 1 nm wall cutoff on them, which
+    # leaves no slit
+    text = read(TLI)
+    for n in (1, 2, 3):
+        text = with_line(text, f"grating{n}.interaction = none")
+        text = with_line(text, f"grating{n}.open_fraction = 0.001")
+    path = tmp_path / "blocked.cfg"
+    path.write_text(text)
+    assert runner.invoke(main, ["validate", str(path)]).exit_code == 0
+    result = runner.invoke(main, ["velocity-sweep", str(path),
+                                  "--velocities", "1"])
+    assert result.exit_code == 2
+    assert ("config error: quantum_vdw_visibility: grating1 with interaction "
+            "'vdw_r3': wall_cutoff >= half the slit width") in result.output
+
+
 def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked
@@ -387,6 +406,26 @@ def test_worker_count_clamped(monkeypatch, workers):
     assert cli._pmap(abs, items) == [1, 2, 3, 4, 5]
     clamped = min(int(workers), len(items), os.cpu_count() or 1)
     assert requested == ([clamped] if clamped > 1 else [])
+
+
+def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch):
+    # the same bytes from this process and from a pool of two workers
+    sizes = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = ["velocity-sweep", TLI, "--velocities", "2", "--out"]
+    monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
+    serial = tmp_path / "serial.csv"
+    assert invoke(runner, *args, str(serial)).exit_code == 0
+    monkeypatch.setenv("NEARWAVE_WORKERS", "2")
+    pooled = tmp_path / "pooled.csv"
+    assert invoke(runner, *args, str(pooled)).exit_code == 0
+    assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_trace_lookup_sites_resolve():

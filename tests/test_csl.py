@@ -8,9 +8,14 @@ from click.testing import CliRunner
 
 from nearwave.constants import AMU
 from nearwave.cli import main
-from nearwave.csl import (CslParameters, MassOutOfRangeError, OtimaTemplate,
+from nearwave.csl import (DEFAULT_OTIMA_PERIOD, MIN_QUANTUM_VISIBILITY,
+                          CslParameters, MassOutOfRangeError, OtimaTemplate,
                           critical_mass, csl_reduction_factor, csl_visibility,
                           exclusion_map, quantum_operating_visibility)
+from nearwave.decoherence import channel_factor, csl_channel
+from nearwave.engine import InterferometerConfig
+from nearwave.gratings import IonizingGrating
+from nearwave.species import gold_cluster
 
 
 def test_operating_point_has_contrast():
@@ -18,9 +23,51 @@ def test_operating_point_has_contrast():
 
 
 def test_template_without_contrast_rejected():
-    # the operating point of the default template is near 0.4 visibility
-    with pytest.raises(ValueError):
-        OtimaTemplate(min_quantum_visibility=0.99)
+    # operating points with visibility 0.045 and 0.0035, below 0.1
+    assert MIN_QUANTUM_VISIBILITY == 0.1
+    weak = IonizingGrating(period_d=DEFAULT_OTIMA_PERIOD,
+                           mean_absorbed_photons_n0=1.0,
+                           phase_amplitude_phi0=0.0)
+    for kwargs in ({"delay_over_talbot_time": 0.62}, {"grating": weak}):
+        with pytest.raises(ValueError,
+                           match="insufficient quantum visibility"):
+            OtimaTemplate(**kwargs)
+
+
+def _reduction_factor_through_config(params, template, mass_amu):
+    # a gold-cluster configuration per mass, read by channel_factor
+    cfg = template.config(mass_amu)
+    assert cfg.species == gold_cluster(mass_amu)
+    channel = csl_channel(params.lambda0, params.r_c, cfg.species.mass)
+    return abs(channel_factor(channel, cfg, 2, 1.0))
+
+
+@pytest.mark.parametrize("delay", [1.0, 0.75])
+def test_reduction_factor_equals_configuration_path(delay):
+    template = OtimaTemplate(delay_over_talbot_time=delay)
+    rng = np.random.default_rng(20110421)
+    # about two thirds of these factors lie strictly between 1e-6 and 1
+    for _ in range(1000):
+        params = CslParameters(lambda0=10.0 ** rng.uniform(-14.0, -8.0),
+                               r_c=10.0 ** rng.uniform(-9.0, -5.0))
+        mass_amu = 10.0 ** rng.uniform(3.0, 8.0)
+        assert csl_reduction_factor(params, template, mass_amu) \
+            == _reduction_factor_through_config(params, template, mass_amu)
+
+
+def test_critical_mass_builds_no_configuration(monkeypatch):
+    template = OtimaTemplate()
+    builds = []
+    post_init = InterferometerConfig.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+    monkeypatch.setattr(InterferometerConfig, "__post_init__", counted)
+    critical_mass(CslParameters(lambda0=1e-10, r_c=1e-7), template)
+    assert builds == []
+    template.config(1e6)
+    assert len(builds) == 1
 
 
 def test_reduction_monotone_in_mass():
