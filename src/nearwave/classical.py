@@ -17,10 +17,12 @@ import numpy as np
 
 from .constants import HBAR
 from .core import bessel_j, velocity_weights
-from .engine import InterferometerConfig, grating_transmission
-from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
+from .engine import InterferometerConfig
+from .gratings import (DEFAULT_GRID_SIZE, IonizingGrating, LaserPhaseGrating,
+                       MaterialGrating, TransmissionProfile,
                        _wall_coefficient, _wall_distances,
-                       laser_phase_amplitude,
+                       ionizing_transmission, laser_phase_amplitude,
+                       material_amplitude,
                        transmission_probability_coefficients)
 from .species import Species
 
@@ -130,19 +132,24 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     return float(_kick(g, s, np.array([x]))(v_z)[0])
 
 
-def _mask_windows(g, s: Species, velocities):
-    """Coefficients 0 and 1 of the mask's |t(x)|^2 at each speed.
-
-    One node-stacked table covers all speeds (one row if the mask does not
-    depend on the speed). Without a mask (``g`` None) every window is
-    (1, 1).
+def _mask_window(g):
+    """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
+    a phase never changes |t|. |t| of a material mask is its open cell
+    fractions, a laser grating transmits everything, and without a mask
+    (``g`` None) the window is (1, 1).
     """
     if g is None:
-        return [(1.0, 1.0 + 0.0j)] * len(velocities)
-    values = transmission_probability_coefficients(
-        grating_transmission(g, s, np.array(velocities, dtype=float)), 1).values
-    return [(complex(row[1]).real, complex(row[2]))
-            for row in np.broadcast_to(values, (len(velocities), 3))]
+        return 1.0, 1.0 + 0.0j
+    if isinstance(g, MaterialGrating):
+        profile = TransmissionProfile(g.period_d, material_amplitude(g),
+                                      DEFAULT_GRID_SIZE)
+    elif isinstance(g, IonizingGrating):
+        profile = ionizing_transmission(g)
+    else:
+        profile = TransmissionProfile(g.period_d, np.ones(DEFAULT_GRID_SIZE),
+                                      DEFAULT_GRID_SIZE)
+    values = transmission_probability_coefficients(profile, 1).values
+    return complex(values[1]).real, complex(values[2])
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -210,7 +217,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
             f"only {survivors} rays survive (< {MIN_SURVIVORS})")
 
     centers = (np.arange(HISTOGRAM_BINS) + 0.5) * d / HISTOGRAM_BINS
-    t3_0, t3_1 = _mask_windows(cfg.grating3, s, [v])[0]
+    t3_0, t3_1 = _mask_window(cfg.grating3)
 
     def fringe(hist):
         s0 = hist.sum() * t3_0
@@ -250,8 +257,7 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     kick as the ray tracer. Material and ionizing central gratings are
     sampled on ``QUADRATURE_GRID`` points: the survival mask and kick shape
     are computed once, and each velocity node only scales the kick. The
-    outer masks' windows come from one node-stacked table per distinct
-    mask.
+    outer masks' windows do not depend on the speed: one per distinct mask.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -282,14 +288,13 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
             terms[is_open] = t2_open * np.exp(
                 -2j * np.pi * (two_x + kick(v) * (cfg.separation_L / v)) / d)
             q1s.append(np.mean(terms))
-    windows1 = _mask_windows(cfg.grating1, s, velocities)
-    windows3 = (windows1 if cfg.grating3 == cfg.grating1
-                else _mask_windows(cfg.grating3, s, velocities))
+    t1_0, t1_1 = _mask_window(cfg.grating1)
+    t3_0, t3_1 = (_mask_window(cfg.grating3)
+                  if cfg.grating3 != cfg.grating1 else (t1_0, t1_1))
 
     numerator = 0.0 + 0.0j
     denominator = 0.0
-    for (_, w), q1, (t1_0, t1_1), (t3_0, t3_1) in zip(pairs, q1s, windows1,
-                                                      windows3):
+    for (_, w), q1 in zip(pairs, q1s):
         numerator += w * t1_1 * q1 * np.conj(t3_1)
         denominator += w * t1_0 * q0 * t3_0
     return float(2.0 * abs(numerator) / denominator)

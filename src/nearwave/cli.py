@@ -133,6 +133,17 @@ def _pmap(func, items):
         return list(pool.map(func, items))
 
 
+def _one_grating(cfg):
+    """grating1, which the OTIMA maps apply to all three gratings; a
+    scenario whose grating2 or grating3 differs exits with a config error."""
+    for name in ("grating2", "grating3"):
+        if getattr(cfg, name) != cfg.grating1:
+            click.echo(f"config error: {name} differs from grating1; this "
+                       "map uses grating1 for all three gratings", err=True)
+            sys.exit(EXIT_CONFIG)
+    return cfg.grating1
+
+
 def _all_material(cfg) -> bool:
     gratings = (cfg.grating1, cfg.grating2, cfg.grating3)
     return all(isinstance(g, MaterialGrating) for g in gratings
@@ -357,6 +368,7 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
         click.echo("config error: otima-map needs a time-domain scenario "
                    "with ionizing gratings", err=True)
         sys.exit(EXIT_CONFIG)
+    _one_grating(cfg)
     tt = talbot_time(cfg.species.mass, cfg.period_d)
     ratios = np.linspace(ratio_min, ratio_max, ratio_points)
     n0_values = np.linspace(n0_min, n0_max, n0_points)
@@ -434,7 +446,7 @@ def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
                                                     IonizingGrating):
             tt = talbot_time(cfg.species.mass, cfg.period_d)
             template = OtimaTemplate(
-                grating=cfg.grating1,
+                grating=_one_grating(cfg),
                 delay_over_talbot_time=cfg.pulse_delay_T / tt)
         else:
             template = OtimaTemplate()

@@ -125,17 +125,28 @@ def velocity_weights(beam: BeamState, n_points: int):
     return list(zip(velocities.tolist(), weights.tolist()))
 
 
+def bessel_node_count(n: int, x: float) -> int:
+    """Nodes N of a full period that resolve J_n(x): the N-point rule errs
+    only by the aliased orders J_{kN +- n}(x), and with
+    N = ceil(|x| + |n| + 10 |x|^(1/3)) + 40 the first of them lies far past
+    the Bessel turning point, whose width grows like |x|^(1/3).
+
+    The same count serves the trapezoid rule of ``bessel_j`` and the
+    N-point DFT of exp(i x cos(theta)), whose coefficient j is i^j J_j(x).
+    """
+    x = abs(x)
+    return math.ceil(x + abs(n) + 10.0 * x ** (1.0 / 3.0)) + 40
+
+
 def bessel_j(n: int, x):
     """Bessel function J_n(x) of integer order, without scipy.
 
     Trapezoid rule on Bessel's integral
     J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau. The integrand is
-    smooth and 2 pi-periodic, so the N-point rule on the full period errs
-    only by the aliased orders J_{kN +- n}(x); with
-    N = ceil(|x| + |n| + 10 |x|^(1/3)) + 40 the first of them lies far past
-    the turning point, and the absolute error against ``scipy.special.jv``
-    stays below 1e-13 for |n| <= 64 and |x| <= 3000. The integrand is even
-    about pi, so the rule runs on the ceil(N/2) midpoints of [0, pi].
+    smooth and 2 pi-periodic, so with ``bessel_node_count`` nodes on the
+    full period the absolute error against ``scipy.special.jv`` stays below
+    1e-13 for |n| <= 64 and |x| <= 3000. The integrand is even about pi,
+    so the rule runs on the ceil(N/2) midpoints of [0, pi].
 
     ``x`` may be an array; one node count, set by its largest |x|, serves
     every entry, and the result has the shape of ``x``.
@@ -144,8 +155,7 @@ def bessel_j(n: int, x):
     largest = float(np.max(np.abs(x), initial=0.0))
     if not math.isfinite(largest):
         raise ValueError(f"x must be finite, got largest |x| = {largest!r}")
-    n_full = math.ceil(largest + abs(n) + 10.0 * largest ** (1.0 / 3.0)) + 40
-    half = -(-n_full // 2)
+    half = -(-bessel_node_count(n, largest) // 2)
     tau = (np.arange(half) + 0.5) * (np.pi / half)
     return np.cos(n * tau - x[..., None] * np.sin(tau)).mean(axis=-1)
 
@@ -154,4 +164,5 @@ __all__ = [
     "BeamState", "de_broglie_wavelength", "talbot_length", "talbot_time",
     "coherence_width", "far_field_distance", "velocity_weights",
     "MIN_VELOCITY_FRACTION", "require_finite", "bessel_j",
+    "bessel_node_count",
 ]

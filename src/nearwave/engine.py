@@ -10,7 +10,10 @@ the ratio 2 |S_1 / S_0| of the transmitted signal components.
 A velocity average builds each distinct grating's table once for all
 velocity nodes: one node-stacked transmission and coefficient table per
 grating, or a single row for a grating whose t(x) does not depend on the
-speed, and one coefficient evaluation over node x order.
+speed, and one coefficient evaluation over node x order. A laser grating
+is sampled at each node on the smallest power-of-two grid that resolves
+its phase (``_laser_grid_size``); nodes that share a grid share one
+node-stacked build and one batched FFT.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BeamState, de_broglie_wavelength, require_finite,
-                   talbot_length, talbot_time, velocity_weights)
+from .core import (BeamState, bessel_node_count, de_broglie_wavelength,
+                   require_finite, talbot_length, talbot_time,
+                   velocity_weights)
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        fourier_coefficients, ionizing_transmission,
-                       is_pure_phase, laser_phase_transmission,
-                       material_transmission)
+                       is_pure_phase, laser_phase_amplitude,
+                       laser_phase_transmission, material_transmission)
 from .species import Species
 
 DEFAULT_M_MAX = 8
@@ -136,8 +140,47 @@ def grating_transmission(g: GratingSpec, s: Species, v_z,
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
+def _laser_grid_size(phi0: float, j_max: int, grid_size: int) -> int:
+    """Smallest power-of-two grid >= 256 that resolves a laser table.
+
+    t(x) = exp(i phi0 cos^2(pi x / d)) has b_j = e^(iz) i^j J_j(z) with
+    z = phi0 / 2 (Jacobi-Anger). The N-point DFT returns b_j plus the
+    aliased b_{j +- kN}, so N covers 2 j_max and the Bessel node count of
+    order j_max at z; ``grid_size`` caps it.
+    """
+    need = max(256, 2 * j_max, bessel_node_count(j_max, phi0 / 2.0))
+    return min(1 << (need - 1).bit_length(), grid_size)
+
+
+def _grating_table(g: GratingSpec, s: Species, v_z, j_max: int,
+                   grid_size: int) -> CoefficientTable:
+    """Fourier table of grating ``g`` at speed(s) ``v_z``, shaped like
+    ``grating_transmission``'s samples with orders on the last axis.
+
+    Material and ionizing gratings are sampled on ``grid_size`` points. A
+    laser grating is sampled at each speed on ``_laser_grid_size`` points;
+    the speeds that share a grid share one build, so each row is bit for
+    bit the table of its speed alone.
+    """
+    if not isinstance(g, LaserPhaseGrating):
+        return fourier_coefficients(grating_transmission(g, s, v_z,
+                                                         grid_size), j_max)
+    v_z = np.asarray(v_z, dtype=float)
+    speeds = v_z.reshape(-1)
+    sizes = np.array([_laser_grid_size(phi0, j_max, grid_size)
+                      for phi0 in laser_phase_amplitude(g, s, speeds)])
+    values = np.empty((speeds.size, 2 * j_max + 1), dtype=complex)
+    for size in np.unique(sizes):
+        rows = sizes == size
+        values[rows] = fourier_coefficients(laser_phase_transmission(
+            g, s, speeds[rows], int(size)), j_max).values
+    return CoefficientTable(j_max=j_max,
+                            values=values.reshape(v_z.shape + (-1,)))
+
+
 def grating_coefficients(g: GratingSpec, s: Species, v_z) -> CoefficientTable:
-    return fourier_coefficients(grating_transmission(g, s, v_z))
+    """Fourier table (|j| <= ``DEFAULT_J_MAX``) of ``g`` at speed(s) ``v_z``."""
+    return _grating_table(g, s, v_z, DEFAULT_J_MAX, DEFAULT_GRID_SIZE)
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -215,8 +258,7 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
 
     def table(g):
         if g not in tables:
-            tables[g] = fourier_coefficients(
-                grating_transmission(g, s, nodes, grid_size), j_max)
+            tables[g] = _grating_table(g, s, nodes, j_max, grid_size)
         return tables[g]
 
     b1, b2 = table(cfg.grating1), table(cfg.grating2)

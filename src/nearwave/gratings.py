@@ -1,16 +1,17 @@
 """Complex periodic transmission functions of the three grating families.
 
 A grating is reduced to one period of its complex transmission amplitude
-t(x), sampled on a uniform grid, from which Fourier coefficients b_j are
-extracted. Material masks carry an eikonal dispersion phase accumulated on
-straight trajectories through the slit; laser gratings are pure phase
-masks; pulsed ionizing gratings combine a periodic survival amplitude with
-a dipole phase.
+t(x), sampled on a uniform power-of-two grid, from which Fourier
+coefficients b_j are extracted by one batched FFT. Material masks carry an
+eikonal dispersion phase accumulated on straight trajectories through the
+slit; laser gratings are pure phase masks; pulsed ionizing gratings combine
+a periodic survival amplitude with a dipole phase.
 
 The builders accept an array of speeds and return one row of samples per
 speed (a node-stacked profile), computing the speed-free parts once; each
 row is the same arithmetic as a build at that speed alone. Fourier tables
-keep the leading (node) axes of their profile.
+keep the leading (node) axes of their profile. The grid size is the
+caller's: ``engine`` sizes each laser grid by its phase.
 """
 
 from __future__ import annotations
@@ -203,6 +204,22 @@ def _cell_open_fraction(centers, half_width, open_half):
     return overlap / (2.0 * half_width)
 
 
+def _slit_offsets(d: float, grid_size: int) -> np.ndarray:
+    """Grid points of one period as signed offsets from the nearest slit
+    center."""
+    x = np.arange(grid_size) * d / grid_size
+    return np.where(x > d / 2.0, x - d, x)
+
+
+def material_amplitude(g: MaterialGrating,
+                       grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """|t(x)| of a material mask over one period: the open fraction of each
+    grid cell. No speed changes it; the eikonal phase only turns t."""
+    d = g.period_d
+    return _cell_open_fraction(_slit_offsets(d, grid_size),
+                               d / (2.0 * grid_size), g.open_half_width)
+
+
 def material_transmission(g: MaterialGrating, s: Species, v_z,
                           grid_size: int = DEFAULT_GRID_SIZE) -> TransmissionProfile:
     """Sample t(x) of a material mask over one period (slit centered at x=0).
@@ -210,18 +227,14 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     ``v_z`` is a speed or an array of speeds, giving samples of shape
     ``shape(v_z) + (grid_size,)``. A mask without an eikonal phase does not
     depend on the speed and gives a single row for any ``v_z``. The slit
-    geometry and the wall-distance sum are computed once; each speed only
-    scales the sum by b C / (hbar v_z).
+    geometry (``material_amplitude``) and the wall-distance sum are
+    computed once; each speed only scales the sum by b C / (hbar v_z).
     """
     v_z = np.asarray(v_z, dtype=float)
     if np.any(v_z <= 0.0):
         raise ValueError("v_z must be positive")
     d = g.period_d
-    x = np.arange(grid_size) * d / grid_size
-    # signed offset from the nearest slit center
-    offset = np.where(x > d / 2.0, x - d, x)
-    amp = _cell_open_fraction(offset, d / (2.0 * grid_size),
-                              g.open_half_width)
+    amp = material_amplitude(g, grid_size)
     if g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0:
         # no eikonal phase: amp * exp(0j), bit for bit
         return TransmissionProfile(period_d=d, samples=amp.astype(complex),
@@ -229,7 +242,8 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     # closed cells stay 0: amp * exp(1j * phase) is 0 there for any phase;
     # in place, a stacked build holds one node x open-cell temporary
     inside = amp > 0.0
-    factor = 1j * material_slit_phase(g, s, v_z[..., None], offset[inside])
+    factor = 1j * material_slit_phase(g, s, v_z[..., None],
+                                      _slit_offsets(d, grid_size)[inside])
     np.exp(factor, out=factor)
     factor *= amp[inside]
     samples = np.zeros(v_z.shape + (grid_size,), dtype=complex)
@@ -314,9 +328,9 @@ def fourier_coefficients(p: TransmissionProfile,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
     """b_j of the sampled transmission, t(x) = sum_j b_j exp(2 pi i j x / d).
 
-    A node-stacked profile gives one table per row. Each row is transformed
-    on its own and only its 2 j_max + 1 orders are kept, so no full
-    node x grid spectrum is held next to the samples.
+    A node-stacked profile gives one table per row, from one FFT over the
+    last axis of the whole stack; each row is bit for bit the FFT of that
+    row alone. Only the 2 j_max + 1 orders are kept.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -326,7 +340,7 @@ def fourier_coefficients(p: TransmissionProfile,
     j = np.arange(-j_max, j_max + 1)
     columns = np.mod(j, p.grid_size)
     rows = p.samples.reshape(-1, p.grid_size)
-    values = np.array([np.fft.fft(row)[columns] for row in rows]) / p.grid_size
+    values = np.fft.fft(rows, axis=-1)[:, columns] / p.grid_size
     return CoefficientTable(
         j_max=j_max, values=values.reshape(p.samples.shape[:-1] + (len(j),)))
 
@@ -345,7 +359,7 @@ def transmission_probability_coefficients(p: TransmissionProfile,
 __all__ = [
     "MaterialGrating", "LaserPhaseGrating", "IonizingGrating",
     "TransmissionProfile", "CoefficientTable",
-    "material_transmission", "laser_phase_transmission",
+    "material_amplitude", "material_transmission", "laser_phase_transmission",
     "ionizing_transmission", "fourier_coefficients",
     "transmission_probability_coefficients",
     "material_slit_phase", "laser_phase_amplitude", "is_pure_phase",

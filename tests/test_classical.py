@@ -11,6 +11,7 @@ from nearwave.core import BeamState, velocity_weights
 from nearwave.engine import InterferometerConfig, grating_transmission
 from nearwave.gratings import (LaserPhaseGrating, MaterialGrating,
                                _wall_coefficient, laser_phase_amplitude,
+                               material_amplitude,
                                transmission_probability_coefficients)
 from nearwave.species import get_species
 
@@ -157,18 +158,21 @@ def test_time_domain_config_rejected():
         classical_visibility(cfg, RayEnsemble(count=10_000))
 
 
+def _speed_free_window(g):
+    """Coefficients 0 and 1 of |t|^2 of a mask: its squared open cell
+    fractions, which no speed changes."""
+    if g is None:
+        return 1.0, 1.0 + 0.0j
+    probability = material_amplitude(g) ** 2
+    spectrum = np.fft.fft(probability) / probability.size
+    return spectrum[0].real, spectrum[1]
+
+
 def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
     """The quadrature twin written out node by node: survival mask, kick
-    and both outer windows rebuilt at every speed."""
+    and both (speed-free) outer windows rebuilt at every speed."""
     s, d, g2 = cfg.species, cfg.period_d, cfg.grating2
     x = (np.arange(n_grid) + 0.5) * d / n_grid
-
-    def window(g, v):
-        if g is None:
-            return 1.0, 1.0 + 0.0j
-        table = transmission_probability_coefficients(
-            grating_transmission(g, s, v), 1)
-        return table.get(0).real, table.get(1)
 
     numerator, denominator = 0.0 + 0.0j, 0.0
     for v, w in velocity_weights(cfg.beam, n_velocities):
@@ -190,8 +194,8 @@ def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
                 * (np.pi / d) * np.sin(2.0 * np.pi * x / d)
         q0 = t2.mean()
         q1 = np.mean(t2 * np.exp(-2j * np.pi * (2.0 * x + kick * t_flight) / d))
-        t1_0, t1_1 = window(cfg.grating1, v)
-        t3_0, t3_1 = window(cfg.grating3, v)
+        t1_0, t1_1 = _speed_free_window(cfg.grating1)
+        t3_0, t3_1 = _speed_free_window(cfg.grating3)
         numerator += w * t1_1 * q1 * np.conj(t3_1)
         denominator += w * t1_0 * q0 * t3_0
     return float(2.0 * abs(numerator) / denominator)
@@ -199,7 +203,7 @@ def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
 
 def test_quadrature_equals_per_node_formula():
     # the hoisted survival mask and kick shape, the open-cell evaluation
-    # and the node-stacked windows give the per-node numbers bit for bit;
+    # and the speed-free windows give the per-node numbers bit for bit;
     # a laser grating2 takes the Bessel closed form of the sampled central
     # integral, equal to it up to rounding
     cp = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
@@ -228,3 +232,21 @@ def test_quadrature_equals_per_node_formula():
                                               rel=1e-12, abs=0.0)
             else:
                 assert value == _per_node_quadrature(cfg, n)
+
+
+@pytest.mark.parametrize("interaction", ["none", "vdw_r3",
+                                         "casimir_polder_r4"])
+def test_speed_free_window_equals_window_at_each_speed(interaction):
+    # |t|^2 of a mask drops its eikonal phase, so the window built once
+    # equals the window of the transmission sampled at each speed, up to
+    # the rounding of |amp exp(i phi)|^2
+    g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                        thickness_b=500e-9, interaction=interaction)
+    w0, w1 = _speed_free_window(g)
+    for v in (42.0, 100.0, 180.0, 400.0):
+        table = transmission_probability_coefficients(
+            grating_transmission(g, C70, v), 1)
+        assert table.get(0).real == pytest.approx(w0, rel=1e-15, abs=0.0)
+        assert table.get(1) == pytest.approx(w1, rel=1e-15, abs=0.0)
+        if interaction == "none":
+            assert (table.get(0).real, table.get(1)) == (w0, w1)

@@ -6,7 +6,9 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -270,7 +272,7 @@ def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked
     # transmission and one coefficient table, and the classical twin one
-    # stacked transmission for its outer masks; a per-node build needs up
+    # speed-free window for its outer masks; a per-node build needs up
     # to 12 of each per grating
     from nearwave import classical, engine
     calls = dict.fromkeys(["engine.material_transmission",
@@ -289,7 +291,7 @@ def test_point_builds_each_table_once(monkeypatch):
     record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
     assert list(record) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    assert calls["engine.material_transmission"] <= 4
+    assert calls["engine.material_transmission"] <= 3
     assert calls["engine.fourier_coefficients"] <= 3
     assert calls["classical.transmission_probability_coefficients"] <= 1
 
@@ -506,3 +508,60 @@ def test_csl_map(runner):
     assert all(1e5 < m < 1e10 for m in masses)
     # higher rate row excludes lighter clusters
     assert payload["rows"][1]["values"][0] < masses[0]
+
+
+def test_otima_maps_of_equal_gratings_unchanged(runner):
+    # the bundled scenario's three gratings are equal, so both maps give
+    # the bytes of their grating1 computation
+    from nearwave.constants import AMU
+    from nearwave.core import talbot_time
+    from nearwave.csl import OtimaTemplate, exclusion_map
+    from nearwave.engine import time_domain_visibility
+    cfg = nearwave.load_scenario(OTIMA).config
+    assert cfg.grating1 == cfg.grating2 == cfg.grating3
+    tt = talbot_time(cfg.species.mass, cfg.period_d)
+
+    lam = np.logspace(np.log10(1e-12), np.log10(1e-8), 2)
+    rc = np.logspace(np.log10(1e-7), np.log10(2e-7), 2)
+    template = OtimaTemplate(grating=cfg.grating1,
+                             delay_over_talbot_time=cfg.pulse_delay_T / tt)
+    masses = exclusion_map(lam, rc, template,
+                           float(np.exp(-1.0))).critical_mass / AMU
+    expected = [",".join(["lambda0_hz\\r_c_m"] + [repr(float(r)) for r in rc])]
+    expected += [",".join(repr(float(x)) for x in [lv, *row])
+                 for lv, row in zip(lam, masses)]
+    result = invoke(runner, "csl-map", OTIMA, "--lambda-points", "2",
+                    "--rc-points", "2", "--rc-min", "1e-7", "--rc-max", "2e-7")
+    assert result.exit_code == 0
+    assert result.output == "\n".join(expected) + "\n"
+
+    ratios, n0_values = np.linspace(0.9, 1.1, 3), np.linspace(0.5, 8.0, 2)
+    expected = [",".join(["delay_over_talbot_time\\n0"]
+                         + [repr(float(n)) for n in n0_values])]
+    for ratio in ratios:
+        row = []
+        for n0 in n0_values:
+            g = replace(cfg.grating1, mean_absorbed_photons_n0=float(n0))
+            row.append(time_domain_visibility(
+                replace(cfg, grating1=g, grating2=g, grating3=g),
+                float(ratio) * tt))
+        expected.append(",".join(repr(float(x)) for x in [ratio, *row]))
+    result = invoke(runner, "otima-map", OTIMA, "--ratio-min", "0.9",
+                    "--ratio-max", "1.1", "--ratio-points", "3",
+                    "--n0-points", "2")
+    assert result.exit_code == 0
+    assert result.output == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("command", ["otima-map", "csl-map"])
+@pytest.mark.parametrize("name", ["grating2", "grating3"])
+def test_otima_map_rejects_a_grating_it_would_ignore(runner, tmp_path,
+                                                     command, name):
+    # both maps use grating1 for all three gratings, so a scenario whose
+    # other gratings differ is refused, naming the grating
+    path = tmp_path / "otima.cfg"
+    path.write_text(with_line(read(OTIMA), f"{name}.n0 = 0.5"))
+    assert invoke(runner, "validate", str(path)).exit_code == 0
+    result = invoke(runner, command, str(path))
+    assert result.exit_code == 2
+    assert f"config error: {name} differs from grating1" in result.output

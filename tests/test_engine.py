@@ -1,16 +1,19 @@
 import math
+from importlib.resources import files
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
-                           velocity_weights)
+from nearwave.core import (BeamState, bessel_j, de_broglie_wavelength,
+                           talbot_length, velocity_weights)
 from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel)
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
-                             NonSinusoidalWarning, detector_signal,
+                             NonSinusoidalWarning, _grating_table,
+                             _laser_grid_size,
+                             detector_signal, grating_coefficients,
                              grating_transmission,
                              sinusoidal_visibility, talbot_lau_coefficient,
                              talbot_pattern,
@@ -19,13 +22,14 @@ from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              velocity_averaged_signal)
 from nearwave.core import talbot_time
 from nearwave.constants import AMU
-from nearwave.gratings import (CoefficientTable, IonizingGrating,
+from nearwave.gratings import (DEFAULT_J_MAX, CoefficientTable, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
                                fourier_coefficients, ionizing_transmission,
                                is_pure_phase,
                                laser_phase_amplitude, laser_phase_transmission,
                                material_transmission,
                                transmission_probability_coefficients)
+from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.species import get_species
 
 C70 = get_species("C70")
@@ -276,7 +280,7 @@ def _per_node_signal(cfg, v, m_max, channels=()):
             + 1j * (a.real * b.imag + a.imag * b.real)
 
     def table(g):
-        return fourier_coefficients(grating_transmission(g, cfg.species, v))
+        return grating_coefficients(g, cfg.species, v)
 
     m = np.arange(m_max + 1)
     lam = de_broglie_wavelength(cfg.species.mass, v)
@@ -349,6 +353,105 @@ def test_velocity_average_equals_per_node_loop(name):
         rebuilt += w * _per_node_signal(cfg, v, m_max, channels)
     assert np.array_equal(averaged, by_node)
     assert np.array_equal(averaged, rebuilt)
+
+
+@pytest.mark.parametrize("name", ["vdw_r3", "kdtli", "collisional"])
+def test_per_node_tables_match_fixed_grid_tables(name):
+    # the per-node tables of the loop above against tables sampled on the
+    # fixed 4096-point grid: equal for masks, within rounding for lasers
+    cfg, _ = _oracle_case(name)
+    gratings = {cfg.grating1, cfg.grating2, cfg.grating3}
+    for v, _ in velocity_weights(cfg.beam, 12):
+        for g in gratings:
+            sized = grating_coefficients(g, cfg.species, v).values
+            fixed = fourier_coefficients(
+                grating_transmission(g, cfg.species, v, 4096)).values
+            if isinstance(g, LaserPhaseGrating):
+                assert np.max(np.abs(sized - fixed)) < 1e-13
+            else:
+                assert np.array_equal(sized, fixed)
+
+
+def _laser_closed_form(z, j_max=DEFAULT_J_MAX):
+    """b_j = e^(iz) i^j J_j(z), |j| <= j_max, of exp(i 2z cos^2(pi x / d)),
+    with J_-j = (-1)^j J_j; orders on the last axis."""
+    j = np.arange(-j_max, j_max + 1)
+    bessel = np.stack([bessel_j(k, z) for k in range(j_max + 1)], axis=-1)
+    signs = np.where(j < 0, (-1.0) ** np.abs(j), 1.0)
+    return (np.exp(1j * np.asarray(z))[..., None] * 1j ** j * signs
+            * bessel[..., np.abs(j)])
+
+
+def _power_sweep():
+    """(species, laser grating2 at each sweep point, the 12 velocity
+    nodes) of the bundled power sweep."""
+    scenario = load_scenario(str(files("nearwave") / "data"
+                                 / "pfns8_kdtli_power_sweep.cfg"))
+    nodes = np.array([v for v, _ in velocity_weights(scenario.config.beam,
+                                                     12)])
+    return (scenario.config.species,
+            [apply_sweep_value(scenario, p).grating2
+             for p in scenario.sweep.values()], nodes)
+
+
+def test_sized_laser_tables_at_every_power_sweep_node():
+    # b_j = e^(iz) i^j J_j(z), z = phi0 / 2, on the grid sized by phi0, on
+    # the fixed 4096-point grid, and from the Bessel closed form
+    species, lasers, v = _power_sweep()
+    assert lasers[-1].power_P == 18.0
+    sized, fixed, z = [], [], []
+    for g in lasers:
+        sized.append(grating_coefficients(g, species, v).values)
+        fixed.append(fourier_coefficients(
+            grating_transmission(g, species, v, 4096)).values)
+        z.append(laser_phase_amplitude(g, species, v) / 2.0)
+    sized, fixed, z = np.array(sized), np.array(fixed), np.array(z)
+    # the slowest node at 18 W has the largest phase, and a grid below 4096
+    assert z.max() == z[-1].max() and z.max() > 1000.0
+    assert _laser_grid_size(2.0 * z.max(), DEFAULT_J_MAX, 4096) < 4096
+    assert np.max(np.abs(sized - _laser_closed_form(z))) < 1e-13
+    assert np.max(np.abs(sized - fixed)) < 1e-13
+
+
+def test_stack_over_grid_sizes_equals_single_node_builds(monkeypatch):
+    # nodes whose phases need different grids: one build per grid size,
+    # and each row of the stacked table is the table of its speed alone,
+    # bit for bit
+    from nearwave import engine
+    g = _laser(power_P=18.0)
+    species = get_species("PFNS8")
+    speeds = np.array([40.0, 75.0, 150.0, 400.0, 2000.0, 1e5])
+    sizes = sorted({_laser_grid_size(phi0, DEFAULT_J_MAX, 4096)
+                    for phi0 in laser_phase_amplitude(g, species, speeds)})
+    assert len(sizes) >= 4
+    builds = []
+
+    def build(g, s, v_z, grid_size):
+        builds.append(grid_size)
+        return laser_phase_transmission(g, s, v_z, grid_size)
+    monkeypatch.setattr(engine, "laser_phase_transmission", build)
+    stacked = grating_coefficients(g, species, speeds[:, None]).values
+    assert sorted(builds) == sizes
+    assert stacked.shape == (len(speeds), 1, 2 * DEFAULT_J_MAX + 1)
+    for row, v in zip(stacked, speeds):
+        assert np.array_equal(row[0], grating_coefficients(g, species,
+                                                           v).values)
+
+
+def test_laser_grid_covers_the_table_orders():
+    # a faint laser needs few samples, but 2 j_max of them at least
+    assert _laser_grid_size(1e-3, 130, 4096) >= 260
+    assert _laser_grid_size(0.0, 64, 4096) == 256
+    assert _laser_grid_size(1e4, 64, 4096) == 4096
+    g, species, v = _laser(power_P=1e-4), get_species("PFNS8"), 75.0
+    table = _grating_table(g, species, v, 130, 4096)
+    z = laser_phase_amplitude(g, species, v) / 2.0
+    assert np.max(np.abs(table.values - _laser_closed_form(z, 130))) < 1e-13
+    cfg = InterferometerConfig(
+        grating1=_material(period_d=266e-9), grating2=g,
+        grating3=_material(period_d=266e-9), species=species,
+        beam=BeamState(v, 0.1), separation_L=0.105)
+    assert velocity_averaged_signal(cfg, 4, m_max=1, j_max=130).shape == (2,)
 
 
 def _laser(**kw):

@@ -9,8 +9,8 @@ from nearwave.gratings import (AliasingError, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
                                SlitBlockedError, fourier_coefficients,
                                ionizing_transmission, laser_phase_amplitude,
-                               laser_phase_transmission, material_slit_phase,
-                               material_transmission,
+                               laser_phase_transmission, material_amplitude,
+                               material_slit_phase, material_transmission,
                                transmission_probability_coefficients)
 from nearwave.species import get_species
 
@@ -243,3 +243,36 @@ def test_mask_without_eikonal_phase_gives_one_row(grating):
     assert np.array_equal(stacked.samples, single.samples)
     with pytest.raises(ValueError):
         material_transmission(grating, C70, np.array([100.0, -1.0]), 1024)
+
+
+@pytest.mark.parametrize("grid_size", [256, 1024, 4096])
+def test_batched_fourier_equals_per_row_fft(grid_size):
+    # one FFT over the node stack gives each row's table bit for bit as
+    # the FFT of that row alone, for complex and real (|t|^2) samples
+    g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                        thickness_b=500e-9, interaction="vdw_r3")
+    stacked = material_transmission(g, C70, np.linspace(40.0, 400.0, 12),
+                                    grid_size)
+    j = np.arange(-64, 65)
+    for table, samples in (
+            (fourier_coefficients(stacked), stacked.samples),
+            (transmission_probability_coefficients(stacked, 64),
+             np.abs(stacked.samples) ** 2)):
+        assert table.values.shape == (12, 129)
+        for row, values in zip(samples, table.values):
+            expected = np.fft.fft(row)[np.mod(j, grid_size)] / grid_size
+            assert np.array_equal(values, expected)
+
+
+def test_amplitude_is_the_modulus_of_the_transmission():
+    # the speed-free open cell fractions are |t| of the mask at any speed
+    g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                        thickness_b=500e-9, interaction="vdw_r3")
+    amplitude = material_amplitude(g, 1024)
+    assert amplitude.min() == 0.0 and amplitude.max() == 1.0
+    for v in (50.0, 200.0):
+        samples = material_transmission(g, C70, v, 1024).samples
+        assert np.allclose(np.abs(samples), amplitude, rtol=1e-15, atol=0.0)
+    assert np.array_equal(material_transmission(binary(0.475), C70, 100.0,
+                                                1024).samples,
+                          material_amplitude(binary(0.475), 1024))
