@@ -19,7 +19,7 @@ from .engine import (FourierPattern, InterferometerConfig, detector_signal,
                      talbot_pattern, time_domain_visibility,
                      velocity_averaged_pattern)
 from .classical import RayEnsemble, classical_visibility, deflection_kick
-from .decoherence import (DecoherenceChannel, GasEnvironment, apply_channel,
+from .decoherence import (DecoherenceChannel, GasEnvironment,
                           absorption_visibility_factor, collisional_channel,
                           collisional_eta, csl_channel,
                           thermal_emission_channel)

@@ -141,13 +141,11 @@ def _mask_window(g):
     if g is None:
         return 1.0, 1.0 + 0.0j
     if isinstance(g, MaterialGrating):
-        profile = TransmissionProfile(g.period_d, material_amplitude(g),
-                                      DEFAULT_GRID_SIZE)
+        profile = TransmissionProfile(g.period_d, material_amplitude(g))
     elif isinstance(g, IonizingGrating):
         profile = ionizing_transmission(g)
     else:
-        profile = TransmissionProfile(g.period_d, np.ones(DEFAULT_GRID_SIZE),
-                                      DEFAULT_GRID_SIZE)
+        profile = TransmissionProfile(g.period_d, np.ones(DEFAULT_GRID_SIZE))
     values = transmission_probability_coefficients(profile, 1).values
     return complex(values[1]).real, complex(values[2])
 

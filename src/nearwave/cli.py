@@ -23,9 +23,8 @@ from .core import talbot_time
 from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
 from .decoherence import (GasEnvironment, QuadratureError,
                           collisional_channel, collisional_rate)
-from .engine import (CoherencePreparationError, grating_coefficients,
-                     talbot_pattern, time_domain_visibility,
-                     velocity_averaged_signal)
+from .engine import (grating_coefficients, talbot_pattern,
+                     time_domain_visibility, velocity_averaged_signal)
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
 from .metrology import DeflectionField, stark_fringe_shift
 from .scenario import Scenario, ScenarioError, apply_sweep_value, load_scenario
@@ -105,7 +104,7 @@ def _guard(func, *args, **kwargs):
     except (QuadratureError, MassOutOfRangeError, FloatingPointError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
-    except (CoherencePreparationError, ValueError) as exc:
+    except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     except OSError as exc:
@@ -133,9 +132,15 @@ def _pmap(func, items):
         return list(pool.map(func, items))
 
 
-def _one_grating(cfg):
+def _otima_grating(cfg):
     """grating1, which the OTIMA maps apply to all three gratings; a
-    scenario whose grating2 or grating3 differs exits with a config error."""
+    scenario that is not time-domain with an ionizing grating1, or whose
+    grating2 or grating3 differs, exits with a config error."""
+    if cfg.mode != "time_domain" or not isinstance(cfg.grating1,
+                                                   IonizingGrating):
+        click.echo("config error: this map needs a time-domain scenario "
+                   "with ionizing gratings", err=True)
+        sys.exit(EXIT_CONFIG)
     for name in ("grating2", "grating3"):
         if getattr(cfg, name) != cfg.grating1:
             click.echo(f"config error: {name} differs from grating1; this "
@@ -363,12 +368,7 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
     """Visibility map over pulse delay (in Talbot times) and photon number."""
     scenario = _load(scenario_path)
     cfg = scenario.config
-    if cfg.mode != "time_domain" or not isinstance(cfg.grating1,
-                                                   IonizingGrating):
-        click.echo("config error: otima-map needs a time-domain scenario "
-                   "with ionizing gratings", err=True)
-        sys.exit(EXIT_CONFIG)
-    _one_grating(cfg)
+    grating = _otima_grating(cfg)
     tt = talbot_time(cfg.species.mass, cfg.period_d)
     ratios = np.linspace(ratio_min, ratio_max, ratio_points)
     n0_values = np.linspace(n0_min, n0_max, n0_points)
@@ -376,9 +376,8 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
     def compute():
         matrix = np.empty((len(ratios), len(n0_values)))
         for j, n0 in enumerate(n0_values):
-            grating = replace(cfg.grating1, mean_absorbed_photons_n0=float(n0))
-            base = replace(cfg, grating1=grating, grating2=grating,
-                           grating3=grating)
+            g = replace(grating, mean_absorbed_photons_n0=float(n0))
+            base = replace(cfg, grating1=g, grating2=g, grating3=g)
             for i, ratio in enumerate(ratios):
                 matrix[i, j] = time_domain_visibility(base, float(ratio) * tt)
         return matrix
@@ -437,19 +436,15 @@ def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
     """Critical-mass map over localization parameters (masses in amu)."""
     scenario = _load(scenario_path)
     cfg = scenario.config
+    grating = _otima_grating(cfg)
     lambda_grid = np.logspace(np.log10(lambda_min), np.log10(lambda_max),
                               lambda_points)
     rc_grid = np.logspace(np.log10(rc_min), np.log10(rc_max), rc_points)
 
     def compute():
-        if cfg.mode == "time_domain" and isinstance(cfg.grating1,
-                                                    IonizingGrating):
-            tt = talbot_time(cfg.species.mass, cfg.period_d)
-            template = OtimaTemplate(
-                grating=_one_grating(cfg),
-                delay_over_talbot_time=cfg.pulse_delay_T / tt)
-        else:
-            template = OtimaTemplate()
+        tt = talbot_time(cfg.species.mass, cfg.period_d)
+        template = OtimaTemplate(grating=grating,
+                                 delay_over_talbot_time=cfg.pulse_delay_T / tt)
         return exclusion_map(lambda_grid, rc_grid, template, threshold)
 
     emap = _guard(compute)

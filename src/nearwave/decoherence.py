@@ -50,7 +50,6 @@ class DecoherenceChannel:
 
     rate: Union[float, Callable[[float], float]]
     eta: Callable[[float], float]
-    label: str = "channel"
 
     def rate_at(self, t: float) -> float:
         return self.rate(t) if callable(self.rate) else float(self.rate)
@@ -174,12 +173,6 @@ def channel_factor(channel: DecoherenceChannel, cfg, m: int,
                               half_span=cfg.pulse_delay_T, talbot_scale=tt)
 
 
-def apply_channel(B_value: complex, channel: DecoherenceChannel, cfg,
-                  m: int, v_z: float = 1.0) -> complex:
-    """Multiply a Talbot-Lau coefficient by the channel's reduction factor."""
-    return B_value * channel_factor(channel, cfg, m, v_z)
-
-
 # ---------------------------------------------------------------------------
 # collisional channel
 
@@ -265,7 +258,7 @@ def collisional_channel(env: GasEnvironment, s: Species,
     # a few microns which covers every near-field separation of interest
     x_grid = np.linspace(0.0, 5e-6, 200)
     eta = TabulatedEta(x_grid, collisional_eta(env, x_grid))
-    return DecoherenceChannel(rate=rate, eta=eta, label="collisional")
+    return DecoherenceChannel(rate=rate, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +287,7 @@ def thermal_emission_channel(spectrum) -> DecoherenceChannel:
         z = 2.0 * np.pi * abs(x) / lams
         return float(np.sum(weights * np.sinc(z / np.pi)))
 
-    return DecoherenceChannel(rate=total, eta=eta, label="thermal_emission")
+    return DecoherenceChannel(rate=total, eta=eta)
 
 
 def absorption_visibility_factor(mean_photons: float,
@@ -326,7 +319,7 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
     if mass <= 0.0:
         raise ValueError("mass must be positive")
     rate = lambda0 * (mass / AMU) ** 2
-    return DecoherenceChannel(rate=rate, eta=GaussianEta(r_c), label="csl")
+    return DecoherenceChannel(rate=rate, eta=GaussianEta(r_c))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,7 @@ def load_scattering_table(path) -> tuple:
 
 __all__ = [
     "DecoherenceChannel", "GasEnvironment", "decoherence_factor",
-    "channel_factor", "apply_channel", "TabulatedEta", "GaussianEta",
+    "channel_factor", "TabulatedEta", "GaussianEta",
     "collisional_eta", "mean_gas_speed", "collisional_rate",
     "collisional_channel", "thermal_emission_channel",
     "absorption_visibility_factor", "csl_channel",

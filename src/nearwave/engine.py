@@ -27,6 +27,7 @@ import numpy as np
 from .core import (BeamState, bessel_node_count, de_broglie_wavelength,
                    require_finite, talbot_length, talbot_time,
                    velocity_weights)
+from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        fourier_coefficients, ionizing_transmission,
@@ -122,52 +123,51 @@ class FourierPattern:
         return np.real(phases @ self.components)
 
 
-def grating_transmission(g: GratingSpec, s: Species, v_z,
-                         grid_size: int = DEFAULT_GRID_SIZE):
-    """Transmission profile of any grating family at longitudinal speed v_z.
+def grating_transmission(g: GratingSpec, s: Species, v_z):
+    """Transmission profile of any grating family at longitudinal speed v_z,
+    sampled on ``DEFAULT_GRID_SIZE`` points.
 
-    An array of speeds gives samples of shape ``shape(v_z) + (grid_size,)``,
+    An array of speeds gives samples of shape ``shape(v_z) + (grid,)``,
     or a single row if t(x) does not depend on the speed (ionizing
     gratings, material masks without an eikonal phase); both broadcast
     against each other.
     """
     if isinstance(g, MaterialGrating):
-        return material_transmission(g, s, v_z, grid_size)
+        return material_transmission(g, s, v_z)
     if isinstance(g, LaserPhaseGrating):
-        return laser_phase_transmission(g, s, v_z, grid_size)
+        return laser_phase_transmission(g, s, v_z)
     if isinstance(g, IonizingGrating):
-        return ionizing_transmission(g, grid_size)
+        return ionizing_transmission(g)
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def _laser_grid_size(phi0: float, j_max: int, grid_size: int) -> int:
+def _laser_grid_size(phi0: float, j_max: int) -> int:
     """Smallest power-of-two grid >= 256 that resolves a laser table.
 
     t(x) = exp(i phi0 cos^2(pi x / d)) has b_j = e^(iz) i^j J_j(z) with
     z = phi0 / 2 (Jacobi-Anger). The N-point DFT returns b_j plus the
     aliased b_{j +- kN}, so N covers 2 j_max and the Bessel node count of
-    order j_max at z; ``grid_size`` caps it.
+    order j_max at z; ``DEFAULT_GRID_SIZE`` caps it.
     """
     need = max(256, 2 * j_max, bessel_node_count(j_max, phi0 / 2.0))
-    return min(1 << (need - 1).bit_length(), grid_size)
+    return min(1 << (need - 1).bit_length(), DEFAULT_GRID_SIZE)
 
 
-def _grating_table(g: GratingSpec, s: Species, v_z, j_max: int,
-                   grid_size: int) -> CoefficientTable:
+def _grating_table(g: GratingSpec, s: Species, v_z,
+                   j_max: int) -> CoefficientTable:
     """Fourier table of grating ``g`` at speed(s) ``v_z``, shaped like
     ``grating_transmission``'s samples with orders on the last axis.
 
-    Material and ionizing gratings are sampled on ``grid_size`` points. A
-    laser grating is sampled at each speed on ``_laser_grid_size`` points;
-    the speeds that share a grid share one build, so each row is bit for
-    bit the table of its speed alone.
+    Material and ionizing gratings are sampled on ``DEFAULT_GRID_SIZE``
+    points. A laser grating is sampled at each speed on
+    ``_laser_grid_size`` points; the speeds that share a grid share one
+    build, so each row is bit for bit the table of its speed alone.
     """
     if not isinstance(g, LaserPhaseGrating):
-        return fourier_coefficients(grating_transmission(g, s, v_z,
-                                                         grid_size), j_max)
+        return fourier_coefficients(grating_transmission(g, s, v_z), j_max)
     v_z = np.asarray(v_z, dtype=float)
     speeds = v_z.reshape(-1)
-    sizes = np.array([_laser_grid_size(phi0, j_max, grid_size)
+    sizes = np.array([_laser_grid_size(phi0, j_max)
                       for phi0 in laser_phase_amplitude(g, s, speeds)])
     values = np.empty((speeds.size, 2 * j_max + 1), dtype=complex)
     for size in np.unique(sizes):
@@ -180,7 +180,7 @@ def _grating_table(g: GratingSpec, s: Species, v_z, j_max: int,
 
 def grating_coefficients(g: GratingSpec, s: Species, v_z) -> CoefficientTable:
     """Fourier table (|j| <= ``DEFAULT_J_MAX``) of ``g`` at speed(s) ``v_z``."""
-    return _grating_table(g, s, v_z, DEFAULT_J_MAX, DEFAULT_GRID_SIZE)
+    return _grating_table(g, s, v_z, DEFAULT_J_MAX)
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -239,12 +239,11 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     """
     if v_z <= 0.0:
         raise ValueError("v_z must be positive")
-    return _node_signals(cfg, [v_z], m_max, DEFAULT_J_MAX, DEFAULT_GRID_SIZE,
-                         channels)[0]
+    return _node_signals(cfg, [v_z], m_max, DEFAULT_J_MAX, channels)[0]
 
 
 def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
-                  j_max: int, grid_size: int, channels: Sequence) -> np.ndarray:
+                  j_max: int, channels: Sequence) -> np.ndarray:
     """``detector_signal`` for each of ``velocities``, one row per node.
 
     Each distinct grating (the three masks of a symmetric TLI are one) gets
@@ -258,7 +257,7 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
 
     def table(g):
         if g not in tables:
-            tables[g] = _grating_table(g, s, nodes, j_max, grid_size)
+            tables[g] = _grating_table(g, s, nodes, j_max)
         return tables[g]
 
     b1, b2 = table(cfg.grating1), table(cfg.grating2)
@@ -270,7 +269,6 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
         signal = _product(signal, np.conj(talbot_lau_coefficient(
             table(cfg.grating3), m, 0.0)))
     if channels:
-        from .decoherence import channel_factor
         factor = np.ones(signal.shape, dtype=complex)
         for channel in channels:
             factor = _product(factor, [[channel_factor(channel, cfg, 2 * k, v)
@@ -316,7 +314,6 @@ def velocity_averaged_signal(cfg: InterferometerConfig,
                              n_velocities: int = 16,
                              m_max: int = DEFAULT_M_MAX,
                              j_max: int = DEFAULT_J_MAX,
-                             grid_size: int = DEFAULT_GRID_SIZE,
                              channels: Sequence = ()) -> np.ndarray:
     """Signal components averaged over the beam velocity distribution.
 
@@ -325,7 +322,7 @@ def velocity_averaged_signal(cfg: InterferometerConfig,
     """
     pairs = velocity_weights(cfg.beam, n_velocities)
     signals = _node_signals(cfg, [v for v, _ in pairs], m_max, j_max,
-                            grid_size, channels)
+                            channels)
     total = np.zeros(m_max + 1, dtype=complex)
     for (_, w), signal in zip(pairs, signals):
         total += w * signal
@@ -358,8 +355,6 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
     # v_z is a dummy for ionizing gratings
     signal = detector_signal(replace(cfg, pulse_delay_T=T), 1.0, 1, channels)
     if signal[0] == 0:
-        return 0.0
-    if abs(signal[1]) == 0.0:
         return 0.0
     return sinusoidal_visibility(signal)
 

@@ -140,16 +140,18 @@ class TransmissionProfile:
 
     period_d: float
     samples: np.ndarray
-    grid_size: int
 
     def __post_init__(self):
         n = self.grid_size
         if n < 256 or n & (n - 1):
             raise ValueError("grid_size must be a power of two >= 256")
-        if self.samples.shape[-1] != n:
-            raise ValueError("sample count must equal grid_size")
         if np.max(np.abs(self.samples)) > 1.0 + 1e-12:
             raise ValueError("|t(x)| must not exceed 1")
+
+    @property
+    def grid_size(self) -> int:
+        """Samples per period: the length of the last axis."""
+        return self.samples.shape[-1]
 
 
 def _wall_coefficient(g: MaterialGrating, s: Species):
@@ -237,8 +239,7 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     amp = material_amplitude(g, grid_size)
     if g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0:
         # no eikonal phase: amp * exp(0j), bit for bit
-        return TransmissionProfile(period_d=d, samples=amp.astype(complex),
-                                   grid_size=grid_size)
+        return TransmissionProfile(period_d=d, samples=amp.astype(complex))
     # closed cells stay 0: amp * exp(1j * phase) is 0 there for any phase;
     # in place, a stacked build holds one node x open-cell temporary
     inside = amp > 0.0
@@ -248,7 +249,7 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     factor *= amp[inside]
     samples = np.zeros(v_z.shape + (grid_size,), dtype=complex)
     samples[..., inside] = factor
-    return TransmissionProfile(period_d=d, samples=samples, grid_size=grid_size)
+    return TransmissionProfile(period_d=d, samples=samples)
 
 
 def laser_phase_amplitude(g: LaserPhaseGrating, s: Species, v_z) -> float:
@@ -275,8 +276,7 @@ def laser_phase_transmission(g: LaserPhaseGrating, s: Species, v_z,
     phi0 = laser_phase_amplitude(g, s, np.asarray(v_z, dtype=float)[..., None])
     x = np.arange(grid_size) * g.period_d / grid_size
     samples = np.exp(1j * phi0 * np.cos(np.pi * x / g.period_d) ** 2)
-    return TransmissionProfile(period_d=g.period_d, samples=samples,
-                               grid_size=grid_size)
+    return TransmissionProfile(period_d=g.period_d, samples=samples)
 
 
 def ionizing_transmission(g: IonizingGrating,
@@ -290,8 +290,7 @@ def ionizing_transmission(g: IonizingGrating,
     mod = np.cos(np.pi * x / g.period_d) ** 2
     samples = np.exp(-(g.mean_absorbed_photons_n0 / 2.0) * mod) \
         * np.exp(1j * g.phase_amplitude_phi0 * mod)
-    return TransmissionProfile(period_d=g.period_d, samples=samples,
-                               grid_size=grid_size)
+    return TransmissionProfile(period_d=g.period_d, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,7 @@ def transmission_probability_coefficients(p: TransmissionProfile,
     # row equals that of its complex copy), so no complex node x grid copy
     probability = np.abs(p.samples)
     np.square(probability, out=probability)
-    intensity = TransmissionProfile(p.period_d, probability, p.grid_size)
+    intensity = TransmissionProfile(p.period_d, probability)
     return fourier_coefficients(intensity, m_max)
 
 

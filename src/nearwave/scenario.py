@@ -15,8 +15,7 @@ from typing import Dict, List, Optional
 from .constants import AMU
 from .core import BeamState
 from .engine import InterferometerConfig
-from .gratings import (DEFAULT_WALL_CUTOFF, IonizingGrating, LaserPhaseGrating,
-                       MaterialGrating)
+from .gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
 from .species import LIBRARY, get_species
 
 
@@ -60,29 +59,36 @@ def parse_quantity(text: str, dimension: str) -> float:
     return number
 
 
-# key -> kind; kind is "quantity:<dimension>", "number", "int",
-# "choice:a|b|c", or "string"
+# gratingN.type -> the dataclass it builds
+_FAMILIES = {"material": MaterialGrating, "laser": LaserPhaseGrating,
+             "ionizing": IonizingGrating}
+
+# gratingN.<key> -> (the family that reads it, or None for every family;
+# the dataclass field it sets; its kind). A kind is "quantity:<dimension>",
+# "number", "int", "choice:a|b|c" or "string". A key of another family is
+# rejected rather than ignored.
 _GRATING_KEYS = {
-    "type": "choice:material|laser|ionizing",
-    "period": "quantity:length",
-    "open_fraction": "number",
-    "thickness": "quantity:length",
-    "interaction": "choice:none|vdw_r3|casimir_polder_r4",
-    "wall_cutoff": "quantity:length",
-    "power": "quantity:power",
-    "waist_y": "quantity:length",
-    "laser_wavelength": "quantity:length",
-    "n0": "number",
-    "phi0": "quantity:angle",
+    "type": (None, None, "choice:material|laser|ionizing"),
+    "period": (None, "period_d", "quantity:length"),
+    "open_fraction": ("material", "open_fraction_f", "number"),
+    "thickness": ("material", "thickness_b", "quantity:length"),
+    "interaction": ("material", "interaction",
+                    "choice:none|vdw_r3|casimir_polder_r4"),
+    "wall_cutoff": ("material", "wall_cutoff", "quantity:length"),
+    "power": ("laser", "power_P", "quantity:power"),
+    "waist_y": ("laser", "vertical_waist_wy", "quantity:length"),
+    "laser_wavelength": ("laser", "laser_wavelength", "quantity:length"),
+    "n0": ("ionizing", "mean_absorbed_photons_n0", "number"),
+    "phi0": ("ionizing", "phase_amplitude_phi0", "quantity:angle"),
 }
 
-# keys that only one grating family reads; on another family they are
-# rejected rather than ignored
-_FAMILY_KEYS = {
-    "material": ("open_fraction", "thickness", "interaction", "wall_cutoff"),
-    "laser": ("power", "waist_y", "laser_wavelength"),
-    "ionizing": ("n0", "phi0"),
-}
+# scenario defaults where the dataclass has none: an unset laser is off
+# and an unset ionizing grating absorbs nothing
+_GRATING_DEFAULTS = {"laser": {"power_P": 0.0},
+                     "ionizing": {"mean_absorbed_photons_n0": 0.0}}
+
+# keys that only one mode reads; in the other mode they are rejected
+_MODE_KEYS = {"separation": "spatial", "pulse_delay": "time_domain"}
 
 SCHEMA: Dict[str, str] = {
     "name": "string",
@@ -101,13 +107,12 @@ SCHEMA: Dict[str, str] = {
     "seed": "int",
     "gas.mass": "quantity:mass",
     "gas.temperature": "quantity:temperature",
-    "gas.pressure": "quantity:pressure",
     "gas.cross_section": "quantity:area",
     "deflect.geometry_constant": "number",
     "deflect.grad_e_squared": "quantity:field_gradient",
 }
 for _n in (1, 2, 3):
-    for _k, _kind in _GRATING_KEYS.items():
+    for _k, (_, _, _kind) in _GRATING_KEYS.items():
         SCHEMA[f"grating{_n}.{_k}"] = _kind
 
 # parameters a sweep may target, with the dimension of start/stop
@@ -241,32 +246,17 @@ def _build_grating(n: int, parsed, problems: List[str]):
     if gtype is None:
         return None
 
-    def get(key, default=None):
-        return parsed.get(prefix + key, default)
-
-    for family, keys in _FAMILY_KEYS.items():
-        for key in keys:
-            if family != gtype and prefix + key in parsed:
-                problems.append(f"{prefix}{key}: applies only to a {family} "
-                                f"grating, not to a {gtype} one")
+    fields = dict(_GRATING_DEFAULTS.get(gtype, {}))
+    for key, (family, name, _) in _GRATING_KEYS.items():
+        if name is None or prefix + key not in parsed:
+            continue
+        if family in (None, gtype):
+            fields[name] = parsed[prefix + key]
+        else:
+            problems.append(f"{prefix}{key}: applies only to a {family} "
+                            f"grating, not to a {gtype} one")
     try:
-        if gtype == "material":
-            return MaterialGrating(
-                period_d=get("period"),
-                open_fraction_f=get("open_fraction"),
-                thickness_b=get("thickness", 0.0),
-                interaction=get("interaction", "none"),
-                wall_cutoff=get("wall_cutoff", DEFAULT_WALL_CUTOFF))
-        if gtype == "laser":
-            return LaserPhaseGrating(
-                period_d=get("period"),
-                power_P=get("power", 0.0),
-                vertical_waist_wy=get("waist_y"),
-                laser_wavelength=get("laser_wavelength"))
-        return IonizingGrating(
-            period_d=get("period"),
-            mean_absorbed_photons_n0=get("n0", 0.0),
-            phase_amplitude_phi0=get("phi0", 0.0))
+        return _FAMILIES[gtype](**fields)
     except (TypeError, ValueError) as exc:
         problems.append(f"grating{n}: {exc}")
         return None
@@ -305,6 +295,10 @@ def load_scenario(path: str) -> Scenario:
         problems.append(f"beam: {exc}")
 
     mode = parsed.get("mode", "spatial")
+    for key, owner in _MODE_KEYS.items():
+        if owner != mode and key in parsed:
+            problems.append(f"{key}: applies only to a {owner} scenario, "
+                            f"not to a {mode} one")
     config = None
     if not problems:
         try:

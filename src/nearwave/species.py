@@ -23,13 +23,11 @@ class Species:
     alpha_opt_vol: float = 0.0       # m^3
     c3_coefficient: float = 0.0      # J m^3
     dipole_rms: float = 0.0          # C m
-    absorption_cross_section: float = 0.0  # m^2
 
     def __post_init__(self):
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
-        for field in ("alpha_stat_vol", "alpha_opt_vol", "dipole_rms",
-                      "absorption_cross_section"):
+        for field in ("alpha_stat_vol", "alpha_opt_vol", "dipole_rms"):
             if getattr(self, field) < 0.0:
                 raise ValueError(f"{field} must be nonnegative")
 

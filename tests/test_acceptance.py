@@ -102,13 +102,9 @@ def test_acceptance_02_kdtli_power_sweep():
     for i, p in enumerate(powers):
         cfg = kdtli_config(float(p))
         phi0 = laser_phase_amplitude(cfg.grating2, PFNS8, 0.9 * 75.0)
-        if phi0 > 100.0:
-            j_max = int(phi0 / 2.0) + 60
-            grid = 1 << max(12, int(math.ceil(math.log2(32 * j_max))))
-        else:
-            j_max, grid = 64, 4096
+        j_max = int(phi0 / 2.0) + 60 if phi0 > 100.0 else 64
         signal = velocity_averaged_signal(cfg, n_velocities=12, m_max=1,
-                                          j_max=j_max, grid_size=grid)
+                                          j_max=j_max)
         quantum[i] = 2.0 * abs(signal[1] / signal[0])
         classical[i] = classical_visibility_quadrature(cfg, n_velocities=12)
     elapsed = time.monotonic() - start

@@ -15,6 +15,8 @@ from click.testing import CliRunner
 import nearwave
 from nearwave import cli
 from nearwave.cli import main
+from nearwave.engine import TruncationWarning
+from nearwave.scenario import SCHEMA, SWEEPABLE
 
 
 def data_path(name):
@@ -297,8 +299,10 @@ def test_point_builds_each_table_once(monkeypatch):
 
 
 def test_carpet_matrix_shape(runner):
-    result = invoke(runner, "carpet", TLI, "--z-points", "5",
-                    "--x-points", "16", "--format", "json")
+    # the C70 mask's 64-order table is cut before it decays
+    with pytest.warns(TruncationWarning):
+        result = invoke(runner, "carpet", TLI, "--z-points", "5",
+                        "--x-points", "16", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert len(payload["rows"]) == 5
@@ -366,11 +370,12 @@ def test_seed_option_rejected(runner, command):
     ["emission.spectrum_file = spectrum.csv"],
     ["csl.lambda0 = 1e-10 Hz"],
     ["csl.r_c = 100 nm"],
+    ["gas.pressure = 1e-3 mbar"],
     ["sweep.parameter = separation", "sweep.start = 0.1 m",
      "sweep.stop = 0.3 m"],
     ["sweep.parameter = pulse_delay", "sweep.start = 10 ms",
      "sweep.stop = 20 ms"],
-], ids=["emission.spectrum_file", "csl.lambda0", "csl.r_c",
+], ids=["emission.spectrum_file", "csl.lambda0", "csl.r_c", "gas.pressure",
         "sweep-separation", "sweep-pulse_delay"])
 def test_removed_scenario_keys_rejected(runner, tmp_path, lines):
     text = read(TLI)
@@ -382,6 +387,98 @@ def test_removed_scenario_keys_rejected(runner, tmp_path, lines):
     result = invoke(runner, "validate", str(path))
     assert result.exit_code == 2
     assert "status" not in result.output
+
+
+@pytest.mark.parametrize("path, line, message", [
+    (TLI, "pulse_delay = 10 ms",
+     "pulse_delay: applies only to a time_domain scenario, not to a "
+     "spatial one"),
+    (OTIMA, "separation = 0.22 m",
+     "separation: applies only to a spatial scenario, not to a "
+     "time_domain one"),
+], ids=["pulse_delay-spatial", "separation-time_domain"])
+def test_key_of_the_other_mode_rejected(runner, tmp_path, path, line,
+                                        message):
+    # each mode reads only its own distance or delay
+    scenario = tmp_path / "other_mode.cfg"
+    scenario.write_text(read(path) + line + "\n")
+    result = invoke(runner, "validate", str(scenario))
+    assert result.exit_code == 2
+    assert f"config error: {message}" in result.output
+
+
+def test_missing_grating_key_names_the_field(runner, tmp_path):
+    path = tmp_path / "noperiod.cfg"
+    path.write_text(read(TLI).replace("grating2.period = 991 nm\n", ""))
+    result = invoke(runner, "validate", str(path))
+    assert result.exit_code == 2
+    assert "config error: grating2: " in result.output
+    assert "missing 1 required positional argument: 'period_d'" \
+        in result.output
+
+
+# the sweep command that reads each sweep parameter
+SWEEP_COMMANDS = {"beam.velocity": "velocity-sweep",
+                  "grating2.power": "power-sweep", "gas.pressure": "decohere"}
+
+
+def _other_value(key, value):
+    """A value for ``key`` other than ``value``, of the kind its schema
+    entry accepts (numbers scaled by 1.1, with their unit)."""
+    kind = SCHEMA[key]
+    if key == "name":
+        return value + "_other"
+    if key == "species":
+        return "C60" if value != "C60" else "C70"
+    if key == "sweep.parameter":
+        return next(p for p in sorted(SWEEPABLE) if p != value)
+    if kind.startswith("choice:"):
+        return next(c for c in kind.split(":")[1].split("|") if c != value)
+    if kind == "int":
+        return str(int(value) + 1)
+    number, *unit = value.split()
+    return " ".join([repr(float(number) * 1.1 or 1.0), *unit])
+
+
+@pytest.mark.parametrize("text", [read(TLI), read(KDTLI), DECOHERE],
+                         ids=["tli", "kdtli", "decohere"])
+def test_every_accepted_key_is_read(runner, tmp_path, monkeypatch, text):
+    # each key set to another value either changes the bytes of a command
+    # that reads the scenario, or validate rejects it
+    monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
+    text = with_line(text, "sweep.points = 2")
+    pairs = dict(row.split(" = ", 1) for row in text.splitlines()
+                 if row and not row.startswith("#"))
+    path = tmp_path / "scenario.cfg"
+
+    def outputs(scenario_text):
+        path.write_text(scenario_text)
+        commands = (["validate"], ["visibility", "--velocities", "2"],
+                    [SWEEP_COMMANDS[pairs["sweep.parameter"]],
+                     "--velocities", "2"])
+        results = [runner.invoke(main, [args[0], str(path), *args[1:]])
+                   for args in commands]
+        return [(r.exit_code, r.output) for r in results]
+
+    reference = outputs(text)
+    assert [code for code, _ in reference] == [0, 0, 0]
+    unread = []
+    for key, value in pairs.items():
+        changed = outputs(with_line(text, f"{key} = "
+                                          f"{_other_value(key, value)}"))
+        if changed[0][0] != 2 and changed == reference:
+            unread.append(key)
+    assert len(pairs) > 20
+    assert unread == []
+
+
+@pytest.mark.parametrize("path", [TLI, KDTLI], ids=["tli", "kdtli"])
+def test_csl_map_needs_a_time_domain_ionizing_scenario(runner, path):
+    # a spatial scenario is refused, not replaced by a default OTIMA one
+    result = invoke(runner, "csl-map", path)
+    assert result.exit_code == 2
+    assert "config error: this map needs a time-domain scenario with " \
+        "ionizing gratings" in result.output
 
 
 @pytest.mark.parametrize("workers", ["4096", "3", "1", "0", "-5"])

@@ -10,7 +10,7 @@ from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
                                   TabulatedEta, absorption_visibility_factor,
-                                  apply_channel, channel_factor,
+                                  channel_factor,
                                   QUAD_RELTOL, collisional_channel,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
@@ -128,8 +128,6 @@ def test_channels_compose_multiplicatively():
         expected = (bare[m] * channel_factor(c1, cfg, 2 * m, 100.0)
                     * channel_factor(c2, cfg, 2 * m, 100.0))
         assert both[m] == pytest.approx(expected, rel=1e-9)
-        assert apply_channel(bare[m], c1, cfg, 2 * m, 100.0) == pytest.approx(
-            bare[m] * channel_factor(c1, cfg, 2 * m, 100.0), rel=1e-12)
 
 
 def test_thermal_emission_eta():

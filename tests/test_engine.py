@@ -11,7 +11,8 @@ from nearwave.core import (BeamState, bessel_j, de_broglie_wavelength,
 from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel)
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
-                             NonSinusoidalWarning, _grating_table,
+                             NonSinusoidalWarning, TruncationWarning,
+                             _grating_table,
                              _laser_grid_size,
                              detector_signal, grating_coefficients,
                              grating_transmission,
@@ -134,9 +135,11 @@ def test_signal_orders_do_not_depend_on_m_max():
 def test_talbot_pattern_revival_at_integer():
     # a full Talbot distance reproduces the window shifted by half a period;
     # the sharp-edged window converges only as 1/j_max, hence the tolerance
+    # and the truncation warning
     b = fourier_coefficients(material_transmission(binary(0.3), C70, 100.0),
                              512)
-    pattern = talbot_pattern(b, 1.0, m_max=6)
+    with pytest.warns(TruncationWarning):
+        pattern = talbot_pattern(b, 1.0, m_max=6)
     for m in range(-6, 7):
         window = math.sin(math.pi * m * 0.3) / (math.pi * m) if m else 0.3
         assert pattern.get(m) == pytest.approx((-1.0) ** m * window, abs=1e-3)
@@ -365,7 +368,7 @@ def test_per_node_tables_match_fixed_grid_tables(name):
         for g in gratings:
             sized = grating_coefficients(g, cfg.species, v).values
             fixed = fourier_coefficients(
-                grating_transmission(g, cfg.species, v, 4096)).values
+                grating_transmission(g, cfg.species, v)).values
             if isinstance(g, LaserPhaseGrating):
                 assert np.max(np.abs(sized - fixed)) < 1e-13
             else:
@@ -403,12 +406,12 @@ def test_sized_laser_tables_at_every_power_sweep_node():
     for g in lasers:
         sized.append(grating_coefficients(g, species, v).values)
         fixed.append(fourier_coefficients(
-            grating_transmission(g, species, v, 4096)).values)
+            grating_transmission(g, species, v)).values)
         z.append(laser_phase_amplitude(g, species, v) / 2.0)
     sized, fixed, z = np.array(sized), np.array(fixed), np.array(z)
     # the slowest node at 18 W has the largest phase, and a grid below 4096
     assert z.max() == z[-1].max() and z.max() > 1000.0
-    assert _laser_grid_size(2.0 * z.max(), DEFAULT_J_MAX, 4096) < 4096
+    assert _laser_grid_size(2.0 * z.max(), DEFAULT_J_MAX) < 4096
     assert np.max(np.abs(sized - _laser_closed_form(z))) < 1e-13
     assert np.max(np.abs(sized - fixed)) < 1e-13
 
@@ -421,7 +424,7 @@ def test_stack_over_grid_sizes_equals_single_node_builds(monkeypatch):
     g = _laser(power_P=18.0)
     species = get_species("PFNS8")
     speeds = np.array([40.0, 75.0, 150.0, 400.0, 2000.0, 1e5])
-    sizes = sorted({_laser_grid_size(phi0, DEFAULT_J_MAX, 4096)
+    sizes = sorted({_laser_grid_size(phi0, DEFAULT_J_MAX)
                     for phi0 in laser_phase_amplitude(g, species, speeds)})
     assert len(sizes) >= 4
     builds = []
@@ -440,11 +443,11 @@ def test_stack_over_grid_sizes_equals_single_node_builds(monkeypatch):
 
 def test_laser_grid_covers_the_table_orders():
     # a faint laser needs few samples, but 2 j_max of them at least
-    assert _laser_grid_size(1e-3, 130, 4096) >= 260
-    assert _laser_grid_size(0.0, 64, 4096) == 256
-    assert _laser_grid_size(1e4, 64, 4096) == 4096
+    assert _laser_grid_size(1e-3, 130) >= 260
+    assert _laser_grid_size(0.0, 64) == 256
+    assert _laser_grid_size(1e4, 64) == 4096
     g, species, v = _laser(power_P=1e-4), get_species("PFNS8"), 75.0
-    table = _grating_table(g, species, v, 130, 4096)
+    table = _grating_table(g, species, v, 130)
     z = laser_phase_amplitude(g, species, v) / 2.0
     assert np.max(np.abs(table.values - _laser_closed_form(z, 130))) < 1e-13
     cfg = InterferometerConfig(
