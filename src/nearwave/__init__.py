@@ -14,7 +14,7 @@ from .gratings import (IonizingGrating, LaserPhaseGrating, MaterialGrating,
                        TransmissionProfile, fourier_coefficients,
                        ionizing_transmission, laser_phase_transmission,
                        material_transmission)
-from .engine import (FourierPattern, InterferometerConfig, detector_signal,
+from .engine import (InterferometerConfig, detector_signal,
                      sinusoidal_visibility, talbot_lau_coefficient,
                      talbot_pattern, time_domain_visibility,
                      velocity_averaged_pattern)

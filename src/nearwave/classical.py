@@ -106,14 +106,17 @@ def _kick(g, s: Species, x: np.ndarray):
         return lambda v_z: (g.thickness_b * coeff * power / (s.mass * v_z)
                             * shape)
     if isinstance(g, LaserPhaseGrating):
+        # divides by v_z once more than (hbar / m) dphi/dx, although phi0
+        # already carries 1 / v_z (ROADMAP item 2)
         shape = np.sin(2.0 * np.pi * np.asarray(x) / d)
         return lambda v_z: (-(HBAR / (s.mass * v_z))
                             * laser_phase_amplitude(g, s, v_z)
                             * (np.pi / d) * shape)
     if isinstance(g, IonizingGrating):
-        shape = np.sin(2.0 * np.pi * np.asarray(x) / d)
-        return lambda v_z: (-(HBAR / (s.mass * v_z)) * g.phase_amplitude_phi0
-                            * (np.pi / d) * shape)
+        # phi = phi0 cos^2(pi x / d): dphi/dx = -phi0 (pi / d) sin(2 pi x / d)
+        kick = (-(HBAR / s.mass) * g.phase_amplitude_phi0 * (np.pi / d)
+                * np.sin(2.0 * np.pi * np.asarray(x) / d))
+        return lambda v_z: kick
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
@@ -121,9 +124,9 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     """Impulse-approximation velocity change for a single ray at position x.
 
     Material masks use the gradient of the two-wall line-integrated
-    potential, Delta v = -(1 / m v_z) d/dx integral V dz; phase gratings use
-    the eikonal-phase gradient scaled the same way,
-    Delta v = (hbar / m v_z) dphi/dx.
+    potential, Delta v = -(1 / m v_z) d/dx integral V dz, and ionizing
+    gratings the gradient of their phase; both are Delta v = (hbar / m)
+    dphi/dx. A laser grating's kick carries an extra 1 / v_z.
     Raises :class:`AbsorbedRayError` if x sits on a bar of a material mask.
     """
     if isinstance(g, MaterialGrating):
@@ -166,8 +169,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
     s = cfg.species
     v = cfg.beam.mean_velocity
     d = cfg.period_d
-    L = cfg.separation_L
-    t_flight = L / v
+    t_flight = cfg.flight_time(v)
 
     window = ensemble.divergence_window
     if window is None:
@@ -251,11 +253,12 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
 
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
-    Bessel value J_2(-2 pi K(v) (L / v) / d), with K(v) read from the same
-    kick as the ray tracer. Material and ionizing central gratings are
-    sampled on ``QUADRATURE_GRID`` points: the survival mask and kick shape
-    are computed once, and each velocity node only scales the kick. The
-    outer masks' windows do not depend on the speed: one per distinct mask.
+    Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
+    and K(v) read from the same kick as the ray tracer. Material and
+    ionizing central gratings are sampled on ``QUADRATURE_GRID`` points: the
+    survival mask and kick shape are computed once, and each velocity node
+    only scales the kick. The outer masks' windows do not depend on the
+    speed: one per distinct mask.
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -263,15 +266,13 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     d = cfg.period_d
     g2 = cfg.grating2
 
-    pairs = velocity_weights(cfg.beam, n_velocities)
-    velocities = [v for v, _ in pairs]
+    nodes, weights = np.array(velocity_weights(cfg.beam, n_velocities)).T
 
     if isinstance(g2, LaserPhaseGrating):
-        v = np.array(velocities)
-        peak_kick = _kick(g2, s, np.array([d / 4.0]))(v)  # K(v), at sin = 1
+        peak_kick = _kick(g2, s, np.array([d / 4.0]))(nodes)  # K(v), sin = 1
         q0 = 1.0
-        q1s = bessel_j(2, -2.0 * np.pi * peak_kick * (cfg.separation_L / v)
-                       / d).tolist()
+        q1s = bessel_j(2, -2.0 * np.pi * peak_kick * cfg.flight_time(nodes)
+                       / d)
     else:
         x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
         t2 = _survival_probability(g2, x)
@@ -281,21 +282,18 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         t2_open, two_x = t2[is_open], 2.0 * x[is_open]
         kick = _kick(g2, s, x[is_open])
         terms = np.zeros(QUADRATURE_GRID, dtype=complex)
-        q1s = []
-        for v in velocities:
+        q1s = np.empty(len(nodes), dtype=complex)
+        for i, v in enumerate(nodes):
             terms[is_open] = t2_open * np.exp(
-                -2j * np.pi * (two_x + kick(v) * (cfg.separation_L / v)) / d)
-            q1s.append(np.mean(terms))
+                -2j * np.pi * (two_x + kick(v) * cfg.flight_time(v)) / d)
+            q1s[i] = np.mean(terms)
     t1_0, t1_1 = _mask_window(cfg.grating1)
     t3_0, t3_1 = (_mask_window(cfg.grating3)
                   if cfg.grating3 != cfg.grating1 else (t1_0, t1_1))
 
-    numerator = 0.0 + 0.0j
-    denominator = 0.0
-    for (_, w), q1 in zip(pairs, q1s):
-        numerator += w * t1_1 * q1 * np.conj(t3_1)
-        denominator += w * t1_0 * q0 * t3_0
-    return float(2.0 * abs(numerator) / denominator)
+    # the weights sum to one and q0 is the same at every node
+    q1 = weights @ q1s
+    return float(2.0 * abs(t1_1 * q1 * np.conj(t3_1)) / (t1_0 * q0 * t3_0))
 
 
 __all__ = [

@@ -1,32 +1,32 @@
 """Environmental decoherence channels and their fringe-coefficient reduction.
 
-A channel is an event rate R(t) plus a decoherence function eta(x) with
+A channel is an event rate R plus a decoherence function eta(x) with
 |eta| <= 1 and eta(0) = 1. Every shipped eta is real and even in x: the
 collisional, emission and localization couplings are isotropic. Between
 the outer gratings the path separation probed by the environment grows
-linearly from zero to its maximum at the central grating; the order-m
+linearly from zero to its maximum at the central grating; with t the time
+relative to the central grating, t_f the flight time between gratings
+(L / v_z, or the pulse delay T) and T_T the Talbot time, the order-m
 fringe coefficient is multiplied by
 
-    exp( -int R(t) [1 - eta( (m d / 2) (|v_z t| - L) / L_T )] dt )
+    exp( -R int [1 - eta( (m d / 2) (|t| - t_f) / T_T )] dt )
 
-over the transit (with L, v_z t, L_T replaced by T, t, T_T in the time
-domain). For a constant rate the integral is 2 (L / v_z) R (1 - mean eta),
-the mean taken over [0, x_max] with x_max = |m| d L / (2 L_T): an eta that
-knows its own mean (``TabulatedEta``, ``GaussianEta``) is reduced in
-closed form, any other is integrated adaptively.
+over the transit. The integral is 2 t_f R (1 - mean eta), the mean taken
+over [0, x_max] with x_max = |m| d t_f / (2 T_T): an eta that knows its
+own mean (``TabulatedEta``, ``GaussianEta``) is reduced in closed form,
+any other is integrated adaptively.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
-from .core import (de_broglie_wavelength, require_finite, talbot_length,
-                   talbot_time)
+from .core import require_finite, talbot_time
 from .species import Species
 
 QUAD_RELTOL = 1e-6
@@ -40,19 +40,14 @@ class QuadratureError(RuntimeError):
 class DecoherenceChannel:
     """One environmental coupling: event rate and coherence reduction.
 
-    ``rate`` may be a constant (events/s) or a callable of time relative to
-    the central grating; ``eta`` maps a path separation in meters to a real
-    factor with magnitude <= 1 (the imaginary part of an isotropic coupling
-    vanishes). An ``eta`` with a ``mean(x_max)`` method gives its average
-    over [0, x_max], which a constant-rate channel uses instead of
-    quadrature.
+    ``rate`` is a constant (events/s); ``eta`` maps a path separation in
+    meters to a real factor with magnitude <= 1 (the imaginary part of an
+    isotropic coupling vanishes). An ``eta`` with a ``mean(x_max)`` method
+    gives its average over [0, x_max], which replaces quadrature.
     """
 
-    rate: Union[float, Callable[[float], float]]
+    rate: float
     eta: Callable[[float], float]
-
-    def rate_at(self, t: float) -> float:
-        return self.rate(t) if callable(self.rate) else float(self.rate)
 
 
 class TabulatedEta:
@@ -126,17 +121,17 @@ def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
                        half_span: float, talbot_scale: float) -> complex:
     """Exponential reduction factor of the order-m coefficient.
 
-    ``half_span`` is L/v_z (spatial) or T (time domain); ``talbot_scale``
-    is L_T/v_z or T_T so that the separation argument reads
-    (m d / 2)(|t| - half_span) / talbot_scale with t the time relative to
-    the central grating. eta is real, so the factor is real; it is returned
-    as a complex number to multiply complex coefficients.
+    ``half_span`` is the flight time t_f between gratings and
+    ``talbot_scale`` the Talbot time T_T, so that the separation argument
+    reads (m d / 2)(|t| - half_span) / talbot_scale with t the time
+    relative to the central grating. eta is real, so the factor is real; it
+    is returned as a complex number to multiply complex coefficients.
     """
-    if m == 0 and not callable(channel.rate):
+    if m == 0:
         return 1.0 + 0.0j
 
     mean = getattr(channel.eta, "mean", None)
-    if mean is not None and not callable(channel.rate):
+    if mean is not None:
         x_max = (abs(m) * period_d / 2.0) * half_span / talbot_scale
         exponent = 2.0 * half_span * float(channel.rate) * (1.0 - mean(x_max))
         return complex(math.exp(-exponent))
@@ -145,7 +140,7 @@ def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
 
     def integrand(t):
         x = (m * period_d / 2.0) * (abs(t) - half_span) / talbot_scale
-        return channel.rate_at(t) * (1.0 - np.real(channel.eta(x)))
+        return channel.rate * (1.0 - np.real(channel.eta(x)))
 
     value, err = integrate.quad(integrand, -half_span, half_span,
                                 epsrel=QUAD_RELTOL, epsabs=1e-300, limit=400)
@@ -162,15 +157,9 @@ def channel_factor(channel: DecoherenceChannel, cfg, m: int,
     ``m`` is the Talbot-Lau index, twice the fringe order: S_1 takes m = 2.
     """
     d = cfg.period_d
-    if cfg.mode == "spatial":
-        lam = de_broglie_wavelength(cfg.species.mass, v_z)
-        lt = talbot_length(d, lam)
-        return decoherence_factor(channel, m, period_d=d,
-                                  half_span=cfg.separation_L / v_z,
-                                  talbot_scale=lt / v_z)
-    tt = talbot_time(cfg.species.mass, d)
     return decoherence_factor(channel, m, period_d=d,
-                              half_span=cfg.pulse_delay_T, talbot_scale=tt)
+                              half_span=cfg.flight_time(v_z),
+                              talbot_scale=talbot_time(cfg.species.mass, d))
 
 
 # ---------------------------------------------------------------------------

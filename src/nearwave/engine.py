@@ -4,7 +4,9 @@ The periodic particle density behind the interferometer is expanded in a
 Fourier series whose components combine per-grating coefficient tables:
 the mask coefficients of the outer gratings enter at zero argument and the
 diffraction coefficients of the central grating at the Talbot argument
-m L / L_T (or m T / T_T in the time domain). The sinusoidal visibility is
+m t / T_T. The time t between gratings (``InterferometerConfig.flight_time``)
+is L / v_z in spatial mode and the pulse delay T in the time domain; it is
+the only quantity that depends on the mode. The sinusoidal visibility is
 the ratio 2 |S_1 / S_0| of the transmitted signal components.
 
 A velocity average builds each distinct grating's table once for all
@@ -24,8 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BeamState, bessel_node_count, de_broglie_wavelength,
-                   require_finite, talbot_length, talbot_time,
+from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
                    velocity_weights)
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
@@ -98,29 +99,13 @@ class InterferometerConfig:
     def period_d(self) -> float:
         return self.grating1.period_d
 
-
-@dataclass
-class FourierPattern:
-    """Fourier components A_m of a real periodic density, |m| <= m_max."""
-
-    period_d: float
-    components: np.ndarray  # length 2 m_max + 1, index m + m_max
-
-    @property
-    def m_max(self) -> int:
-        return (len(self.components) - 1) // 2
-
-    def get(self, m: int) -> complex:
-        if abs(m) > self.m_max:
-            return 0.0 + 0.0j
-        return complex(self.components[m + self.m_max])
-
-    def reconstruct(self, x) -> np.ndarray:
-        """Evaluate the density sum_m A_m exp(2 pi i m x / d) (real part)."""
-        x = np.asarray(x, dtype=float)
-        m = np.arange(-self.m_max, self.m_max + 1)
-        phases = np.exp(2j * np.pi * np.outer(x / self.period_d, m))
-        return np.real(phases @ self.components)
+    def flight_time(self, v_z):
+        """Time between adjacent gratings: L / v_z in spatial mode, the
+        pulse delay T in the time domain. Broadcasts over an array of
+        speeds."""
+        if self.mode == "spatial":
+            return self.separation_L / v_z
+        return np.full(np.shape(v_z), self.pulse_delay_T)[()]
 
 
 def grating_transmission(g: GratingSpec, s: Species, v_z):
@@ -153,10 +138,11 @@ def _laser_grid_size(phi0: float, j_max: int) -> int:
     return min(1 << (need - 1).bit_length(), DEFAULT_GRID_SIZE)
 
 
-def _grating_table(g: GratingSpec, s: Species, v_z,
-                   j_max: int) -> CoefficientTable:
-    """Fourier table of grating ``g`` at speed(s) ``v_z``, shaped like
-    ``grating_transmission``'s samples with orders on the last axis.
+def grating_coefficients(g: GratingSpec, s: Species, v_z,
+                         j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
+    """Fourier table (|j| <= ``j_max``) of grating ``g`` at speed(s) ``v_z``,
+    shaped like ``grating_transmission``'s samples with orders on the last
+    axis.
 
     Material and ionizing gratings are sampled on ``DEFAULT_GRID_SIZE``
     points. A laser grating is sampled at each speed on
@@ -174,13 +160,7 @@ def _grating_table(g: GratingSpec, s: Species, v_z,
         rows = sizes == size
         values[rows] = fourier_coefficients(laser_phase_transmission(
             g, s, speeds[rows], int(size)), j_max).values
-    return CoefficientTable(j_max=j_max,
-                            values=values.reshape(v_z.shape + (-1,)))
-
-
-def grating_coefficients(g: GratingSpec, s: Species, v_z) -> CoefficientTable:
-    """Fourier table (|j| <= ``DEFAULT_J_MAX``) of ``g`` at speed(s) ``v_z``."""
-    return _grating_table(g, s, v_z, DEFAULT_J_MAX)
+    return CoefficientTable(values.reshape(v_z.shape + (-1,)))
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -196,8 +176,12 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
     m, xi = m[..., None], xi[..., None]
     j_max = b.j_max
     j = np.arange(-j_max, j_max + 1)
-    pad = j_max + int(np.max(np.abs(m), initial=0))
-    padded, index = b.padded(pad), j - m + pad
+    # b_{j-m} from the table padded with max |m| zeros on either side
+    pad = int(np.max(np.abs(m), initial=0))
+    padded = np.zeros(b.values.shape[:-1] + (2 * (j_max + pad) + 1,),
+                      dtype=complex)
+    padded[..., pad:pad + 2 * j_max + 1] = b.values
+    index = j - m + j_max + pad
     lead = np.broadcast_shapes(padded.shape[:-1], index.shape[:-1])
     shifted = np.take_along_axis(
         np.broadcast_to(padded, lead + padded.shape[-1:]),
@@ -215,16 +199,11 @@ def _check_truncation(b: CoefficientTable):
 
 
 def talbot_pattern(b: CoefficientTable, L_over_LT: float,
-                   m_max: int = DEFAULT_M_MAX) -> FourierPattern:
-    """Coherent self-imaging pattern: component m is B_m(m L / L_T).
-
-    The grating period is not known to a bare coefficient table, so the
-    caller scales the x axis; period 1 is used here.
-    """
+                   m_max: int = DEFAULT_M_MAX) -> CoefficientTable:
+    """Coherent self-imaging pattern: component m is B_m(m L / L_T)."""
     _check_truncation(b)
     m = np.arange(-m_max, m_max + 1)
-    comps = talbot_lau_coefficient(b, m, m * L_over_LT)
-    return FourierPattern(period_d=1.0, components=comps)
+    return CoefficientTable(talbot_lau_coefficient(b, m, m * L_over_LT))
 
 
 def detector_signal(cfg: InterferometerConfig, v_z: float,
@@ -232,7 +211,7 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
                     channels: Sequence = ()) -> np.ndarray:
     """Fourier components S_m (m = 0 .. m_max) of the transmitted signal.
 
-    S_m = conj(B1_m(0)) * B2_{2m}(m L / L_T) * conj(B3_m(0)); the last
+    S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T) * conj(B3_m(0)); the last
     factor is dropped in surface-imaging mode. Decoherence channels
     multiply the central-grating coefficient by its exponential reduction
     factor.
@@ -247,55 +226,28 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
     """``detector_signal`` for each of ``velocities``, one row per node.
 
     Each distinct grating (the three masks of a symmetric TLI are one) gets
-    one table covering all nodes; row i is bit for bit the signal of node i
+    one table covering all nodes; row i is bit for bit the table of node i
     alone.
     """
     s = cfg.species
-    velocities = [float(v) for v in velocities]
-    nodes = np.array(velocities)[:, None]
+    nodes = np.asarray(velocities, dtype=float)[:, None]
     tables = {}
 
     def table(g):
         if g not in tables:
-            tables[g] = _grating_table(g, s, nodes, j_max)
+            tables[g] = grating_coefficients(g, s, nodes, j_max)
         return tables[g]
 
-    b1, b2 = table(cfg.grating1), table(cfg.grating2)
     m = np.arange(m_max + 1)
-    xi_unit = np.array([[_xi_per_order(cfg, v)] for v in velocities])
-    signal = _product(np.conj(talbot_lau_coefficient(b1, m, 0.0)),
-                      talbot_lau_coefficient(b2, 2 * m, m * xi_unit))
+    xi_unit = cfg.flight_time(nodes) / talbot_time(s.mass, cfg.period_d)
+    signal = np.conj(talbot_lau_coefficient(table(cfg.grating1), m, 0.0)) \
+        * talbot_lau_coefficient(table(cfg.grating2), 2 * m, m * xi_unit)
     if cfg.grating3 is not None:
-        signal = _product(signal, np.conj(talbot_lau_coefficient(
-            table(cfg.grating3), m, 0.0)))
-    if channels:
-        factor = np.ones(signal.shape, dtype=complex)
-        for channel in channels:
-            factor = _product(factor, [[channel_factor(channel, cfg, 2 * k, v)
-                                        for k in range(m_max + 1)]
-                                       for v in velocities])
-        signal = _product(signal, factor)
+        signal *= np.conj(talbot_lau_coefficient(table(cfg.grating3), m, 0.0))
+    for channel in channels:
+        signal *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
+                   for v in nodes[:, 0]]
     return signal
-
-
-def _product(a, b) -> np.ndarray:
-    """Elementwise complex product, rounded like the scalar product.
-
-    numpy's array loop for complex multiplication may fuse a multiply and
-    an add, which changes the last bit; rounding each real product and
-    sum separately gives the same numbers as multiplying order by order.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.real * b.real - a.imag * b.imag) \
-        + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def _xi_per_order(cfg: InterferometerConfig, v_z: float) -> float:
-    """Talbot argument per fringe order: L / L_T or T / T_T."""
-    if cfg.mode == "spatial":
-        lam = de_broglie_wavelength(cfg.species.mass, v_z)
-        return cfg.separation_L / talbot_length(cfg.period_d, lam)
-    return cfg.pulse_delay_T / talbot_time(cfg.species.mass, cfg.period_d)
 
 
 def sinusoidal_visibility(signal: np.ndarray) -> float:
@@ -315,29 +267,22 @@ def velocity_averaged_signal(cfg: InterferometerConfig,
                              m_max: int = DEFAULT_M_MAX,
                              j_max: int = DEFAULT_J_MAX,
                              channels: Sequence = ()) -> np.ndarray:
-    """Signal components averaged over the beam velocity distribution.
-
-    All nodes are evaluated together (``_node_signals``); the weighted sum
-    runs node by node, in the order of a per-node loop.
-    """
-    pairs = velocity_weights(cfg.beam, n_velocities)
-    signals = _node_signals(cfg, [v for v, _ in pairs], m_max, j_max,
-                            channels)
-    total = np.zeros(m_max + 1, dtype=complex)
-    for (_, w), signal in zip(pairs, signals):
-        total += w * signal
-    return total
+    """Signal components averaged over the beam velocity distribution:
+    the weighted sum of the node signals (``_node_signals``)."""
+    nodes, weights = np.array(velocity_weights(cfg.beam, n_velocities)).T
+    return weights @ _node_signals(cfg, nodes, m_max, j_max, channels)
 
 
 def velocity_averaged_pattern(cfg: InterferometerConfig,
                               n_velocities: int = 16,
                               m_max: int = DEFAULT_M_MAX,
                               channels: Sequence = ()):
-    """(FourierPattern, visibility) after velocity averaging."""
+    """(density CoefficientTable over x in periods, visibility) after
+    velocity averaging."""
     signal = velocity_averaged_signal(cfg, n_velocities, m_max,
                                       channels=channels)
-    comps = np.concatenate([np.conj(signal[:0:-1]), signal])
-    pattern = FourierPattern(period_d=cfg.period_d, components=comps)
+    pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
+                                               signal]))
     return pattern, sinusoidal_visibility(signal)
 
 
@@ -345,7 +290,7 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
                            channels: Sequence = ()) -> float:
     """Visibility of a pulsed (time-domain) configuration at delay T.
 
-    The formula is velocity independent: the Talbot argument is T / T_T and
+    The formula is velocity independent: the flight time is T and
     ionizing-grating coefficients do not involve v_z.
     """
     if T <= 0.0:
@@ -360,7 +305,7 @@ def time_domain_visibility(cfg: InterferometerConfig, T: float,
 
 
 __all__ = [
-    "InterferometerConfig", "FourierPattern", "GratingSpec",
+    "InterferometerConfig", "GratingSpec",
     "grating_transmission", "grating_coefficients",
     "talbot_lau_coefficient", "talbot_pattern",
     "detector_signal", "sinusoidal_visibility",

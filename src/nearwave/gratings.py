@@ -295,32 +295,34 @@ def ionizing_transmission(g: IonizingGrating,
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Fourier coefficients b_j of a periodic function, |j| <= j_max.
+    """Fourier coefficients c_j of a periodic function, |j| <= j_max.
 
-    Index ``j`` maps to ``values[..., j + j_max]``; orders outside the table
-    are treated as zero. Leading axes of ``values``, if any, stack the
-    tables of several speeds; ``get`` reads a single table.
+    Index ``j`` maps to ``values[..., j + j_max]``, so the last axis has the
+    odd length 2 j_max + 1; orders outside the table are treated as zero.
+    Leading axes of ``values``, if any, stack the tables of several speeds;
+    ``get`` and ``reconstruct`` read a single table.
     """
 
-    j_max: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape[-1] != 2 * self.j_max + 1:
-            raise ValueError("values must have length 2 j_max + 1")
+        if self.values.shape[-1] % 2 == 0:
+            raise ValueError("values must have odd length 2 j_max + 1")
+
+    @property
+    def j_max(self) -> int:
+        return self.values.shape[-1] // 2
 
     def get(self, j: int) -> complex:
         if abs(j) > self.j_max:
             return 0.0 + 0.0j
         return complex(self.values[j + self.j_max])
 
-    def padded(self, j_max: int) -> np.ndarray:
-        """Coefficient array re-indexed for |j| <= j_max, zero outside."""
-        out = np.zeros(self.values.shape[:-1] + (2 * j_max + 1,), dtype=complex)
-        lo = min(self.j_max, j_max)
-        out[..., j_max - lo:j_max + lo + 1] = \
-            self.values[..., self.j_max - lo:self.j_max + lo + 1]
-        return out
+    def reconstruct(self, x) -> np.ndarray:
+        """Real part of sum_j c_j exp(2 pi i j x), with x in periods."""
+        j = np.arange(-self.j_max, self.j_max + 1)
+        phases = np.exp(2j * np.pi * np.outer(np.asarray(x, dtype=float), j))
+        return np.real(phases @ self.values)
 
 
 def fourier_coefficients(p: TransmissionProfile,
@@ -340,8 +342,7 @@ def fourier_coefficients(p: TransmissionProfile,
     columns = np.mod(j, p.grid_size)
     rows = p.samples.reshape(-1, p.grid_size)
     values = np.fft.fft(rows, axis=-1)[:, columns] / p.grid_size
-    return CoefficientTable(
-        j_max=j_max, values=values.reshape(p.samples.shape[:-1] + (len(j),)))
+    return CoefficientTable(values.reshape(p.samples.shape[:-1] + (len(j),)))
 
 
 def transmission_probability_coefficients(p: TransmissionProfile,

@@ -126,7 +126,7 @@ def test_acceptance_03_fourier_vs_fresnel_oracle():
                                separation_L=L)
     x = np.linspace(-d / 2, d / 2, 201)
     pattern, _ = velocity_averaged_pattern(cfg, n_velocities=1, m_max=8)
-    w_tl = pattern.reconstruct(x)
+    w_tl = pattern.reconstruct(x / d)
     w_tl = w_tl / w_tl.mean()
     profile = material_transmission(g, C70, v, 4096)
     fresnel = incoherent_source_pattern(profile, profile, lam, L,

@@ -9,9 +9,10 @@ from nearwave.classical import (AbsorbedRayError, DegenerateEnsembleError,
 from nearwave.constants import HBAR
 from nearwave.core import BeamState, velocity_weights
 from nearwave.engine import InterferometerConfig, grating_transmission
-from nearwave.gratings import (LaserPhaseGrating, MaterialGrating,
-                               _wall_coefficient, laser_phase_amplitude,
-                               material_amplitude,
+from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
+                               MaterialGrating, _wall_coefficient,
+                               ionizing_transmission, laser_phase_amplitude,
+                               material_amplitude, material_slit_phase,
                                transmission_probability_coefficients)
 from nearwave.species import get_species
 
@@ -58,6 +59,37 @@ def test_material_kick_value_and_symmetry():
     # both the potential and the impulse scale as 1/v
     assert deflection_kick(g, C70, 200.0, 100e-9) == pytest.approx(
         deflection_kick(g, C70, 100.0, 100e-9) / 2.0)
+
+
+@pytest.mark.parametrize("g", [
+    vdw_mask(),
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.4, thickness_b=300e-9,
+                    interaction="casimir_polder_r4"),
+    IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=6.0,
+                    phase_amplitude_phi0=1.2),
+    IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=0.0,
+                    phase_amplitude_phi0=-0.4),
+], ids=["vdw_r3", "casimir_polder_r4", "ionizing", "ionizing_no_depletion"])
+def test_kick_is_phase_gradient(g):
+    # dimensional oracle: m dv / hbar is the x derivative of the grating
+    # phase, by central differences of material_slit_phase for a mask and
+    # of the unwrapped arg t(x) of the sampled ionizing transmission
+    d = g.period_d
+    for v in (60.0, 100.0, 240.0):
+        if isinstance(g, MaterialGrating):
+            x = np.array([-150e-9, -40e-9, 5e-9, 90e-9, 170e-9])
+            h = 1e-12
+            gradient = (material_slit_phase(g, C70, v, x + h)
+                        - material_slit_phase(g, C70, v, x - h)) / (2.0 * h)
+        else:
+            n = 1 << 16
+            phase = np.unwrap(np.angle(ionizing_transmission(g, n).samples))
+            k = np.array([1, 3000, 9000, 20000, 41000, 60000])
+            x = k * d / n
+            gradient = (phase[k + 1] - phase[k - 1]) / (2.0 * d / n)
+        kick = np.array([deflection_kick(g, C70, v, xi) for xi in x])
+        np.testing.assert_allclose(C70.mass * kick / HBAR, gradient,
+                                   rtol=1e-6, atol=0.0)
 
 
 def test_kick_on_bar_is_absorbed():
@@ -202,10 +234,10 @@ def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
 
 
 def test_quadrature_equals_per_node_formula():
-    # the hoisted survival mask and kick shape, the open-cell evaluation
-    # and the speed-free windows give the per-node numbers bit for bit;
-    # a laser grating2 takes the Bessel closed form of the sampled central
-    # integral, equal to it up to rounding
+    # the hoisted survival mask and kick shape, the open-cell evaluation,
+    # the speed-free windows and the one weighted sum give the per-node
+    # numbers up to rounding; a laser grating2 takes the Bessel closed form
+    # of the sampled central integral, equal to it up to rounding
     cp = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
                          thickness_b=300e-9, interaction="casimir_polder_r4")
     laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
@@ -227,11 +259,8 @@ def test_quadrature_equals_per_node_formula():
     for cfg in cases:
         for n in (1, 12):
             value = classical_visibility_quadrature(cfg, n_velocities=n)
-            if isinstance(cfg.grating2, LaserPhaseGrating):
-                assert value == pytest.approx(_per_node_quadrature(cfg, n),
-                                              rel=1e-12, abs=0.0)
-            else:
-                assert value == _per_node_quadrature(cfg, n)
+            assert value == pytest.approx(_per_node_quadrature(cfg, n),
+                                          rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("interaction", ["none", "vdw_r3",

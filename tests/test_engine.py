@@ -12,7 +12,6 @@ from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel)
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, TruncationWarning,
-                             _grating_table,
                              _laser_grid_size,
                              detector_signal, grating_coefficients,
                              grating_transmission,
@@ -40,14 +39,33 @@ def binary(f, d=991e-9):
     return MaterialGrating(period_d=d, open_fraction_f=f, interaction="none")
 
 
-def coefficient_tables(j_max=6):
+def _complex_arrays(shape):
     floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-    n = 2 * j_max + 1
+    n = math.prod(shape)
     return st.tuples(
         st.lists(floats, min_size=n, max_size=n),
         st.lists(floats, min_size=n, max_size=n),
-    ).map(lambda re_im: CoefficientTable(
-        j_max=j_max, values=np.array(re_im[0]) + 1j * np.array(re_im[1])))
+    ).map(lambda re_im: (np.array(re_im[0])
+                         + 1j * np.array(re_im[1])).reshape(shape))
+
+
+def coefficient_tables(j_max=6):
+    return _complex_arrays((2 * j_max + 1,)).map(CoefficientTable)
+
+
+def stacked_tables(j_max=6):
+    """Tables of one to four nodes stacked on a leading axis."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: _complex_arrays((k, 2 * j_max + 1))).map(CoefficientTable)
+
+
+def symmetric_tables(j_max=6):
+    """Tables with b_-j = b_j, those of a mask with t(-x) = t(x), single
+    or stacked."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda k: _complex_arrays((k, j_max + 1))).map(
+        lambda half: CoefficientTable(np.concatenate(
+            [half[:, :0:-1], half], axis=-1)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -65,6 +83,27 @@ def test_coefficient_conjugation_symmetry(b, m, xi):
     # B_{-m}(-xi) is the conjugate of B_m(xi)
     assert talbot_lau_coefficient(b, -m, -xi) == pytest.approx(
         np.conj(talbot_lau_coefficient(b, m, xi)), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=st.one_of(coefficient_tables(), stacked_tables()),
+       m=st.integers(min_value=-14, max_value=14),
+       xi=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+def test_coefficient_bounded_by_total_power(b, m, xi):
+    # Cauchy-Schwarz: |B_m(xi)| <= sum_j |b_j|^2 = B_0(0) for any table,
+    # row by row; |m| > 2 j_max reads only the zero padding
+    total = np.real(talbot_lau_coefficient(b, 0, 0.0))
+    assert np.all(np.abs(talbot_lau_coefficient(b, m, xi))
+                  <= total * (1.0 + 1e-12) + 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(b=symmetric_tables(), m=st.integers(min_value=-14, max_value=14))
+def test_coefficient_at_zero_real_for_symmetric_table(b, m):
+    # b_-j = b_j makes B_m(0) equal to its own conjugate
+    total = np.real(talbot_lau_coefficient(b, 0, 0.0))
+    assert np.all(np.abs(np.imag(talbot_lau_coefficient(b, m, 0.0)))
+                  <= 1e-15 * total)
 
 
 def test_integer_argument_reduces_to_classical_window():
@@ -192,10 +231,10 @@ def test_velocity_averaged_pattern_is_real_density():
         beam=BeamState(100.0, 0.15), separation_L=0.22)
     pattern, visibility = velocity_averaged_pattern(cfg, n_velocities=8)
     x = np.linspace(0.0, 991e-9, 64)
-    density = pattern.reconstruct(x)
+    density = pattern.reconstruct(x / 991e-9)
     assert 0.0 < visibility <= 1.0
     assert np.all(density > 0.0)
-    for m in range(1, pattern.m_max + 1):
+    for m in range(1, pattern.j_max + 1):
         assert pattern.get(-m) == pytest.approx(np.conj(pattern.get(m)),
                                                 rel=1e-12)
 
@@ -286,8 +325,8 @@ def _per_node_signal(cfg, v, m_max, channels=()):
         return grating_coefficients(g, cfg.species, v)
 
     m = np.arange(m_max + 1)
-    lam = de_broglie_wavelength(cfg.species.mass, v)
-    xi_unit = cfg.separation_L / talbot_length(cfg.period_d, lam)
+    xi_unit = (cfg.separation_L / v) / talbot_time(cfg.species.mass,
+                                                   cfg.period_d)
     signal = product(np.conj(talbot_lau_coefficient(table(cfg.grating1), m, 0.0)),
                      talbot_lau_coefficient(table(cfg.grating2), 2 * m,
                                             m * xi_unit))
@@ -340,7 +379,7 @@ def _oracle_case(name):
                                   "kdtli", "surface_imaging", "top_hat",
                                   "collisional"])
 def test_velocity_average_equals_per_node_loop(name):
-    # one table per distinct grating for all nodes gives, bit for bit, the
+    # one table per distinct grating for all nodes gives, to rounding, the
     # weighted per-node sum of detector_signal and of a per-node build
     cfg, channels = _oracle_case(name)
     n, m_max = 12, 3
@@ -350,12 +389,30 @@ def test_velocity_average_equals_per_node_loop(name):
     rebuilt = np.zeros(m_max + 1, dtype=complex)
     for v, w in velocity_weights(cfg.beam, n):
         single = detector_signal(cfg, v, m_max, channels=channels)
-        assert np.array_equal(single, _per_node_signal(cfg, v, m_max,
-                                                       channels))
+        np.testing.assert_allclose(single, _per_node_signal(cfg, v, m_max,
+                                                            channels),
+                                   rtol=1e-12, atol=0.0)
         by_node += w * single
         rebuilt += w * _per_node_signal(cfg, v, m_max, channels)
-    assert np.array_equal(averaged, by_node)
-    assert np.array_equal(averaged, rebuilt)
+    np.testing.assert_allclose(averaged, by_node, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(averaged, rebuilt, rtol=1e-12, atol=0.0)
+
+
+def test_flight_time_over_talbot_time_equals_separation_over_talbot_length():
+    # the engine's Talbot argument (L / v) / T_T against L / L_T with
+    # L_T = d^2 / lambda, over the speeds of every oracle case
+    for name in ("vdw_r3", "kdtli", "top_hat"):
+        cfg, _ = _oracle_case(name)
+        t_t = talbot_time(cfg.species.mass, cfg.period_d)
+        for v, _ in velocity_weights(cfg.beam, 12):
+            lam = de_broglie_wavelength(cfg.species.mass, v)
+            by_length = cfg.separation_L / talbot_length(cfg.period_d, lam)
+            assert cfg.flight_time(v) / t_t == pytest.approx(
+                by_length, rel=1e-14, abs=0.0)
+    # in the time domain the flight time is the pulse delay at every speed
+    speeds = np.array([[1.0], [50.0], [300.0]])
+    assert np.array_equal(_otima_config().flight_time(speeds),
+                          np.full((3, 1), 1e-3))
 
 
 @pytest.mark.parametrize("name", ["vdw_r3", "kdtli", "collisional"])
@@ -447,7 +504,7 @@ def test_laser_grid_covers_the_table_orders():
     assert _laser_grid_size(0.0, 64) == 256
     assert _laser_grid_size(1e4, 64) == 4096
     g, species, v = _laser(power_P=1e-4), get_species("PFNS8"), 75.0
-    table = _grating_table(g, species, v, 130)
+    table = grating_coefficients(g, species, v, 130)
     z = laser_phase_amplitude(g, species, v) / 2.0
     assert np.max(np.abs(table.values - _laser_closed_form(z, 130))) < 1e-13
     cfg = InterferometerConfig(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nearwave.constants import AMU
-from nearwave.gratings import (AliasingError, IonizingGrating,
-                               LaserPhaseGrating, MaterialGrating,
+from nearwave.gratings import (AliasingError, CoefficientTable,
+                               IonizingGrating, LaserPhaseGrating,
+                               MaterialGrating,
                                SlitBlockedError, fourier_coefficients,
                                ionizing_transmission, laser_phase_amplitude,
                                laser_phase_transmission, material_amplitude,
@@ -25,6 +26,15 @@ def analytic_binary_coefficient(f, j):
     if j == 0:
         return f
     return math.sin(math.pi * j * f) / (math.pi * j)
+
+
+def test_coefficient_table_order_count():
+    # j_max is read from the odd length 2 j_max + 1 of the last axis
+    table = CoefficientTable(np.zeros((3, 11), dtype=complex))
+    assert table.j_max == 5
+    assert table.get(6) == 0.0
+    with pytest.raises(ValueError, match="odd"):
+        CoefficientTable(np.zeros(10, dtype=complex))
 
 
 def test_binary_profile_mean():
