@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .constants import HBAR
 from .core import bessel_j, velocity_weights
-from .engine import InterferometerConfig
+from .engine import MEMO_SIZE, InterferometerConfig
 from .gratings import (DEFAULT_GRID_SIZE, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, TransmissionProfile,
                        _wall_coefficient, _wall_distances,
@@ -135,11 +136,12 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     return float(_kick(g, s, np.array([x]))(v_z)[0])
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _mask_window(g):
     """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
     a phase never changes |t|. |t| of a material mask is its open cell
     fractions, a laser grating transmits everything, and without a mask
-    (``g`` None) the window is (1, 1).
+    (``g`` None) the window is (1, 1). Built once per process and mask.
     """
     if g is None:
         return 1.0, 1.0 + 0.0j
@@ -151,6 +153,24 @@ def _mask_window(g):
         profile = TransmissionProfile(g.period_d, np.ones(DEFAULT_GRID_SIZE))
     values = transmission_probability_coefficients(profile, 1).values
     return complex(values[1]).real, complex(values[2])
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _central_grid(g, s: Species):
+    """Speed-free part of the twin's central integral over a material or
+    ionizing grating, on ``QUADRATURE_GRID`` cell centres x, built once per
+    process, grating and species: (q0, open cells, |t(x)|^2 and 2 x at the
+    open cells, the kick there as a function of v_z). q0 is the mean of
+    |t|^2; blocked cells add exact zeros to q1, so only open ones are kept.
+    """
+    d = g.period_d
+    x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
+    t2 = _survival_probability(g, x)
+    is_open = t2 != 0.0
+    t2_open, two_x = t2[is_open], 2.0 * x[is_open]
+    for array in (is_open, t2_open, two_x):
+        array.flags.writeable = False
+    return t2.mean(), is_open, t2_open, two_x, _kick(g, s, x[is_open])
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -256,9 +276,10 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
     and K(v) read from the same kick as the ray tracer. Material and
     ionizing central gratings are sampled on ``QUADRATURE_GRID`` points: the
-    survival mask and kick shape are computed once, and each velocity node
-    only scales the kick. The outer masks' windows do not depend on the
-    speed: one per distinct mask.
+    survival mask and kick shape are computed once per process
+    (``_central_grid``), and each velocity node only scales the kick. The
+    outer masks' windows do not depend on the speed: one per process and
+    mask (``_mask_window``).
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -274,13 +295,7 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         q1s = bessel_j(2, -2.0 * np.pi * peak_kick * cfg.flight_time(nodes)
                        / d)
     else:
-        x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
-        t2 = _survival_probability(g2, x)
-        q0 = t2.mean()
-        # blocked cells add exact zeros to q1, so only open ones are evaluated
-        is_open = t2 != 0.0
-        t2_open, two_x = t2[is_open], 2.0 * x[is_open]
-        kick = _kick(g2, s, x[is_open])
+        q0, is_open, t2_open, two_x, kick = _central_grid(g2, s)
         terms = np.zeros(QUADRATURE_GRID, dtype=complex)
         q1s = np.empty(len(nodes), dtype=complex)
         for i, v in enumerate(nodes):
@@ -288,8 +303,7 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
                 -2j * np.pi * (two_x + kick(v) * cfg.flight_time(v)) / d)
             q1s[i] = np.mean(terms)
     t1_0, t1_1 = _mask_window(cfg.grating1)
-    t3_0, t3_1 = (_mask_window(cfg.grating3)
-                  if cfg.grating3 != cfg.grating1 else (t1_0, t1_1))
+    t3_0, t3_1 = _mask_window(cfg.grating3)
 
     # the weights sum to one and q0 is the same at every node
     q1 = weights @ q1s

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -128,6 +127,8 @@ def _pmap(func, items):
                   os.cpu_count() or 1)
     if workers <= 1:
         return [func(item) for item in items]
+    # imported here: the pool's modules are loaded only by a run that uses it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items))
 

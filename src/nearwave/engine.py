@@ -11,17 +11,25 @@ the ratio 2 |S_1 / S_0| of the transmitted signal components.
 
 A velocity average builds each distinct grating's table once for all
 velocity nodes: one node-stacked transmission and coefficient table per
-grating, or a single row for a grating whose t(x) does not depend on the
-speed, and one coefficient evaluation over node x order. A laser grating
+grating, and one coefficient evaluation over node x order. A laser grating
 is sampled at each node on the smallest power-of-two grid that resolves
 its phase (``_laser_grid_size``); nodes that share a grid share one
 node-stacked build and one batched FFT.
+
+A grating whose t(x) does not depend on the speed (an ionizing grating, a
+material mask without an eikonal phase) has one table and one outer factor
+conj B_m(0) per process: both are memoised on the frozen grating and
+species (``_speed_free_table``, ``_speed_free_outer``) and read-only, so a
+sweep that changes another input rebuilds neither. Within one node set
+each distinct outer grating's factor is evaluated once, so grating3 ==
+grating1 reuses it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,14 +39,17 @@ from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
-                       fourier_coefficients, ionizing_transmission,
-                       is_pure_phase, laser_phase_amplitude,
+                       fourier_coefficients, has_speed_free_transmission,
+                       ionizing_transmission, is_pure_phase,
+                       laser_phase_amplitude,
                        laser_phase_transmission, material_transmission)
 from .species import Species
 
 DEFAULT_M_MAX = 8
 XI_SANITY_BOUND = 1e6
 TRUNCATION_WARN_LEVEL = 1e-8
+# entries kept by each per-process memo of speed-free tables and factors
+MEMO_SIZE = 64
 
 GratingSpec = MaterialGrating | LaserPhaseGrating | IonizingGrating
 
@@ -145,22 +156,47 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     axis.
 
     Material and ionizing gratings are sampled on ``DEFAULT_GRID_SIZE``
-    points. A laser grating is sampled at each speed on
+    points; a speed-free one is built once per process
+    (``_speed_free_table``). A laser grating is sampled at each speed on
     ``_laser_grid_size`` points; the speeds that share a grid share one
     build, so each row is bit for bit the table of its speed alone.
     """
+    if has_speed_free_transmission(g, s):
+        return _speed_free_table(g, s, j_max)
     if not isinstance(g, LaserPhaseGrating):
         return fourier_coefficients(grating_transmission(g, s, v_z), j_max)
     v_z = np.asarray(v_z, dtype=float)
     speeds = v_z.reshape(-1)
-    sizes = np.array([_laser_grid_size(phi0, j_max)
-                      for phi0 in laser_phase_amplitude(g, s, speeds)])
+    rows_by_size = {}
+    for row, phi0 in enumerate(laser_phase_amplitude(g, s, speeds)):
+        rows_by_size.setdefault(_laser_grid_size(phi0, j_max), []).append(row)
     values = np.empty((speeds.size, 2 * j_max + 1), dtype=complex)
-    for size in np.unique(sizes):
-        rows = sizes == size
+    for size, rows in sorted(rows_by_size.items()):
         values[rows] = fourier_coefficients(laser_phase_transmission(
-            g, s, speeds[rows], int(size)), j_max).values
+            g, s, speeds[rows], size), j_max).values
     return CoefficientTable(values.reshape(v_z.shape + (-1,)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _speed_free_table(g: GratingSpec, s: Species,
+                      j_max: int) -> CoefficientTable:
+    """The single-row table of a grating whose t(x) does not depend on the
+    speed (any speed builds it), once per process; its values are
+    read-only."""
+    table = fourier_coefficients(grating_transmission(g, s, 1.0), j_max)
+    table.values.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _speed_free_outer(g: GratingSpec, s: Species, m_max: int,
+                      j_max: int) -> np.ndarray:
+    """Outer factor conj B_m(0), m = 0 .. ``m_max``, of a speed-free
+    grating, evaluated once per process; read-only."""
+    factor = np.conj(talbot_lau_coefficient(_speed_free_table(g, s, j_max),
+                                            np.arange(m_max + 1), 0.0))
+    factor.flags.writeable = False
+    return factor
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -168,26 +204,30 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
 
     ``m``, ``xi`` and the leading axes of a node-stacked table broadcast
     against each other; scalars and a single table give a complex scalar,
-    arrays an array of coefficients of the broadcast shape.
+    arrays an array of coefficients of the broadcast shape. For each
+    distinct order m the sum runs over the slice of j where both b_j and
+    b_{j-m} lie in the table; an order with |m| > 2 j_max gives zero.
     """
     m, xi = np.broadcast_arrays(m, xi)
     if np.any(np.abs(xi) >= XI_SANITY_BOUND):
         raise ValueError("xi outside sanity bound")
-    m, xi = m[..., None], xi[..., None]
     j_max = b.j_max
-    j = np.arange(-j_max, j_max + 1)
-    # b_{j-m} from the table padded with max |m| zeros on either side
-    pad = int(np.max(np.abs(m), initial=0))
-    padded = np.zeros(b.values.shape[:-1] + (2 * (j_max + pad) + 1,),
-                      dtype=complex)
-    padded[..., pad:pad + 2 * j_max + 1] = b.values
-    index = j - m + j_max + pad
-    lead = np.broadcast_shapes(padded.shape[:-1], index.shape[:-1])
-    shifted = np.take_along_axis(
-        np.broadcast_to(padded, lead + padded.shape[-1:]),
-        np.broadcast_to(index, lead + index.shape[-1:]), axis=-1)
-    phases = np.exp(1j * np.pi * (m - 2 * j) * xi)
-    return np.sum(b.values * np.conj(shifted) * phases, axis=-1)
+    shape = np.broadcast_shapes(b.values.shape[:-1], m.shape)
+    tables = np.broadcast_to(b.values, shape + b.values.shape[-1:])
+    m, xi = np.broadcast_to(m, shape), np.broadcast_to(xi, shape)
+    result = np.zeros(shape, dtype=complex)
+    for order in sorted(set(m.ravel().tolist())):
+        lo, hi = max(-j_max, order - j_max), min(j_max, order + j_max)
+        if lo > hi:
+            continue
+        at = m == order
+        rows = tables[at]
+        j = np.arange(lo, hi + 1)
+        products = rows[:, lo + j_max:hi + j_max + 1] \
+            * np.conj(rows[:, lo - order + j_max:hi - order + j_max + 1])
+        phases = np.exp(1j * np.pi * (order - 2 * j) * xi[at][:, None])
+        result[at] = np.sum(products * phases, axis=-1)
+    return result[()]
 
 
 def _check_truncation(b: CoefficientTable):
@@ -227,23 +267,32 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
 
     Each distinct grating (the three masks of a symmetric TLI are one) gets
     one table covering all nodes; row i is bit for bit the table of node i
-    alone.
+    alone. Each distinct outer grating gets one factor conj B_m(0), and a
+    speed-free one the factor memoised for the process.
     """
     s = cfg.species
     nodes = np.asarray(velocities, dtype=float)[:, None]
-    tables = {}
+    tables, outer_factors = {}, {}
+    m = np.arange(m_max + 1)
 
     def table(g):
         if g not in tables:
             tables[g] = grating_coefficients(g, s, nodes, j_max)
         return tables[g]
 
-    m = np.arange(m_max + 1)
+    def outer(g):
+        if g not in outer_factors:
+            outer_factors[g] = (
+                _speed_free_outer(g, s, m_max, j_max)
+                if has_speed_free_transmission(g, s)
+                else np.conj(talbot_lau_coefficient(table(g), m, 0.0)))
+        return outer_factors[g]
+
     xi_unit = cfg.flight_time(nodes) / talbot_time(s.mass, cfg.period_d)
-    signal = np.conj(talbot_lau_coefficient(table(cfg.grating1), m, 0.0)) \
+    signal = outer(cfg.grating1) \
         * talbot_lau_coefficient(table(cfg.grating2), 2 * m, m * xi_unit)
     if cfg.grating3 is not None:
-        signal *= np.conj(talbot_lau_coefficient(table(cfg.grating3), m, 0.0))
+        signal *= outer(cfg.grating3)
     for channel in channels:
         signal *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
                    for v in nodes[:, 0]]

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import importlib
 import importlib.resources
 import json
@@ -16,7 +17,7 @@ import nearwave
 from nearwave import cli
 from nearwave.cli import main
 from nearwave.engine import TruncationWarning
-from nearwave.scenario import SCHEMA, SWEEPABLE
+from nearwave.scenario import SCHEMA, SWEEPABLE, apply_sweep_value
 
 
 def data_path(name):
@@ -270,17 +271,20 @@ def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
             "'vdw_r3': wall_cutoff >= half the slit width") in result.output
 
 
-def test_point_builds_each_table_once(monkeypatch):
-    # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
-    # no interaction; g1 == g2 == g3 in each) builds one node-stacked
-    # transmission and one coefficient table, and the classical twin one
-    # speed-free window for its outer masks; a per-node build needs up
-    # to 12 of each per grating
+def _clear_memos():
+    """Empty the per-process memos of speed-free tables, outer factors,
+    windows and central grids, so that counts do not depend on which
+    tests ran before."""
     from nearwave import classical, engine
-    calls = dict.fromkeys(["engine.material_transmission",
-                           "engine.fourier_coefficients",
-                           "classical.transmission_probability_coefficients"],
-                          0)
+    for memo in (engine._speed_free_table, engine._speed_free_outer,
+                 classical._mask_window, classical._central_grid):
+        memo.cache_clear()
+
+
+def _count_calls(monkeypatch, sites):
+    """Wrap each "module.attribute" site with a call counter."""
+    from nearwave import classical, engine
+    calls = dict.fromkeys(sites, 0)
     for site in calls:
         module_name, attr = site.split(".")
         module = {"engine": engine, "classical": classical}[module_name]
@@ -289,13 +293,54 @@ def test_point_builds_each_table_once(monkeypatch):
             calls[_site] += 1
             return _func(*args, **kw)
         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_point_builds_each_table_once(monkeypatch):
+    # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
+    # no interaction; g1 == g2 == g3 in each) builds one node-stacked
+    # transmission and one coefficient table, and evaluates B_m once for
+    # grating2 and once for the outer masks; the classical twin builds one
+    # speed-free window for its outer masks. A second point rebuilds only
+    # the speed-dependent vdW and Casimir-Polder tables: the mask without
+    # a phase, its outer factor and the window are memoised.
+    _clear_memos()
+    calls = _count_calls(monkeypatch, [
+        "engine.material_transmission", "engine.fourier_coefficients",
+        "engine.talbot_lau_coefficient",
+        "classical.transmission_probability_coefficients"])
     cfg = nearwave.load_scenario(TLI).config
     record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
     assert list(record) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    assert calls["engine.material_transmission"] <= 3
-    assert calls["engine.fourier_coefficients"] <= 3
-    assert calls["classical.transmission_probability_coefficients"] <= 1
+    assert calls == {"engine.material_transmission": 3,
+                     "engine.fourier_coefficients": 3,
+                     "engine.talbot_lau_coefficient": 6,
+                     "classical.transmission_probability_coefficients": 1}
+    assert cli._point(12, cli.INTERACTIONS, (cfg, ())) == record
+    assert calls == {"engine.material_transmission": 5,
+                     "engine.fourier_coefficients": 5,
+                     "engine.talbot_lau_coefficient": 11,
+                     "classical.transmission_probability_coefficients": 1}
+
+
+def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
+    # the KDTLI's outer mask has no eikonal phase: across two power-sweep
+    # points its transmission, table, outer factor and window are built
+    # once; only the laser grating2 is rebuilt and evaluated at each point
+    _clear_memos()
+    calls = _count_calls(monkeypatch, [
+        "engine.material_transmission", "engine.talbot_lau_coefficient",
+        "classical.transmission_probability_coefficients"])
+    scenario = nearwave.load_scenario(KDTLI)
+    powers = scenario.sweep.values()[:2]
+    for power in powers:
+        cfg = apply_sweep_value(scenario, power)
+        assert cfg.grating1 == cfg.grating3
+        cli._point(12, cli.QUANTUM, (cfg, ()))
+    assert calls == {"engine.material_transmission": 1,
+                     "engine.talbot_lau_coefficient": 1 + len(powers),
+                     "classical.transmission_probability_coefficients": 1}
 
 
 def test_carpet_matrix_shape(runner):
@@ -499,7 +544,8 @@ def test_worker_count_clamped(monkeypatch, workers):
         def map(self, func, items):
             return map(func, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     monkeypatch.setenv("NEARWAVE_WORKERS", workers)
     items = [-1, -2, -3, -4, -5]
     assert cli._pmap(abs, items) == [1, 2, 3, 4, 5]
@@ -511,11 +557,12 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch):
     # the same bytes from this process and from a pool of two workers
     sizes = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     args = ["velocity-sweep", TLI, "--velocities", "2", "--out"]
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     serial = tmp_path / "serial.csv"
@@ -548,18 +595,42 @@ def test_trace_lookup_sites_resolve():
                                 attr, None)), site
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where adaptive quadrature runs
+def _loaded_in_fresh_interpreter(code, prefixes):
+    """Sorted modules under any of ``prefixes`` that ``code`` leaves
+    loaded in a new interpreter that imports nearwave from this tree."""
     src = str(pathlib.Path(nearwave.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, nearwave.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'))")
+    env.pop("NEARWAVE_WORKERS", None)
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if any(\n"
+             f"    m == p or m.startswith(p + '.') for p in {prefixes!r})))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where adaptive quadrature runs, the process
+    # pool only where NEARWAVE_WORKERS asks for one, and numpy.ma nowhere
+    loaded = _loaded_in_fresh_interpreter(
+        "import nearwave.cli", ("scipy", "multiprocessing", "numpy.ma"))
+    assert loaded == "[]"
+
+
+def test_sweep_points_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call (~14 ms); one power-sweep
+    # and one velocity-sweep point in a fresh interpreter must not need it
+    code = "\n".join([
+        "from nearwave import cli, load_scenario",
+        "from nearwave.scenario import apply_sweep_value",
+        f"for path, columns in (({KDTLI!r}, cli.QUANTUM),",
+        f"                      ({TLI!r}, cli.INTERACTIONS)):",
+        "    scenario = load_scenario(path)",
+        "    value = scenario.sweep.values()[0]",
+        "    cli._point(12, columns, (apply_sweep_value(scenario, value), ()))"])
+    assert _loaded_in_fresh_interpreter(code, ("numpy.ma",)) == "[]"
 
 
 def test_otima_map(runner):

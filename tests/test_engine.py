@@ -151,6 +151,50 @@ def test_coefficient_array_form_equals_scalar_form():
         talbot_lau_coefficient(b, m, np.full(17, 2e6))
 
 
+def _literal_coefficient(values, m, xi):
+    """sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi) as a double loop over
+    j and the order j - m, for one table and one (m, xi)."""
+    j_max = len(values) // 2
+    total = 0.0 + 0.0j
+    for j in range(-j_max, j_max + 1):
+        for k in range(-j_max, j_max + 1):
+            if k == j - m:
+                total += (values[j + j_max] * np.conj(values[k + j_max])
+                          * np.exp(1j * np.pi * (m - 2 * j) * xi))
+    return total
+
+
+def test_coefficient_equals_literal_double_loop():
+    # the sum over the slice of j for each distinct m against the literal
+    # sum: negative orders, orders beyond 2 j_max (zero), scalars, and
+    # node-stacked (nodes, 1) tables against (m,) and (nodes, m) xi
+    rng = np.random.default_rng(12)
+    j_max, nodes = 6, 4
+    values = (rng.uniform(-1.0, 1.0, (nodes, 1, 2 * j_max + 1))
+              + 1j * rng.uniform(-1.0, 1.0, (nodes, 1, 2 * j_max + 1)))
+    m = np.array([-14, -13, -12, -5, -1, 0, 1, 2, 7, 12, 13, 20])
+    xi_row = rng.uniform(-3.0, 3.0, m.size)
+    xi_nodes = rng.uniform(-3.0, 3.0, (nodes, m.size))
+    stacked = CoefficientTable(values)
+    for xi in (xi_row, xi_nodes):
+        result = talbot_lau_coefficient(stacked, m, xi)
+        assert result.shape == (nodes, m.size)
+        xi = np.broadcast_to(xi, result.shape)
+        for node in range(nodes):
+            for i, order in enumerate(m):
+                expected = _literal_coefficient(values[node, 0], order,
+                                                xi[node, i])
+                assert abs(result[node, i] - expected) <= 1e-13
+                if abs(order) > 2 * j_max:
+                    assert result[node, i] == 0.0
+    single = CoefficientTable(values[0, 0])
+    for order, xi in ((-3, 0.7), (0, 0.0), (5, -1.25), (13, 0.4)):
+        value = talbot_lau_coefficient(single, order, xi)
+        assert np.ndim(value) == 0 and isinstance(value, complex)
+        assert abs(value - _literal_coefficient(values[0, 0], order,
+                                                xi)) <= 1e-13
+
+
 def test_signal_orders_do_not_depend_on_m_max():
     # S_0 and S_1 are the same numbers whether or not higher orders are
     # computed, so the visibility needs only m_max = 1

@@ -8,7 +8,8 @@ from nearwave.constants import AMU
 from nearwave.gratings import (AliasingError, CoefficientTable,
                                IonizingGrating, LaserPhaseGrating,
                                MaterialGrating,
-                               SlitBlockedError, fourier_coefficients,
+                               SlitBlockedError, _slit_offsets,
+                               fourier_coefficients,
                                ionizing_transmission, laser_phase_amplitude,
                                laser_phase_transmission, material_amplitude,
                                material_slit_phase, material_transmission,
@@ -286,3 +287,37 @@ def test_amplitude_is_the_modulus_of_the_transmission():
     assert np.array_equal(material_transmission(binary(0.475), C70, 100.0,
                                                 1024).samples,
                           material_amplitude(binary(0.475), 1024))
+
+
+@pytest.mark.parametrize("grid_size", [256, 1024, 4096])
+@pytest.mark.parametrize("grating", [
+    binary(0.475),
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                    thickness_b=500e-9, interaction="vdw_r3"),
+    MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                    thickness_b=500e-9, interaction="casimir_polder_r4"),
+    LaserPhaseGrating(period_d=266e-9, power_P=5.0, vertical_waist_wy=20e-6,
+                      laser_wavelength=532e-9),
+], ids=["none", "vdw_r3", "casimir_polder_r4", "laser"])
+def test_folded_build_equals_direct_exp_on_symmetric_grid(grating, grid_size):
+    # the grid is exactly symmetric about the slit centre, so the builders
+    # that evaluate offsets 0 .. d/2 and mirror them give the samples of
+    # one exp over the whole grid, bit for bit, single speed and stacked
+    d = grating.period_d
+    x = _slit_offsets(d, grid_size)
+    # point N/2 is d/2, its own mirror image modulo one period
+    k = np.arange(1, grid_size // 2)
+    assert x[0] == 0.0 and x[grid_size // 2] == d / 2.0
+    assert np.array_equal(x[k], -x[grid_size - k])
+    for v in (100.0, np.array([[61.0], [100.0], [173.25]])):
+        v_nodes = np.asarray(v)[..., None]
+        if isinstance(grating, MaterialGrating):
+            built = material_transmission(grating, C70, v, grid_size)
+            direct = material_amplitude(grating, grid_size) * np.exp(
+                1j * material_slit_phase(grating, C70, v_nodes, x))
+        else:
+            built = laser_phase_transmission(grating, C70, v, grid_size)
+            phi0 = laser_phase_amplitude(grating, C70, v_nodes)
+            direct = np.exp(1j * phi0 * np.cos(np.pi * x / d) ** 2)
+        assert built.samples.shape == direct.shape
+        assert np.array_equal(built.samples, direct)
