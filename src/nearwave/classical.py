@@ -159,18 +159,18 @@ def _mask_window(g):
 def _central_grid(g, s: Species):
     """Speed-free part of the twin's central integral over a material or
     ionizing grating, on ``QUADRATURE_GRID`` cell centres x, built once per
-    process, grating and species: (q0, open cells, |t(x)|^2 and 2 x at the
-    open cells, the kick there as a function of v_z). q0 is the mean of
-    |t|^2; blocked cells add exact zeros to q1, so only open ones are kept.
+    process, grating and species: (q0, |t(x)|^2 and 2 x at the open cells,
+    the kick there as a function of v_z). q0 is the mean of |t|^2; blocked
+    cells add nothing to q1, so only open ones are kept.
     """
     d = g.period_d
     x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
     t2 = _survival_probability(g, x)
     is_open = t2 != 0.0
     t2_open, two_x = t2[is_open], 2.0 * x[is_open]
-    for array in (is_open, t2_open, two_x):
+    for array in (t2_open, two_x):
         array.flags.writeable = False
-    return t2.mean(), is_open, t2_open, two_x, _kick(g, s, x[is_open])
+    return t2.mean(), t2_open, two_x, _kick(g, s, x[is_open])
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -277,7 +277,8 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     and K(v) read from the same kick as the ray tracer. Material and
     ionizing central gratings are sampled on ``QUADRATURE_GRID`` points: the
     survival mask and kick shape are computed once per process
-    (``_central_grid``), and each velocity node only scales the kick. The
+    (``_central_grid``), each velocity node only scales the kick, and the
+    sum runs over the open cells alone. The
     outer masks' windows do not depend on the speed: one per process and
     mask (``_mask_window``).
     """
@@ -295,13 +296,13 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         q1s = bessel_j(2, -2.0 * np.pi * peak_kick * cfg.flight_time(nodes)
                        / d)
     else:
-        q0, is_open, t2_open, two_x, kick = _central_grid(g2, s)
-        terms = np.zeros(QUADRATURE_GRID, dtype=complex)
+        q0, t2_open, two_x, kick = _central_grid(g2, s)
         q1s = np.empty(len(nodes), dtype=complex)
         for i, v in enumerate(nodes):
-            terms[is_open] = t2_open * np.exp(
-                -2j * np.pi * (two_x + kick(v) * cfg.flight_time(v)) / d)
-            q1s[i] = np.mean(terms)
+            # times 1 / d, which rounds as numpy's complex division by d
+            phase = (-2.0 * np.pi) * (two_x + kick(v) * cfg.flight_time(v)) \
+                * (1.0 / d)
+            q1s[i] = np.sum(t2_open * np.exp(1j * phase)) / QUADRATURE_GRID
     t1_0, t1_1 = _mask_window(cfg.grating1)
     t3_0, t3_1 = _mask_window(cfg.grating3)
 

@@ -10,11 +10,14 @@ the only quantity that depends on the mode. The sinusoidal visibility is
 the ratio 2 |S_1 / S_0| of the transmitted signal components.
 
 A velocity average builds each distinct grating's table once for all
-velocity nodes: one node-stacked transmission and coefficient table per
-grating, and one coefficient evaluation over node x order. A laser grating
-is sampled at each node on the smallest power-of-two grid that resolves
-its phase (``_laser_grid_size``); nodes that share a grid share one
-node-stacked build and one batched FFT.
+velocity nodes: one node-stacked coefficient table per grating, and one
+coefficient evaluation over node x order. A material mask with an eikonal
+phase takes its table straight from its open cells on offsets 0 .. d/2, as
+a cosine sum whose speed-free weights are memoised per geometry
+(``_mask_table``, ``_open_cell_weights``); no grid is mirrored and no FFT
+runs. A laser grating is sampled at each node on the smallest power-of-two
+grid that resolves its phase (``_laser_grid_size``); nodes that share a
+grid share one node-stacked build and one batched FFT.
 
 A grating whose t(x) does not depend on the speed (an ionizing grating, a
 material mask without an eikonal phase) has one table and one outer factor
@@ -39,10 +42,11 @@ from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
+                       _cell_open_fraction, _check_orders,
                        fourier_coefficients, has_speed_free_transmission,
                        ionizing_transmission, is_pure_phase,
-                       laser_phase_amplitude,
-                       laser_phase_transmission, material_transmission)
+                       laser_phase_amplitude, laser_phase_transmission,
+                       material_slit_phase, material_transmission)
 from .species import Species
 
 DEFAULT_M_MAX = 8
@@ -155,16 +159,21 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     shaped like ``grating_transmission``'s samples with orders on the last
     axis.
 
-    Material and ionizing gratings are sampled on ``DEFAULT_GRID_SIZE``
+    Material and ionizing gratings stand for t(x) on ``DEFAULT_GRID_SIZE``
     points; a speed-free one is built once per process
-    (``_speed_free_table``). A laser grating is sampled at each speed on
-    ``_laser_grid_size`` points; the speeds that share a grid share one
-    build, so each row is bit for bit the table of its speed alone.
+    (``_speed_free_table``), a mask with an eikonal phase by its open-cell
+    cosine sum (``_mask_table``), whose rows round differently for one
+    speed and for several (by about 1e-15). A laser grating is sampled at
+    each speed on ``_laser_grid_size`` points; the speeds that share a grid
+    share one build, so each row is bit for bit the table of its speed
+    alone.
     """
     if has_speed_free_transmission(g, s):
         return _speed_free_table(g, s, j_max)
+    if isinstance(g, MaterialGrating):
+        return _mask_table(g, s, v_z, j_max)
     if not isinstance(g, LaserPhaseGrating):
-        return fourier_coefficients(grating_transmission(g, s, v_z), j_max)
+        raise TypeError(f"unsupported grating type {type(g).__name__}")
     v_z = np.asarray(v_z, dtype=float)
     speeds = v_z.reshape(-1)
     rows_by_size = {}
@@ -175,6 +184,50 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
         values[rows] = fourier_coefficients(laser_phase_transmission(
             g, s, speeds[rows], size), j_max).values
     return CoefficientTable(values.reshape(v_z.shape + (-1,)))
+
+
+def _mask_table(g: MaterialGrating, s: Species, v_z,
+                j_max: int) -> CoefficientTable:
+    """Table of a material mask with an eikonal phase, from its open cells
+    on offsets 0 .. d/2 (``_open_cell_weights``): t is even, so the
+    N-point DFT of its samples is b_j = b_-j = sum_k W[k, j] e^(i phi_k(v)),
+    taken as two real matrix products with cos phi and sin phi (a complex
+    one would copy W to complex on every call). |e^(i phi)| = 1, so
+    |t| <= 1 is checked once, on the amplitude in W."""
+    v_z = np.asarray(v_z, dtype=float)
+    if np.any(v_z <= 0.0):
+        raise ValueError("v_z must be positive")
+    x_open, weights = _open_cell_weights(g.period_d, g.open_half_width, j_max)
+    # one row per speed, so that each product is a single matrix product
+    phase = material_slit_phase(g, s, v_z.reshape(-1, 1), x_open)
+    half = (np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+            ).reshape(v_z.shape + (-1,))
+    return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _open_cell_weights(d: float, open_half: float, j_max: int):
+    """(offsets, W) of the open cells k among grid points 0 .. N/2 of a
+    mask with slit half-width ``open_half``, N = ``DEFAULT_GRID_SIZE``:
+    W[k, j] = w_k |t_k| cos(2 pi j k / N) / N for j = 0 .. ``j_max``, with
+    w_k = 1 at k = 0 and k = N/2 (their own mirror images) and 2 elsewhere.
+    No speed or species enters; built once per process and geometry,
+    read-only."""
+    n = DEFAULT_GRID_SIZE
+    _check_orders(j_max, n)
+    k = np.arange(n // 2 + 1)
+    amp = _cell_open_fraction(k * d / n, d / (2.0 * n), open_half)
+    if np.max(amp) > 1.0 + 1e-12:
+        raise ValueError("|t(x)| must not exceed 1")
+    k = k[amp > 0.0]
+    w = np.where((k == 0) | (k == n // 2), 1.0, 2.0) * amp[k] / n
+    # j k reduced modulo N keeps the cosine argument below 2 pi
+    turns = np.outer(k, np.arange(j_max + 1)) % n
+    weights = w[:, None] * np.cos(2.0 * np.pi * turns / n)
+    x_open = k * d / n
+    for array in (x_open, weights):
+        array.flags.writeable = False
+    return x_open, weights
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -266,9 +319,11 @@ def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
     """``detector_signal`` for each of ``velocities``, one row per node.
 
     Each distinct grating (the three masks of a symmetric TLI are one) gets
-    one table covering all nodes; row i is bit for bit the table of node i
-    alone. Each distinct outer grating gets one factor conj B_m(0), and a
-    speed-free one the factor memoised for the process.
+    one table covering all nodes; row i is the table of node i alone, bit
+    for bit for a laser grating and up to rounding for a mask with an
+    eikonal phase (``grating_coefficients``). Each distinct outer grating
+    gets one factor conj B_m(0), and a speed-free one the factor memoised
+    for the process.
     """
     s = cfg.species
     nodes = np.asarray(velocities, dtype=float)[:, None]

@@ -1,8 +1,11 @@
 """Complex periodic transmission functions of the three grating families.
 
 A grating is reduced to one period of its complex transmission amplitude
-t(x), sampled on a uniform power-of-two grid, from which Fourier
-coefficients b_j are extracted by one batched FFT. Material masks carry an
+t(x), sampled on a uniform power-of-two grid, from which
+``fourier_coefficients`` extracts the Fourier coefficients b_j by one
+batched FFT. ``engine`` takes this path for laser and speed-free gratings;
+a material mask with an eikonal phase gets the same DFT there as a cosine
+sum over its open cells, without a sampled profile. Material masks carry an
 eikonal dispersion phase accumulated on straight trajectories through the
 slit; laser gratings are pure phase masks; pulsed ionizing gratings combine
 a periodic survival amplitude with a dipole phase.
@@ -356,6 +359,16 @@ class CoefficientTable:
         return np.real(phases @ self.values)
 
 
+def _check_orders(j_max: int, grid_size: int):
+    """Raise unless 1 <= ``j_max`` <= ``grid_size`` / 2, the orders that
+    ``grid_size`` samples resolve."""
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    if j_max > grid_size // 2:
+        raise AliasingError(
+            f"j_max={j_max} exceeds grid_size/2={grid_size // 2}")
+
+
 def fourier_coefficients(p: TransmissionProfile,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
     """b_j of the sampled transmission, t(x) = sum_j b_j exp(2 pi i j x / d).
@@ -364,11 +377,7 @@ def fourier_coefficients(p: TransmissionProfile,
     last axis of the whole stack; each row is bit for bit the FFT of that
     row alone. Only the 2 j_max + 1 orders are kept.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    if j_max > p.grid_size // 2:
-        raise AliasingError(
-            f"j_max={j_max} exceeds grid_size/2={p.grid_size // 2}")
+    _check_orders(j_max, p.grid_size)
     j = np.arange(-j_max, j_max + 1)
     columns = np.mod(j, p.grid_size)
     rows = p.samples.reshape(-1, p.grid_size)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import nearwave
-from nearwave import cli
+from nearwave import cli, engine
 from nearwave.cli import main
 from nearwave.engine import TruncationWarning
 from nearwave.scenario import SCHEMA, SWEEPABLE, apply_sweep_value
@@ -273,11 +273,12 @@ def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
 
 def _clear_memos():
     """Empty the per-process memos of speed-free tables, outer factors,
-    windows and central grids, so that counts do not depend on which
-    tests ran before."""
+    open-cell weights, windows and central grids, so that counts do not
+    depend on which tests ran before."""
     from nearwave import classical, engine
     for memo in (engine._speed_free_table, engine._speed_free_outer,
-                 classical._mask_window, classical._central_grid):
+                 engine._open_cell_weights, classical._mask_window,
+                 classical._central_grid):
         memo.cache_clear()
 
 
@@ -299,29 +300,36 @@ def _count_calls(monkeypatch, sites):
 def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked
-    # transmission and one coefficient table, and evaluates B_m once for
-    # grating2 and once for the outer masks; the classical twin builds one
+    # coefficient table, and evaluates B_m once for grating2 and once for
+    # the outer masks; the vdW and Casimir-Polder masks take the open-cell
+    # cosine sum, whose weights they share (same geometry), the mask without
+    # a phase one transmission and FFT; the classical twin builds one
     # speed-free window for its outer masks. A second point rebuilds only
-    # the speed-dependent vdW and Casimir-Polder tables: the mask without
-    # a phase, its outer factor and the window are memoised.
+    # the speed-dependent vdW and Casimir-Polder tables: the weights, the
+    # mask without a phase, its outer factor and the window are memoised.
     _clear_memos()
+    weights = engine._open_cell_weights
     calls = _count_calls(monkeypatch, [
-        "engine.material_transmission", "engine.fourier_coefficients",
-        "engine.talbot_lau_coefficient",
+        "engine._mask_table", "engine.material_transmission",
+        "engine.fourier_coefficients", "engine.talbot_lau_coefficient",
         "classical.transmission_probability_coefficients"])
     cfg = nearwave.load_scenario(TLI).config
     record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
     assert list(record) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    assert calls == {"engine.material_transmission": 3,
-                     "engine.fourier_coefficients": 3,
+    assert calls == {"engine._mask_table": 2,
+                     "engine.material_transmission": 1,
+                     "engine.fourier_coefficients": 1,
                      "engine.talbot_lau_coefficient": 6,
                      "classical.transmission_probability_coefficients": 1}
+    assert weights.cache_info().misses == 1
     assert cli._point(12, cli.INTERACTIONS, (cfg, ())) == record
-    assert calls == {"engine.material_transmission": 5,
-                     "engine.fourier_coefficients": 5,
+    assert calls == {"engine._mask_table": 4,
+                     "engine.material_transmission": 1,
+                     "engine.fourier_coefficients": 1,
                      "engine.talbot_lau_coefficient": 11,
                      "classical.transmission_probability_coefficients": 1}
+    assert weights.cache_info().misses == 1
 
 
 def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
