@@ -94,12 +94,16 @@ def _unit_rule(shape: str, n_points: int):
 
     Gauss-Hermite (probabilists') nodes for ``gaussian``, Gauss-Legendre for
     ``top_hat``; built once per (shape, n_points) and shared by every call.
+    Raises ``FloatingPointError`` if a node or weight is not finite (the
+    Gauss-Hermite weights overflow at some hundreds of nodes).
     """
-    if shape == "gaussian":
-        nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
-    else:  # top_hat
-        nodes, weights = np.polynomial.legendre.leggauss(n_points)
-    weights = weights / weights.sum()
+    rule = (np.polynomial.hermite_e.hermegauss if shape == "gaussian"
+            else np.polynomial.legendre.leggauss)
+    with np.errstate(all="ignore"):
+        nodes, weights = rule(n_points)
+        weights = weights / weights.sum()
+    if not np.isfinite((nodes, weights)).all():
+        raise FloatingPointError(f"{n_points}-node velocity rule not finite")
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -11,21 +11,16 @@ the ratio 2 |S_1 / S_0| of the transmitted signal components.
 
 A velocity average builds each distinct grating's table once for all
 velocity nodes: one node-stacked coefficient table per grating, and one
-coefficient evaluation over node x order. A material mask with an eikonal
-phase takes its table straight from its open cells on offsets 0 .. d/2, as
-a cosine sum whose speed-free weights are memoised per geometry
-(``_mask_table``, ``_open_cell_weights``); no grid is mirrored and no FFT
-runs. A laser grating is sampled at each node on the smallest power-of-two
-grid that resolves its phase (``_laser_grid_size``); nodes that share a
-grid share one node-stacked build and one batched FFT.
+coefficient evaluation over node x order. Phased masks and laser gratings
+are even about their slit centre, and one cosine-sum kernel builds both
+tables from the phase on half a period (``grating_coefficients``).
 
 A grating whose t(x) does not depend on the speed (an ionizing grating, a
-material mask without an eikonal phase) has one table and one outer factor
-conj B_m(0) per process: both are memoised on the frozen grating and
-species (``_speed_free_table``, ``_speed_free_outer``) and read-only, so a
-sweep that changes another input rebuilds neither. Within one node set
-each distinct outer grating's factor is evaluated once, so grating3 ==
-grating1 reuses it.
+material mask without an eikonal phase, a laser without a phase) has one
+table and one outer factor conj B_m(0) per process, memoised on the
+frozen grating and species and read-only, so a sweep that changes another
+input rebuilds neither. Within one node set each distinct outer grating's
+factor is evaluated once, so grating3 == grating1 reuses it.
 """
 
 from __future__ import annotations
@@ -42,10 +37,10 @@ from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
-                       _cell_open_fraction, _check_orders,
-                       fourier_coefficients, has_speed_free_transmission,
-                       ionizing_transmission, is_pure_phase,
-                       laser_phase_amplitude, laser_phase_transmission,
+                       _check_orders, fourier_coefficients,
+                       has_speed_free_transmission, ionizing_transmission,
+                       is_pure_phase, laser_phase_amplitude,
+                       laser_phase_transmission, material_amplitude,
                        material_slit_phase, material_transmission)
 from .species import Species
 
@@ -159,75 +154,64 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     shaped like ``grating_transmission``'s samples with orders on the last
     axis.
 
-    Material and ionizing gratings stand for t(x) on ``DEFAULT_GRID_SIZE``
-    points; a speed-free one is built once per process
-    (``_speed_free_table``), a mask with an eikonal phase by its open-cell
-    cosine sum (``_mask_table``), whose rows round differently for one
-    speed and for several (by about 1e-15). A laser grating is sampled at
-    each speed on ``_laser_grid_size`` points; the speeds that share a grid
-    share one build, so each row is bit for bit the table of its speed
-    alone.
+    A speed-free grating's table is built once per process. A phased mask
+    sums its open cells of ``DEFAULT_GRID_SIZE`` points and a laser the
+    grid that ``_laser_grid_size`` gives the largest phase of all speeds
+    (``_even_table``); stacked rows round differently from single speeds,
+    by about 1e-15.
     """
     if has_speed_free_transmission(g, s):
         return _speed_free_table(g, s, j_max)
-    if isinstance(g, MaterialGrating):
-        return _mask_table(g, s, v_z, j_max)
-    if not isinstance(g, LaserPhaseGrating):
-        raise TypeError(f"unsupported grating type {type(g).__name__}")
     v_z = np.asarray(v_z, dtype=float)
-    speeds = v_z.reshape(-1)
-    rows_by_size = {}
-    for row, phi0 in enumerate(laser_phase_amplitude(g, s, speeds)):
-        rows_by_size.setdefault(_laser_grid_size(phi0, j_max), []).append(row)
-    values = np.empty((speeds.size, 2 * j_max + 1), dtype=complex)
-    for size, rows in sorted(rows_by_size.items()):
-        values[rows] = fourier_coefficients(laser_phase_transmission(
-            g, s, speeds[rows], size), j_max).values
-    return CoefficientTable(values.reshape(v_z.shape + (-1,)))
-
-
-def _mask_table(g: MaterialGrating, s: Species, v_z,
-                j_max: int) -> CoefficientTable:
-    """Table of a material mask with an eikonal phase, from its open cells
-    on offsets 0 .. d/2 (``_open_cell_weights``): t is even, so the
-    N-point DFT of its samples is b_j = b_-j = sum_k W[k, j] e^(i phi_k(v)),
-    taken as two real matrix products with cos phi and sin phi (a complex
-    one would copy W to complex on every call). |e^(i phi)| = 1, so
-    |t| <= 1 is checked once, on the amplitude in W."""
-    v_z = np.asarray(v_z, dtype=float)
-    if np.any(v_z <= 0.0):
+    if not np.all((v_z > 0.0) & (v_z < np.inf)):
         raise ValueError("v_z must be positive")
-    x_open, weights = _open_cell_weights(g.period_d, g.open_half_width, j_max)
     # one row per speed, so that each product is a single matrix product
-    phase = material_slit_phase(g, s, v_z.reshape(-1, 1), x_open)
-    half = (np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-            ).reshape(v_z.shape + (-1,))
+    speeds, d = v_z.reshape(-1, 1), g.period_d
+    if isinstance(g, MaterialGrating):
+        n = DEFAULT_GRID_SIZE
+        amp = material_amplitude(g, n)[:n // 2 + 1]
+        if np.max(amp) > 1.0 + 1e-12:
+            raise ValueError("|t(x)| must not exceed 1")
+        # the open cells are the first points: |offset| grows with k
+        amp = amp[amp > 0.0]
+        phase = material_slit_phase(g, s, speeds, np.arange(amp.size) * d / n)
+    elif isinstance(g, LaserPhaseGrating):
+        phi0 = laser_phase_amplitude(g, s, speeds)
+        n, amp = _laser_grid_size(float(np.max(phi0)), j_max), 1.0
+        x = np.arange(n // 2 + 1) * d / n
+        phase = phi0 * np.cos(np.pi * x / d) ** 2
+    else:
+        raise TypeError(f"unsupported grating type {type(g).__name__}")
+    half = _even_table(amp, phase, n, j_max).reshape(v_z.shape + (-1,))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
 
 
+def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:
+    """b_0 .. b_jmax (= b_-j) of an even t(x) on N = ``n`` points from
+    t_k = amp_k e^(i phase_k) at grid points k = 0 .. K-1 <= N/2 (zero
+    beyond), one row per speed: the DFT sum_k C[k, j] t_k as two real
+    matrix products (a complex one would copy C to complex per call)."""
+    weights = _cosine_weights(n, j_max)[:phase.shape[-1]]
+    return (amp * np.cos(phase)) @ weights \
+        + 1j * ((amp * np.sin(phase)) @ weights)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def _open_cell_weights(d: float, open_half: float, j_max: int):
-    """(offsets, W) of the open cells k among grid points 0 .. N/2 of a
-    mask with slit half-width ``open_half``, N = ``DEFAULT_GRID_SIZE``:
-    W[k, j] = w_k |t_k| cos(2 pi j k / N) / N for j = 0 .. ``j_max``, with
-    w_k = 1 at k = 0 and k = N/2 (their own mirror images) and 2 elsewhere.
-    No speed or species enters; built once per process and geometry,
-    read-only."""
-    n = DEFAULT_GRID_SIZE
+def _cosine_weights(n: int, j_max: int) -> np.ndarray:
+    """C[k, j] = w_k cos(2 pi j k / N) / N, k = 0 .. N/2, j = 0 .. j_max,
+    w_k = 1 at k = 0 and N/2 (their own mirror images), 2 elsewhere; built
+    in place, once per (N, j_max), read-only."""
     _check_orders(j_max, n)
-    k = np.arange(n // 2 + 1)
-    amp = _cell_open_fraction(k * d / n, d / (2.0 * n), open_half)
-    if np.max(amp) > 1.0 + 1e-12:
-        raise ValueError("|t(x)| must not exceed 1")
-    k = k[amp > 0.0]
-    w = np.where((k == 0) | (k == n // 2), 1.0, 2.0) * amp[k] / n
+    k = np.arange(n // 2 + 1, dtype=float)
+    weights = np.outer(k, np.arange(j_max + 1, dtype=float))
     # j k reduced modulo N keeps the cosine argument below 2 pi
-    turns = np.outer(k, np.arange(j_max + 1)) % n
-    weights = w[:, None] * np.cos(2.0 * np.pi * turns / n)
-    x_open = k * d / n
-    for array in (x_open, weights):
-        array.flags.writeable = False
-    return x_open, weights
+    weights %= n
+    weights *= 2.0 * np.pi
+    weights /= n
+    np.cos(weights, out=weights)
+    weights *= np.where((k == 0) | (k == n // 2), 1.0, 2.0)[:, None] / n
+    weights.flags.writeable = False
+    return weights
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -309,7 +293,7 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     multiply the central-grating coefficient by its exponential reduction
     factor.
     """
-    if v_z <= 0.0:
+    if not 0.0 < v_z < np.inf:
         raise ValueError("v_z must be positive")
     return _node_signals(cfg, [v_z], m_max, DEFAULT_J_MAX, channels)[0]
 

@@ -3,24 +3,18 @@
 A grating is reduced to one period of its complex transmission amplitude
 t(x), sampled on a uniform power-of-two grid, from which
 ``fourier_coefficients`` extracts the Fourier coefficients b_j by one
-batched FFT. ``engine`` takes this path for laser and speed-free gratings;
-a material mask with an eikonal phase gets the same DFT there as a cosine
-sum over its open cells, without a sampled profile. Material masks carry an
-eikonal dispersion phase accumulated on straight trajectories through the
-slit; laser gratings are pure phase masks; pulsed ionizing gratings combine
-a periodic survival amplitude with a dipole phase.
+batched FFT. ``engine`` takes this path for speed-free gratings; it builds
+the tables of material masks with an eikonal phase and of laser gratings
+as a cosine sum from their phase on half a period, without a sampled
+profile. Material masks carry an eikonal dispersion phase accumulated on
+straight trajectories through the slit; laser gratings are pure phase
+masks; pulsed ionizing gratings combine a periodic survival amplitude with
+a dipole phase.
 
 The builders accept an array of speeds and return one row of samples per
-speed (a node-stacked profile), computing the speed-free parts once; each
-row is the same arithmetic as a build at that speed alone. Fourier tables
-keep the leading (node) axes of their profile. The grid size is the
-caller's: ``engine`` sizes each laser grid by its phase.
-
-The grid is exactly symmetric about the slit centre (``_slit_offsets``),
-and a material mask and a laser grating are even there, so their builders
-evaluate the phase and its exponential on offsets 0 .. d/2 only and mirror
-the rest (``_mirror``); the mirrored samples are those of a direct
-evaluation, bit for bit.
+speed (a node-stacked profile), computing the speed-free parts once.
+Fourier tables keep the leading (node) axes of their profile. The grid is
+exactly symmetric about the slit centre (``_slit_offsets``).
 """
 
 from __future__ import annotations
@@ -223,20 +217,14 @@ def _slit_offsets(d: float, grid_size: int) -> np.ndarray:
     return np.where(k > grid_size // 2, k - grid_size, k) * d / grid_size
 
 
-def _mirror(half: np.ndarray, grid_size: int) -> np.ndarray:
-    """Samples of an even function on the full grid from its samples at
-    offsets 0 .. d/2 (grid points 0 .. N/2 on the last axis): point N - k
-    is point k."""
-    return np.concatenate([half, half[..., grid_size // 2 - 1:0:-1]],
-                          axis=-1)
-
-
 def has_speed_free_transmission(g, s: Species) -> bool:
-    """Whether t(x) is the same at every speed: an ionizing grating, or a
-    material mask without an eikonal phase. Their builders return a single
-    row for any array of speeds."""
+    """Whether t(x) is the same at every speed: an ionizing grating, a
+    material mask without an eikonal phase, or a laser grating without a
+    phase (no power, or a species without optical polarizability)."""
     if isinstance(g, IonizingGrating):
         return True
+    if isinstance(g, LaserPhaseGrating):
+        return g.power_P == 0.0 or s.alpha_opt_vol == 0.0
     return isinstance(g, MaterialGrating) and (
         g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0)
 
@@ -259,29 +247,15 @@ def material_transmission(g: MaterialGrating, s: Species, v_z,
     depend on the speed and gives a single row for any ``v_z``. The slit
     geometry (``material_amplitude``) and the wall-distance sum are
     computed once; each speed only scales the sum by b C / (hbar v_z).
-    The phase is even about the slit centre: it is evaluated on offsets
-    0 .. d/2 and mirrored (``_mirror``).
     """
     v_z = np.asarray(v_z, dtype=float)
     if np.any(v_z <= 0.0):
         raise ValueError("v_z must be positive")
-    d = g.period_d
-    amp = material_amplitude(g, grid_size)
-    if has_speed_free_transmission(g, s):
-        # no eikonal phase: amp * exp(0j), bit for bit
-        return TransmissionProfile(period_d=d, samples=amp.astype(complex))
-    # closed cells stay 0: amp * exp(1j * phase) is 0 there for any phase;
-    # in place, a stacked build holds one node x open-cell temporary
-    half = grid_size // 2 + 1
-    amp, x = amp[:half], _slit_offsets(d, grid_size)[:half]
-    inside = amp > 0.0
-    factor = 1j * material_slit_phase(g, s, v_z[..., None], x[inside])
-    np.exp(factor, out=factor)
-    factor *= amp[inside]
-    samples = np.zeros(v_z.shape + (half,), dtype=complex)
-    samples[..., inside] = factor
-    return TransmissionProfile(period_d=d,
-                               samples=_mirror(samples, grid_size))
+    phase = material_slit_phase(g, s, v_z[..., None],
+                                _slit_offsets(g.period_d, grid_size))
+    return TransmissionProfile(period_d=g.period_d,
+                               samples=material_amplitude(g, grid_size)
+                               * np.exp(1j * phase))
 
 
 def laser_phase_amplitude(g: LaserPhaseGrating, s: Species, v_z) -> float:
@@ -303,14 +277,12 @@ def laser_phase_transmission(g: LaserPhaseGrating, s: Species, v_z,
     """Pure phase mask t(x) = exp(i phi0 cos^2(pi x / d)).
 
     ``v_z`` is a speed or an array of speeds, giving samples of shape
-    ``shape(v_z) + (grid_size,)``. t is even about x = 0: it is evaluated
-    on offsets 0 .. d/2 and mirrored (``_mirror``).
+    ``shape(v_z) + (grid_size,)``.
     """
     phi0 = laser_phase_amplitude(g, s, np.asarray(v_z, dtype=float)[..., None])
-    x = _slit_offsets(g.period_d, grid_size)[:grid_size // 2 + 1]
-    half = np.exp(1j * phi0 * np.cos(np.pi * x / g.period_d) ** 2)
-    return TransmissionProfile(period_d=g.period_d,
-                               samples=_mirror(half, grid_size))
+    x = _slit_offsets(g.period_d, grid_size)
+    return TransmissionProfile(period_d=g.period_d, samples=np.exp(
+        1j * phi0 * np.cos(np.pi * x / g.period_d) ** 2))
 
 
 def ionizing_transmission(g: IonizingGrating,

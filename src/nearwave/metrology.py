@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import BOLTZMANN_KB
+from .core import require_finite
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class DeflectionField:
     grad_E_squared: float    # d(E^2)/dx in V^2/m^3
 
     def __post_init__(self):
-        if not math.isfinite(self.grad_E_squared):
-            raise ValueError("grad_E_squared must be finite")
+        require_finite(geometry_constant_K=self.geometry_constant_K,
+                       grad_E_squared=self.grad_E_squared)
         if self.geometry_constant_K <= 0.0:
             raise ValueError("geometry_constant_K must be positive")
 

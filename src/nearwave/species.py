@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .constants import AMU, DEBYE, MEV_NM3
+from .core import require_finite
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,7 @@ class Species:
     dipole_rms: float = 0.0          # C m
 
     def __post_init__(self):
+        require_finite(**{k: v for k, v in vars(self).items() if k != "name"})
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         for field in ("alpha_stat_vol", "alpha_opt_vol", "dipole_rms"):
@@ -70,6 +72,7 @@ def gold_cluster(mass_amu: float) -> Species:
     Polarizability volume is estimated as the cluster volume scale r^3 from
     the bulk density; it only matters for optional grating interactions.
     """
+    require_finite(mass_amu=mass_amu)
     if mass_amu <= 0.0:
         raise ValueError("mass_amu must be positive")
     mass = mass_amu * AMU

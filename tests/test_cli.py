@@ -273,11 +273,11 @@ def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
 
 def _clear_memos():
     """Empty the per-process memos of speed-free tables, outer factors,
-    open-cell weights, windows and central grids, so that counts do not
+    cosine weights, windows and central grids, so that counts do not
     depend on which tests ran before."""
     from nearwave import classical, engine
     for memo in (engine._speed_free_table, engine._speed_free_outer,
-                 engine._open_cell_weights, classical._mask_window,
+                 engine._cosine_weights, classical._mask_window,
                  classical._central_grid):
         memo.cache_clear()
 
@@ -301,30 +301,31 @@ def test_point_builds_each_table_once(monkeypatch):
     # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
     # no interaction; g1 == g2 == g3 in each) builds one node-stacked
     # coefficient table, and evaluates B_m once for grating2 and once for
-    # the outer masks; the vdW and Casimir-Polder masks take the open-cell
-    # cosine sum, whose weights they share (same geometry), the mask without
-    # a phase one transmission and FFT; the classical twin builds one
-    # speed-free window for its outer masks. A second point rebuilds only
-    # the speed-dependent vdW and Casimir-Polder tables: the weights, the
-    # mask without a phase, its outer factor and the window are memoised.
+    # the outer masks; the vdW and Casimir-Polder masks take the even
+    # cosine sum, whose weights they share (same grid and orders), the mask
+    # without a phase one transmission and FFT; the classical twin builds
+    # one speed-free window for its outer masks. A second point rebuilds
+    # only the speed-dependent vdW and Casimir-Polder tables: the weights,
+    # the mask without a phase, its outer factor and the window are
+    # memoised.
     _clear_memos()
-    weights = engine._open_cell_weights
+    weights = engine._cosine_weights
     calls = _count_calls(monkeypatch, [
-        "engine._mask_table", "engine.material_transmission",
+        "engine._even_table", "engine.material_transmission",
         "engine.fourier_coefficients", "engine.talbot_lau_coefficient",
         "classical.transmission_probability_coefficients"])
     cfg = nearwave.load_scenario(TLI).config
     record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
     assert list(record) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    assert calls == {"engine._mask_table": 2,
+    assert calls == {"engine._even_table": 2,
                      "engine.material_transmission": 1,
                      "engine.fourier_coefficients": 1,
                      "engine.talbot_lau_coefficient": 6,
                      "classical.transmission_probability_coefficients": 1}
     assert weights.cache_info().misses == 1
     assert cli._point(12, cli.INTERACTIONS, (cfg, ())) == record
-    assert calls == {"engine._mask_table": 4,
+    assert calls == {"engine._even_table": 4,
                      "engine.material_transmission": 1,
                      "engine.fourier_coefficients": 1,
                      "engine.talbot_lau_coefficient": 11,
@@ -335,10 +336,13 @@ def test_point_builds_each_table_once(monkeypatch):
 def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
     # the KDTLI's outer mask has no eikonal phase: across two power-sweep
     # points its transmission, table, outer factor and window are built
-    # once; only the laser grating2 is rebuilt and evaluated at each point
+    # once; only the laser grating2 is rebuilt (one even cosine sum for all
+    # nodes) and evaluated at each point
     _clear_memos()
     calls = _count_calls(monkeypatch, [
-        "engine.material_transmission", "engine.talbot_lau_coefficient",
+        "engine._even_table", "engine.material_transmission",
+        "engine.laser_phase_transmission", "engine.fourier_coefficients",
+        "engine.talbot_lau_coefficient",
         "classical.transmission_probability_coefficients"])
     scenario = nearwave.load_scenario(KDTLI)
     powers = scenario.sweep.values()[:2]
@@ -346,7 +350,10 @@ def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
         cfg = apply_sweep_value(scenario, power)
         assert cfg.grating1 == cfg.grating3
         cli._point(12, cli.QUANTUM, (cfg, ()))
-    assert calls == {"engine.material_transmission": 1,
+    assert calls == {"engine._even_table": len(powers),
+                     "engine.material_transmission": 1,
+                     "engine.laser_phase_transmission": 0,
+                     "engine.fourier_coefficients": 1,
                      "engine.talbot_lau_coefficient": 1 + len(powers),
                      "classical.transmission_probability_coefficients": 1}
 
@@ -408,6 +415,15 @@ def test_non_finite_scenario_value_exits_2(runner, tmp_path, scenario, line):
     result = invoke(runner, "visibility", str(path), "--velocities", "1")
     assert result.exit_code == 2
     assert "quantum_visibility" not in result.output
+
+
+def test_overflowing_velocity_rule_exits_4(runner):
+    # the 400-node Gauss-Hermite weights are not finite: a numerical error,
+    # not a row of NaN
+    result = runner.invoke(main, ["visibility", TLI, "--velocities", "400"])
+    assert result.exit_code == 4
+    assert "numerical error" in result.output
+    assert "nan" not in result.output.lower()
 
 
 @pytest.mark.parametrize("command", [

@@ -97,6 +97,15 @@ def test_velocity_weights_normalized(n, spread, shape):
     assert np.all(velocities >= MIN_VELOCITY_FRACTION * 100.0)
 
 
+def test_velocity_weights_reject_an_overflowing_rule():
+    # numpy's Gauss-Hermite weights overflow at 400 nodes; the rule raises
+    # instead of returning NaN weights, and warns nothing
+    with pytest.raises(FloatingPointError, match="not finite"):
+        velocity_weights(BeamState(100.0, 0.1), 400)
+    pairs = velocity_weights(BeamState(100.0, 0.1, "top_hat"), 400)
+    assert np.all(np.isfinite(pairs))
+
+
 def test_velocity_weights_mean_recovered():
     beam = BeamState(100.0, 0.1, "gaussian")
     pairs = velocity_weights(beam, 16)

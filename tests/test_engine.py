@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
@@ -26,14 +27,14 @@ from nearwave.constants import AMU
 from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                                AliasingError, CoefficientTable, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
-                               _cell_open_fraction,
                                fourier_coefficients, ionizing_transmission,
                                is_pure_phase,
                                laser_phase_amplitude, laser_phase_transmission,
-                               material_transmission,
+                               material_amplitude, material_transmission,
                                transmission_probability_coefficients)
 from nearwave.scenario import apply_sweep_value, load_scenario
-from nearwave.species import get_species
+from nearwave.metrology import DeflectionField
+from nearwave.species import get_species, gold_cluster
 
 C70 = get_species("C70")
 
@@ -481,52 +482,67 @@ def test_per_node_tables_match_fixed_grid_tables(name):
 # open fraction and wall cutoff: a typical slit, one wide enough that the
 # cell at k = N/2 is partly open, and a nearly closed one of three cells
 MASK_SLITS = [(0.475, 1e-9), (0.9999, 1e-11), (0.003, 1e-9)]
+EVEN_GRATINGS = [
+    pytest.param(MaterialGrating(period_d=991e-9, open_fraction_f=f,
+                                 thickness_b=500e-9, interaction=i,
+                                 wall_cutoff=cutoff), id=f"{i}-{f}-{cutoff}")
+    for i in ("vdw_r3", "casimir_polder_r4") for f, cutoff in MASK_SLITS] \
+    + [pytest.param(LaserPhaseGrating(period_d=266e-9, power_P=p,
+                                      vertical_waist_wy=20e-6,
+                                      laser_wavelength=532e-9),
+                    id=f"laser-{p}W") for p in (0.2, 18.0)]
 
 
-@pytest.mark.parametrize("open_fraction, wall_cutoff", MASK_SLITS)
-@pytest.mark.parametrize("interaction", ["vdw_r3", "casimir_polder_r4"])
-def test_mask_cosine_sum_equals_full_grid_fft(interaction, open_fraction,
-                                              wall_cutoff):
-    # the open-cell cosine sum against the FFT of the full 4096-point grid,
-    # for one speed and 12, scalar and node-stacked; the matrix products
-    # round differently for one row and for 12, so rows match single-speed
-    # builds within rounding (1.7e-15 measured) and the FFT within 8.9e-16
-    g = MaterialGrating(period_d=991e-9, open_fraction_f=open_fraction,
-                        thickness_b=500e-9, interaction=interaction,
-                        wall_cutoff=wall_cutoff)
-    x_open, weights = engine._open_cell_weights(g.period_d, g.open_half_width,
-                                                DEFAULT_J_MAX)
-    cells = np.rint(x_open / g.period_d * DEFAULT_GRID_SIZE)
-    assert cells[0] == 0
-    assert (cells[-1] == DEFAULT_GRID_SIZE // 2) == (open_fraction > 0.99)
-    assert not weights.flags.writeable
+@pytest.mark.parametrize("g", EVEN_GRATINGS)
+def test_mask_cosine_sum_equals_full_grid_fft(g):
+    # the even cosine sum against the FFT of the full 4096-point grid, for
+    # one speed and 12, scalar and node-stacked. A mask sums its open cells
+    # of that grid: the FFT within 8.9e-16, and single-speed rows within
+    # 1.7e-15 (the products round differently for one row and for 12). A
+    # laser sums over the grid sized for the stack's largest phase: both
+    # within 1e-13
+    species = C70 if isinstance(g, MaterialGrating) else get_species("PFNS8")
+    bound = 4e-15 if isinstance(g, MaterialGrating) else 1e-13
+    if isinstance(g, MaterialGrating):
+        amp = material_amplitude(g)
+        assert amp[0] == 1.0
+        assert (amp[DEFAULT_GRID_SIZE // 2] > 0.0) == (g.open_fraction_f > 0.99)
+    assert not engine._cosine_weights(DEFAULT_GRID_SIZE,
+                                      DEFAULT_J_MAX).flags.writeable
     speeds = np.linspace(40.0, 400.0, 12)
     for v_z in (100.0, np.array([100.0]), speeds, speeds[:, None]):
-        table = grating_coefficients(g, C70, v_z).values
-        oracle = fourier_coefficients(grating_transmission(g, C70, v_z)).values
+        table = grating_coefficients(g, species, v_z).values
+        oracle = fourier_coefficients(grating_transmission(g, species,
+                                                           v_z)).values
         assert table.shape == oracle.shape
-        assert np.max(np.abs(table - oracle)) < 4e-15
-    stacked = grating_coefficients(g, C70, speeds[:, None]).values
+        assert np.max(np.abs(table - oracle)) < bound
+    stacked = grating_coefficients(g, species, speeds[:, None]).values
     for row, v in zip(stacked, speeds):
-        single = grating_coefficients(g, C70, v).values
-        assert np.max(np.abs(row[0] - single)) < 4e-15
-    for bad in (0.0, -100.0, np.array([100.0, -1.0])):
+        single = grating_coefficients(g, species, v).values
+        assert np.max(np.abs(row[0] - single)) < bound
+    for bad in (0.0, -100.0, math.nan, math.inf, np.array([100.0, -1.0]),
+                np.array([100.0, math.nan])):
         with pytest.raises(ValueError, match="v_z must be positive"):
-            grating_coefficients(g, C70, bad)
+            grating_coefficients(g, species, bad)
     with pytest.raises(AliasingError):
-        grating_coefficients(g, C70, 100.0, DEFAULT_GRID_SIZE // 2 + 1)
+        grating_coefficients(g, species, 100.0, DEFAULT_GRID_SIZE // 2 + 1)
 
 
 def test_mask_cosine_sum_checks_the_amplitude(monkeypatch):
-    # |t| <= 1 is checked once per mask geometry, on the open cell fractions
+    # |t| <= 1 is checked on the open cell fractions
     g = MaterialGrating(period_d=991e-9, open_fraction_f=0.47,
                         thickness_b=500e-9, interaction="vdw_r3")
-    engine._open_cell_weights.cache_clear()
-    monkeypatch.setattr(engine, "_cell_open_fraction",
-                        lambda *args: 1.5 * _cell_open_fraction(*args))
+    monkeypatch.setattr(engine, "material_amplitude",
+                        lambda *args: 1.5 * material_amplitude(*args))
     with pytest.raises(ValueError, match="must not exceed 1"):
         grating_coefficients(g, C70, 100.0)
-    engine._open_cell_weights.cache_clear()
+
+
+def test_detector_signal_rejects_non_finite_speed():
+    cfg, _ = _oracle_case("kdtli")
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="v_z must be positive"):
+            detector_signal(cfg, bad)
 
 
 def _laser_closed_form(z, j_max=DEFAULT_J_MAX):
@@ -570,28 +586,48 @@ def test_sized_laser_tables_at_every_power_sweep_node():
     assert np.max(np.abs(sized - fixed)) < 1e-13
 
 
-def test_stack_over_grid_sizes_equals_single_node_builds(monkeypatch):
-    # nodes whose phases need different grids: one build per grid size,
-    # and each row of the stacked table is the table of its speed alone,
-    # bit for bit
+def test_stack_over_grid_sizes_equals_closed_form(monkeypatch):
+    # nodes whose phases alone would need at least four grid sizes share
+    # one build on the grid of the largest phase; each row matches the
+    # Bessel closed form and the table of its speed alone
     g = _laser(power_P=18.0)
     species = get_species("PFNS8")
     speeds = np.array([40.0, 75.0, 150.0, 400.0, 2000.0, 1e5])
-    sizes = sorted({_laser_grid_size(phi0, DEFAULT_J_MAX)
-                    for phi0 in laser_phase_amplitude(g, species, speeds)})
-    assert len(sizes) >= 4
+    phi0 = laser_phase_amplitude(g, species, speeds)
+    assert len({_laser_grid_size(p, DEFAULT_J_MAX) for p in phi0}) >= 4
     builds = []
 
-    def build(g, s, v_z, grid_size):
-        builds.append(grid_size)
-        return laser_phase_transmission(g, s, v_z, grid_size)
-    monkeypatch.setattr(engine, "laser_phase_transmission", build)
+    def build(amp, phase, n, j_max):
+        builds.append(n)
+        return kernel(amp, phase, n, j_max)
+    kernel = engine._even_table
+    monkeypatch.setattr(engine, "_even_table", build)
     stacked = grating_coefficients(g, species, speeds[:, None]).values
-    assert sorted(builds) == sizes
+    assert builds == [_laser_grid_size(phi0.max(), DEFAULT_J_MAX)]
     assert stacked.shape == (len(speeds), 1, 2 * DEFAULT_J_MAX + 1)
-    for row, v in zip(stacked, speeds):
-        assert np.array_equal(row[0], grating_coefficients(g, species,
-                                                           v).values)
+    closed = _laser_closed_form(phi0 / 2.0)
+    for row, v, exact in zip(stacked, speeds, closed):
+        assert np.max(np.abs(row[0] - exact)) < 1e-13
+        assert np.max(np.abs(row[0] - grating_coefficients(
+            g, species, v).values)) < 1e-13
+
+
+def test_laser_without_phase_is_speed_free():
+    # t = 1 at every speed: one memoised FFT table, exactly b_j = delta_j0,
+    # so a KDTLI with its laser off shows no fringe at all
+    species = get_species("PFNS8")
+    delta = np.zeros(2 * DEFAULT_J_MAX + 1, dtype=complex)
+    delta[DEFAULT_J_MAX] = 1.0
+    for g, s in ((_laser(power_P=0.0), species),
+                 (_laser(), replace(species, alpha_opt_vol=0.0))):
+        table = grating_coefficients(g, s, np.array([[40.0], [75.0]]))
+        assert table is engine._speed_free_table(g, s, DEFAULT_J_MAX)
+        assert np.array_equal(table.values, delta)
+    cfg = InterferometerConfig(
+        grating1=_material(period_d=266e-9), grating2=_laser(power_P=0.0),
+        grating3=_material(period_d=266e-9), species=species,
+        beam=BeamState(75.0, 0.1), separation_L=0.105)
+    assert velocity_averaged_signal(cfg, 12, m_max=1)[1] == 0.0
 
 
 def test_laser_grid_covers_the_table_orders():
@@ -641,6 +677,17 @@ GUARDS = {
     "ionizing.phase_amplitude_phi0":
         (lambda x: _ionizing(phase_amplitude_phi0=x), 0.5),
     "beam.mean_velocity": (lambda x: BeamState(x), 100.0),
+    **{f"species.{name}": (lambda x, _name=name: replace(C70, **{_name: x}),
+                           getattr(C70, name))
+       for name in ("mass", "alpha_stat_vol", "alpha_opt_vol",
+                    "c3_coefficient", "dipole_rms")},
+    "gold_cluster.mass_amu": (gold_cluster, 1e5),
+    "deflection.geometry_constant_K": (
+        lambda x: DeflectionField(geometry_constant_K=x,
+                                  grad_E_squared=1e13), 1.0),
+    "deflection.grad_E_squared": (
+        lambda x: DeflectionField(geometry_constant_K=1.0,
+                                  grad_E_squared=x), 1e13),
     "config.separation_L": (lambda x: InterferometerConfig(
         grating1=_material(), grating2=_material(), species=C70,
         beam=BeamState(100.0), separation_L=x), 0.22),

@@ -300,9 +300,10 @@ def test_amplitude_is_the_modulus_of_the_transmission():
                       laser_wavelength=532e-9),
 ], ids=["none", "vdw_r3", "casimir_polder_r4", "laser"])
 def test_folded_build_equals_direct_exp_on_symmetric_grid(grating, grid_size):
-    # the grid is exactly symmetric about the slit centre, so the builders
-    # that evaluate offsets 0 .. d/2 and mirror them give the samples of
-    # one exp over the whole grid, bit for bit, single speed and stacked
+    # the grid is exactly symmetric about the slit centre, so the samples
+    # of masks and lasers are even there, bit for bit: the engine's cosine
+    # sum over offsets 0 .. d/2 stands for the whole grid. The sampled
+    # profiles are one exp over the whole grid, single speed and stacked
     d = grating.period_d
     x = _slit_offsets(d, grid_size)
     # point N/2 is d/2, its own mirror image modulo one period
@@ -321,3 +322,5 @@ def test_folded_build_equals_direct_exp_on_symmetric_grid(grating, grid_size):
             direct = np.exp(1j * phi0 * np.cos(np.pi * x / d) ** 2)
         assert built.samples.shape == direct.shape
         assert np.array_equal(built.samples, direct)
+        assert np.array_equal(built.samples[..., k],
+                              built.samples[..., grid_size - k])
