@@ -158,19 +158,23 @@ def _mask_window(g):
 @lru_cache(maxsize=MEMO_SIZE)
 def _central_grid(g, s: Species):
     """Speed-free part of the twin's central integral over a material or
-    ionizing grating, on ``QUADRATURE_GRID`` cell centres x, built once per
-    process, grating and species: (q0, |t(x)|^2 and 2 x at the open cells,
-    the kick there as a function of v_z). q0 is the mean of |t|^2; blocked
-    cells add nothing to q1, so only open ones are kept.
+    ionizing grating, built once per process, grating and species: (q0, the
+    weights 2 |t(x)|^2 / N and 2 x at the open cells of the half period
+    0 < x < d/2, the kick there as a function of v_z). The cells are the
+    first N/2 of the ``QUADRATURE_GRID`` = N cell centres x. |t|^2 is even
+    about the slit centre and the kick is odd, so cell N-1-k adds the
+    complex conjugate of cell k and each weight counts both. q0, the mean
+    of |t|^2, is the same over the half period; blocked cells add nothing
+    to q1, so only open ones are kept.
     """
     d = g.period_d
-    x = (np.arange(QUADRATURE_GRID) + 0.5) * d / QUADRATURE_GRID
+    x = (np.arange(QUADRATURE_GRID // 2) + 0.5) * d / QUADRATURE_GRID
     t2 = _survival_probability(g, x)
     is_open = t2 != 0.0
-    t2_open, two_x = t2[is_open], 2.0 * x[is_open]
-    for array in (t2_open, two_x):
+    weight, two_x = (2.0 / QUADRATURE_GRID) * t2[is_open], 2.0 * x[is_open]
+    for array in (weight, two_x):
         array.flags.writeable = False
-    return t2.mean(), t2_open, two_x, _kick(g, s, x[is_open])
+    return t2.mean(), weight, two_x, _kick(g, s, x[is_open])
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -275,12 +279,13 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
     Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
     and K(v) read from the same kick as the ray tracer. Material and
-    ionizing central gratings are sampled on ``QUADRATURE_GRID`` points: the
+    ionizing central gratings are sampled on ``QUADRATURE_GRID`` cells: the
     survival mask and kick shape are computed once per process
-    (``_central_grid``), each velocity node only scales the kick, and the
-    sum runs over the open cells alone. The
-    outer masks' windows do not depend on the speed: one per process and
-    mask (``_mask_window``).
+    (``_central_grid``) and each velocity node only scales the kick. Their
+    |t|^2 is even and their kick odd about the slit centre, so the sum runs
+    over the open cells of half a period as the real sum_k weight_k
+    cos(phase_k), with no complex exponential. The outer masks' windows do
+    not depend on the speed: one per process and mask (``_mask_window``).
     """
     if cfg.mode != "spatial":
         raise ValueError("classical model requires spatial mode")
@@ -296,13 +301,11 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
         q1s = bessel_j(2, -2.0 * np.pi * peak_kick * cfg.flight_time(nodes)
                        / d)
     else:
-        q0, t2_open, two_x, kick = _central_grid(g2, s)
-        q1s = np.empty(len(nodes), dtype=complex)
+        q0, weight, two_x, kick = _central_grid(g2, s)
+        q1s = np.empty(len(nodes))
         for i, v in enumerate(nodes):
-            # times 1 / d, which rounds as numpy's complex division by d
-            phase = (-2.0 * np.pi) * (two_x + kick(v) * cfg.flight_time(v)) \
-                * (1.0 / d)
-            q1s[i] = np.sum(t2_open * np.exp(1j * phase)) / QUADRATURE_GRID
+            phase = (2.0 * np.pi / d) * (two_x + kick(v) * cfg.flight_time(v))
+            q1s[i] = weight @ np.cos(phase)
     t1_0, t1_1 = _mask_window(cfg.grating1)
     t3_0, t3_1 = _mask_window(cfg.grating3)
 

@@ -8,6 +8,7 @@ writes records with unit-suffixed column names. Exit codes: 0 success,
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -212,6 +213,23 @@ def _sweep(label: str, values, setting, n_velocities: int, columns,
     emit(records, list(records[0]), out, fmt)
 
 
+class FiniteFloat(click.ParamType):
+    """A float option that must be finite: click's FLOAT and FloatRange
+    take nan and inf."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+
+FINITE = FiniteFloat()
+# a grid axis needs at least one point
+POINTS = click.IntRange(min=1)
+
 common_options = [
     click.option("--out", default="-", show_default=True,
                  help="Output path, '-' for stdout."),
@@ -293,10 +311,10 @@ def power_sweep(scenario_path, velocities, out, fmt):
 
 @main.command()
 @click.argument("scenario_path")
-@click.option("--z-max", default=2.0, show_default=True,
+@click.option("--z-max", type=FINITE, default=2.0, show_default=True,
               help="Largest propagation distance in Talbot lengths.")
-@click.option("--z-points", default=64, show_default=True)
-@click.option("--x-points", default=128, show_default=True)
+@click.option("--z-points", type=POINTS, default=64, show_default=True)
+@click.option("--x-points", type=POINTS, default=128, show_default=True)
 @click.option("--order", default=8, show_default=True,
               help="Fourier truncation of the reconstructed density.")
 @with_common
@@ -357,12 +375,12 @@ def decohere(scenario_path, velocities, out, fmt):
 
 @main.command("otima-map")
 @click.argument("scenario_path")
-@click.option("--ratio-min", default=0.7, show_default=True)
-@click.option("--ratio-max", default=1.3, show_default=True)
-@click.option("--ratio-points", default=25, show_default=True)
-@click.option("--n0-min", default=0.5, show_default=True)
-@click.option("--n0-max", default=8.0, show_default=True)
-@click.option("--n0-points", default=16, show_default=True)
+@click.option("--ratio-min", type=FINITE, default=0.7, show_default=True)
+@click.option("--ratio-max", type=FINITE, default=1.3, show_default=True)
+@click.option("--ratio-points", type=POINTS, default=25, show_default=True)
+@click.option("--n0-min", type=FINITE, default=0.5, show_default=True)
+@click.option("--n0-max", type=FINITE, default=8.0, show_default=True)
+@click.option("--n0-points", type=POINTS, default=16, show_default=True)
 @with_common
 def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
               n0_min, n0_max, n0_points, out, fmt):

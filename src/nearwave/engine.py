@@ -37,10 +37,10 @@ from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
-                       _check_orders, fourier_coefficients,
-                       has_speed_free_transmission, ionizing_transmission,
-                       is_pure_phase, laser_phase_amplitude,
-                       laser_phase_transmission, material_amplitude,
+                       _cell_open_fraction, _check_orders, _slit_offsets,
+                       fourier_coefficients, has_speed_free_transmission,
+                       ionizing_transmission, is_pure_phase,
+                       laser_phase_amplitude, laser_phase_transmission,
                        material_slit_phase, material_transmission)
 from .species import Species
 
@@ -155,7 +155,8 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     axis.
 
     A speed-free grating's table is built once per process. A phased mask
-    sums its open cells of ``DEFAULT_GRID_SIZE`` points and a laser the
+    sums its open cells of ``DEFAULT_GRID_SIZE`` points, whose |t| is built
+    once per slit geometry (``_open_amplitude``), and a laser the
     grid that ``_laser_grid_size`` gives the largest phase of all speeds
     (``_even_table``); stacked rows round differently from single speeds,
     by about 1e-15.
@@ -169,11 +170,7 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     speeds, d = v_z.reshape(-1, 1), g.period_d
     if isinstance(g, MaterialGrating):
         n = DEFAULT_GRID_SIZE
-        amp = material_amplitude(g, n)[:n // 2 + 1]
-        if np.max(amp) > 1.0 + 1e-12:
-            raise ValueError("|t(x)| must not exceed 1")
-        # the open cells are the first points: |offset| grows with k
-        amp = amp[amp > 0.0]
+        amp = _open_amplitude(d, g.open_half_width)
         phase = material_slit_phase(g, s, speeds, np.arange(amp.size) * d / n)
     elif isinstance(g, LaserPhaseGrating):
         phi0 = laser_phase_amplitude(g, s, speeds)
@@ -184,6 +181,24 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
         raise TypeError(f"unsupported grating type {type(g).__name__}")
     half = _even_table(amp, phase, n, j_max).reshape(v_z.shape + (-1,))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _open_amplitude(d: float, open_half: float) -> np.ndarray:
+    """|t| of a material mask of period ``d`` at the grid points k = 0 ..
+    K-1 <= N/2 of ``DEFAULT_GRID_SIZE`` = N that its slit of half width
+    ``open_half`` opens: the open fraction of each cell, which neither the
+    speed nor the wall interaction changes. Built and checked once per slit
+    geometry; read-only."""
+    n = DEFAULT_GRID_SIZE
+    amp = _cell_open_fraction(_slit_offsets(d, n)[:n // 2 + 1],
+                              d / (2.0 * n), open_half)
+    if np.max(amp) > 1.0 + 1e-12:
+        raise ValueError("|t(x)| must not exceed 1")
+    # the open cells are the first points: |offset| grows with k
+    amp = amp[amp > 0.0]
+    amp.flags.writeable = False
+    return amp
 
 
 def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:

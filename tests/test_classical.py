@@ -1,3 +1,5 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                ionizing_transmission, laser_phase_amplitude,
                                material_amplitude, material_slit_phase,
                                transmission_probability_coefficients)
+from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.species import get_species
 
 C70 = get_species("C70")
@@ -200,32 +203,49 @@ def _speed_free_window(g):
     return spectrum[0].real, spectrum[1]
 
 
-def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
+def _central_samples(g2, s, v, x):
+    """|t(x)|^2 and the kick of the central grating at positions x and
+    speed v, written out from the grating formulas."""
+    d = g2.period_d
+    if isinstance(g2, MaterialGrating):
+        offset = np.mod(x + d / 2.0, d) - d / 2.0
+        cutoff = g2.wall_cutoff if g2.interaction != "none" else 0.0
+        t2 = (np.abs(offset) < g2.open_fraction_f * d / 2.0
+              - cutoff).astype(float)
+        coeff, power = _wall_coefficient(g2, s)
+        a = g2.open_fraction_f * d
+        r_plus = np.maximum(a / 2.0 - offset, g2.wall_cutoff)
+        r_minus = np.maximum(a / 2.0 + offset, g2.wall_cutoff)
+        scale = g2.thickness_b * coeff * power / (s.mass * v)
+        return t2, scale * (r_plus ** -(power + 1) - r_minus ** -(power + 1))
+    shape = (np.pi / d) * np.sin(2.0 * np.pi * x / d)
+    if isinstance(g2, IonizingGrating):
+        t2 = np.exp(-g2.mean_absorbed_photons_n0
+                    * np.cos(np.pi * x / d) ** 2)
+        return t2, -(HBAR / s.mass) * g2.phase_amplitude_phi0 * shape
+    return np.ones_like(x), \
+        -(HBAR / (s.mass * v)) * laser_phase_amplitude(g2, s, v) * shape
+
+
+def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14, fold=True):
     """The quadrature twin written out node by node: survival mask, kick
-    and both (speed-free) outer windows rebuilt at every speed."""
-    s, d, g2 = cfg.species, cfg.period_d, cfg.grating2
-    x = (np.arange(n_grid) + 0.5) * d / n_grid
+    and both (speed-free) outer windows rebuilt at every speed. ``fold``
+    sums the half period 0 < x < d/2 as 2 sum |t|^2 cos(phi) / N, as the
+    twin does; otherwise the full period as sum |t|^2 exp(i phi) / N."""
+    d = cfg.period_d
+    x = (np.arange(n_grid // 2 if fold else n_grid) + 0.5) * d / n_grid
 
     numerator, denominator = 0.0 + 0.0j, 0.0
     for v, w in velocity_weights(cfg.beam, n_velocities):
         t_flight = cfg.separation_L / v
-        if isinstance(g2, MaterialGrating):
-            offset = np.mod(x + d / 2.0, d) - d / 2.0
-            cutoff = g2.wall_cutoff if g2.interaction != "none" else 0.0
-            t2 = (np.abs(offset) < g2.open_fraction_f * d / 2.0
-                  - cutoff).astype(float)
-            coeff, power = _wall_coefficient(g2, s)
-            a = g2.open_fraction_f * d
-            r_plus = np.maximum(a / 2.0 - offset, g2.wall_cutoff)
-            r_minus = np.maximum(a / 2.0 + offset, g2.wall_cutoff)
-            scale = g2.thickness_b * coeff * power / (s.mass * v)
-            kick = scale * (r_plus ** -(power + 1) - r_minus ** -(power + 1))
-        else:
-            t2 = np.ones_like(x)
-            kick = -(HBAR / (s.mass * v)) * laser_phase_amplitude(g2, s, v) \
-                * (np.pi / d) * np.sin(2.0 * np.pi * x / d)
+        t2, kick = _central_samples(cfg.grating2, cfg.species, v, x)
+        # phases reach 1e8 rad next to the walls: round as the twin does
+        phase = -(2.0 * np.pi / d) * (2.0 * x + kick * t_flight)
         q0 = t2.mean()
-        q1 = np.mean(t2 * np.exp(-2j * np.pi * (2.0 * x + kick * t_flight) / d))
+        if fold:
+            q1 = 2.0 * np.sum(t2 * np.cos(phase)) / n_grid
+        else:
+            q1 = np.sum(t2 * np.exp(1j * phase)) / n_grid
         t1_0, t1_1 = _speed_free_window(cfg.grating1)
         t3_0, t3_1 = _speed_free_window(cfg.grating3)
         numerator += w * t1_1 * q1 * np.conj(t3_1)
@@ -233,17 +253,10 @@ def _per_node_quadrature(cfg, n_velocities, n_grid=1 << 14):
     return float(2.0 * abs(numerator) / denominator)
 
 
-def test_quadrature_equals_per_node_formula():
-    # the hoisted survival mask and kick shape, the open-cell evaluation,
-    # the speed-free windows and the one weighted sum give the per-node
-    # numbers up to rounding; a laser grating2 takes the Bessel closed form
-    # of the sampled central integral, equal to it up to rounding
+def _vdw_cases():
     cp = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
                          thickness_b=300e-9, interaction="casimir_polder_r4")
-    laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
-                              vertical_waist_wy=20e-6, laser_wavelength=532e-9)
-    outer = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
-    cases = [
+    return [
         tli_config(vdw_mask(), spread=0.2),
         InterferometerConfig(grating1=vdw_mask(), grating2=vdw_mask(),
                              grating3=cp, species=C70,
@@ -252,15 +265,79 @@ def test_quadrature_equals_per_node_formula():
         InterferometerConfig(grating1=vdw_mask(), grating2=vdw_mask(),
                              species=C70, beam=BeamState(100.0, 0.2),
                              separation_L=0.22),
+    ]
+
+
+def test_quadrature_equals_per_node_formula():
+    # the hoisted survival mask and kick shape, the open-cell evaluation,
+    # the speed-free windows and the one weighted sum give the per-node
+    # half-period cosine sum up to rounding; a laser grating2 takes the
+    # Bessel closed form of the sampled central integral, equal to it up
+    # to rounding. A wall-free mask and an ionizing grating2 are checked
+    # against the full-period complex sum: the fold of cell N-1-k onto
+    # cell k holds for them up to rounding
+    laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
+                              vertical_waist_wy=20e-6, laser_wavelength=532e-9)
+    outer = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
+    ionizing = IonizingGrating(period_d=991e-9, mean_absorbed_photons_n0=2.0,
+                               phase_amplitude_phi0=3.0)
+    folded = _vdw_cases() + [
         InterferometerConfig(grating1=outer, grating2=laser, grating3=outer,
                              species=PFNS8, beam=BeamState(75.0, 0.1),
                              separation_L=0.105),
     ]
-    for cfg in cases:
-        for n in (1, 12):
-            value = classical_visibility_quadrature(cfg, n_velocities=n)
-            assert value == pytest.approx(_per_node_quadrature(cfg, n),
-                                          rel=1e-12, abs=0.0)
+    full_period = [
+        tli_config(binary(), spread=0.2),
+        InterferometerConfig(grating1=vdw_mask(), grating2=ionizing,
+                             grating3=vdw_mask(), species=C70,
+                             beam=BeamState(100.0, 0.2), separation_L=0.22),
+    ]
+    for cases, fold in ((folded, True), (full_period, False)):
+        for cfg in cases:
+            for n in (1, 12):
+                value = classical_visibility_quadrature(cfg, n_velocities=n)
+                oracle = _per_node_quadrature(cfg, n, fold=fold)
+                assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def _long_double_quadrature(cfg, n_velocities, n_grid=1 << 14):
+    """The twin of a material grating2 in long double throughout, on the
+    half-period offsets (k + 1/2) d / N from the slit centre: the reference
+    for the rounding of the double-precision sum."""
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    s, g2 = cfg.species, cfg.grating2
+    d, length = ld(g2.period_d), ld(cfg.separation_L)
+    x = (np.arange(n_grid // 2, dtype=ld) + ld(0.5)) * d / ld(n_grid)
+    a = ld(g2.open_fraction_f) * d
+    t2 = (x < a / 2 - ld(g2.wall_cutoff)).astype(ld)
+    coeff, power = _wall_coefficient(g2, s)
+    r_plus = np.maximum(a / 2 - x, ld(g2.wall_cutoff))
+    r_minus = np.maximum(a / 2 + x, ld(g2.wall_cutoff))
+    shape = r_plus ** -(power + 1) - r_minus ** -(power + 1)
+    q1 = ld(0)
+    for v, w in velocity_weights(cfg.beam, n_velocities):
+        v = ld(v)
+        kick = ld(g2.thickness_b) * ld(coeff) * power / (ld(s.mass) * v) \
+            * shape
+        phase = 2 * pi * (2 * x + kick * length / v) / d
+        q1 += ld(w) * 2 * np.sum(t2 * np.cos(phase)) / n_grid
+    t1_0, t1_1 = _speed_free_window(cfg.grating1)
+    t3_0, t3_1 = _speed_free_window(cfg.grating3)
+    windows = ld(2 * abs(t1_1 * np.conj(t3_1)) / (t1_0 * t3_0))
+    return windows * abs(q1) / np.mean(t2)
+
+
+def test_quadrature_against_long_double():
+    # the folded real sum rounds within 8.3e-8 of the same integral in long
+    # double at 82.5 m/s on the bundled C70 sweep (the full-period complex
+    # sum erred by 1.7e-7 there); the vdW cases are closer
+    scenario = load_scenario(str(importlib.resources.files("nearwave")
+                                 / "data" / "c70_tli_velocity_sweep.cfg"))
+    for cfg in [apply_sweep_value(scenario, 82.5)] + _vdw_cases():
+        value = classical_visibility_quadrature(cfg, n_velocities=12)
+        oracle = _long_double_quadrature(cfg, 12)
+        assert value == pytest.approx(float(oracle), rel=1e-7, abs=0.0)
 
 
 @pytest.mark.parametrize("interaction", ["none", "vdw_r3",

@@ -273,12 +273,12 @@ def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
 
 def _clear_memos():
     """Empty the per-process memos of speed-free tables, outer factors,
-    cosine weights, windows and central grids, so that counts do not
-    depend on which tests ran before."""
+    cosine weights, mask amplitudes, windows and central grids, so that
+    counts do not depend on which tests ran before."""
     from nearwave import classical, engine
     for memo in (engine._speed_free_table, engine._speed_free_outer,
-                 engine._cosine_weights, classical._mask_window,
-                 classical._central_grid):
+                 engine._cosine_weights, engine._open_amplitude,
+                 classical._mask_window, classical._central_grid):
         memo.cache_clear()
 
 
@@ -331,6 +331,29 @@ def test_point_builds_each_table_once(monkeypatch):
                      "engine.talbot_lau_coefficient": 11,
                      "classical.transmission_probability_coefficients": 1}
     assert weights.cache_info().misses == 1
+
+
+def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
+                                                        monkeypatch):
+    # the TLI's three masks and its vdW and Casimir-Polder variants share
+    # one slit geometry (the wall cutoff is the same): one velocity-sweep
+    # run builds and checks its |t| once, for every point and table
+    _clear_memos()
+    monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
+    calls = _count_calls(monkeypatch, ["engine._cell_open_fraction",
+                                       "engine._even_table"])
+    path = tmp_path / "tli.cfg"
+    path.write_text(with_line(read(TLI), "sweep.points = 3"))
+    result = invoke(runner, "velocity-sweep", str(path), "--velocities", "2")
+    assert result.exit_code == 0
+    assert len(result.output.strip().splitlines()) == 4
+    assert calls == {"engine._cell_open_fraction": 1,
+                     "engine._even_table": 6}
+    memo = engine._open_amplitude
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
+    cfg = nearwave.load_scenario(TLI).config
+    amplitude = memo(cfg.period_d, cfg.grating2.open_half_width)
+    assert not amplitude.flags.writeable
 
 
 def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
@@ -424,6 +447,24 @@ def test_overflowing_velocity_rule_exits_4(runner):
     assert result.exit_code == 4
     assert "numerical error" in result.output
     assert "nan" not in result.output.lower()
+
+
+@pytest.mark.parametrize("args", [
+    ["carpet", TLI, "--z-max", "nan"],
+    ["carpet", TLI, "--z-max", "inf"],
+    ["carpet", TLI, "--z-points", "0"],
+    ["carpet", TLI, "--x-points", "0"],
+    ["otima-map", OTIMA, "--ratio-points", "0"],
+    ["otima-map", OTIMA, "--n0-points", "0"],
+    ["otima-map", OTIMA, "--ratio-max", "nan"],
+    ["otima-map", OTIMA, "--n0-min", "-inf"],
+])
+def test_empty_or_non_finite_grid_exits_2(runner, args):
+    # a NaN range would write a matrix of nan, and no points a header only
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for" in result.output
+    assert "\\" not in result.output
 
 
 @pytest.mark.parametrize("command", [

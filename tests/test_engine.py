@@ -27,6 +27,7 @@ from nearwave.constants import AMU
 from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                                AliasingError, CoefficientTable, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
+                               _cell_open_fraction,
                                fourier_coefficients, ionizing_transmission,
                                is_pure_phase,
                                laser_phase_amplitude, laser_phase_transmission,
@@ -529,11 +530,13 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
 
 
 def test_mask_cosine_sum_checks_the_amplitude(monkeypatch):
-    # |t| <= 1 is checked on the open cell fractions
+    # |t| <= 1 is checked on the open cell fractions, when the amplitude of
+    # a slit geometry is first built
     g = MaterialGrating(period_d=991e-9, open_fraction_f=0.47,
                         thickness_b=500e-9, interaction="vdw_r3")
-    monkeypatch.setattr(engine, "material_amplitude",
-                        lambda *args: 1.5 * material_amplitude(*args))
+    engine._open_amplitude.cache_clear()
+    monkeypatch.setattr(engine, "_cell_open_fraction",
+                        lambda *args: 1.5 * _cell_open_fraction(*args))
     with pytest.raises(ValueError, match="must not exceed 1"):
         grating_coefficients(g, C70, 100.0)
 
