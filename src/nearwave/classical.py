@@ -264,8 +264,7 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
                            fringe_phase=float(phase))
 
 
-def classical_visibility_quadrature(cfg: InterferometerConfig,
-                                    n_velocities: int = 1) -> float:
+def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     """Deterministic twin of the Monte Carlo moire visibility.
 
     Valid for an exactly incoherent divergence window (an integer number of
@@ -273,45 +272,62 @@ def classical_visibility_quadrature(cfg: InterferometerConfig,
     single-grating integrals, with the force impulse entering the central
     one. The fringe components are averaged over ``n_velocities`` nodes of
     the beam's longitudinal velocity distribution before taking the ratio;
-    one node is the mean velocity.
+    one node is the mean velocity. ``cfg`` is one config, which gives a
+    float, or a sequence of them (a block of sweep points), which gives an
+    array of one visibility per config.
 
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
     Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
-    and K(v) read from the same kick as the ray tracer. Material and
+    and K(v) read from the same kick as the ray tracer; one ``bessel_j``
+    call covers every node of every laser config of a block. Material and
     ionizing central gratings are sampled on ``QUADRATURE_GRID`` cells: the
     survival mask and kick shape are computed once per process
     (``_central_grid``) and each velocity node only scales the kick. Their
     |t|^2 is even and their kick odd about the slit centre, so the sum runs
     over the open cells of half a period as the real sum_k weight_k
-    cos(phase_k), with no complex exponential. The outer masks' windows do
-    not depend on the speed: one per process and mask (``_mask_window``).
+    cos(phase_k), with no complex exponential, one node at a time. The
+    outer masks' windows do not depend on the speed: one per process and
+    mask (``_mask_window``).
     """
-    if cfg.mode != "spatial":
+    block = not isinstance(cfg, InterferometerConfig)
+    cfgs = list(cfg) if block else [cfg]
+    if any(c.mode != "spatial" for c in cfgs):
         raise ValueError("classical model requires spatial mode")
-    s = cfg.species
-    d = cfg.period_d
-    g2 = cfg.grating2
-
-    nodes, weights = np.array(velocity_weights(cfg.beam, n_velocities)).T
-
-    if isinstance(g2, LaserPhaseGrating):
-        peak_kick = _kick(g2, s, np.array([d / 4.0]))(nodes)  # K(v), sin = 1
+    rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
+    q1s = [None] * len(cfgs)
+    lasers = [p for p, c in enumerate(cfgs)
+              if isinstance(c.grating2, LaserPhaseGrating)]
+    if lasers:
+        arguments = []
+        for p in lasers:
+            c, nodes = cfgs[p], rules[p][0]
+            d = c.period_d
+            peak_kick = _kick(c.grating2, c.species,
+                              np.array([d / 4.0]))(nodes)  # K(v), sin = 1
+            arguments.append(-2.0 * np.pi * peak_kick * c.flight_time(nodes)
+                             / d)
+        values = bessel_j(2, np.concatenate(arguments))
+        ends = np.cumsum([len(a) for a in arguments])
+        for p, q1 in zip(lasers, np.split(values, ends[:-1])):
+            q1s[p] = q1
+    result = np.empty(len(cfgs))
+    for p, (c, (nodes, weights)) in enumerate(zip(cfgs, rules)):
+        d = c.period_d
         q0 = 1.0
-        q1s = bessel_j(2, -2.0 * np.pi * peak_kick * cfg.flight_time(nodes)
-                       / d)
-    else:
-        q0, weight, two_x, kick = _central_grid(g2, s)
-        q1s = np.empty(len(nodes))
-        for i, v in enumerate(nodes):
-            phase = (2.0 * np.pi / d) * (two_x + kick(v) * cfg.flight_time(v))
-            q1s[i] = weight @ np.cos(phase)
-    t1_0, t1_1 = _mask_window(cfg.grating1)
-    t3_0, t3_1 = _mask_window(cfg.grating3)
-
-    # the weights sum to one and q0 is the same at every node
-    q1 = weights @ q1s
-    return float(2.0 * abs(t1_1 * q1 * np.conj(t3_1)) / (t1_0 * q0 * t3_0))
+        if q1s[p] is None:
+            q0, weight, two_x, kick = _central_grid(c.grating2, c.species)
+            q1s[p] = np.empty(len(nodes))
+            for i, v in enumerate(nodes):
+                phase = (2.0 * np.pi / d) * (two_x
+                                             + kick(v) * c.flight_time(v))
+                q1s[p][i] = weight @ np.cos(phase)
+        t1_0, t1_1 = _mask_window(c.grating1)
+        t3_0, t3_1 = _mask_window(c.grating3)
+        # the weights sum to one and q0 is the same at every node
+        q1 = weights @ q1s[p]
+        result[p] = 2.0 * abs(t1_1 * q1 * np.conj(t3_1)) / (t1_0 * q0 * t3_0)
+    return result if block else float(result[0])
 
 
 __all__ = [

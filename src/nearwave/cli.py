@@ -179,34 +179,52 @@ INTERACTIONS = (("quantum_vdw_visibility", "vdw_r3"),
                 ("quantum_ideal_visibility", "none"))
 
 
-def _point(n_velocities: int, columns, setting) -> dict:
-    """Visibility columns of one (config, decoherence channels) setting.
+# a sweep runs its points in blocks of at most this many velocity-node rows
+BLOCK_ROWS = 48
 
-    Each quantum column is 2 |S_1 / S_0| of the velocity-averaged signal;
-    only S_0 and S_1 are computed. The classical twin has no decoherence
-    model, so it is added only to settings without channels.
+
+def _block(n_velocities: int, columns, settings) -> list[dict]:
+    """Visibility columns of a block of (config, decoherence channels)
+    settings, one record per setting.
+
+    Each quantum column is 2 |S_1 / S_0| of the velocity-averaged signal,
+    from one engine evaluation over the whole block; only S_0 and S_1 are
+    computed. The classical twin has no decoherence model, so it is added
+    only to settings without channels, again in one call for the block.
     """
-    cfg, channels = setting
-    record = {}
+    cfgs = [cfg for cfg, _ in settings]
+    channels = [chans for _, chans in settings]
+    records = [{} for _ in settings]
     for column, interaction in columns:
-        variant = (cfg if interaction is None
-                   else _with_interaction(cfg, column, interaction))
-        signal = velocity_averaged_signal(variant, n_velocities=n_velocities,
-                                          m_max=1, channels=channels)
-        record[column] = float(2.0 * abs(signal[1] / signal[0]))
-    if not channels:
-        record["classical_visibility"] = float(classical_visibility_quadrature(
-            cfg, n_velocities=n_velocities))
-    return record
+        variants = (cfgs if interaction is None
+                    else [_with_interaction(cfg, column, interaction)
+                          for cfg in cfgs])
+        signals = velocity_averaged_signal(variants, n_velocities=n_velocities,
+                                           m_max=1, channels=channels)
+        for record, signal in zip(records, signals):
+            record[column] = float(2.0 * abs(signal[1] / signal[0]))
+    twins = [p for p, chans in enumerate(channels) if not chans]
+    if twins:
+        values = classical_visibility_quadrature([cfgs[p] for p in twins],
+                                                 n_velocities=n_velocities)
+        for p, value in zip(twins, values):
+            records[p]["classical_visibility"] = float(value)
+    return records
 
 
 def _sweep(label: str, values, setting, n_velocities: int, columns,
            out: str, fmt: str):
     """Emit one record per value: the value under ``label``, then the
-    ``_point`` columns of the setting ``setting(value)``."""
+    ``_block`` columns of the setting ``setting(value)``. Consecutive
+    values run in blocks of ``BLOCK_ROWS // n_velocities`` (at least one),
+    and the worker pool maps blocks."""
     def compute():
         settings = [setting(value) for value in values]
-        return _pmap(partial(_point, n_velocities, columns), settings)
+        size = max(1, BLOCK_ROWS // max(1, n_velocities))
+        blocks = [settings[i:i + size] for i in range(0, len(settings), size)]
+        return [record for records in _pmap(
+            partial(_block, n_velocities, columns), blocks)
+            for record in records]
 
     rows = _guard(compute)
     records = [{label: value, **row} for value, row in zip(values, rows)]
@@ -214,19 +232,26 @@ def _sweep(label: str, values, setting, n_velocities: int, columns,
 
 
 class FiniteFloat(click.ParamType):
-    """A float option that must be finite: click's FLOAT and FloatRange
-    take nan and inf."""
+    """A float option that must be finite, and above zero if ``positive``:
+    click's FLOAT and FloatRange take nan and inf."""
 
     name = "float"
+
+    def __init__(self, positive: bool = False):
+        self.positive = positive
 
     def convert(self, value, param, ctx):
         number = click.FLOAT.convert(value, param, ctx)
         if not math.isfinite(number):
             self.fail(f"{value!r} is not a finite number", param, ctx)
+        if self.positive and number <= 0.0:
+            self.fail(f"{value!r} is not a positive number", param, ctx)
         return number
 
 
 FINITE = FiniteFloat()
+# the bounds of a logarithmic axis
+POSITIVE = FiniteFloat(positive=True)
 # a grid axis needs at least one point
 POINTS = click.IntRange(min=1)
 
@@ -315,7 +340,8 @@ def power_sweep(scenario_path, velocities, out, fmt):
               help="Largest propagation distance in Talbot lengths.")
 @click.option("--z-points", type=POINTS, default=64, show_default=True)
 @click.option("--x-points", type=POINTS, default=128, show_default=True)
-@click.option("--order", default=8, show_default=True,
+@click.option("--order", type=click.IntRange(min=0), default=8,
+              show_default=True,
               help="Fourier truncation of the reconstructed density.")
 @with_common
 def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
@@ -441,12 +467,14 @@ def deflect(scenario_path, out, fmt):
 
 @main.command("csl-map")
 @click.argument("scenario_path")
-@click.option("--lambda-min", default=1e-12, show_default=True)
-@click.option("--lambda-max", default=1e-8, show_default=True)
-@click.option("--lambda-points", default=3, show_default=True)
-@click.option("--rc-min", default=1e-8, show_default=True)
-@click.option("--rc-max", default=1e-6, show_default=True)
-@click.option("--rc-points", default=3, show_default=True)
+@click.option("--lambda-min", type=POSITIVE, default=1e-12, show_default=True)
+@click.option("--lambda-max", type=POSITIVE, default=1e-8, show_default=True)
+@click.option("--lambda-points", type=click.IntRange(min=2), default=3,
+              show_default=True)
+@click.option("--rc-min", type=POSITIVE, default=1e-8, show_default=True)
+@click.option("--rc-max", type=POSITIVE, default=1e-6, show_default=True)
+@click.option("--rc-points", type=click.IntRange(min=2), default=3,
+              show_default=True)
 @click.option("--threshold", default=float(np.exp(-1.0)), show_default=True,
               help="Reduction-factor threshold defining the critical mass.")
 @with_common

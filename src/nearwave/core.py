@@ -134,34 +134,56 @@ def bessel_node_count(n: int, x: float) -> int:
     only by the aliased orders J_{kN +- n}(x), and with
     N = ceil(|x| + |n| + 10 |x|^(1/3)) + 40 the first of them lies far past
     the Bessel turning point, whose width grows like |x|^(1/3).
-
-    The same count serves the trapezoid rule of ``bessel_j`` and the
-    N-point DFT of exp(i x cos(theta)), whose coefficient j is i^j J_j(x).
     """
     x = abs(x)
     return math.ceil(x + abs(n) + 10.0 * x ** (1.0 / 3.0)) + 40
 
 
-def bessel_j(n: int, x):
-    """Bessel function J_n(x) of integer order, without scipy.
+def bessel_j(n, x):
+    """Bessel functions J_n(x) of integer order, without scipy.
 
     Trapezoid rule on Bessel's integral
-    J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau. The integrand is
-    smooth and 2 pi-periodic, so with ``bessel_node_count`` nodes on the
-    full period the absolute error against ``scipy.special.jv`` stays below
-    1e-13 for |n| <= 64 and |x| <= 3000. The integrand is even about pi,
-    so the rule runs on the ceil(N/2) midpoints of [0, pi].
+    J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau at the H midpoints
+    of [0, pi], H = ceil(N/2) rounded up to even, N the
+    ``bessel_node_count`` of the largest |n| and |x|. The integrand is
+    smooth and 2 pi-periodic, so the absolute error against
+    ``scipy.special.jv`` stays below 1e-13 for |n| <= 130 and
+    |x| <= 2e4. The midpoints pair up about pi/2, which folds the rule
+    onto [0, pi/2]: (2/H) sum cos(n tau) cos(x sin tau) for even n and
+    (2/H) sum sin(n tau) sin(x sin tau) for odd n, one real matrix
+    product per parity; J_-n = (-1)^n J_n follows from the parity of cos
+    and sin. At x = 0 the result is exactly J_n(0) = delta_n0.
 
-    ``x`` may be an array; one node count, set by its largest |x|, serves
-    every entry, and the result has the shape of ``x``.
+    ``n`` is one order or a 1-D array of orders, and ``x`` any array; one
+    rule serves every entry, and the result has shape
+    ``shape(x) + shape(n)``.
     """
     x = np.asarray(x, dtype=float)
+    orders = np.asarray(n)
     largest = float(np.max(np.abs(x), initial=0.0))
     if not math.isfinite(largest):
         raise ValueError(f"x must be finite, got largest |x| = {largest!r}")
-    half = -(-bessel_node_count(n, largest) // 2)
-    tau = (np.arange(half) + 0.5) * (np.pi / half)
-    return np.cos(n * tau - x[..., None] * np.sin(tau)).mean(axis=-1)
+    widest = int(np.max(np.abs(orders), initial=0))
+    quarter = -(-bessel_node_count(widest, largest) // 4)
+    tau = (np.arange(quarter) + 0.5) * (np.pi / (2 * quarter))
+    arg = x[..., None] * np.sin(tau)
+    flat = np.atleast_1d(orders)
+    result = np.empty(x.shape + flat.shape)
+    even = flat % 2 == 0
+    # n tau_k = 2 pi n (2k + 1) / P with P = 4 H: reduced modulo P, every
+    # cos(n tau) is one of P cosines, and sin(n tau) the one H steps back
+    period = 8 * quarter
+    cosines = np.cos(np.arange(period) * (2.0 * np.pi / period))
+    steps = np.multiply.outer(2 * np.arange(quarter) + 1, flat)
+    for parity, trig, shift in ((even, np.cos, 0),
+                                (~even, np.sin, 2 * quarter)):
+        if parity.any():
+            result[..., parity] = trig(arg) @ cosines[
+                (steps[:, parity] - shift) % period]
+    result /= quarter
+    # J_n(0) = delta_n0 exactly, where the sums of cos(n tau) leave 1e-17
+    result[x == 0.0] = flat == 0
+    return result.reshape(x.shape + orders.shape)[()]
 
 
 __all__ = [

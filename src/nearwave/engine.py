@@ -9,11 +9,13 @@ is L / v_z in spatial mode and the pulse delay T in the time domain; it is
 the only quantity that depends on the mode. The sinusoidal visibility is
 the ratio 2 |S_1 / S_0| of the transmitted signal components.
 
-A velocity average builds each distinct grating's table once for all
-velocity nodes: one node-stacked coefficient table per grating, and one
-coefficient evaluation over node x order. Phased masks and laser gratings
-are even about their slit centre, and one cosine-sum kernel builds both
-tables from the phase on half a period (``grating_coefficients``).
+One evaluation covers a block of configurations (the points of a sweep)
+and the velocity nodes of each: one row per node of every point. Each
+distinct grating gets one table over all rows, and one coefficient
+evaluation runs over row x order. Laser gratings have the Bessel closed
+form, one ``bessel_j`` call for all rows even where the points differ in
+power; a phased mask's table is a cosine sum over the phase on half a
+period (``grating_coefficients``).
 
 A grating whose t(x) does not depend on the speed (an ionizing grating, a
 material mask without an eikonal phase, a laser without a phase) has one
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (BeamState, bessel_node_count, require_finite, talbot_time,
+from .core import (BeamState, bessel_j, require_finite, talbot_time,
                    velocity_weights)
 from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
@@ -136,50 +138,49 @@ def grating_transmission(g: GratingSpec, s: Species, v_z):
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def _laser_grid_size(phi0: float, j_max: int) -> int:
-    """Smallest power-of-two grid >= 256 that resolves a laser table.
-
-    t(x) = exp(i phi0 cos^2(pi x / d)) has b_j = e^(iz) i^j J_j(z) with
-    z = phi0 / 2 (Jacobi-Anger). The N-point DFT returns b_j plus the
-    aliased b_{j +- kN}, so N covers 2 j_max and the Bessel node count of
-    order j_max at z; ``DEFAULT_GRID_SIZE`` caps it.
-    """
-    need = max(256, 2 * j_max, bessel_node_count(j_max, phi0 / 2.0))
-    return min(1 << (need - 1).bit_length(), DEFAULT_GRID_SIZE)
-
-
 def grating_coefficients(g: GratingSpec, s: Species, v_z,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
     """Fourier table (|j| <= ``j_max``) of grating ``g`` at speed(s) ``v_z``,
     shaped like ``grating_transmission``'s samples with orders on the last
     axis.
 
-    A speed-free grating's table is built once per process. A phased mask
-    sums its open cells of ``DEFAULT_GRID_SIZE`` points, whose |t| is built
-    once per slit geometry (``_open_amplitude``), and a laser the
-    grid that ``_laser_grid_size`` gives the largest phase of all speeds
-    (``_even_table``); stacked rows round differently from single speeds,
-    by about 1e-15.
+    A speed-free grating's table is built once per process. A laser's
+    table is the Bessel closed form (``_laser_table``). A phased mask sums
+    its open cells of ``DEFAULT_GRID_SIZE`` points, whose |t| is built once
+    per slit geometry (``_open_amplitude``), in one cosine sum for all
+    speeds (``_even_table``); stacked rows round differently from single
+    speeds, by about 1e-15.
     """
     if has_speed_free_transmission(g, s):
         return _speed_free_table(g, s, j_max)
     v_z = np.asarray(v_z, dtype=float)
     if not np.all((v_z > 0.0) & (v_z < np.inf)):
         raise ValueError("v_z must be positive")
-    # one row per speed, so that each product is a single matrix product
-    speeds, d = v_z.reshape(-1, 1), g.period_d
-    if isinstance(g, MaterialGrating):
-        n = DEFAULT_GRID_SIZE
-        amp = _open_amplitude(d, g.open_half_width)
-        phase = material_slit_phase(g, s, speeds, np.arange(amp.size) * d / n)
-    elif isinstance(g, LaserPhaseGrating):
-        phi0 = laser_phase_amplitude(g, s, speeds)
-        n, amp = _laser_grid_size(float(np.max(phi0)), j_max), 1.0
-        x = np.arange(n // 2 + 1) * d / n
-        phase = phi0 * np.cos(np.pi * x / d) ** 2
-    else:
+    if isinstance(g, LaserPhaseGrating):
+        return _laser_table(laser_phase_amplitude(g, s, v_z), j_max)
+    if not isinstance(g, MaterialGrating):
         raise TypeError(f"unsupported grating type {type(g).__name__}")
+    n, d = DEFAULT_GRID_SIZE, g.period_d
+    amp = _open_amplitude(d, g.open_half_width)
+    # one row per speed, so that each product is a single matrix product
+    phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
+                                np.arange(amp.size) * d / n)
     half = _even_table(amp, phase, n, j_max).reshape(v_z.shape + (-1,))
+    return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
+
+
+def _laser_table(phi0, j_max: int) -> CoefficientTable:
+    """Table of t(x) = exp(i phi0 cos^2(pi x / d)) for each entry of
+    ``phi0``, orders on a new last axis, in closed form (Jacobi-Anger):
+    b_j = e^(iz) i^|j| J_|j|(z) with z = phi0 / 2, from one ``bessel_j``
+    call (Hornberger et al., NJP 11, 043032 (2009)). A zero phase gives
+    b_j = delta_j0 exactly (``bessel_j`` is exact at 0), as the speed-free
+    table of a laser without phase does."""
+    _check_orders(j_max, DEFAULT_GRID_SIZE)
+    z = np.asarray(phi0, dtype=float) / 2.0
+    j = np.arange(j_max + 1)
+    half = (np.exp(1j * z)[..., None] * np.array([1, 1j, -1, -1j])[j % 4]
+            * bessel_j(j, z))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
 
 
@@ -202,13 +203,18 @@ def _open_amplitude(d: float, open_half: float) -> np.ndarray:
 
 
 def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:
-    """b_0 .. b_jmax (= b_-j) of an even t(x) on N = ``n`` points from
+    """b_0 .. b_jmax (= b_-j) of an even mask t(x) on N = ``n`` points from
     t_k = amp_k e^(i phase_k) at grid points k = 0 .. K-1 <= N/2 (zero
     beyond), one row per speed: the DFT sum_k C[k, j] t_k as two real
-    matrix products (a complex one would copy C to complex per call)."""
+    matrix products (a complex one would copy C to complex per call),
+    through one buffer the size of ``phase``."""
     weights = _cosine_weights(n, j_max)[:phase.shape[-1]]
-    return (amp * np.cos(phase)) @ weights \
-        + 1j * ((amp * np.sin(phase)) @ weights)
+    part = np.cos(phase)
+    part *= amp
+    real = part @ weights
+    np.sin(phase, out=part)
+    part *= amp
+    return real + 1j * (part @ weights)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -258,7 +264,10 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
     against each other; scalars and a single table give a complex scalar,
     arrays an array of coefficients of the broadcast shape. For each
     distinct order m the sum runs over the slice of j where both b_j and
-    b_{j-m} lie in the table; an order with |m| > 2 j_max gives zero.
+    b_{j-m} lie in the table; an order with |m| > 2 j_max gives zero. An
+    order whose every xi is 0 (the outer factors B_m(0), the central B_0)
+    sums the products alone: exp(0j) = 1 exactly, so skipping it changes
+    no bit.
     """
     m, xi = np.broadcast_arrays(m, xi)
     if np.any(np.abs(xi) >= XI_SANITY_BOUND):
@@ -277,8 +286,11 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
         j = np.arange(lo, hi + 1)
         products = rows[:, lo + j_max:hi + j_max + 1] \
             * np.conj(rows[:, lo - order + j_max:hi - order + j_max + 1])
-        phases = np.exp(1j * np.pi * (order - 2 * j) * xi[at][:, None])
-        result[at] = np.sum(products * phases, axis=-1)
+        xi_at = xi[at]
+        if np.any(xi_at):
+            products = products * np.exp(1j * np.pi * (order - 2 * j)
+                                         * xi_at[:, None])
+        result[at] = np.sum(products, axis=-1)
     return result[()]
 
 
@@ -306,51 +318,88 @@ def detector_signal(cfg: InterferometerConfig, v_z: float,
     S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T) * conj(B3_m(0)); the last
     factor is dropped in surface-imaging mode. Decoherence channels
     multiply the central-grating coefficient by its exponential reduction
-    factor.
+    factor. This is a block of one config with one velocity node
+    (``_block_signals``).
     """
     if not 0.0 < v_z < np.inf:
         raise ValueError("v_z must be positive")
-    return _node_signals(cfg, [v_z], m_max, DEFAULT_J_MAX, channels)[0]
+    rule = (np.array([v_z], dtype=float), np.ones(1))
+    return _block_signals([cfg], [rule], m_max, DEFAULT_J_MAX, [channels])[0]
 
 
-def _node_signals(cfg: InterferometerConfig, velocities, m_max: int,
-                  j_max: int, channels: Sequence) -> np.ndarray:
-    """``detector_signal`` for each of ``velocities``, one row per node.
+def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
+                   j_max: int, channels: Sequence) -> np.ndarray:
+    """``detector_signal`` averaged over each config's velocity rule, one
+    row per config: ``rules[p]`` holds the nodes and weights of
+    ``cfgs[p]``, and ``channels[p]`` its decoherence channels.
 
-    Each distinct grating (the three masks of a symmetric TLI are one) gets
-    one table covering all nodes; row i is the table of node i alone, bit
-    for bit for a laser grating and up to rounding for a mask with an
-    eikonal phase (``grating_coefficients``). Each distinct outer grating
-    gets one factor conj B_m(0), and a speed-free one the factor memoised
-    for the process.
+    Every node of every config is one row of one evaluation. Each distinct
+    grating role (the three masks of a symmetric TLI are one) gets one
+    table over all rows (``_block_table``) and each distinct outer role
+    one factor conj B_m(0), or the factor memoised for the process if its
+    grating is speed-free. Each row equals a block of its config alone up
+    to rounding. The configs are all surface-imaging or all not.
     """
-    s = cfg.species
-    nodes = np.asarray(velocities, dtype=float)[:, None]
+    if len({cfg.grating3 is None for cfg in cfgs}) > 1:
+        raise ValueError("a block mixes surface-imaging and three-grating "
+                         "configs")
+    nodes = np.concatenate([rule[0] for rule in rules])[:, None]
+    ends = np.cumsum([len(rule[0]) for rule in rules])
     tables, outer_factors = {}, {}
     m = np.arange(m_max + 1)
 
-    def table(g):
-        if g not in tables:
-            tables[g] = grating_coefficients(g, s, nodes, j_max)
-        return tables[g]
+    def role(name):
+        return tuple((getattr(cfg, name), cfg.species) for cfg in cfgs)
 
-    def outer(g):
-        if g not in outer_factors:
-            outer_factors[g] = (
+    def table(key):
+        if key not in tables:
+            tables[key] = _block_table(key, nodes, ends, j_max)
+        return tables[key]
+
+    def outer(key):
+        if key not in outer_factors:
+            g, s = key[0]
+            outer_factors[key] = (
                 _speed_free_outer(g, s, m_max, j_max)
-                if has_speed_free_transmission(g, s)
-                else np.conj(talbot_lau_coefficient(table(g), m, 0.0)))
-        return outer_factors[g]
+                if len(set(key)) == 1 and has_speed_free_transmission(g, s)
+                else np.conj(talbot_lau_coefficient(table(key), m, 0.0)))
+        return outer_factors[key]
 
-    xi_unit = cfg.flight_time(nodes) / talbot_time(s.mass, cfg.period_d)
-    signal = outer(cfg.grating1) \
-        * talbot_lau_coefficient(table(cfg.grating2), 2 * m, m * xi_unit)
-    if cfg.grating3 is not None:
-        signal *= outer(cfg.grating3)
-    for channel in channels:
-        signal *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
-                   for v in nodes[:, 0]]
-    return signal
+    xi_unit = np.concatenate([
+        cfg.flight_time(rule[0]) / talbot_time(cfg.species.mass, cfg.period_d)
+        for cfg, rule in zip(cfgs, rules)])[:, None]
+    signal = outer(role("grating1")) \
+        * talbot_lau_coefficient(table(role("grating2")), 2 * m, m * xi_unit)
+    if cfgs[0].grating3 is not None:
+        signal *= outer(role("grating3"))
+    averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
+    for p, (cfg, (speeds, weights), chans, rows) in enumerate(
+            zip(cfgs, rules, channels, np.split(signal, ends[:-1]))):
+        for channel in chans:
+            rows *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
+                     for v in speeds]
+        averaged[p] = weights @ rows
+    return averaged
+
+
+def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
+    """One table, a row per node, for the (grating, species) pair of each
+    config of a block (``key``): ``grating_coefficients`` over all nodes
+    where the configs share one (a single row if it is speed-free), one
+    closed form over each config's own laser phase where all are lasers
+    (a power sweep), and else each config's own table."""
+    if len(set(key)) == 1:
+        g, s = key[0]
+        return grating_coefficients(g, s, nodes, j_max)
+    per_config = np.split(nodes, ends[:-1])
+    if all(isinstance(g, LaserPhaseGrating) for g, _ in key):
+        return _laser_table(np.concatenate([
+            laser_phase_amplitude(g, s, v)
+            for (g, s), v in zip(key, per_config)]), j_max)
+    return CoefficientTable(np.concatenate([
+        np.broadcast_to(grating_coefficients(g, s, v, j_max).values,
+                        v.shape + (2 * j_max + 1,))
+        for (g, s), v in zip(key, per_config)]))
 
 
 def sinusoidal_visibility(signal: np.ndarray) -> float:
@@ -365,15 +414,24 @@ def sinusoidal_visibility(signal: np.ndarray) -> float:
     return value
 
 
-def velocity_averaged_signal(cfg: InterferometerConfig,
-                             n_velocities: int = 16,
+def velocity_averaged_signal(cfg, n_velocities: int = 16,
                              m_max: int = DEFAULT_M_MAX,
                              j_max: int = DEFAULT_J_MAX,
                              channels: Sequence = ()) -> np.ndarray:
     """Signal components averaged over the beam velocity distribution:
-    the weighted sum of the node signals (``_node_signals``)."""
-    nodes, weights = np.array(velocity_weights(cfg.beam, n_velocities)).T
-    return weights @ _node_signals(cfg, nodes, m_max, j_max, channels)
+    the weighted sum of the node signals.
+
+    ``cfg`` is one config, or a sequence of them (a block of sweep points,
+    evaluated together by ``_block_signals``) with ``channels`` empty or
+    holding one sequence of channels per config; a block gives one row of
+    components per config.
+    """
+    block = not isinstance(cfg, InterferometerConfig)
+    cfgs = list(cfg) if block else [cfg]
+    channel_sets = (channels or [()] * len(cfgs)) if block else [channels]
+    rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
+    signals = _block_signals(cfgs, rules, m_max, j_max, channel_sets)
+    return signals if block else signals[0]
 
 
 def velocity_averaged_pattern(cfg: InterferometerConfig,

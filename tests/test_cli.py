@@ -297,26 +297,35 @@ def _count_calls(monkeypatch, sites):
     return calls
 
 
-def test_point_builds_each_table_once(monkeypatch):
-    # one TLI point with 12 nodes: each quantum column (vdW, Casimir-Polder,
-    # no interaction; g1 == g2 == g3 in each) builds one node-stacked
-    # coefficient table, and evaluates B_m once for grating2 and once for
-    # the outer masks; the vdW and Casimir-Polder masks take the even
-    # cosine sum, whose weights they share (same grid and orders), the mask
-    # without a phase one transmission and FFT; the classical twin builds
-    # one speed-free window for its outer masks. A second point rebuilds
-    # only the speed-dependent vdW and Casimir-Polder tables: the weights,
-    # the mask without a phase, its outer factor and the window are
-    # memoised.
+def _settings(path, count):
+    """(config, no channels) of the first ``count`` points of a bundled
+    sweep."""
+    scenario = nearwave.load_scenario(path)
+    return [(apply_sweep_value(scenario, value), ())
+            for value in scenario.sweep.values()[:count]]
+
+
+def test_block_builds_each_table_once(monkeypatch):
+    # one block of four TLI points with 12 nodes each: each quantum column
+    # (vdW, Casimir-Polder, no interaction; g1 == g2 == g3 in each) builds
+    # one coefficient table over all 48 rows, and evaluates B_m once for
+    # grating2 and once for the outer masks; the vdW and Casimir-Polder
+    # masks take the even cosine sum, whose weights they share (same grid
+    # and orders), the mask without a phase one transmission and FFT; the
+    # classical twin builds one speed-free window for its outer masks. A
+    # second block rebuilds only the speed-dependent vdW and
+    # Casimir-Polder tables: the weights, the mask without a phase, its
+    # outer factor and the window are memoised.
     _clear_memos()
     weights = engine._cosine_weights
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.material_transmission",
         "engine.fourier_coefficients", "engine.talbot_lau_coefficient",
         "classical.transmission_probability_coefficients"])
-    cfg = nearwave.load_scenario(TLI).config
-    record = cli._point(12, cli.INTERACTIONS, (cfg, ()))
-    assert list(record) == [name for name, _ in cli.INTERACTIONS] \
+    settings = _settings(TLI, 4)
+    records = cli._block(12, cli.INTERACTIONS, settings)
+    assert len(records) == 4
+    assert list(records[0]) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
     assert calls == {"engine._even_table": 2,
                      "engine.material_transmission": 1,
@@ -324,7 +333,7 @@ def test_point_builds_each_table_once(monkeypatch):
                      "engine.talbot_lau_coefficient": 6,
                      "classical.transmission_probability_coefficients": 1}
     assert weights.cache_info().misses == 1
-    assert cli._point(12, cli.INTERACTIONS, (cfg, ())) == record
+    assert cli._block(12, cli.INTERACTIONS, settings) == records
     assert calls == {"engine._even_table": 4,
                      "engine.material_transmission": 1,
                      "engine.fourier_coefficients": 1,
@@ -337,7 +346,8 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
                                                         monkeypatch):
     # the TLI's three masks and its vdW and Casimir-Polder variants share
     # one slit geometry (the wall cutoff is the same): one velocity-sweep
-    # run builds and checks its |t| once, for every point and table
+    # run builds and checks its |t| once, and its three points at two
+    # nodes form one block, with one cosine-sum table per phased column
     _clear_memos()
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     calls = _count_calls(monkeypatch, ["engine._cell_open_fraction",
@@ -348,7 +358,7 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 4
     assert calls == {"engine._cell_open_fraction": 1,
-                     "engine._even_table": 6}
+                     "engine._even_table": 2}
     memo = engine._open_amplitude
     assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
     cfg = nearwave.load_scenario(TLI).config
@@ -358,27 +368,56 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
 
 def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
     # the KDTLI's outer mask has no eikonal phase: across two power-sweep
-    # points its transmission, table, outer factor and window are built
-    # once; only the laser grating2 is rebuilt (one even cosine sum for all
-    # nodes) and evaluated at each point
+    # blocks of four points its transmission, table, outer factor and
+    # window are built once. Each block builds its laser tables, which
+    # differ in power, from one multi-order Bessel call over all 48 rows,
+    # evaluates grating2 once, and takes its four classical twins from one
+    # more Bessel call
     _clear_memos()
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.material_transmission",
         "engine.laser_phase_transmission", "engine.fourier_coefficients",
-        "engine.talbot_lau_coefficient",
+        "engine.talbot_lau_coefficient", "engine.bessel_j",
+        "classical.bessel_j",
         "classical.transmission_probability_coefficients"])
-    scenario = nearwave.load_scenario(KDTLI)
-    powers = scenario.sweep.values()[:2]
-    for power in powers:
-        cfg = apply_sweep_value(scenario, power)
+    settings = _settings(KDTLI, 8)
+    for cfg, _ in settings:
         assert cfg.grating1 == cfg.grating3
-        cli._point(12, cli.QUANTUM, (cfg, ()))
-    assert calls == {"engine._even_table": len(powers),
+    blocks = (settings[:4], settings[4:])
+    for block in blocks:
+        cli._block(12, cli.QUANTUM, block)
+    assert calls == {"engine._even_table": 0,
                      "engine.material_transmission": 1,
                      "engine.laser_phase_transmission": 0,
                      "engine.fourier_coefficients": 1,
-                     "engine.talbot_lau_coefficient": 1 + len(powers),
+                     "engine.talbot_lau_coefficient": 1 + len(blocks),
+                     "engine.bessel_j": len(blocks),
+                     "classical.bessel_j": len(blocks),
                      "classical.transmission_probability_coefficients": 1}
+
+
+@pytest.mark.parametrize("path, columns, first", [
+    (KDTLI, cli.QUANTUM, 0.0), (TLI, cli.INTERACTIONS, None)],
+    ids=["power-sweep", "velocity-sweep"])
+def test_block_rows_equal_one_point_blocks(path, columns, first):
+    # each record of a block of four points equals the block of its point
+    # alone within 1e-13; a laser without power keeps its exact table
+    # b_j = delta_j0 inside a block whose other points have power, so its
+    # quantum visibility is exactly 0, and its twin's J_2(0) too
+    settings = _settings(path, 4)
+    if first is not None:
+        scenario = nearwave.load_scenario(path)
+        settings[0] = (apply_sweep_value(scenario, first), ())
+    block = cli._block(12, columns, settings)
+    for record, setting in zip(block, settings):
+        alone = cli._block(12, columns, [setting])[0]
+        assert list(record) == list(alone)
+        for name, value in record.items():
+            assert value == pytest.approx(alone[name], rel=1e-13, abs=1e-16)
+    if first is not None:
+        assert block[0]["quantum_visibility"] == 0.0
+        assert block[0]["classical_visibility"] == 0.0
+        assert block[1]["quantum_visibility"] > 0.0
 
 
 def test_carpet_matrix_shape(runner):
@@ -465,6 +504,25 @@ def test_empty_or_non_finite_grid_exits_2(runner, args):
     assert result.exit_code == 2
     assert "Invalid value for" in result.output
     assert "\\" not in result.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (["csl-map", OTIMA, "--lambda-points", "-3"], "--lambda-points"),
+    (["csl-map", OTIMA, "--rc-points", "1"], "--rc-points"),
+    (["csl-map", OTIMA, "--lambda-min", "-1"], "--lambda-min"),
+    (["csl-map", OTIMA, "--lambda-max", "0"], "--lambda-max"),
+    (["csl-map", OTIMA, "--rc-min", "nan"], "--rc-min"),
+    (["csl-map", OTIMA, "--rc-max", "-inf"], "--rc-max"),
+    (["carpet", TLI, "--order", "-1"], "--order"),
+])
+def test_map_options_out_of_range_exit_2(runner, args, option):
+    # a negative count made np.logspace raise outside the guard (exit 1),
+    # a negative bound a numpy warning and "lambda0 must be finite", and a
+    # negative order a message about odd table lengths
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Warning" not in result.output
 
 
 @pytest.mark.parametrize("command", [
@@ -618,8 +676,12 @@ def test_worker_count_clamped(monkeypatch, workers):
     assert requested == ([clamped] if clamped > 1 else [])
 
 
-def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch):
-    # the same bytes from this process and from a pool of two workers
+@pytest.mark.parametrize("command, path", [
+    ("velocity-sweep", TLI), ("power-sweep", KDTLI)])
+def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
+                                              command, path):
+    # the same bytes from this process and from a pool of two workers,
+    # which map the sweep's blocks of points
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -628,7 +690,7 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch):
             super().__init__(max_workers=max_workers)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    args = ["velocity-sweep", TLI, "--velocities", "2", "--out"]
+    args = [command, path, "--velocities", "2", "--out"]
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     serial = tmp_path / "serial.csv"
     assert invoke(runner, *args, str(serial)).exit_code == 0
@@ -685,16 +747,18 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_sweep_points_leave_numpy_ma_unloaded():
-    # np.unique imports numpy.ma on its first call (~14 ms); one power-sweep
-    # and one velocity-sweep point in a fresh interpreter must not need it
+    # np.unique imports numpy.ma on its first call (~14 ms); one block of
+    # four power-sweep and one of four velocity-sweep points in a fresh
+    # interpreter must not need it
     code = "\n".join([
         "from nearwave import cli, load_scenario",
         "from nearwave.scenario import apply_sweep_value",
         f"for path, columns in (({KDTLI!r}, cli.QUANTUM),",
         f"                      ({TLI!r}, cli.INTERACTIONS)):",
         "    scenario = load_scenario(path)",
-        "    value = scenario.sweep.values()[0]",
-        "    cli._point(12, columns, (apply_sweep_value(scenario, value), ()))"])
+        "    values = scenario.sweep.values()[:4]",
+        "    cli._block(12, columns, [(apply_sweep_value(scenario, v), ())",
+        "                             for v in values])"])
     assert _loaded_in_fresh_interpreter(code, ("numpy.ma",)) == "[]"
 
 

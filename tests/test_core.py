@@ -152,6 +152,28 @@ def test_bessel_j_matches_scipy(n):
                                                abs=1e-13)
 
 
+def test_bessel_j_many_orders_match_scipy():
+    # one call for many orders: shape(x) + shape(n), negative orders by
+    # J_-n = (-1)^n J_n, absolute 1e-13 over |n| <= 130 and |x| <= 2e4,
+    # and exactly delta_n0 at x = 0
+    from scipy.special import jv
+    orders = np.arange(-130, 131)
+    x = np.concatenate([np.linspace(-2e4, 2e4, 401),
+                        np.linspace(-40.0, 40.0, 161), [0.0, 975.3]])
+    for chunk in np.array_split(x, 8):
+        table = bessel_j(orders, chunk)
+        assert table.shape == chunk.shape + orders.shape
+        assert np.max(np.abs(table - jv(orders, chunk[:, None]))) < 1e-13
+    scattered = np.array([7, -3, 0, 130, -130, 64])
+    value = bessel_j(scattered, 1234.5)
+    assert value.shape == scattered.shape
+    assert np.max(np.abs(value - jv(scattered, 1234.5))) < 1e-13
+    assert np.array_equal(bessel_j(orders, 0.0), orders == 0)
+    grid = np.linspace(-2e4, 2e4, 9).reshape(3, 3)
+    assert bessel_j(np.array([2]), grid).shape == (3, 3, 1)
+    assert np.max(np.abs(bessel_j(-7, grid) - jv(-7, grid))) < 1e-13
+
+
 def test_bessel_j_shape_and_finite_input():
     assert bessel_j(2, np.zeros((3, 4))).shape == (3, 4)
     assert np.ndim(bessel_j(2, 1.5)) == 0

@@ -14,7 +14,6 @@ from nearwave.decoherence import (GasEnvironment, channel_factor,
 from nearwave import engine
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, TruncationWarning,
-                             _laser_grid_size,
                              detector_signal, grating_coefficients,
                              grating_transmission,
                              sinusoidal_visibility, talbot_lau_coefficient,
@@ -447,6 +446,34 @@ def test_velocity_average_equals_per_node_loop(name):
     np.testing.assert_allclose(averaged, rebuilt, rtol=1e-12, atol=0.0)
 
 
+def test_block_rows_equal_each_config_alone():
+    # a block of configs that differ in every grating, species and beam,
+    # each with its own channels, and a block of lasers that differ only in
+    # power (one closed form over all rows, a 0 W point among them): row p
+    # is config p alone to rounding
+    cases = [_oracle_case(name) for name in (
+        "vdw_r3", "casimir_polder_r4", "none", "kdtli", "top_hat",
+        "collisional")]
+    kdtli, _ = _oracle_case("kdtli")
+    cases += [(replace(kdtli, grating2=replace(kdtli.grating2, power_P=p)),
+               ()) for p in (0.0, 0.5, 18.0)]
+    for block in (cases, cases[-4:]):
+        cfgs = [cfg for cfg, _ in block]
+        channels = [chans for _, chans in block]
+        signals = velocity_averaged_signal(cfgs, 12, m_max=3,
+                                           channels=channels)
+        assert signals.shape == (len(block), 4)
+        for row, cfg, chans in zip(signals, cfgs, channels):
+            alone = velocity_averaged_signal(cfg, 12, m_max=3,
+                                             channels=chans)
+            np.testing.assert_allclose(row, alone, rtol=1e-12, atol=0.0)
+    # the 0 W laser of the last block: b_j = delta_j0, no fringe at all
+    assert np.all(signals[1, 1:] == 0.0)
+    surface, _ = _oracle_case("surface_imaging")
+    with pytest.raises(ValueError, match="mixes surface-imaging"):
+        velocity_averaged_signal([surface, cfgs[0]], 12)
+
+
 def test_flight_time_over_talbot_time_equals_separation_over_talbot_length():
     # the engine's Talbot argument (L / v) / T_T against L / L_T with
     # L_T = d^2 / lambda, over the speeds of every oracle case
@@ -500,8 +527,7 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
     # one speed and 12, scalar and node-stacked. A mask sums its open cells
     # of that grid: the FFT within 8.9e-16, and single-speed rows within
     # 1.7e-15 (the products round differently for one row and for 12). A
-    # laser sums over the grid sized for the stack's largest phase: both
-    # within 1e-13
+    # laser's closed form: both within 1e-13
     species = C70 if isinstance(g, MaterialGrating) else get_species("PFNS8")
     bound = 4e-15 if isinstance(g, MaterialGrating) else 1e-13
     if isinstance(g, MaterialGrating):
@@ -571,8 +597,8 @@ def _power_sweep():
 
 
 def test_sized_laser_tables_at_every_power_sweep_node():
-    # b_j = e^(iz) i^j J_j(z), z = phi0 / 2, on the grid sized by phi0, on
-    # the fixed 4096-point grid, and from the Bessel closed form
+    # b_j = e^(iz) i^j J_j(z), z = phi0 / 2, from the engine's closed form,
+    # on the fixed 4096-point grid, and from the Bessel oracle
     species, lasers, v = _power_sweep()
     assert lasers[-1].power_P == 18.0
     sized, fixed, z = [], [], []
@@ -582,37 +608,48 @@ def test_sized_laser_tables_at_every_power_sweep_node():
             grating_transmission(g, species, v)).values)
         z.append(laser_phase_amplitude(g, species, v) / 2.0)
     sized, fixed, z = np.array(sized), np.array(fixed), np.array(z)
-    # the slowest node at 18 W has the largest phase, and a grid below 4096
+    # the slowest node at 18 W has the largest phase
     assert z.max() == z[-1].max() and z.max() > 1000.0
-    assert _laser_grid_size(2.0 * z.max(), DEFAULT_J_MAX) < 4096
     assert np.max(np.abs(sized - _laser_closed_form(z))) < 1e-13
     assert np.max(np.abs(sized - fixed)) < 1e-13
 
 
-def test_stack_over_grid_sizes_equals_closed_form(monkeypatch):
-    # nodes whose phases alone would need at least four grid sizes share
-    # one build on the grid of the largest phase; each row matches the
-    # Bessel closed form and the table of its speed alone
+def test_stack_over_phases_is_one_bessel_call(monkeypatch):
+    # nodes whose phases span over three decades share one multi-order
+    # Bessel call; each row matches the closed form and the table of its
+    # speed alone
     g = _laser(power_P=18.0)
     species = get_species("PFNS8")
     speeds = np.array([40.0, 75.0, 150.0, 400.0, 2000.0, 1e5])
     phi0 = laser_phase_amplitude(g, species, speeds)
-    assert len({_laser_grid_size(p, DEFAULT_J_MAX) for p in phi0}) >= 4
-    builds = []
+    assert phi0.max() / phi0.min() > 1e3
+    calls = []
 
-    def build(amp, phase, n, j_max):
-        builds.append(n)
-        return kernel(amp, phase, n, j_max)
-    kernel = engine._even_table
-    monkeypatch.setattr(engine, "_even_table", build)
+    def counted(n, x):
+        calls.append(np.shape(x))
+        return bessel(n, x)
+    bessel = engine.bessel_j
+    monkeypatch.setattr(engine, "bessel_j", counted)
     stacked = grating_coefficients(g, species, speeds[:, None]).values
-    assert builds == [_laser_grid_size(phi0.max(), DEFAULT_J_MAX)]
+    assert calls == [(len(speeds), 1)]
     assert stacked.shape == (len(speeds), 1, 2 * DEFAULT_J_MAX + 1)
     closed = _laser_closed_form(phi0 / 2.0)
     for row, v, exact in zip(stacked, speeds, closed):
         assert np.max(np.abs(row[0] - exact)) < 1e-13
         assert np.max(np.abs(row[0] - grating_coefficients(
             g, species, v).values)) < 1e-13
+
+
+def test_laser_table_at_a_large_phase_is_the_closed_form():
+    # PFNS8 at 60 W and 46 m/s: phi0 near 8,300 rad, which a 4,096-point
+    # grid aliases; the table is e^(iz) i^|j| J_|j|(z) against scipy
+    g, species, v = _laser(power_P=60.0), get_species("PFNS8"), 46.0
+    z = laser_phase_amplitude(g, species, v) / 2.0
+    assert 8000.0 < 2.0 * z < 8600.0
+    j = np.abs(np.arange(-DEFAULT_J_MAX, DEFAULT_J_MAX + 1))
+    exact = np.exp(1j * z) * 1j ** j * jv(j, z)
+    table = grating_coefficients(g, species, v).values
+    assert np.max(np.abs(table - exact)) < 1e-13
 
 
 def test_laser_without_phase_is_speed_free():
@@ -633,11 +670,8 @@ def test_laser_without_phase_is_speed_free():
     assert velocity_averaged_signal(cfg, 12, m_max=1)[1] == 0.0
 
 
-def test_laser_grid_covers_the_table_orders():
-    # a faint laser needs few samples, but 2 j_max of them at least
-    assert _laser_grid_size(1e-3, 130) >= 260
-    assert _laser_grid_size(0.0, 64) == 256
-    assert _laser_grid_size(1e4, 64) == 4096
+def test_laser_table_covers_wide_orders():
+    # a faint laser's table holds 130 orders of the closed form
     g, species, v = _laser(power_P=1e-4), get_species("PFNS8"), 75.0
     table = grating_coefficients(g, species, v, 130)
     z = laser_phase_amplitude(g, species, v) / 2.0
@@ -647,6 +681,31 @@ def test_laser_grid_covers_the_table_orders():
         grating3=_material(period_d=266e-9), species=species,
         beam=BeamState(v, 0.1), separation_L=0.105)
     assert velocity_averaged_signal(cfg, 4, m_max=1, j_max=130).shape == (2,)
+
+
+def test_talbot_lau_at_zero_xi_is_the_explicit_sum():
+    # orders whose every xi is 0 skip exp(0j) = 1: bit for bit the sum of
+    # b_j conj(b_(j-m)) exp(i pi (m - 2j) xi) over the same slices, for
+    # outer factors (all xi 0) and next to orders with xi != 0, across
+    # node-stacked rows
+    rng = np.random.default_rng(16)
+    j_max = 9
+    values = (rng.normal(size=(4, 1, 2 * j_max + 1))
+              + 1j * rng.normal(size=(4, 1, 2 * j_max + 1)))
+    m = np.arange(-4, 5)
+    mixed = np.where(m % 2 == 0, 0.37 * m, 0.0) \
+        * np.array([1.0, 2.0, 0.5, 3.0])[:, None]
+    for xi in (np.zeros((4, len(m))), mixed):
+        got = talbot_lau_coefficient(CoefficientTable(values), m, xi)
+        assert got.shape == (4, len(m))
+        for r in range(4):
+            for k, order in enumerate(m):
+                lo, hi = max(-j_max, order - j_max), min(j_max, order + j_max)
+                j = np.arange(lo, hi + 1)
+                products = values[r, 0, j + j_max] \
+                    * np.conj(values[r, 0, j - order + j_max])
+                phases = np.exp(1j * np.pi * (order - 2 * j) * xi[r, k])
+                assert np.array_equal(got[r, k], np.sum(products * phases))
 
 
 def _laser(**kw):
