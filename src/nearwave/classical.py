@@ -18,14 +18,15 @@ import numpy as np
 
 from .constants import HBAR
 from .core import bessel_j, velocity_weights
-from .engine import MEMO_SIZE, InterferometerConfig
+from .engine import (MEMO_SIZE, InterferometerConfig, _even_table,
+                     _half_amplitude)
 from .gratings import (DEFAULT_GRID_SIZE, IonizingGrating, LaserPhaseGrating,
-                       MaterialGrating, TransmissionProfile,
-                       _wall_coefficient, _wall_distances,
-                       ionizing_transmission, laser_phase_amplitude,
-                       material_amplitude,
-                       transmission_probability_coefficients)
+                       MaterialGrating, _wall_coefficient, _wall_distances,
+                       laser_phase_amplitude)
 from .species import Species
+# not called: the lookup site of the trace layer "gratings.fourier" in
+# perfbench/spans.py, kept until that layer is dropped
+from .gratings import transmission_probability_coefficients  # noqa: F401
 
 MIN_SURVIVORS = 1000
 HISTOGRAM_BINS = 256
@@ -136,23 +137,21 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     return float(_kick(g, s, np.array([x]))(v_z)[0])
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _mask_window(g):
     """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
-    a phase never changes |t|. |t| of a material mask is its open cell
-    fractions, a laser grating transmits everything, and without a mask
-    (``g`` None) the window is (1, 1). Built once per process and mask.
+    a phase never changes |t|. A material mask or an ionizing grating sums
+    |t|^2 over half a period in the engine's even cosine sum, a laser
+    grating transmits everything, (1, 0), and without a mask (``g`` None)
+    the window is (1, 1).
     """
     if g is None:
         return 1.0, 1.0 + 0.0j
-    if isinstance(g, MaterialGrating):
-        profile = TransmissionProfile(g.period_d, material_amplitude(g))
-    elif isinstance(g, IonizingGrating):
-        profile = ionizing_transmission(g)
-    else:
-        profile = TransmissionProfile(g.period_d, np.ones(DEFAULT_GRID_SIZE))
-    values = transmission_probability_coefficients(profile, 1).values
-    return complex(values[1]).real, complex(values[2])
+    if isinstance(g, LaserPhaseGrating):
+        return 1.0, 0.0j
+    probability = np.square(_half_amplitude(g))
+    c0, c1 = _even_table(probability, np.zeros_like(probability),
+                         DEFAULT_GRID_SIZE, 1)
+    return c0.real, c1
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -287,8 +286,8 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     |t|^2 is even and their kick odd about the slit centre, so the sum runs
     over the open cells of half a period as the real sum_k weight_k
     cos(phase_k), with no complex exponential, one node at a time. The
-    outer masks' windows do not depend on the speed: one per process and
-    mask (``_mask_window``).
+    outer masks' windows do not depend on the speed: one per distinct
+    outer mask of the block (``_mask_window``).
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
@@ -311,6 +310,8 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
         ends = np.cumsum([len(a) for a in arguments])
         for p, q1 in zip(lasers, np.split(values, ends[:-1])):
             q1s[p] = q1
+    outer = {g for c in cfgs for g in (c.grating1, c.grating3)}
+    windows = {g: _mask_window(g) for g in outer}
     result = np.empty(len(cfgs))
     for p, (c, (nodes, weights)) in enumerate(zip(cfgs, rules)):
         d = c.period_d
@@ -322,8 +323,8 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
                 phase = (2.0 * np.pi / d) * (two_x
                                              + kick(v) * c.flight_time(v))
                 q1s[p][i] = weight @ np.cos(phase)
-        t1_0, t1_1 = _mask_window(c.grating1)
-        t3_0, t3_1 = _mask_window(c.grating3)
+        t1_0, t1_1 = windows[c.grating1]
+        t3_0, t3_1 = windows[c.grating3]
         # the weights sum to one and q0 is the same at every node
         q1 = weights @ q1s[p]
         result[p] = 2.0 * abs(t1_1 * q1 * np.conj(t3_1)) / (t1_0 * q0 * t3_0)

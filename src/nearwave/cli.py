@@ -23,7 +23,7 @@ from .core import talbot_time
 from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
 from .decoherence import (GasEnvironment, QuadratureError,
                           collisional_channel, collisional_rate)
-from .engine import (grating_coefficients, talbot_pattern,
+from .engine import (BLOCK_ROWS, grating_coefficients, talbot_pattern,
                      time_domain_visibility, velocity_averaged_signal)
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
 from .metrology import DeflectionField, stark_fringe_shift
@@ -178,9 +178,6 @@ INTERACTIONS = (("quantum_vdw_visibility", "vdw_r3"),
                 ("quantum_cp_visibility", "casimir_polder_r4"),
                 ("quantum_ideal_visibility", "none"))
 
-
-# a sweep runs its points in blocks of at most this many velocity-node rows
-BLOCK_ROWS = 48
 
 
 def _block(n_velocities: int, columns, settings) -> list[dict]:
@@ -422,9 +419,9 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
         matrix = np.empty((len(ratios), len(n0_values)))
         for j, n0 in enumerate(n0_values):
             g = replace(grating, mean_absorbed_photons_n0=float(n0))
-            base = replace(cfg, grating1=g, grating2=g, grating3=g)
-            for i, ratio in enumerate(ratios):
-                matrix[i, j] = time_domain_visibility(base, float(ratio) * tt)
+            # one block of delays per photon number
+            matrix[:, j] = time_domain_visibility(
+                replace(cfg, grating1=g, grating2=g, grating3=g), ratios * tt)
         return matrix
 
     matrix = _guard(compute)

@@ -12,17 +12,15 @@ the ratio 2 |S_1 / S_0| of the transmitted signal components.
 One evaluation covers a block of configurations (the points of a sweep)
 and the velocity nodes of each: one row per node of every point. Each
 distinct grating gets one table over all rows, and one coefficient
-evaluation runs over row x order. Laser gratings have the Bessel closed
+evaluation runs over row x order. Every grating family has one table
+path (``grating_coefficients``): a laser's table is the Bessel closed
 form, one ``bessel_j`` call for all rows even where the points differ in
-power; a phased mask's table is a cosine sum over the phase on half a
-period (``grating_coefficients``).
-
-A grating whose t(x) does not depend on the speed (an ionizing grating, a
-material mask without an eikonal phase, a laser without a phase) has one
-table and one outer factor conj B_m(0) per process, memoised on the
-frozen grating and species and read-only, so a sweep that changes another
-input rebuilds neither. Within one node set each distinct outer grating's
-factor is evaluated once, so grating3 == grating1 reuses it.
+power; a material mask's or an ionizing grating's is a cosine sum over
+|t| and the phase on half a period. A grating whose phase does not
+depend on the speed (an ionizing grating, a mask without an eikonal
+phase) gives a single row for all nodes. Within one block each distinct
+outer grating's factor conj B_m(0) is evaluated once, so grating3 ==
+grating1 reuses it.
 """
 
 from __future__ import annotations
@@ -40,17 +38,22 @@ from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        _cell_open_fraction, _check_orders, _slit_offsets,
-                       fourier_coefficients, has_speed_free_transmission,
                        ionizing_transmission, is_pure_phase,
                        laser_phase_amplitude, laser_phase_transmission,
                        material_slit_phase, material_transmission)
 from .species import Species
+# not called: the lookup site of the trace layer "gratings.fourier" in
+# perfbench/spans.py, kept until that layer is dropped
+from .gratings import fourier_coefficients  # noqa: F401
 
 DEFAULT_M_MAX = 8
 XI_SANITY_BOUND = 1e6
 TRUNCATION_WARN_LEVEL = 1e-8
-# entries kept by each per-process memo of speed-free tables and factors
+# entries kept by each per-process memo of mask amplitudes and weights
 MEMO_SIZE = 64
+# one evaluation takes at most this many rows (velocity nodes of a block
+# of sweep points, or delays of a time-domain block)
+BLOCK_ROWS = 48
 
 GratingSpec = MaterialGrating | LaserPhaseGrating | IonizingGrating
 
@@ -144,28 +147,31 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     shaped like ``grating_transmission``'s samples with orders on the last
     axis.
 
-    A speed-free grating's table is built once per process. A laser's
-    table is the Bessel closed form (``_laser_table``). A phased mask sums
-    its open cells of ``DEFAULT_GRID_SIZE`` points, whose |t| is built once
-    per slit geometry (``_open_amplitude``), in one cosine sum for all
-    speeds (``_even_table``); stacked rows round differently from single
-    speeds, by about 1e-15.
+    A laser's table is the Bessel closed form (``_laser_table``). A
+    material mask or an ionizing grating is even about its slit centre:
+    its table is one cosine sum (``_even_table``) of |t| and the phase at
+    the grid points k = 0 .. N/2 of ``DEFAULT_GRID_SIZE`` = N where it
+    transmits (``_half_amplitude``), for all speeds at once. A mask with
+    an eikonal phase gives one row per speed; a grating whose phase does
+    not depend on the speed gives a single row, as its phase is one.
+    Stacked rows round differently from single speeds, by about 1e-15.
     """
-    if has_speed_free_transmission(g, s):
-        return _speed_free_table(g, s, j_max)
     v_z = np.asarray(v_z, dtype=float)
     if not np.all((v_z > 0.0) & (v_z < np.inf)):
         raise ValueError("v_z must be positive")
     if isinstance(g, LaserPhaseGrating):
         return _laser_table(laser_phase_amplitude(g, s, v_z), j_max)
-    if not isinstance(g, MaterialGrating):
-        raise TypeError(f"unsupported grating type {type(g).__name__}")
-    n, d = DEFAULT_GRID_SIZE, g.period_d
-    amp = _open_amplitude(d, g.open_half_width)
-    # one row per speed, so that each product is a single matrix product
-    phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
-                                np.arange(amp.size) * d / n)
-    half = _even_table(amp, phase, n, j_max).reshape(v_z.shape + (-1,))
+    n = DEFAULT_GRID_SIZE
+    amp = _half_amplitude(g)
+    if isinstance(g, MaterialGrating):
+        # one row per speed, so that each product is a single matrix product
+        phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
+                                    np.arange(amp.size) * g.period_d / n)
+    else:
+        phase = g.phase_amplitude_phi0 * _standing_wave(n)
+    half = _even_table(amp, phase, n, j_max)
+    if phase.ndim > 1:
+        half = half.reshape(v_z.shape + (-1,))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
 
 
@@ -174,14 +180,34 @@ def _laser_table(phi0, j_max: int) -> CoefficientTable:
     ``phi0``, orders on a new last axis, in closed form (Jacobi-Anger):
     b_j = e^(iz) i^|j| J_|j|(z) with z = phi0 / 2, from one ``bessel_j``
     call (Hornberger et al., NJP 11, 043032 (2009)). A zero phase gives
-    b_j = delta_j0 exactly (``bessel_j`` is exact at 0), as the speed-free
-    table of a laser without phase does."""
+    b_j = delta_j0 exactly (``bessel_j`` is exact at 0): a laser without
+    power, or a species without optical polarizability, has no fringe."""
     _check_orders(j_max, DEFAULT_GRID_SIZE)
     z = np.asarray(phi0, dtype=float) / 2.0
     j = np.arange(j_max + 1)
     half = (np.exp(1j * z)[..., None] * np.array([1, 1j, -1, -1j])[j % 4]
             * bessel_j(j, z))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
+
+
+def _half_amplitude(g) -> np.ndarray:
+    """|t_k| of a material mask or an ionizing grating at the grid points
+    k = 0 .. K-1 <= N/2 of ``DEFAULT_GRID_SIZE`` = N, zero beyond: a mask's
+    open cells (``_open_amplitude``), an ionizing grating's survival
+    amplitude exp(-n0/2 cos^2(pi k / N)) at all N/2 + 1. Neither the speed
+    nor a phase changes it."""
+    if isinstance(g, MaterialGrating):
+        return _open_amplitude(g.period_d, g.open_half_width)
+    if isinstance(g, IonizingGrating):
+        return np.exp(-(g.mean_absorbed_photons_n0 / 2.0)
+                      * _standing_wave(DEFAULT_GRID_SIZE))
+    raise TypeError(f"unsupported grating type {type(g).__name__}")
+
+
+def _standing_wave(n: int) -> np.ndarray:
+    """cos^2(pi k / N) at k = 0 .. N/2, the profile of a standing light
+    wave with its antinode at the slit centre."""
+    return np.cos(np.pi * np.arange(n // 2 + 1) / n) ** 2
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -220,41 +246,20 @@ def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:
 @lru_cache(maxsize=MEMO_SIZE)
 def _cosine_weights(n: int, j_max: int) -> np.ndarray:
     """C[k, j] = w_k cos(2 pi j k / N) / N, k = 0 .. N/2, j = 0 .. j_max,
-    w_k = 1 at k = 0 and N/2 (their own mirror images), 2 elsewhere; built
-    in place, once per (N, j_max), read-only."""
+    w_k = 1 at k = 0 and N/2 (their own mirror images), 2 elsewhere; once
+    per (N, j_max), read-only. j k reduced modulo N picks each cosine from
+    the N values cos(2 pi m / N), so only N cosines are evaluated."""
     _check_orders(j_max, n)
-    k = np.arange(n // 2 + 1, dtype=float)
-    weights = np.outer(k, np.arange(j_max + 1, dtype=float))
-    # j k reduced modulo N keeps the cosine argument below 2 pi
-    weights %= n
-    weights *= 2.0 * np.pi
-    weights /= n
-    np.cos(weights, out=weights)
+    k = np.arange(n // 2 + 1)
+    index = np.outer(k, np.arange(j_max + 1))
+    index %= n
+    ring = np.arange(n, dtype=float)
+    ring *= 2.0 * np.pi
+    ring /= n
+    weights = np.cos(ring)[index]
     weights *= np.where((k == 0) | (k == n // 2), 1.0, 2.0)[:, None] / n
     weights.flags.writeable = False
     return weights
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _speed_free_table(g: GratingSpec, s: Species,
-                      j_max: int) -> CoefficientTable:
-    """The single-row table of a grating whose t(x) does not depend on the
-    speed (any speed builds it), once per process; its values are
-    read-only."""
-    table = fourier_coefficients(grating_transmission(g, s, 1.0), j_max)
-    table.values.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _speed_free_outer(g: GratingSpec, s: Species, m_max: int,
-                      j_max: int) -> np.ndarray:
-    """Outer factor conj B_m(0), m = 0 .. ``m_max``, of a speed-free
-    grating, evaluated once per process; read-only."""
-    factor = np.conj(talbot_lau_coefficient(_speed_free_table(g, s, j_max),
-                                            np.arange(m_max + 1), 0.0))
-    factor.flags.writeable = False
-    return factor
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
@@ -336,8 +341,7 @@ def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
     Every node of every config is one row of one evaluation. Each distinct
     grating role (the three masks of a symmetric TLI are one) gets one
     table over all rows (``_block_table``) and each distinct outer role
-    one factor conj B_m(0), or the factor memoised for the process if its
-    grating is speed-free. Each row equals a block of its config alone up
+    one factor conj B_m(0). Each row equals a block of its config alone up
     to rounding. The configs are all surface-imaging or all not.
     """
     if len({cfg.grating3 is None for cfg in cfgs}) > 1:
@@ -358,11 +362,8 @@ def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
 
     def outer(key):
         if key not in outer_factors:
-            g, s = key[0]
-            outer_factors[key] = (
-                _speed_free_outer(g, s, m_max, j_max)
-                if len(set(key)) == 1 and has_speed_free_transmission(g, s)
-                else np.conj(talbot_lau_coefficient(table(key), m, 0.0)))
+            outer_factors[key] = np.conj(
+                talbot_lau_coefficient(table(key), m, 0.0))
         return outer_factors[key]
 
     xi_unit = np.concatenate([
@@ -385,9 +386,9 @@ def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
 def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
     """One table, a row per node, for the (grating, species) pair of each
     config of a block (``key``): ``grating_coefficients`` over all nodes
-    where the configs share one (a single row if it is speed-free), one
-    closed form over each config's own laser phase where all are lasers
-    (a power sweep), and else each config's own table."""
+    where the configs share one (a single row if its phase does not depend
+    on the speed), one closed form over each config's own laser phase where
+    all are lasers (a power sweep), and else each config's own table."""
     if len(set(key)) == 1:
         g, s = key[0]
         return grating_coefficients(g, s, nodes, j_max)
@@ -447,22 +448,33 @@ def velocity_averaged_pattern(cfg: InterferometerConfig,
     return pattern, sinusoidal_visibility(signal)
 
 
-def time_domain_visibility(cfg: InterferometerConfig, T: float,
-                           channels: Sequence = ()) -> float:
-    """Visibility of a pulsed (time-domain) configuration at delay T.
+def time_domain_visibility(cfg: InterferometerConfig, T,
+                           channels: Sequence = ()):
+    """Visibility of a pulsed (time-domain) configuration at delay T; an
+    array of delays gives an array of visibilities, from blocks of at most
+    ``BLOCK_ROWS`` configs (``_block_signals``). A delay whose S_0
+    vanishes gives 0.0.
 
     The formula is velocity independent: the flight time is T and
     ionizing-grating coefficients do not involve v_z.
     """
-    if T <= 0.0:
+    delays = np.asarray(T, dtype=float)
+    if np.any(delays <= 0.0):
         raise ValueError("T must be positive")
     if cfg.mode != "time_domain":
         raise ValueError("config must be in time_domain mode")
     # v_z is a dummy for ionizing gratings
-    signal = detector_signal(replace(cfg, pulse_delay_T=T), 1.0, 1, channels)
-    if signal[0] == 0:
-        return 0.0
-    return sinusoidal_visibility(signal)
+    rule = (np.ones(1), np.ones(1))
+    flat, values = delays.ravel(), []
+    for start in range(0, flat.size, BLOCK_ROWS):
+        cfgs = [replace(cfg, pulse_delay_T=float(t))
+                for t in flat[start:start + BLOCK_ROWS]]
+        signals = _block_signals(cfgs, [rule] * len(cfgs), 1, DEFAULT_J_MAX,
+                                 [channels] * len(cfgs))
+        values += [0.0 if signal[0] == 0 else sinusoidal_visibility(signal)
+                   for signal in signals]
+    return (values[0] if delays.ndim == 0
+            else np.reshape(np.array(values, dtype=float), delays.shape))
 
 
 __all__ = [

@@ -3,13 +3,13 @@
 A grating is reduced to one period of its complex transmission amplitude
 t(x), sampled on a uniform power-of-two grid, from which
 ``fourier_coefficients`` extracts the Fourier coefficients b_j by one
-batched FFT. ``engine`` takes this path for speed-free gratings; it builds
-the tables of material masks with an eikonal phase and of laser gratings
-as a cosine sum from their phase on half a period, without a sampled
-profile. Material masks carry an eikonal dispersion phase accumulated on
-straight trajectories through the slit; laser gratings are pure phase
-masks; pulsed ionizing gratings combine a periodic survival amplitude with
-a dipole phase.
+batched FFT. These sampled profiles and their FFT are the oracle of the
+tests and the input of ``fresnel``; ``engine`` builds every grating table
+without them, as a cosine sum from |t| and the phase on half a period or
+as the Bessel closed form of a laser. Material masks carry an eikonal
+dispersion phase accumulated on straight trajectories through the slit;
+laser gratings are pure phase masks; pulsed ionizing gratings combine a
+periodic survival amplitude with a dipole phase.
 
 The builders accept an array of speeds and return one row of samples per
 speed (a node-stacked profile), computing the speed-free parts once.
@@ -217,18 +217,6 @@ def _slit_offsets(d: float, grid_size: int) -> np.ndarray:
     return np.where(k > grid_size // 2, k - grid_size, k) * d / grid_size
 
 
-def has_speed_free_transmission(g, s: Species) -> bool:
-    """Whether t(x) is the same at every speed: an ionizing grating, a
-    material mask without an eikonal phase, or a laser grating without a
-    phase (no power, or a species without optical polarizability)."""
-    if isinstance(g, IonizingGrating):
-        return True
-    if isinstance(g, LaserPhaseGrating):
-        return g.power_P == 0.0 or s.alpha_opt_vol == 0.0
-    return isinstance(g, MaterialGrating) and (
-        g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0)
-
-
 def material_amplitude(g: MaterialGrating,
                        grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """|t(x)| of a material mask over one period: the open fraction of each
@@ -375,7 +363,6 @@ __all__ = [
     "ionizing_transmission", "fourier_coefficients",
     "transmission_probability_coefficients",
     "material_slit_phase", "laser_phase_amplitude", "is_pure_phase",
-    "has_speed_free_transmission",
     "SlitBlockedError", "AliasingError",
     "DEFAULT_GRID_SIZE", "DEFAULT_J_MAX", "DEFAULT_WALL_CUTOFF",
 ]

@@ -271,24 +271,14 @@ def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
             "'vdw_r3': wall_cutoff >= half the slit width") in result.output
 
 
-def _clear_memos():
-    """Empty the per-process memos of speed-free tables, outer factors,
-    cosine weights, mask amplitudes, windows and central grids, so that
-    counts do not depend on which tests ran before."""
-    from nearwave import classical, engine
-    for memo in (engine._speed_free_table, engine._speed_free_outer,
-                 engine._cosine_weights, engine._open_amplitude,
-                 classical._mask_window, classical._central_grid):
-        memo.cache_clear()
-
-
 def _count_calls(monkeypatch, sites):
     """Wrap each "module.attribute" site with a call counter."""
-    from nearwave import classical, engine
+    from nearwave import classical, engine, gratings
     calls = dict.fromkeys(sites, 0)
     for site in calls:
         module_name, attr = site.split(".")
-        module = {"engine": engine, "classical": classical}[module_name]
+        module = {"engine": engine, "classical": classical,
+                  "gratings": gratings}[module_name]
 
         def counted(*args, _site=site, _func=getattr(module, attr), **kw):
             calls[_site] += 1
@@ -305,50 +295,54 @@ def _settings(path, count):
             for value in scenario.sweep.values()[:count]]
 
 
-def test_block_builds_each_table_once(monkeypatch):
+# the sampled-profile FFT path, which no sweep takes
+FFT_SITES = ["gratings.fourier_coefficients",
+             "gratings.transmission_probability_coefficients",
+             "engine.fourier_coefficients",
+             "classical.transmission_probability_coefficients",
+             "engine.material_transmission",
+             "engine.laser_phase_transmission",
+             "engine.ionizing_transmission"]
+
+
+def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     # one block of four TLI points with 12 nodes each: each quantum column
     # (vdW, Casimir-Polder, no interaction; g1 == g2 == g3 in each) builds
-    # one coefficient table over all 48 rows, and evaluates B_m once for
-    # grating2 and once for the outer masks; the vdW and Casimir-Polder
-    # masks take the even cosine sum, whose weights they share (same grid
-    # and orders), the mask without a phase one transmission and FFT; the
-    # classical twin builds one speed-free window for its outer masks. A
-    # second block rebuilds only the speed-dependent vdW and
-    # Casimir-Polder tables: the weights, the mask without a phase, its
-    # outer factor and the window are memoised.
-    _clear_memos()
+    # one coefficient table over all 48 rows in one even cosine sum, the
+    # mask without a phase (a single row) included, and evaluates B_m once
+    # for grating2 and once for the outer masks; the classical twin sums
+    # one window for its outer masks. A second block builds the same again:
+    # only the cosine weights are kept, one set per order count
+    assert set(fresh_memos) == {"engine._open_amplitude",
+                                "engine._cosine_weights",
+                                "classical._central_grid", "core._unit_rule"}
     weights = engine._cosine_weights
     calls = _count_calls(monkeypatch, [
-        "engine._even_table", "engine.material_transmission",
-        "engine.fourier_coefficients", "engine.talbot_lau_coefficient",
-        "classical.transmission_probability_coefficients"])
+        "engine._even_table", "engine.talbot_lau_coefficient",
+        "classical._even_table", *FFT_SITES])
     settings = _settings(TLI, 4)
     records = cli._block(12, cli.INTERACTIONS, settings)
     assert len(records) == 4
     assert list(records[0]) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    assert calls == {"engine._even_table": 2,
-                     "engine.material_transmission": 1,
-                     "engine.fourier_coefficients": 1,
-                     "engine.talbot_lau_coefficient": 6,
-                     "classical.transmission_probability_coefficients": 1}
-    assert weights.cache_info().misses == 1
+    per_block = {"engine._even_table": 3,
+                 "engine.talbot_lau_coefficient": 6,
+                 "classical._even_table": 1, **dict.fromkeys(FFT_SITES, 0)}
+    assert calls == per_block
+    assert weights.cache_info().misses == 2
     assert cli._block(12, cli.INTERACTIONS, settings) == records
-    assert calls == {"engine._even_table": 4,
-                     "engine.material_transmission": 1,
-                     "engine.fourier_coefficients": 1,
-                     "engine.talbot_lau_coefficient": 11,
-                     "classical.transmission_probability_coefficients": 1}
-    assert weights.cache_info().misses == 1
+    assert calls == {site: 2 * n for site, n in per_block.items()}
+    assert weights.cache_info().misses == 2
 
 
 def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        fresh_memos):
     # the TLI's three masks and its vdW and Casimir-Polder variants share
-    # one slit geometry (the wall cutoff is the same): one velocity-sweep
-    # run builds and checks its |t| once, and its three points at two
-    # nodes form one block, with one cosine-sum table per phased column
-    _clear_memos()
+    # one slit geometry (the wall cutoff is the same), the ideal variant
+    # opens to the walls: one velocity-sweep run builds and checks the |t|
+    # of each geometry once, and its three points at two nodes form one
+    # block, with one cosine-sum table per column
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     calls = _count_calls(monkeypatch, ["engine._cell_open_fraction",
                                        "engine._even_table"])
@@ -357,43 +351,39 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     result = invoke(runner, "velocity-sweep", str(path), "--velocities", "2")
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 4
-    assert calls == {"engine._cell_open_fraction": 1,
-                     "engine._even_table": 2}
+    assert calls == {"engine._cell_open_fraction": 2,
+                     "engine._even_table": 3}
     memo = engine._open_amplitude
-    assert (memo.cache_info().misses, memo.cache_info().currsize) == (1, 1)
+    assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
     cfg = nearwave.load_scenario(TLI).config
     amplitude = memo(cfg.period_d, cfg.grating2.open_half_width)
     assert not amplitude.flags.writeable
 
 
-def test_power_sweep_builds_the_outer_mask_once(monkeypatch):
-    # the KDTLI's outer mask has no eikonal phase: across two power-sweep
-    # blocks of four points its transmission, table, outer factor and
-    # window are built once. Each block builds its laser tables, which
-    # differ in power, from one multi-order Bessel call over all 48 rows,
-    # evaluates grating2 once, and takes its four classical twins from one
-    # more Bessel call
-    _clear_memos()
+def test_power_sweep_builds_the_outer_mask_once_per_block(monkeypatch,
+                                                          fresh_memos):
+    # the KDTLI's outer mask has no eikonal phase: each of two power-sweep
+    # blocks of four points sums its single-row table once, evaluates its
+    # outer factor once and takes one twin window. Each block builds its
+    # laser tables, which differ in power, from one multi-order Bessel call
+    # over all 48 rows, evaluates grating2 once, and takes its four
+    # classical twins from one more Bessel call
     calls = _count_calls(monkeypatch, [
-        "engine._even_table", "engine.material_transmission",
-        "engine.laser_phase_transmission", "engine.fourier_coefficients",
-        "engine.talbot_lau_coefficient", "engine.bessel_j",
-        "classical.bessel_j",
-        "classical.transmission_probability_coefficients"])
+        "engine._even_table", "engine.talbot_lau_coefficient",
+        "engine.bessel_j", "classical.bessel_j", "classical._even_table",
+        *FFT_SITES])
     settings = _settings(KDTLI, 8)
     for cfg, _ in settings:
         assert cfg.grating1 == cfg.grating3
     blocks = (settings[:4], settings[4:])
     for block in blocks:
         cli._block(12, cli.QUANTUM, block)
-    assert calls == {"engine._even_table": 0,
-                     "engine.material_transmission": 1,
-                     "engine.laser_phase_transmission": 0,
-                     "engine.fourier_coefficients": 1,
-                     "engine.talbot_lau_coefficient": 1 + len(blocks),
+    assert calls == {"engine._even_table": len(blocks),
+                     "engine.talbot_lau_coefficient": 2 * len(blocks),
                      "engine.bessel_j": len(blocks),
                      "classical.bessel_j": len(blocks),
-                     "classical.transmission_probability_coefficients": 1}
+                     "classical._even_table": len(blocks),
+                     **dict.fromkeys(FFT_SITES, 0)}
 
 
 @pytest.mark.parametrize("path, columns, first", [
@@ -848,6 +838,21 @@ def test_otima_maps_of_equal_gratings_unchanged(runner):
                     "--n0-points", "2")
     assert result.exit_code == 0
     assert result.output == "\n".join(expected) + "\n"
+
+
+def test_otima_map_is_one_block_per_photon_number(runner, monkeypatch):
+    # each n0 column is one engine evaluation over all its delays; a delay
+    # that is not positive is still a config error
+    calls = _count_calls(monkeypatch, ["engine._block_signals"])
+    result = invoke(runner, "otima-map", OTIMA, "--ratio-points", "5",
+                    "--n0-points", "3")
+    assert result.exit_code == 0
+    assert len(result.output.strip().splitlines()) == 6
+    assert calls == {"engine._block_signals": 3}
+    for ratio_min in ("-0.5", "0"):
+        result = invoke(runner, "otima-map", OTIMA, "--ratio-min", ratio_min)
+        assert result.exit_code == 2
+        assert "config error: T must be positive" in result.output
 
 
 @pytest.mark.parametrize("command", ["otima-map", "csl-map"])

@@ -347,6 +347,59 @@ def test_time_domain_guards():
         time_domain_visibility(spatial, 1e-3)
 
 
+def test_time_domain_delays_are_one_block(monkeypatch):
+    # an array of delays is one block of configs: each visibility equals
+    # the scalar call at its delay, a delay whose S_0 vanishes gives 0.0,
+    # a non-sinusoidal fringe still warns, and a delay <= 0 is refused;
+    # more delays than BLOCK_ROWS run in blocks of at most BLOCK_ROWS, and
+    # no delay gives an empty array without an evaluation
+    cfg = _otima_config(n0=12.0)
+    t_t = talbot_time(1e6 * AMU, 78.5e-9)
+    delays = np.array([0.6, 0.8, 1.2, 1.4]) * t_t
+    block = time_domain_visibility(cfg, delays)
+    assert block.shape == delays.shape
+    for value, delay in zip(block, delays):
+        alone = time_domain_visibility(cfg, float(delay))
+        assert isinstance(alone, float)
+        assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+    with pytest.warns(NonSinusoidalWarning):
+        resonant = time_domain_visibility(cfg, np.array([0.6, 1.0]) * t_t)
+    assert resonant[0] == pytest.approx(block[0], rel=1e-13, abs=0.0)
+    assert resonant[1] > 1.0
+    signals = engine._block_signals
+
+    def dark_second(*args):
+        result = signals(*args)
+        result[1] = 0.0
+        return result
+    monkeypatch.setattr(engine, "_block_signals", dark_second)
+    dark = time_domain_visibility(cfg, delays)
+    assert dark[1] == 0.0
+    assert np.array_equal(np.delete(dark, 1), np.delete(block, 1))
+    for bad in (np.array([t_t, 0.0]), np.array([-t_t, t_t]), 0.0):
+        with pytest.raises(ValueError, match="T must be positive"):
+            time_domain_visibility(cfg, bad)
+    monkeypatch.setattr(engine, "_block_signals", signals)
+    calls = []
+
+    def counted(cfgs, *args):
+        calls.append(len(cfgs))
+        return signals(cfgs, *args)
+    monkeypatch.setattr(engine, "_block_signals", counted)
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 3)
+    many = np.array([0.6, 0.65, 0.7, 0.8, 1.2, 1.3, 1.4]).reshape(7, 1) * t_t
+    chunked = time_domain_visibility(cfg, many)
+    assert calls == [3, 3, 1]
+    assert chunked.shape == (7, 1)
+    for value, delay in zip(chunked.ravel(), many.ravel()):
+        alone = time_domain_visibility(cfg, float(delay))
+        assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+    calls.clear()
+    empty = time_domain_visibility(cfg, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
+    assert calls == []
+
+
 def test_config_invariants():
     g = binary(0.5)
     with pytest.raises(ValueError):
@@ -518,18 +571,30 @@ EVEN_GRATINGS = [
     + [pytest.param(LaserPhaseGrating(period_d=266e-9, power_P=p,
                                       vertical_waist_wy=20e-6,
                                       laser_wavelength=532e-9),
-                    id=f"laser-{p}W") for p in (0.2, 18.0)]
+                    id=f"laser-{p}W") for p in (0.2, 18.0)] \
+    + [pytest.param(IonizingGrating(period_d=78.5e-9,
+                                    mean_absorbed_photons_n0=n0,
+                                    phase_amplitude_phi0=phi0),
+                    id=f"ionizing-{n0}-{phi0}rad")
+       for n0, phi0 in ((6.0, 0.0), (2.0, 40.0))] \
+    + [pytest.param(MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
+                                    thickness_b=b, interaction=i),
+                    id=f"phase-free-{i}-{b}")
+       for i, b in (("none", 500e-9), ("vdw_r3", 0.0))]
 
 
 @pytest.mark.parametrize("g", EVEN_GRATINGS)
 def test_mask_cosine_sum_equals_full_grid_fft(g):
     # the even cosine sum against the FFT of the full 4096-point grid, for
     # one speed and 12, scalar and node-stacked. A mask sums its open cells
-    # of that grid: the FFT within 8.9e-16, and single-speed rows within
-    # 1.7e-15 (the products round differently for one row and for 12). A
-    # laser's closed form: both within 1e-13
+    # of that grid and an ionizing grating its half period: the FFT within
+    # 8.9e-16, and single-speed rows within 1.7e-15 (the products round
+    # differently for one row and for 12). A laser's closed form: both
+    # within 1e-13. A grating whose phase does not depend on the speed (an
+    # ionizing grating, a mask without an eikonal phase) gives one row for
+    # every speed, and every family refuses the same speeds
     species = C70 if isinstance(g, MaterialGrating) else get_species("PFNS8")
-    bound = 4e-15 if isinstance(g, MaterialGrating) else 1e-13
+    bound = 1e-13 if isinstance(g, LaserPhaseGrating) else 4e-15
     if isinstance(g, MaterialGrating):
         amp = material_amplitude(g)
         assert amp[0] == 1.0
@@ -544,7 +609,12 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
         assert table.shape == oracle.shape
         assert np.max(np.abs(table - oracle)) < bound
     stacked = grating_coefficients(g, species, speeds[:, None]).values
-    for row, v in zip(stacked, speeds):
+    single_row = isinstance(g, IonizingGrating) or (
+        isinstance(g, MaterialGrating)
+        and (g.interaction == "none" or g.thickness_b == 0.0))
+    assert stacked.ndim == (1 if single_row else 3)
+    rows = np.broadcast_to(stacked, speeds.shape + (1, stacked.shape[-1]))
+    for row, v in zip(rows, speeds):
         single = grating_coefficients(g, species, v).values
         assert np.max(np.abs(row[0] - single)) < bound
     for bad in (0.0, -100.0, math.nan, math.inf, np.array([100.0, -1.0]),
@@ -555,12 +625,11 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
         grating_coefficients(g, species, 100.0, DEFAULT_GRID_SIZE // 2 + 1)
 
 
-def test_mask_cosine_sum_checks_the_amplitude(monkeypatch):
+def test_mask_cosine_sum_checks_the_amplitude(monkeypatch, fresh_memos):
     # |t| <= 1 is checked on the open cell fractions, when the amplitude of
     # a slit geometry is first built
     g = MaterialGrating(period_d=991e-9, open_fraction_f=0.47,
                         thickness_b=500e-9, interaction="vdw_r3")
-    engine._open_amplitude.cache_clear()
     monkeypatch.setattr(engine, "_cell_open_fraction",
                         lambda *args: 1.5 * _cell_open_fraction(*args))
     with pytest.raises(ValueError, match="must not exceed 1"):
@@ -653,16 +722,17 @@ def test_laser_table_at_a_large_phase_is_the_closed_form():
 
 
 def test_laser_without_phase_is_speed_free():
-    # t = 1 at every speed: one memoised FFT table, exactly b_j = delta_j0,
-    # so a KDTLI with its laser off shows no fringe at all
+    # t = 1 at every speed: the closed form gives exactly b_j = delta_j0 in
+    # every row, so a KDTLI with its laser off shows no fringe at all
     species = get_species("PFNS8")
     delta = np.zeros(2 * DEFAULT_J_MAX + 1, dtype=complex)
     delta[DEFAULT_J_MAX] = 1.0
     for g, s in ((_laser(power_P=0.0), species),
                  (_laser(), replace(species, alpha_opt_vol=0.0))):
         table = grating_coefficients(g, s, np.array([[40.0], [75.0]]))
-        assert table is engine._speed_free_table(g, s, DEFAULT_J_MAX)
-        assert np.array_equal(table.values, delta)
+        assert table.values.shape == (2, 1, len(delta))
+        for row in table.values:
+            assert np.array_equal(row[0], delta)
     cfg = InterferometerConfig(
         grating1=_material(period_d=266e-9), grating2=_laser(power_P=0.0),
         grating3=_material(period_d=266e-9), species=species,
