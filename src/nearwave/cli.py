@@ -7,6 +7,8 @@ writes records with unit-suffixed column names. Exit codes: 0 success,
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import math
 import os
@@ -269,6 +271,11 @@ def with_common(func):
 @click.group()
 def main():
     """Near-field interferometry sweeps and maps, emitted as data."""
+    # The process ends when the command does: freezing the collector's
+    # objects at exit spares the final collections over every object the
+    # imports made. Registered once however often the group runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 @main.command()
@@ -477,7 +484,12 @@ def deflect(scenario_path, out, fmt):
 @with_common
 def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
             rc_min, rc_max, rc_points, threshold, out, fmt):
-    """Critical-mass map over localization parameters (masses in amu)."""
+    """Critical-mass map over localization parameters (masses in amu).
+
+    The whole map is one lock-step bisection of log10 of the mass over
+    [1e3, 1e12] amu to a 1% width. A cell whose threshold crossing lies
+    outside that bracket is NaN.
+    """
     scenario = _load(scenario_path)
     cfg = scenario.config
     grating = _otima_grating(cfg)

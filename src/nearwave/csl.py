@@ -18,7 +18,7 @@ import numpy as np
 from . import decoherence
 from .constants import AMU
 from .core import BeamState, talbot_time
-from .decoherence import csl_channel
+from .decoherence import GaussianEta, csl_channel
 from .engine import InterferometerConfig, time_domain_visibility
 from .gratings import IonizingGrating
 from .species import gold_cluster
@@ -28,7 +28,6 @@ DEFAULT_OTIMA_PERIOD = 78.5e-9
 
 MASS_BRACKET_AMU = (1e3, 1e12)
 BISECTION_TOLERANCE = 0.01
-MAX_BISECTIONS = 60
 MIN_QUANTUM_VISIBILITY = 0.1
 
 
@@ -114,52 +113,77 @@ def quantum_operating_visibility(template: OtimaTemplate) -> float:
 
 def critical_mass(params: CslParameters, template: OtimaTemplate | None = None,
                   reduction_threshold: float = math.exp(-1.0)) -> float:
-    """Smallest mass (kg) whose reduction factor falls below the threshold.
-
-    Bisection on the logarithm of the mass to 1% relative tolerance; the
-    reduction factor is monotone decreasing in mass because the event rate
-    grows as m^2 and the transit time as m.
-    """
-    if not 0.0 < reduction_threshold < 1.0:
-        raise ValueError("reduction_threshold must lie in (0, 1)")
-    template = template or OtimaTemplate()
-    lo, hi = MASS_BRACKET_AMU
-    if csl_reduction_factor(params, template, lo) < reduction_threshold:
-        raise MassOutOfRangeError("threshold crossed below the mass bracket")
-    if csl_reduction_factor(params, template, hi) > reduction_threshold:
-        raise MassOutOfRangeError("no threshold crossing inside the mass bracket")
-
-    log_lo, log_hi = math.log10(lo), math.log10(hi)
-    for _ in range(MAX_BISECTIONS):
-        if 10.0 ** (log_hi - log_lo) - 1.0 < BISECTION_TOLERANCE:
-            break
-        mid = 0.5 * (log_lo + log_hi)
-        if csl_reduction_factor(params, template, 10.0 ** mid) < reduction_threshold:
-            log_hi = mid
-        else:
-            log_lo = mid
-    return 10.0 ** (0.5 * (log_lo + log_hi)) * AMU
+    """Smallest mass (kg) whose reduction factor falls below the threshold:
+    the one-cell case of ``exclusion_map``. A crossing outside
+    ``MASS_BRACKET_AMU`` raises ``MassOutOfRangeError``."""
+    mass = _bisect_masses(np.array([params.lambda0]), np.array([params.r_c]),
+                          template or OtimaTemplate(), reduction_threshold)
+    if math.isnan(mass[0, 0]):
+        raise MassOutOfRangeError(
+            "no threshold crossing inside the mass bracket")
+    return float(mass[0, 0])
 
 
 def exclusion_map(lambda0_grid, r_c_grid, template: OtimaTemplate | None = None,
                   reduction_threshold: float = math.exp(-1.0)) -> ExclusionMap:
-    """Critical mass per (lambda0, r_c) grid cell; unreachable cells are NaN."""
+    """Critical mass per (lambda0, r_c) grid cell; a cell whose crossing
+    lies outside ``MASS_BRACKET_AMU`` is NaN."""
     lambda0_grid = np.asarray(lambda0_grid, dtype=float)
     r_c_grid = np.asarray(r_c_grid, dtype=float)
     if len(lambda0_grid) < 2 or len(r_c_grid) < 2:
         raise ValueError("grids need at least two points per axis")
-    template = template or OtimaTemplate()
-    masses = np.empty((len(lambda0_grid), len(r_c_grid)))
-    for i, lam0 in enumerate(lambda0_grid):
-        for j, rc in enumerate(r_c_grid):
-            try:
-                masses[i, j] = critical_mass(
-                    CslParameters(lambda0=lam0, r_c=rc), template,
-                    reduction_threshold)
-            except MassOutOfRangeError:
-                masses[i, j] = math.nan
+    masses = _bisect_masses(lambda0_grid, r_c_grid,
+                            template or OtimaTemplate(), reduction_threshold)
     return ExclusionMap(lambda0_grid=lambda0_grid, r_c_grid=r_c_grid,
                         critical_mass=masses)
+
+
+def _bisect_masses(lambda0, r_c, template: OtimaTemplate,
+                   reduction_threshold: float) -> np.ndarray:
+    """Critical mass (kg) of every (lambda0[i], r_c[j]) cell, NaN outside
+    the bracket, by bisection on the logarithm of the mass to 1% width.
+
+    The reduction factor is monotone decreasing in mass: the event rate
+    grows as m^2 and the transit time as m. Every cell starts from the same
+    bracket and halves the same width, so all cells step in lock-step,
+    one array evaluation of the factor per step.
+    """
+    if not 0.0 < reduction_threshold < 1.0:
+        raise ValueError("reduction_threshold must lie in (0, 1)")
+    if not all(np.all(np.isfinite(g) & (g > 0.0)) for g in (lambda0, r_c)):
+        raise ValueError("lambda0 and r_c must be positive and finite")
+    delay = template.delay_over_talbot_time
+    d = template.grating.period_d
+    # x_max = d T / T_T does not depend on the mass: one eta mean per r_c
+    loss = 1.0 - np.array([GaussianEta(rc).mean(d * delay) for rc in r_c])
+    # the exponent 2 T R (1 - mean eta) with T = delay T_T and the CSL rate
+    # R = lambda0 (m / amu)^2, as ``csl_reduction_factor`` takes it
+    scale = 2.0 * delay * talbot_time(AMU, d) * lambda0[:, None] * loss
+
+    def factor(log_mass):
+        mass_amu = 10.0 ** log_mass
+        with np.errstate(over="ignore"):   # an overflow is a factor of 0
+            return np.exp(-(scale * mass_amu ** 3))
+
+    lo, hi = (math.log10(m) for m in MASS_BRACKET_AMU)
+    log_lo = np.full(scale.shape, lo)
+    log_hi = np.full(scale.shape, hi)
+    outside = ((factor(log_lo) < reduction_threshold)
+               | (factor(log_hi) > reduction_threshold))
+    # every cell halves the same width, so one test ends every search
+    width = hi - lo
+    while 10.0 ** width - 1.0 >= BISECTION_TOLERANCE:
+        mid = 0.5 * (log_lo + log_hi)
+        crossed = factor(mid) < reduction_threshold
+        log_hi = np.where(crossed, mid, log_hi)
+        log_lo = np.where(crossed, log_lo, mid)
+        width *= 0.5
+    # Python's pow per cell, as a scalar search takes it: numpy's may
+    # round the last bit differently
+    mid = (0.5 * (log_lo + log_hi)).flat
+    masses = np.array([10.0 ** m for m in mid]).reshape(scale.shape) * AMU
+    masses[outside] = math.nan
+    return masses
 
 
 __all__ = [

@@ -712,20 +712,68 @@ def test_trace_lookup_sites_resolve():
                                 attr, None)), site
 
 
-def _loaded_in_fresh_interpreter(code, prefixes):
-    """Sorted modules under any of ``prefixes`` that ``code`` leaves
-    loaded in a new interpreter that imports nearwave from this tree."""
+def _fresh_interpreter(*args, **kwargs):
+    """``python *args`` run to completion in a new interpreter that imports
+    nearwave from this tree, with no worker pool; output captured."""
     src = str(pathlib.Path(nearwave.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("NEARWAVE_WORKERS", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, **kwargs)
+
+
+def _loaded_in_fresh_interpreter(code, prefixes):
+    """Sorted modules under any of ``prefixes`` that ``code`` leaves
+    loaded in a new interpreter that imports nearwave from this tree."""
     code += ("\nimport sys\n"
              "print(sorted(m for m in sys.modules if any(\n"
              f"    m == p or m.startswith(p + '.') for p in {prefixes!r})))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return done.stdout.strip()
+    return _fresh_interpreter("-c", code, text=True,
+                              check=True).stdout.strip()
+
+
+def test_cli_freezes_collector_at_exit():
+    # a handler registered before the command runs after the CLI's, so it
+    # sees the import-time objects frozen out of the final collections;
+    # the group registers the freeze once however often it runs
+    code = "\n".join([
+        "import atexit, gc",
+        "freeze, runs = gc.freeze, []",
+        "gc.freeze = lambda: runs.append(freeze())",
+        "atexit.register(lambda: print(len(runs), gc.get_freeze_count() > 0))",
+        "from nearwave.cli import main",
+        "for _ in range(2):",
+        f"    main(['validate', {OTIMA!r}, '--out', {os.devnull!r}],",
+        "         standalone_mode=False)"])
+    done = _fresh_interpreter("-c", code, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 True\n", "")
+
+
+def test_import_registers_no_exit_handler():
+    code = "\n".join([
+        "import atexit",
+        "register, registered = atexit.register, []",
+        "atexit.register = lambda f, *a, **k: (registered.append(f),",
+        "                                      register(f, *a, **k))[1]",
+        "import nearwave, nearwave.cli",
+        "print(registered)"])
+    done = _fresh_interpreter("-c", code, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_piped_csl_map_matches_file_output(tmp_path):
+    # the std streams are still flushed when the collector is frozen
+    path = tmp_path / "map.csv"
+    base = ["-m", "nearwave.cli", "csl-map", OTIMA]
+    to_file = _fresh_interpreter(*base, "--out", str(path))
+    piped = _fresh_interpreter(*base, "--out", "-")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) \
+        == (0, b"", b"")
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == path.read_bytes()
+    assert piped.stdout.count(b"\n") == 4
 
 
 def test_cli_import_leaves_scipy_unloaded():

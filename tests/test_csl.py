@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nearwave import load_scenario
 from nearwave.constants import AMU
 from nearwave.cli import main
+from nearwave.core import talbot_time
 from nearwave.csl import (DEFAULT_OTIMA_PERIOD, MIN_QUANTUM_VISIBILITY,
                           CslParameters, MassOutOfRangeError, OtimaTemplate,
                           critical_mass, csl_reduction_factor, csl_visibility,
@@ -157,3 +159,63 @@ def test_exclusion_map_and_csv(tmp_path):
     assert [float(c) for c in header[1:]] == payload["r_c_m"]
     np.testing.assert_array_equal(
         rows, [[r["lambda0_hz"], *r["values"]] for r in payload["rows"]])
+
+
+def _scalar_critical_mass_amu(params, template, threshold):
+    """The per-cell search: bisection on log10 of the mass over
+    [1e3, 1e12] amu to 1% width, one scalar reduction factor per step;
+    NaN where the crossing lies outside the bracket."""
+    lo, hi = 3.0, 12.0
+    if (csl_reduction_factor(params, template, 10.0 ** lo) < threshold
+            or csl_reduction_factor(params, template, 10.0 ** hi) > threshold):
+        return math.nan
+    while 10.0 ** (hi - lo) - 1.0 >= 0.01:
+        mid = 0.5 * (lo + hi)
+        if csl_reduction_factor(params, template, 10.0 ** mid) < threshold:
+            hi = mid
+        else:
+            lo = mid
+    return 10.0 ** (0.5 * (lo + hi))
+
+
+def test_lockstep_map_equals_per_cell_bisection():
+    # the benchmark's 16 x 16 flag grid on the bundled OTIMA template, with
+    # rows whose crossing lies above (1e-40) and below (1e6) the bracket;
+    # at 1e300 the exponent overflows to a factor of 0
+    scenario = str(importlib.resources.files("nearwave") / "data"
+                   / "otima_gold_clusters.cfg")
+    cfg = load_scenario(scenario).config
+    template = OtimaTemplate(
+        grating=cfg.grating1,
+        delay_over_talbot_time=cfg.pulse_delay_T
+        / talbot_time(cfg.species.mass, cfg.period_d))
+    lambda0_grid = np.concatenate(([1e-40], np.logspace(-12.0, -8.0, 16),
+                                   [1e6, 1e300]))
+    r_c_grid = np.logspace(-8.0, -6.0, 16)
+    threshold = math.exp(-1.0)
+    masses = exclusion_map(lambda0_grid, r_c_grid, template,
+                           threshold).critical_mass / AMU
+    expected = np.array([[_scalar_critical_mass_amu(
+        CslParameters(lambda0=lam0, r_c=rc), template, threshold)
+        for rc in r_c_grid] for lam0 in lambda0_grid])
+    assert np.all(np.isnan(expected[[0, -2, -1]]))
+    np.testing.assert_array_equal(np.isnan(masses), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    assert finite.sum() == 16 * 16
+    np.testing.assert_allclose(masses[finite], expected[finite], rtol=4e-16,
+                               atol=0.0)
+    # critical_mass is the one-cell case of the same search
+    for row in (1, 8, 16):
+        assert critical_mass(CslParameters(lambda0=lambda0_grid[row],
+                                           r_c=r_c_grid[5]),
+                             template, threshold) / AMU == masses[row, 5]
+
+
+@pytest.mark.parametrize("threshold", ["1.5", "nan"])
+def test_csl_map_rejects_threshold_outside_unit_interval(threshold):
+    scenario = str(importlib.resources.files("nearwave") / "data"
+                   / "otima_gold_clusters.cfg")
+    result = CliRunner().invoke(main, ["csl-map", scenario, "--threshold",
+                                       threshold])
+    assert result.exit_code == 2
+    assert "reduction_threshold must lie in (0, 1)" in result.output
