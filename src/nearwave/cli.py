@@ -2,7 +2,7 @@
 
 Every subcommand reads a scenario file, computes deterministically, and
 writes records with unit-suffixed column names. Exit codes: 0 success,
-2 config error, 3 I/O error, 4 numerical non-convergence.
+2 config error, 3 I/O error, 4 no mass crossing or a non-finite result.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .classical import classical_visibility_quadrature
 from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
 from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
-from .decoherence import (GasEnvironment, QuadratureError,
-                          collisional_channel, collisional_rate)
+from .decoherence import (GasEnvironment, collisional_channel,
+                          collisional_rate)
 from .engine import (BLOCK_ROWS, grating_coefficients, talbot_pattern,
                      time_domain_visibility, velocity_averaged_signal)
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
@@ -103,7 +103,7 @@ def _guard(func, *args, **kwargs):
     """Run a computation, mapping known failure families to exit codes."""
     try:
         return func(*args, **kwargs)
-    except (QuadratureError, MassOutOfRangeError, FloatingPointError) as exc:
+    except (MassOutOfRangeError, FloatingPointError) as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     except ValueError as exc:

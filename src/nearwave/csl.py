@@ -154,8 +154,8 @@ def _bisect_masses(lambda0, r_c, template: OtimaTemplate,
         raise ValueError("lambda0 and r_c must be positive and finite")
     delay = template.delay_over_talbot_time
     d = template.grating.period_d
-    # x_max = d T / T_T does not depend on the mass: one eta mean per r_c
-    loss = 1.0 - np.array([GaussianEta(rc).mean(d * delay) for rc in r_c])
+    # x_max = d T / T_T does not depend on the mass: one eta loss per r_c
+    loss = np.array([GaussianEta(rc).loss(d * delay) for rc in r_c])
     # the exponent 2 T R (1 - mean eta) with T = delay T_T and the CSL rate
     # R = lambda0 (m / amu)^2, as ``csl_reduction_factor`` takes it
     scale = 2.0 * delay * talbot_time(AMU, d) * lambda0[:, None] * loss

@@ -777,11 +777,29 @@ def test_piped_csl_map_matches_file_output(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where adaptive quadrature runs, the process
-    # pool only where NEARWAVE_WORKERS asks for one, and numpy.ma nowhere
+    # scipy is imported nowhere, the process pool only where
+    # NEARWAVE_WORKERS asks for one, and numpy.ma nowhere
     loaded = _loaded_in_fresh_interpreter(
         "import nearwave.cli", ("scipy", "multiprocessing", "numpy.ma"))
     assert loaded == "[]"
+
+
+def test_decoherence_reductions_leave_scipy_unloaded(tmp_path):
+    # every channel reduces through its eta's own loss: a thermal-emission
+    # factor, the one block of the four-point decohere sweep and a csl-map
+    # run in a fresh interpreter without importing scipy
+    path = tmp_path / "decohere.cfg"
+    path.write_text(DECOHERE)
+    code = "\n".join([
+        "from nearwave import cli, thermal_emission_channel",
+        "from nearwave.decoherence import decoherence_factor",
+        "channel = thermal_emission_channel([(5e-6, 75.0), (10e-6, 25.0)])",
+        "decoherence_factor(channel, 2, period_d=991e-9, half_span=2.2e-3,",
+        "                   talbot_scale=2.07e-3)",
+        f"for args in (['decohere', {str(path)!r}],",
+        f"             ['csl-map', {OTIMA!r}]):",
+        f"    cli.main(args + ['--out', {os.devnull!r}], standalone_mode=False)"])
+    assert _loaded_in_fresh_interpreter(code, ("scipy",)) == "[]"
 
 
 def test_sweep_points_leave_numpy_ma_unloaded():

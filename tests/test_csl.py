@@ -2,12 +2,13 @@ import importlib.resources
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from nearwave import load_scenario
-from nearwave.constants import AMU
+from nearwave.constants import AMU, PLANCK_H
 from nearwave.cli import main
 from nearwave.core import talbot_time
 from nearwave.csl import (DEFAULT_OTIMA_PERIOD, MIN_QUANTUM_VISIBILITY,
@@ -219,3 +220,49 @@ def test_csl_map_rejects_threshold_outside_unit_interval(threshold):
                                        threshold])
     assert result.exit_code == 2
     assert "reduction_threshold must lie in (0, 1)" in result.output
+
+
+def _mp_crossing_amu(lambda0, r_c, d, delay, threshold):
+    """(-ln theta / k)^(1/3) in amu at 50 digits: the factor is
+    exp(-k m^3) with k = 2 (T / T_T) T_T(1 amu) lambda0 (1 - mean eta)
+    and 1 - mean eta summed as a series below z = 1."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(d) * mpmath.mpf(delay) / (2 * mpmath.mpf(r_c))
+        if z < 1:
+            loss = mpmath.nsum(lambda k: (-1) ** (k + 1) * z ** (2 * k)
+                               / (mpmath.factorial(k) * (2 * k + 1)),
+                               [1, mpmath.inf])
+        else:
+            loss = 1 - mpmath.sqrt(mpmath.pi) * mpmath.erf(z) / (2 * z)
+        talbot_amu = mpmath.mpf(AMU) * mpmath.mpf(d) ** 2 / mpmath.mpf(PLANCK_H)
+        k = (2 * mpmath.mpf(delay) * talbot_amu * mpmath.mpf(lambda0)
+             * loss)
+        return float(mpmath.cbrt(-mpmath.log(mpmath.mpf(threshold)) / k))
+
+
+def test_csl_map_wide_rc_range_matches_exact_crossing():
+    # r_c up to 1e300 m: where r_c >> x_max = d T / T_T the loss is far
+    # below the rounding of 1 - mean eta, and every cell must still be NaN
+    # exactly where the exact crossing leaves [1e3, 1e12] amu
+    scenario = str(importlib.resources.files("nearwave") / "data"
+                   / "otima_gold_clusters.cfg")
+    cfg = load_scenario(scenario).config
+    delay = cfg.pulse_delay_T / talbot_time(cfg.species.mass, cfg.period_d)
+    result = CliRunner().invoke(main, [
+        "csl-map", scenario, "--rc-min", "1e-8", "--rc-max", "1e300",
+        "--lambda-points", "40", "--rc-points", "30"])
+    assert result.exit_code == 0
+    lines = result.output.strip().splitlines()
+    r_c_grid = [float(c) for c in lines[0].split(",")[1:]]
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in lines[1:]])
+    assert rows.shape == (40, 31)
+    threshold = float(np.exp(-1.0))
+    exact = np.array([[_mp_crossing_amu(lam0, rc, cfg.period_d, delay,
+                                        threshold) for rc in r_c_grid]
+                      for lam0 in rows[:, 0]])
+    masses = rows[:, 1:]
+    outside = (exact < 1e3) | (exact > 1e12)
+    assert 0 < outside.sum() < outside.size
+    np.testing.assert_array_equal(np.isnan(masses), outside)
+    np.testing.assert_allclose(masses[~outside], exact[~outside], rtol=0.01)

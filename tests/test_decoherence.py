@@ -1,17 +1,21 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import sici
 
+from nearwave import cli
 from nearwave.constants import AMU
 from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
-                                  TabulatedEta, absorption_visibility_factor,
-                                  channel_factor,
-                                  QUAD_RELTOL, collisional_channel,
+                                  GaussianEta, SincEta, TabulatedEta,
+                                  absorption_visibility_factor,
+                                  channel_factor, collisional_channel,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
                                   decoherence_factor,
@@ -24,6 +28,20 @@ from nearwave.species import get_species
 
 C70 = get_species("C70")
 
+# relative tolerance of the adaptive-quadrature oracle
+QUAD_RELTOL = 1e-6
+
+
+@dataclass(frozen=True)
+class ClosedFormEta:
+    """A test eta: the function and the closed form of its loss."""
+
+    eta: Callable[[float], float]
+    loss: Callable[[float], float]
+
+    def __call__(self, x):
+        return self.eta(x)
+
 
 def vdw_config():
     g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
@@ -34,7 +52,8 @@ def vdw_config():
 
 
 def test_blind_environment_leaves_coherence():
-    channel = DecoherenceChannel(rate=1e4, eta=lambda x: 1.0 + 0.0j)
+    channel = DecoherenceChannel(
+        rate=1e4, eta=ClosedFormEta(lambda x: 1.0, lambda x_max: 0.0))
     f = decoherence_factor(channel, 2, period_d=991e-9, half_span=2.2e-3,
                            talbot_scale=2.07e-3)
     assert f == pytest.approx(1.0 + 0.0j, abs=1e-9)
@@ -44,8 +63,8 @@ def test_resolving_environment_gives_event_statistics():
     # eta = 0 everywhere except a point: every event destroys coherence,
     # so the factor is the no-event probability exp(-2 R T)
     rate, half_span = 137.0, 2.2e-3
-    channel = DecoherenceChannel(rate=rate,
-                                 eta=lambda x: 1.0 if x == 0.0 else 0.0)
+    channel = DecoherenceChannel(rate=rate, eta=ClosedFormEta(
+        lambda x: 1.0 if x == 0.0 else 0.0, lambda x_max: 1.0))
     f = decoherence_factor(channel, 2, period_d=991e-9, half_span=half_span,
                            talbot_scale=2.07e-3)
     assert f.real == pytest.approx(math.exp(-2.0 * rate * half_span), rel=1e-5)
@@ -53,7 +72,8 @@ def test_resolving_environment_gives_event_statistics():
 
 
 def test_zeroth_order_untouched():
-    channel = DecoherenceChannel(rate=1e6, eta=lambda x: 0.0)
+    channel = DecoherenceChannel(
+        rate=1e6, eta=ClosedFormEta(lambda x: 0.0, lambda x_max: 1.0))
     f = decoherence_factor(channel, 0, period_d=991e-9, half_span=2.2e-3,
                            talbot_scale=2.07e-3)
     assert f == 1.0 + 0.0j
@@ -64,13 +84,19 @@ def test_separation_ramp_quadratic_eta():
     # x(t) = c (|t| - T) with c = m d / (2 x0 scale), giving 2 R c^2 T^3 / 3
     m, d, half_span, scale, x0 = 2, 991e-9, 2.2e-3, 2.07e-3, 1e-6
     rate = 50.0
-    channel = DecoherenceChannel(
-        rate=rate, eta=lambda x: 1.0 - (x / x0) ** 2)
+    channel = DecoherenceChannel(rate=rate, eta=ClosedFormEta(
+        lambda x: 1.0 - (x / x0) ** 2,
+        lambda x_max: x_max ** 2 / (3.0 * x0 ** 2)))
     c = m * d / (2.0 * x0 * scale)
     expected = math.exp(-2.0 * rate * c ** 2 * half_span ** 3 / 3.0)
     f = decoherence_factor(channel, m, period_d=d, half_span=half_span,
                            talbot_scale=scale)
     assert f.real == pytest.approx(expected, rel=1e-6)
+
+
+def test_eta_without_loss_rejected():
+    with pytest.raises(TypeError):
+        DecoherenceChannel(rate=1.0, eta=lambda x: 1.0)
 
 
 def test_collisional_eta_normalization_and_decay():
@@ -169,7 +195,7 @@ def test_thermal_emission_sine_integral_spatial(wavelength):
     expected = sine_integral_exponent(n_photons, wavelength, x_max)
     channel = thermal_emission_channel([(wavelength, rate)])
     f = channel_factor(channel, cfg, 2, v)
-    assert -math.log(f.real) == pytest.approx(expected, rel=QUAD_RELTOL)
+    assert -math.log(f.real) == pytest.approx(expected, rel=1e-12)
     assert f.imag == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,8 +216,33 @@ def test_thermal_emission_sine_integral_time_domain(wavelength):
                                       wavelength, x_max)
     f = channel_factor(thermal_emission_channel([(wavelength, rate)]),
                        cfg, 2, 1.0)
-    assert -math.log(f.real) == pytest.approx(expected, rel=QUAD_RELTOL)
+    assert -math.log(f.real) == pytest.approx(expected, rel=1e-12)
     assert f.imag == pytest.approx(0.0, abs=1e-12)
+
+
+def mp_sine_integral_loss(z):
+    """1 - Si(z) / z at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        return float(1 - mpmath.si(z) / z)
+
+
+@pytest.mark.parametrize("z", np.concatenate(
+    (np.logspace(-9.0, 7.0, 49),
+     [np.nextafter(1.0, 0.0), 1.0, 32.0, np.nextafter(32.0, 64.0)])))
+def test_sinc_eta_loss_matches_mpmath(z):
+    # power series below 1, Gauss-Legendre to 32, asymptotics above
+    loss = SincEta(wavenumbers=(1.0,), weights=(1.0,)).loss(z)
+    assert loss == pytest.approx(mp_sine_integral_loss(z), rel=1e-13)
+
+
+def test_gaussian_eta_loss_without_cancellation():
+    # r_c >> x_max: 1 - mean eta is 2.946e-21, far below the rounding of
+    # 1.0, which 1 - sqrt(pi) erf(z) / (2 z) would leave
+    with mpmath.workdps(50):
+        z = mpmath.mpf(7.85e-8) / (2 * mpmath.mpf(417.5))
+        exact = float(1 - mpmath.sqrt(mpmath.pi) * mpmath.erf(z) / (2 * z))
+    assert GaussianEta(417.5).loss(7.85e-8) == pytest.approx(exact, rel=1e-14)
 
 
 def test_absorption_visibility_factor():
@@ -246,6 +297,15 @@ def test_gas_environment_guards():
     with pytest.raises(ValueError):
         collisional_eta(GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                                        pressure=1e-6), -1e-9)
+    # a scattering table whose |f|^2 sums to zero weighs no angle
+    zero = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
+                          pressure=1e-6, scattering_model="user_table",
+                          scattering_table=((0.0, 0.0), (math.pi, 0.0)))
+    with pytest.raises(ValueError):
+        collisional_eta(zero, 1e-9)
+    with pytest.raises(SystemExit) as exc:
+        cli._guard(collisional_channel, zero, C70, 1e-17)
+    assert exc.value.code == cli.EXIT_CONFIG
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-6)
     for bad in (math.nan, math.inf, -math.inf):
@@ -260,18 +320,20 @@ def test_gas_environment_guards():
 # closed-form ramp averages against adaptive quadrature of the same eta
 
 def ramp_exponents(channel, x_max, m=2, d=991e-9, half_span=2.2e-3):
-    """-log of the factor by the channel's own route and by quadrature of
-    the same eta and rate wrapped in a plain callable."""
+    """-log of the factor from the eta's loss, and the exponent
+    int R (1 - eta(x(t))) dt over the transit by adaptive quadrature."""
     scale = (m * d / 2.0) * half_span / x_max
-    adaptive = DecoherenceChannel(rate=channel.rate,
-                                  eta=lambda x: channel.eta(x))
-    exponents = []
-    for c in (channel, adaptive):
-        f = decoherence_factor(c, m, period_d=d, half_span=half_span,
-                               talbot_scale=scale)
-        assert f.imag == 0.0
-        exponents.append(-math.log(f.real))
-    return exponents
+    f = decoherence_factor(channel, m, period_d=d, half_span=half_span,
+                           talbot_scale=scale)
+    assert f.imag == 0.0
+
+    def integrand(t):
+        x = (m * d / 2.0) * (abs(t) - half_span) / scale
+        return channel.rate * (1.0 - channel.eta(x))
+
+    value, _ = integrate.quad(integrand, -half_span, half_span,
+                              epsrel=QUAD_RELTOL, epsabs=1e-300, limit=400)
+    return -math.log(f.real), value
 
 
 def knot_position(where, grid):
@@ -304,7 +366,7 @@ def test_gaussian_eta_mean_matches_quadrature(r_c):
     # x_max = 1 um; the rate is chosen so the exponent is of order one
     x_max = 1e-6
     channel = csl_channel(1e-10, r_c, 1e6 * AMU)
-    rate = 1.0 / (2.0 * 2.2e-3 * (1.0 - channel.eta.mean(x_max)))
+    rate = 1.0 / (2.0 * 2.2e-3 * channel.eta.loss(x_max))
     channel = replace(channel, rate=rate)
     closed, adaptive = ramp_exponents(channel, x_max)
     assert closed == pytest.approx(adaptive, rel=QUAD_RELTOL)
