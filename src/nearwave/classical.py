@@ -90,35 +90,36 @@ def _survival_probability(g, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def _kick(g, s: Species, x: np.ndarray):
-    """Transverse velocity change at positions x, as a function of v_z.
+def _kick_shape(g, s: Species, x) -> np.ndarray:
+    """Position dependence of a ray's transverse velocity change at x
+    (vectorized, no absorption check); ``_kick_strength`` scales it."""
+    d = g.period_d
+    x = np.asarray(x, dtype=float)
+    if isinstance(g, MaterialGrating):
+        power = _wall_coefficient(g, s)[1]
+        r_minus, r_plus = _wall_distances(g, np.mod(x + d / 2.0, d) - d / 2.0)
+        return r_plus ** -(power + 1) - r_minus ** -(power + 1)
+    if isinstance(g, (LaserPhaseGrating, IonizingGrating)):
+        # phi = phi0 cos^2(pi x / d): dphi/dx = -phi0 (pi / d) sin(2 pi x / d)
+        return np.sin(2.0 * np.pi * x / d)
+    raise TypeError(f"unsupported grating type {type(g).__name__}")
 
-    The position dependence is evaluated once (vectorized, no absorption
-    check); the returned function scales it by the v_z-dependent strength.
-    """
+
+def _kick_strength(g, s: Species, v_z):
+    """K(v_z) of the kick K(v_z) ``_kick_shape(x)``, one per speed of
+    ``v_z``; zero for a mask without a wall interaction or thickness."""
     d = g.period_d
     if isinstance(g, MaterialGrating):
         coeff, power = _wall_coefficient(g, s)
-        if coeff == 0.0 or g.thickness_b == 0.0:
-            zeros = np.zeros_like(np.asarray(x, dtype=float))
-            return lambda v_z: zeros
-        offset = np.mod(np.asarray(x, dtype=float) + d / 2.0, d) - d / 2.0
-        r_minus, r_plus = _wall_distances(g, offset)
-        shape = r_plus ** -(power + 1) - r_minus ** -(power + 1)
-        return lambda v_z: (g.thickness_b * coeff * power / (s.mass * v_z)
-                            * shape)
+        return g.thickness_b * coeff * power / (s.mass * v_z)
     if isinstance(g, LaserPhaseGrating):
         # divides by v_z once more than (hbar / m) dphi/dx, although phi0
         # already carries 1 / v_z (ROADMAP item 2)
-        shape = np.sin(2.0 * np.pi * np.asarray(x) / d)
-        return lambda v_z: (-(HBAR / (s.mass * v_z))
-                            * laser_phase_amplitude(g, s, v_z)
-                            * (np.pi / d) * shape)
+        return (-(HBAR / (s.mass * v_z)) * laser_phase_amplitude(g, s, v_z)
+                * (np.pi / d))
     if isinstance(g, IonizingGrating):
-        # phi = phi0 cos^2(pi x / d): dphi/dx = -phi0 (pi / d) sin(2 pi x / d)
-        kick = (-(HBAR / s.mass) * g.phase_amplitude_phi0 * (np.pi / d)
-                * np.sin(2.0 * np.pi * np.asarray(x) / d))
-        return lambda v_z: kick
+        return np.full(np.shape(v_z), -(HBAR / s.mass)
+                       * g.phase_amplitude_phi0 * (np.pi / d))[()]
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
@@ -134,7 +135,7 @@ def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
     if isinstance(g, MaterialGrating):
         if _survival_probability(g, np.array([x]))[0] == 0.0:
             raise AbsorbedRayError("ray absorbed on a grating bar")
-    return float(_kick(g, s, np.array([x]))(v_z)[0])
+    return float(_kick_strength(g, s, v_z) * _kick_shape(g, s, x))
 
 
 def _mask_window(g):
@@ -159,7 +160,7 @@ def _central_grid(g, s: Species):
     """Speed-free part of the twin's central integral over a material or
     ionizing grating, built once per process, grating and species: (q0, the
     weights 2 |t(x)|^2 / N and 2 x at the open cells of the half period
-    0 < x < d/2, the kick there as a function of v_z). The cells are the
+    0 < x < d/2, and ``_kick_shape`` there). The cells are the
     first N/2 of the ``QUADRATURE_GRID`` = N cell centres x. |t|^2 is even
     about the slit centre and the kick is odd, so cell N-1-k adds the
     complex conjugate of cell k and each weight counts both. q0, the mean
@@ -171,9 +172,10 @@ def _central_grid(g, s: Species):
     t2 = _survival_probability(g, x)
     is_open = t2 != 0.0
     weight, two_x = (2.0 / QUADRATURE_GRID) * t2[is_open], 2.0 * x[is_open]
-    for array in (weight, two_x):
+    shape = _kick_shape(g, s, x[is_open])
+    for array in (weight, two_x, shape):
         array.flags.writeable = False
-    return t2.mean(), weight, two_x, _kick(g, s, x[is_open])
+    return t2.mean(), weight, two_x, shape
 
 
 def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
@@ -227,7 +229,8 @@ def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
             cfg.grating2, x2)
         x1, vx, x2 = x1[alive], vx[alive], x2[alive]
 
-        vx2 = vx + a_ext * t_flight + _kick(cfg.grating2, s, x2)(v)
+        vx2 = vx + a_ext * t_flight + (_kick_strength(cfg.grating2, s, v)
+                                       * _kick_shape(cfg.grating2, s, x2))
         x3 = x2 + vx2 * t_flight + 0.5 * a_ext * t_flight ** 2
 
         hist, _ = np.histogram(np.mod(x3, d), bins=HISTOGRAM_BINS,
@@ -278,14 +281,15 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
     Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
-    and K(v) read from the same kick as the ray tracer; one ``bessel_j``
-    call covers every node of every laser config of a block. Material and
+    and K(v) the ray tracer's ``_kick_strength``; one ``bessel_j`` call
+    covers every node of every laser config of a block. Material and
     ionizing central gratings are sampled on ``QUADRATURE_GRID`` cells: the
-    survival mask and kick shape are computed once per process
-    (``_central_grid``) and each velocity node only scales the kick. Their
-    |t|^2 is even and their kick odd about the slit centre, so the sum runs
-    over the open cells of half a period as the real sum_k weight_k
-    cos(phase_k), with no complex exponential, one node at a time. The
+    survival mask and ``_kick_shape`` are computed once per process
+    (``_central_grid``), the strengths once per config, and each velocity
+    node only scales the shape. Their |t|^2 is even and their kick odd
+    about the slit centre, so the sum runs over the open cells of half a
+    period as the real sum_k weight_k cos(phase_k), with no complex
+    exponential, one node at a time. The
     outer masks' windows do not depend on the speed: one per distinct
     outer mask of the block (``_mask_window``).
     """
@@ -301,11 +305,9 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
         arguments = []
         for p in lasers:
             c, nodes = cfgs[p], rules[p][0]
-            d = c.period_d
-            peak_kick = _kick(c.grating2, c.species,
-                              np.array([d / 4.0]))(nodes)  # K(v), sin = 1
-            arguments.append(-2.0 * np.pi * peak_kick * c.flight_time(nodes)
-                             / d)
+            arguments.append(-2.0 * np.pi
+                             * _kick_strength(c.grating2, c.species, nodes)
+                             * c.flight_time(nodes) / c.period_d)
         values = bessel_j(2, np.concatenate(arguments))
         ends = np.cumsum([len(a) for a in arguments])
         for p, q1 in zip(lasers, np.split(values, ends[:-1])):
@@ -317,11 +319,12 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
         d = c.period_d
         q0 = 1.0
         if q1s[p] is None:
-            q0, weight, two_x, kick = _central_grid(c.grating2, c.species)
+            q0, weight, two_x, shape = _central_grid(c.grating2, c.species)
+            strengths = _kick_strength(c.grating2, c.species, nodes)
             q1s[p] = np.empty(len(nodes))
-            for i, v in enumerate(nodes):
-                phase = (2.0 * np.pi / d) * (two_x
-                                             + kick(v) * c.flight_time(v))
+            for i, (v, strength) in enumerate(zip(nodes, strengths)):
+                phase = (2.0 * np.pi / d) * (
+                    two_x + strength * shape * c.flight_time(v))
                 q1s[p][i] = weight @ np.cos(phase)
         t1_0, t1_1 = windows[c.grating1]
         t3_0, t3_1 = windows[c.grating3]

@@ -2,7 +2,8 @@
 
 Every subcommand reads a scenario file, computes deterministically, and
 writes records with unit-suffixed column names. Exit codes: 0 success,
-2 config error, 3 I/O error, 4 no mass crossing or a non-finite result.
+2 config error, 3 I/O error, 4 no mass crossing, a vanishing signal offset
+S_0 or a non-finite result.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .core import talbot_time
 from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
 from .decoherence import (GasEnvironment, collisional_channel,
                           collisional_rate)
-from .engine import (BLOCK_ROWS, grating_coefficients, talbot_pattern,
-                     time_domain_visibility, velocity_averaged_signal)
+from .engine import (BLOCK_ROWS, grating_coefficients, sinusoidal_visibility,
+                     talbot_pattern, time_domain_visibility,
+                     velocity_averaged_signal)
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
 from .metrology import DeflectionField, stark_fringe_shift
 from .scenario import Scenario, ScenarioError, apply_sweep_value, load_scenario
@@ -114,6 +116,15 @@ def _guard(func, *args, **kwargs):
         sys.exit(EXIT_IO)
 
 
+def _require_keys(scenario: Scenario, command: str, keys) -> dict:
+    """The scenario's values, which must hold every key of ``keys``."""
+    missing = [k for k in keys if k not in scenario.values]
+    if missing:
+        click.echo(f"config error: {command} needs keys {missing}", err=True)
+        sys.exit(EXIT_CONFIG)
+    return scenario.values
+
+
 def _require_sweep(scenario: Scenario, parameter: str) -> list[float]:
     if scenario.sweep is None or scenario.sweep.parameter != parameter:
         click.echo(f"config error: scenario must sweep {parameter!r}",
@@ -186,10 +197,10 @@ def _block(n_velocities: int, columns, settings) -> list[dict]:
     """Visibility columns of a block of (config, decoherence channels)
     settings, one record per setting.
 
-    Each quantum column is 2 |S_1 / S_0| of the velocity-averaged signal,
-    from one engine evaluation over the whole block; only S_0 and S_1 are
-    computed. The classical twin has no decoherence model, so it is added
-    only to settings without channels, again in one call for the block.
+    Each quantum column is the ``sinusoidal_visibility`` of one engine
+    evaluation over the whole block, of S_0 and S_1 only. The classical
+    twin models neither the time domain nor decoherence: it is added to
+    spatial settings without channels, in one call for the block.
     """
     cfgs = [cfg for cfg, _ in settings]
     channels = [chans for _, chans in settings]
@@ -200,9 +211,10 @@ def _block(n_velocities: int, columns, settings) -> list[dict]:
                           for cfg in cfgs])
         signals = velocity_averaged_signal(variants, n_velocities=n_velocities,
                                            m_max=1, channels=channels)
-        for record, signal in zip(records, signals):
-            record[column] = float(2.0 * abs(signal[1] / signal[0]))
-    twins = [p for p, chans in enumerate(channels) if not chans]
+        for record, value in zip(records, sinusoidal_visibility(signals)):
+            record[column] = float(value)
+    twins = [p for p, (cfg, chans) in enumerate(settings)
+             if cfg.mode == "spatial" and not chans]
     if twins:
         values = classical_visibility_quadrature([cfgs[p] for p in twins],
                                                  n_velocities=n_velocities)
@@ -253,6 +265,8 @@ FINITE = FiniteFloat()
 POSITIVE = FiniteFloat(positive=True)
 # a grid axis needs at least one point
 POINTS = click.IntRange(min=1)
+# velocity nodes: n top-hat nodes build an n x n matrix before any check
+VELOCITIES = click.IntRange(1, 1000)
 
 common_options = [
     click.option("--out", default="-", show_default=True,
@@ -290,27 +304,19 @@ def validate(scenario_path, out, fmt):
 
 @main.command()
 @click.argument("scenario_path")
-@click.option("--velocities", default=16, show_default=True,
+@click.option("--velocities", type=VELOCITIES, default=16, show_default=True,
               help="Velocity quadrature nodes.")
 @with_common
 def visibility(scenario_path, velocities, out, fmt):
-    """Quantum (and classical) fringe visibility of one configuration."""
+    """Quantum and (spatial mode) classical visibility of one configuration."""
     scenario = _load(scenario_path)
-    cfg = scenario.config
-    if cfg.mode == "spatial":
-        _sweep("scenario", [scenario.name], lambda _: (cfg, ()), velocities,
-               QUANTUM, out, fmt)
-        return
-    # velocity independent, and the classical twin is spatial only
-    quantum = _guard(time_domain_visibility, cfg, cfg.pulse_delay_T)
-    emit([{"scenario": scenario.name, "quantum_visibility": float(quantum),
-           "classical_visibility": float("nan")}],
-         ["scenario", "quantum_visibility", "classical_visibility"], out, fmt)
+    _sweep("scenario", [scenario.name], lambda _: (scenario.config, ()),
+           velocities, QUANTUM, out, fmt)
 
 
 @main.command("velocity-sweep")
 @click.argument("scenario_path")
-@click.option("--velocities", default=12, show_default=True)
+@click.option("--velocities", type=VELOCITIES, default=12, show_default=True)
 @with_common
 def velocity_sweep(scenario_path, velocities, out, fmt):
     """Visibility versus mean beam velocity (quantum and classical).
@@ -328,7 +334,7 @@ def velocity_sweep(scenario_path, velocities, out, fmt):
 
 @main.command("power-sweep")
 @click.argument("scenario_path")
-@click.option("--velocities", default=12, show_default=True)
+@click.option("--velocities", type=VELOCITIES, default=12, show_default=True)
 @with_common
 def power_sweep(scenario_path, velocities, out, fmt):
     """Visibility versus central laser power (quantum and classical)."""
@@ -371,17 +377,13 @@ def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
 
 @main.command()
 @click.argument("scenario_path")
-@click.option("--velocities", default=8, show_default=True)
+@click.option("--velocities", type=VELOCITIES, default=8, show_default=True)
 @with_common
 def decohere(scenario_path, velocities, out, fmt):
     """Visibility versus residual-gas pressure (collisional channel)."""
     scenario = _load(scenario_path)
-    values = scenario.values
-    missing = [k for k in ("gas.mass", "gas.temperature", "gas.cross_section")
-               if k not in values]
-    if missing:
-        click.echo(f"config error: decohere needs keys {missing}", err=True)
-        sys.exit(EXIT_CONFIG)
+    values = _require_keys(scenario, "decohere", (
+        "gas.mass", "gas.temperature", "gas.cross_section"))
     pressures = _require_sweep(scenario, "gas.pressure")
     cfg = scenario.config
     sigma = values["gas.cross_section"]
@@ -442,31 +444,24 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
 def deflect(scenario_path, out, fmt):
     """Stark fringe deflection versus beam velocity."""
     scenario = _load(scenario_path)
-    values = scenario.values
-    missing = [k for k in ("deflect.geometry_constant",
-                           "deflect.grad_e_squared") if k not in values]
-    if missing:
-        click.echo(f"config error: deflect needs keys {missing}", err=True)
-        sys.exit(EXIT_CONFIG)
-    fld = DeflectionField(
-        geometry_constant_K=values["deflect.geometry_constant"],
-        grad_E_squared=values["deflect.grad_e_squared"])
-    species = scenario.config.species
-    alpha_si = 4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0 * species.alpha_stat_vol
-    if scenario.sweep is not None:
-        velocities = _require_sweep(scenario, "beam.velocity")
-    else:
-        velocities = [scenario.config.beam.mean_velocity]
-    d = scenario.config.period_d
-    records = []
-    for v in velocities:
-        shift = _guard(stark_fringe_shift, fld, alpha_si, species.mass,
-                       float(v))
-        records.append({"velocity_m_per_s": float(v),
-                        "stark_shift_m": float(shift),
-                        "shift_over_period": float(shift / d)})
-    emit(records, ["velocity_m_per_s", "stark_shift_m", "shift_over_period"],
-         out, fmt)
+    values = _require_keys(scenario, "deflect", (
+        "deflect.geometry_constant", "deflect.grad_e_squared"))
+    cfg = scenario.config
+    velocities = (_require_sweep(scenario, "beam.velocity")
+                  if scenario.sweep is not None else [cfg.beam.mean_velocity])
+
+    def compute():
+        fld = DeflectionField(values["deflect.geometry_constant"],
+                              values["deflect.grad_e_squared"])
+        alpha_si = (4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0
+                    * cfg.species.alpha_stat_vol)
+        return stark_fringe_shift(fld, alpha_si, cfg.species.mass,
+                                  np.array(velocities))
+
+    emit([{"velocity_m_per_s": float(v), "stark_shift_m": float(shift),
+           "shift_over_period": float(shift / cfg.period_d)}
+          for v, shift in zip(velocities, _guard(compute))],
+         ["velocity_m_per_s", "stark_shift_m", "shift_over_period"], out, fmt)
 
 
 @main.command("csl-map")

@@ -7,7 +7,8 @@ diffraction coefficients of the central grating at the Talbot argument
 m t / T_T. The time t between gratings (``InterferometerConfig.flight_time``)
 is L / v_z in spatial mode and the pulse delay T in the time domain; it is
 the only quantity that depends on the mode. The sinusoidal visibility is
-the ratio 2 |S_1 / S_0| of the transmitted signal components.
+the ratio 2 |S_1 / S_0| of the transmitted signal components, formed in
+one place (``sinusoidal_visibility``) for a signal or a block of them.
 
 One evaluation covers a block of configurations (the points of a sweep)
 and the velocity nodes of each: one row per node of every point. Each
@@ -403,16 +404,22 @@ def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
         for (g, s), v in zip(key, per_config)]))
 
 
-def sinusoidal_visibility(signal: np.ndarray) -> float:
-    """Amplitude-over-offset visibility 2 |S_1 / S_0| of the fringe signal."""
-    s0 = signal[0]
-    if s0 == 0:
-        raise ZeroDivisionError("zeroth signal component vanishes")
-    value = 2.0 * abs(signal[1] / s0)
-    if value > 1.0:
-        warnings.warn(f"visibility {value:.3f} > 1: non-sinusoidal regime",
-                      NonSinusoidalWarning, stacklevel=2)
-    return value
+def sinusoidal_visibility(signal: np.ndarray) -> float | np.ndarray:
+    """Visibility 2 |S_1 / S_0| of a fringe signal (components on the last
+    axis): a float for one signal, an array for a block of them. A zero
+    S_0 raises ``FloatingPointError`` (S_0 is a product of sums of |b_j|^2,
+    so a transmitting interferometer cannot give one); a value above 1
+    warns (``NonSinusoidalWarning``)."""
+    if np.any(signal[..., 0] == 0):
+        raise FloatingPointError("zeroth signal component S_0 vanishes")
+    ratio = signal[..., 1] / signal[..., 0]
+    # hypot, not np.abs: numpy's vectorised complex abs rounds differently
+    # from its scalar one, and hypot agrees with the scalar bit for bit
+    value = 2.0 * np.hypot(ratio.real, ratio.imag)
+    if np.any(value > 1.0):
+        warnings.warn(f"visibility {np.max(value):.3f} > 1: non-sinusoidal "
+                      "regime", NonSinusoidalWarning, stacklevel=2)
+    return value[()]
 
 
 def velocity_averaged_signal(cfg, n_velocities: int = 16,
@@ -451,30 +458,23 @@ def velocity_averaged_pattern(cfg: InterferometerConfig,
 def time_domain_visibility(cfg: InterferometerConfig, T,
                            channels: Sequence = ()):
     """Visibility of a pulsed (time-domain) configuration at delay T; an
-    array of delays gives an array of visibilities, from blocks of at most
-    ``BLOCK_ROWS`` configs (``_block_signals``). A delay whose S_0
-    vanishes gives 0.0.
-
-    The formula is velocity independent: the flight time is T and
-    ionizing-grating coefficients do not involve v_z.
-    """
+    array of delays gives an array of visibilities. Each delay is one
+    config, evaluated at the beam's mean speed (``velocity_averaged_signal``
+    with one node) in blocks of at most ``BLOCK_ROWS`` configs: the flight
+    time is T at every speed."""
     delays = np.asarray(T, dtype=float)
     if np.any(delays <= 0.0):
         raise ValueError("T must be positive")
     if cfg.mode != "time_domain":
         raise ValueError("config must be in time_domain mode")
-    # v_z is a dummy for ionizing gratings
-    rule = (np.ones(1), np.ones(1))
-    flat, values = delays.ravel(), []
-    for start in range(0, flat.size, BLOCK_ROWS):
-        cfgs = [replace(cfg, pulse_delay_T=float(t))
-                for t in flat[start:start + BLOCK_ROWS]]
-        signals = _block_signals(cfgs, [rule] * len(cfgs), 1, DEFAULT_J_MAX,
-                                 [channels] * len(cfgs))
-        values += [0.0 if signal[0] == 0 else sinusoidal_visibility(signal)
-                   for signal in signals]
-    return (values[0] if delays.ndim == 0
-            else np.reshape(np.array(values, dtype=float), delays.shape))
+    values = np.empty(delays.shape)
+    for start in range(0, delays.size, BLOCK_ROWS):
+        block = [replace(cfg, pulse_delay_T=float(t))
+                 for t in delays.flat[start:start + BLOCK_ROWS]]
+        values.flat[start:start + len(block)] = sinusoidal_visibility(
+            velocity_averaged_signal(block, 1, m_max=1,
+                                     channels=[channels] * len(block)))
+    return values[()]
 
 
 __all__ = [

@@ -53,13 +53,14 @@ class ShiftDistribution:
 
 
 def stark_fringe_shift(fld: DeflectionField, alpha_stat: float, mass: float,
-                       velocity: float) -> float:
+                       velocity):
     """Fringe displacement K alpha d(E^2)/dx / (2 m v^2).
 
     Identical to the classical beam displacement; ``alpha_stat`` is the SI
-    polarizability (C m^2/V).
+    polarizability (C m^2/V). An array of velocities gives an array of
+    shifts.
     """
-    if velocity <= 0.0:
+    if np.any(np.asarray(velocity) <= 0.0):
         raise ValueError("velocity must be positive")
     return (fld.geometry_constant_K * alpha_stat * fld.grad_E_squared
             / (2.0 * mass * velocity ** 2))

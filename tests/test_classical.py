@@ -5,6 +5,8 @@ import pytest
 
 from nearwave.classical import (AbsorbedRayError, DegenerateEnsembleError,
                                 RayEnsemble, StatisticsError,
+                                _central_grid, _kick_shape,
+                                _kick_strength,
                                 classical_visibility,
                                 classical_visibility_quadrature,
                                 deflection_kick)
@@ -102,6 +104,29 @@ def test_kick_on_bar_is_absorbed():
 
 def test_interaction_free_mask_gives_no_kick():
     assert deflection_kick(binary(), C70, 100.0, 100e-9) == 0.0
+
+
+@pytest.mark.parametrize("g", [
+    vdw_mask(), binary(),
+    LaserPhaseGrating(period_d=266e-9, power_P=1.0, vertical_waist_wy=20e-6,
+                      laser_wavelength=532e-9),
+    IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=6.0,
+                    phase_amplitude_phi0=1.2),
+], ids=["vdw_r3", "none", "laser", "ionizing"])
+def test_kick_strength_per_speed_scales_one_shape(g):
+    # one strength per speed from one call, each the scalar one bit for
+    # bit; the twin's cached shape is read-only, and the kick is their
+    # product
+    speeds = np.array([60.0, 100.0, 240.0])
+    strengths = _kick_strength(g, C70, speeds)
+    assert strengths.shape == speeds.shape
+    assert [float(_kick_strength(g, C70, v)) for v in speeds] \
+        == strengths.tolist()
+    shape = _central_grid(g, C70)[3]
+    assert not shape.flags.writeable
+    x = 0.3 * g.period_d / 2.0
+    assert deflection_kick(g, C70, 100.0, x) == float(
+        _kick_strength(g, C70, 100.0) * _kick_shape(g, C70, x))
 
 
 def test_monte_carlo_is_deterministic():

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -478,6 +479,88 @@ def test_overflowing_velocity_rule_exits_4(runner):
     assert "nan" not in result.output.lower()
 
 
+@pytest.mark.parametrize("command, path", [
+    ("visibility", TLI), ("velocity-sweep", TLI), ("power-sweep", KDTLI),
+    ("decohere", TLI)], ids=["visibility", "velocity-sweep", "power-sweep",
+                             "decohere"])
+@pytest.mark.parametrize("count", ["1001", "0"])
+def test_velocities_out_of_range_exit_2(runner, monkeypatch, command, path,
+                                        count):
+    # a top-hat rule would build a count x count matrix before any check:
+    # the option is refused before a rule is built
+    built = []
+    for module, name in ((np.polynomial.hermite_e, "hermegauss"),
+                         (np.polynomial.legendre, "leggauss")):
+        monkeypatch.setattr(module, name, lambda n: built.append(n))
+    result = runner.invoke(main, [command, path, "--velocities", count])
+    assert result.exit_code == 2
+    assert "Invalid value for '--velocities'" in result.output
+    assert built == []
+
+
+# small grids per command, so that every command runs in well under a second
+SMALL = {"validate": [], "visibility": ["--velocities", "2"],
+         "velocity-sweep": ["--velocities", "2"],
+         "power-sweep": ["--velocities", "2"],
+         "carpet": ["--z-points", "3", "--x-points", "8"],
+         "decohere": ["--velocities", "2"],
+         "otima-map": ["--ratio-points", "3", "--n0-points", "2"],
+         "deflect": [],
+         "csl-map": ["--lambda-points", "2", "--rc-points", "2"]}
+
+
+@pytest.mark.parametrize("command", list(SMALL))
+@pytest.mark.parametrize("path", [TLI, KDTLI, OTIMA],
+                         ids=["tli", "kdtli", "otima"])
+def test_bundled_scenario_gives_finite_numbers_or_a_config_error(
+        runner, path, command):
+    # every command on every bundled scenario either writes only finite
+    # numbers (csl-map's documented NaN cells aside) or exits 2 with a
+    # config error and no data; never a traceback. Warnings are only
+    # printed, as in a command-line run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = runner.invoke(main, [command, path, *SMALL[command]])
+    assert result.exit_code in (0, 2), result.exception
+    if result.exit_code == 2:
+        assert "config error: " in result.stderr
+        assert result.stdout == ""
+        return
+    cells = [cell for line in result.stdout.splitlines()[1:]
+             for cell in line.split(",")]
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    assert numbers
+    if command != "csl-map":
+        assert all(np.isfinite(numbers)), result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["visibility", TLI, "--velocities", "2"],
+    ["visibility", OTIMA],
+    ["otima-map", OTIMA, "--ratio-points", "3", "--n0-points", "1"]],
+    ids=["spatial", "time-domain", "otima-map"])
+def test_vanishing_signal_offset_exits_4(runner, monkeypatch, args):
+    # a zero S_0 is a numerical error, not a row of nan or of 0.0
+    signals = engine._block_signals
+
+    def dark_last(*block):
+        result = signals(*block)
+        result[-1, 0] = 0.0
+        return result
+    monkeypatch.setattr(engine, "_block_signals", dark_last)
+    result = invoke(runner, *args)
+    assert result.exit_code == 4
+    assert "numerical error: zeroth signal component S_0 vanishes" \
+        in result.output
+    assert "nan" not in result.output.lower()
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("args", [
     ["carpet", TLI, "--z-max", "nan"],
     ["carpet", TLI, "--z-max", "inf"],
@@ -848,7 +931,41 @@ def test_deflect(runner, tmp_path):
     missing = tmp_path / "nofield.cfg"
     missing.write_text(DEFLECT.replace(
         "deflect.geometry_constant = 1.0\n", ""))
-    assert invoke(runner, "deflect", str(missing)).exit_code == 2
+    result = invoke(runner, "deflect", str(missing))
+    assert result.exit_code == 2
+    assert "config error: deflect needs keys ['deflect.geometry_constant']" \
+        in result.output
+    # the field is built inside the guarded evaluation: a bad geometry
+    # constant is a config error, not a traceback
+    negative = tmp_path / "negative.cfg"
+    negative.write_text(with_line(DEFLECT, "deflect.geometry_constant = -1.0"))
+    result = invoke(runner, "deflect", str(negative))
+    assert result.exit_code == 2
+    assert "config error: geometry_constant_K must be positive" \
+        in result.output
+
+
+def test_deflect_sweep_is_one_evaluation(runner, tmp_path):
+    # a velocity sweep is one array evaluation with the bytes of the
+    # scalar shift at each speed
+    from nearwave.constants import VACUUM_PERMITTIVITY_EPS0
+    from nearwave.metrology import DeflectionField, stark_fringe_shift
+    path = tmp_path / "stark.cfg"
+    path.write_text(DEFLECT + "sweep.parameter = beam.velocity\n"
+                    "sweep.start = 80 m/s\nsweep.stop = 220 m/s\n"
+                    "sweep.points = 5\n")
+    result = invoke(runner, "deflect", str(path))
+    assert result.exit_code == 0
+    scenario = nearwave.load_scenario(str(path))
+    species = scenario.config.species
+    fld = DeflectionField(1.0, scenario.values["deflect.grad_e_squared"])
+    alpha = 4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0 * species.alpha_stat_vol
+    rows = result.output.strip().splitlines()[1:]
+    assert len(rows) == 5
+    for row, v in zip(rows, scenario.sweep.values()):
+        shift = stark_fringe_shift(fld, alpha, species.mass, float(v))
+        assert row == ",".join(repr(float(x)) for x in (
+            v, shift, shift / scenario.config.period_d))
 
 
 def test_csl_map(runner):
