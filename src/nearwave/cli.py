@@ -1,9 +1,10 @@
 """Command-line entry points: figure-level sweeps emitted as CSV/JSON data.
 
 Every subcommand reads a scenario file, computes deterministically, and
-writes records with unit-suffixed column names. Exit codes: 0 success,
-2 config error, 3 I/O error, 4 no mass crossing, a vanishing signal offset
-S_0 or a non-finite result.
+writes records with unit-suffixed column names. Commands raise; the
+command group is the one place that turns a failure into a message and an
+exit code: 0 success, 2 config error, 3 I/O error, 4 a vanishing signal
+offset S_0 or a non-finite result.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .classical import classical_visibility_quadrature
 from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
-from .csl import MassOutOfRangeError, OtimaTemplate, exclusion_map
+from .csl import OtimaTemplate, exclusion_map
 from .decoherence import (GasEnvironment, collisional_channel,
                           collisional_rate)
 from .engine import (BLOCK_ROWS, grating_coefficients, sinusoidal_visibility,
@@ -48,12 +49,8 @@ def _write(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def emit(records, columns, out: str, fmt: str):
@@ -81,55 +78,27 @@ def emit_matrix(row_label, row_values, col_label, col_values, matrix,
                                   + [_fmt(float(v)) for v in row]))
         text = "\n".join(lines) + "\n"
     else:
+        # JSON has no NaN: a sentinel cell is null
         payload = {col_label: [float(c) for c in col_values],
                    "rows": [{row_label: float(rv),
-                             "values": [float(v) for v in row]}
+                             "values": [float(v) if math.isfinite(v)
+                                        else None for v in row]}
                             for rv, row in zip(row_values, matrix)]}
         text = json.dumps(payload, indent=2) + "\n"
     _write(text, out)
-
-
-def _load(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            click.echo(f"config error: {problem}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-
-
-def _guard(func, *args, **kwargs):
-    """Run a computation, mapping known failure families to exit codes."""
-    try:
-        return func(*args, **kwargs)
-    except (MassOutOfRangeError, FloatingPointError) as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(EXIT_IO)
 
 
 def _require_keys(scenario: Scenario, command: str, keys) -> dict:
     """The scenario's values, which must hold every key of ``keys``."""
     missing = [k for k in keys if k not in scenario.values]
     if missing:
-        click.echo(f"config error: {command} needs keys {missing}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ValueError(f"{command} needs keys {missing}")
     return scenario.values
 
 
 def _require_sweep(scenario: Scenario, parameter: str) -> list[float]:
     if scenario.sweep is None or scenario.sweep.parameter != parameter:
-        click.echo(f"config error: scenario must sweep {parameter!r}",
-                   err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ValueError(f"scenario must sweep {parameter!r}")
     return [float(v) for v in scenario.sweep.values()]
 
 
@@ -150,17 +119,15 @@ def _pmap(func, items):
 def _otima_grating(cfg):
     """grating1, which the OTIMA maps apply to all three gratings; a
     scenario that is not time-domain with an ionizing grating1, or whose
-    grating2 or grating3 differs, exits with a config error."""
+    grating2 or grating3 differs, is a ValueError."""
     if cfg.mode != "time_domain" or not isinstance(cfg.grating1,
                                                    IonizingGrating):
-        click.echo("config error: this map needs a time-domain scenario "
-                   "with ionizing gratings", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ValueError("this map needs a time-domain scenario with "
+                         "ionizing gratings")
     for name in ("grating2", "grating3"):
         if getattr(cfg, name) != cfg.grating1:
-            click.echo(f"config error: {name} differs from grating1; this "
-                       "map uses grating1 for all three gratings", err=True)
-            sys.exit(EXIT_CONFIG)
+            raise ValueError(f"{name} differs from grating1; this map uses "
+                             "grating1 for all three gratings")
     return cfg.grating1
 
 
@@ -229,15 +196,11 @@ def _sweep(label: str, values, setting, n_velocities: int, columns,
     ``_block`` columns of the setting ``setting(value)``. Consecutive
     values run in blocks of ``BLOCK_ROWS // n_velocities`` (at least one),
     and the worker pool maps blocks."""
-    def compute():
-        settings = [setting(value) for value in values]
-        size = max(1, BLOCK_ROWS // max(1, n_velocities))
-        blocks = [settings[i:i + size] for i in range(0, len(settings), size)]
-        return [record for records in _pmap(
-            partial(_block, n_velocities, columns), blocks)
-            for record in records]
-
-    rows = _guard(compute)
+    settings = [setting(value) for value in values]
+    size = max(1, BLOCK_ROWS // max(1, n_velocities))
+    blocks = [settings[i:i + size] for i in range(0, len(settings), size)]
+    rows = [record for records in _pmap(
+        partial(_block, n_velocities, columns), blocks) for record in records]
     records = [{label: value, **row} for value, row in zip(values, rows)]
     emit(records, list(records[0]), out, fmt)
 
@@ -282,7 +245,27 @@ def with_common(func):
     return func
 
 
-@click.group()
+class Commands(click.Group):
+    """The command group, and every command's one failure boundary: each
+    failure family ends as its message prefix and exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FloatingPointError as exc:
+            prefix, code, problems = "numerical error", EXIT_NUMERICAL, [exc]
+        except ValueError as exc:
+            prefix, code = "config error", EXIT_CONFIG
+            problems = (exc.problems if isinstance(exc, ScenarioError)
+                        else [exc])
+        except OSError as exc:
+            prefix, code, problems = "i/o error", EXIT_IO, [exc]
+        for problem in problems:
+            click.echo(f"{prefix}: {problem}", err=True)
+        sys.exit(code)
+
+
+@click.group(cls=Commands)
 def main():
     """Near-field interferometry sweeps and maps, emitted as data."""
     # The process ends when the command does: freezing the collector's
@@ -297,7 +280,7 @@ def main():
 @with_common
 def validate(scenario_path, out, fmt):
     """Parse and schema-check a scenario file."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     emit([{"scenario": scenario.name, "status": "ok", "seed": scenario.seed}],
          ["scenario", "status", "seed"], out, fmt)
 
@@ -309,7 +292,7 @@ def validate(scenario_path, out, fmt):
 @with_common
 def visibility(scenario_path, velocities, out, fmt):
     """Quantum and (spatial mode) classical visibility of one configuration."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     _sweep("scenario", [scenario.name], lambda _: (scenario.config, ()),
            velocities, QUANTUM, out, fmt)
 
@@ -324,7 +307,7 @@ def velocity_sweep(scenario_path, velocities, out, fmt):
     All-material interferometers get one quantum curve per wall
     interaction.
     """
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     values = _require_sweep(scenario, "beam.velocity")
     columns = INTERACTIONS if _all_material(scenario.config) else QUANTUM
     _sweep("velocity_m_per_s", values,
@@ -338,7 +321,7 @@ def velocity_sweep(scenario_path, velocities, out, fmt):
 @with_common
 def power_sweep(scenario_path, velocities, out, fmt):
     """Visibility versus central laser power (quantum and classical)."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     values = _require_sweep(scenario, "grating2.power")
     _sweep("power_w", values, lambda p: (apply_sweep_value(scenario, p), ()),
            velocities, QUANTUM, out, fmt)
@@ -356,21 +339,13 @@ def power_sweep(scenario_path, velocities, out, fmt):
 @with_common
 def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
     """Near-field intensity carpet behind the first grating."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     cfg = scenario.config
-    v = cfg.beam.mean_velocity
-
-    def compute():
-        b = grating_coefficients(cfg.grating1, cfg.species, v)
-        x = np.arange(x_points) / x_points
-        rows = []
-        z_values = np.linspace(0.0, z_max, z_points)
-        for z in z_values:
-            pattern = talbot_pattern(b, z, m_max=order)
-            rows.append(pattern.reconstruct(x))
-        return z_values, x, np.array(rows)
-
-    z_values, x, matrix = _guard(compute)
+    b = grating_coefficients(cfg.grating1, cfg.species, cfg.beam.mean_velocity)
+    x = np.arange(x_points) / x_points
+    z_values = np.linspace(0.0, z_max, z_points)
+    matrix = np.array([talbot_pattern(b, z, m_max=order).reconstruct(x)
+                       for z in z_values])
     emit_matrix("z_over_talbot_length", z_values, "x_over_d", x, matrix,
                 out, fmt)
 
@@ -381,21 +356,16 @@ def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
 @with_common
 def decohere(scenario_path, velocities, out, fmt):
     """Visibility versus residual-gas pressure (collisional channel)."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     values = _require_keys(scenario, "decohere", (
         "gas.mass", "gas.temperature", "gas.cross_section"))
     pressures = _require_sweep(scenario, "gas.pressure")
     cfg = scenario.config
     sigma = values["gas.cross_section"]
-
-    def build():
-        # eta does not depend on the pressure: one table, one rate per point
-        gas = GasEnvironment(gas_mass=values["gas.mass"],
-                             temperature=values["gas.temperature"],
-                             pressure=0.0)
-        return gas, collisional_channel(gas, cfg.species, sigma)
-
-    gas, table = _guard(build)
+    # eta does not depend on the pressure: one table, one rate per point
+    gas = GasEnvironment(gas_mass=values["gas.mass"],
+                         temperature=values["gas.temperature"], pressure=0.0)
+    table = collisional_channel(gas, cfg.species, sigma)
 
     def setting(p):
         rate = collisional_rate(replace(gas, pressure=p), sigma)
@@ -417,23 +387,18 @@ def decohere(scenario_path, velocities, out, fmt):
 def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
               n0_min, n0_max, n0_points, out, fmt):
     """Visibility map over pulse delay (in Talbot times) and photon number."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     cfg = scenario.config
     grating = _otima_grating(cfg)
     tt = talbot_time(cfg.species.mass, cfg.period_d)
     ratios = np.linspace(ratio_min, ratio_max, ratio_points)
     n0_values = np.linspace(n0_min, n0_max, n0_points)
-
-    def compute():
-        matrix = np.empty((len(ratios), len(n0_values)))
-        for j, n0 in enumerate(n0_values):
-            g = replace(grating, mean_absorbed_photons_n0=float(n0))
-            # one block of delays per photon number
-            matrix[:, j] = time_domain_visibility(
-                replace(cfg, grating1=g, grating2=g, grating3=g), ratios * tt)
-        return matrix
-
-    matrix = _guard(compute)
+    matrix = np.empty((len(ratios), len(n0_values)))
+    for j, n0 in enumerate(n0_values):
+        g = replace(grating, mean_absorbed_photons_n0=float(n0))
+        # one block of delays per photon number
+        matrix[:, j] = time_domain_visibility(
+            replace(cfg, grating1=g, grating2=g, grating3=g), ratios * tt)
     emit_matrix("delay_over_talbot_time", ratios, "n0", n0_values, matrix,
                 out, fmt)
 
@@ -443,24 +408,21 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
 @with_common
 def deflect(scenario_path, out, fmt):
     """Stark fringe deflection versus beam velocity."""
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     values = _require_keys(scenario, "deflect", (
         "deflect.geometry_constant", "deflect.grad_e_squared"))
     cfg = scenario.config
     velocities = (_require_sweep(scenario, "beam.velocity")
                   if scenario.sweep is not None else [cfg.beam.mean_velocity])
-
-    def compute():
-        fld = DeflectionField(values["deflect.geometry_constant"],
-                              values["deflect.grad_e_squared"])
-        alpha_si = (4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0
-                    * cfg.species.alpha_stat_vol)
-        return stark_fringe_shift(fld, alpha_si, cfg.species.mass,
-                                  np.array(velocities))
-
+    fld = DeflectionField(values["deflect.geometry_constant"],
+                          values["deflect.grad_e_squared"])
+    alpha_si = (4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0
+                * cfg.species.alpha_stat_vol)
+    shifts = stark_fringe_shift(fld, alpha_si, cfg.species.mass,
+                                np.array(velocities))
     emit([{"velocity_m_per_s": float(v), "stark_shift_m": float(shift),
            "shift_over_period": float(shift / cfg.period_d)}
-          for v, shift in zip(velocities, _guard(compute))],
+          for v, shift in zip(velocities, shifts)],
          ["velocity_m_per_s", "stark_shift_m", "shift_over_period"], out, fmt)
 
 
@@ -483,22 +445,18 @@ def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
 
     The whole map is one lock-step bisection of log10 of the mass over
     [1e3, 1e12] amu to a 1% width. A cell whose threshold crossing lies
-    outside that bracket is NaN.
+    outside that bracket is NaN (null in JSON).
     """
-    scenario = _load(scenario_path)
+    scenario = load_scenario(scenario_path)
     cfg = scenario.config
     grating = _otima_grating(cfg)
     lambda_grid = np.logspace(np.log10(lambda_min), np.log10(lambda_max),
                               lambda_points)
     rc_grid = np.logspace(np.log10(rc_min), np.log10(rc_max), rc_points)
-
-    def compute():
-        tt = talbot_time(cfg.species.mass, cfg.period_d)
-        template = OtimaTemplate(grating=grating,
-                                 delay_over_talbot_time=cfg.pulse_delay_T / tt)
-        return exclusion_map(lambda_grid, rc_grid, template, threshold)
-
-    emap = _guard(compute)
+    tt = talbot_time(cfg.species.mass, cfg.period_d)
+    template = OtimaTemplate(grating=grating,
+                             delay_over_talbot_time=cfg.pulse_delay_T / tt)
+    emap = exclusion_map(lambda_grid, rc_grid, template, threshold)
     emit_matrix("lambda0_hz", lambda_grid, "r_c_m", rc_grid,
                 emap.critical_mass / AMU, out, fmt)
 

@@ -146,9 +146,8 @@ class Scenario:
     values: Dict[str, object] = field(default_factory=dict)  # parsed SI values
 
 
-def _read_pairs(path: str) -> Dict[str, str]:
+def _read_pairs(path: str, problems: List[str]) -> Dict[str, str]:
     pairs: Dict[str, str] = {}
-    problems: List[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -162,8 +161,6 @@ def _read_pairs(path: str) -> Dict[str, str]:
             if key in pairs:
                 problems.append(f"line {lineno}: duplicate key {key!r}")
             pairs[key] = value
-    if problems:
-        raise ScenarioError(problems)
     return pairs
 
 
@@ -199,8 +196,8 @@ def _check_value(key: str, value: str, kind: str, problems: List[str]):
         return None
 
 
-def validate_pairs(pairs: Dict[str, str]):
-    """Schema-check raw pairs; returns {key: parsed value} or raises."""
+def _parse_pairs(pairs: Dict[str, str]):
+    """({key: parsed value} of the keys that parse, the sorted problems)."""
     problems: List[str] = []
     parsed = {}
     for key, value in pairs.items():
@@ -208,7 +205,9 @@ def validate_pairs(pairs: Dict[str, str]):
         if kind is None:
             problems.append(f"{key}: unknown key")
             continue
-        parsed[key] = _check_value(key, value, kind, problems)
+        value = _check_value(key, value, kind, problems)
+        if value is not None:  # else its problem is listed
+            parsed[key] = value
     for key in REQUIRED:
         if key not in pairs:
             problems.append(f"{key}: required key missing")
@@ -235,15 +234,23 @@ def validate_pairs(pairs: Dict[str, str]):
         if isinstance(points, int) and points < 1:
             problems.append("sweep.points: must be >= 1")
 
+    return parsed, sorted(problems)
+
+
+def validate_pairs(pairs: Dict[str, str]):
+    """Schema-check raw pairs; returns {key: parsed value} or raises."""
+    parsed, problems = _parse_pairs(pairs)
     if problems:
-        raise ScenarioError(sorted(problems))
+        raise ScenarioError(problems)
     return parsed
 
 
-def _build_grating(n: int, parsed, problems: List[str]):
+def _build_grating(n: int, parsed, failed, problems: List[str]):
+    """Grating ``n``, or None when it has no type or one of its keys
+    already failed with its own message."""
     prefix = f"grating{n}."
     gtype = parsed.get(prefix + "type")
-    if gtype is None:
+    if gtype is None or any(key.startswith(prefix) for key in failed):
         return None
 
     fields = dict(_GRATING_DEFAULTS.get(gtype, {}))
@@ -263,40 +270,50 @@ def _build_grating(n: int, parsed, problems: List[str]):
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse, validate and assemble a scenario file."""
-    pairs = _read_pairs(path)
-    parsed = validate_pairs(pairs)
+    """Parse, validate and assemble a scenario file.
+
+    Every stage runs and adds to one list of problems, raised once; a
+    part whose keys already failed is not built, so each key has one
+    message."""
     problems: List[str] = []
+    pairs = _read_pairs(path, problems)
+    parsed, found = _parse_pairs(pairs)
+    problems += found
+    failed = pairs.keys() - parsed.keys()
 
-    sp_name = parsed.get("species", "")
+    species = None
+    sp_name = parsed.get("species")
     mass_kg = parsed.get("species.mass")
-    try:
-        species = get_species(sp_name, None if mass_kg is None else mass_kg / AMU)
-    except KeyError:
-        problems.append(f"species: unknown species {sp_name!r} "
-                        f"(library: {sorted(LIBRARY)})")
-        species = None
+    if sp_name is not None and "species.mass" not in failed:
+        try:
+            species = get_species(sp_name,
+                                  None if mass_kg is None else mass_kg / AMU)
+        except KeyError as exc:  # an unknown name, or gold_cluster's mass
+            problems.append(f"species: {exc.args[0]} "
+                            f"(library: {sorted(LIBRARY)})")
+        except ValueError as exc:
+            problems.append(f"species.mass: {exc}")
 
-    g1 = _build_grating(1, parsed, problems)
-    g2 = _build_grating(2, parsed, problems)
-    g3 = _build_grating(3, parsed, problems)
+    g1, g2, g3 = (_build_grating(n, parsed, failed, problems)
+                  for n in (1, 2, 3))
     if parsed.get("sweep.parameter") == "grating2.power" \
             and g2 is not None and not isinstance(g2, LaserPhaseGrating):
         problems.append("sweep.parameter: 'grating2.power' needs a laser "
                         "grating2")
 
     beam = None
-    try:
-        beam = BeamState(
-            mean_velocity=parsed.get("beam.velocity", 1.0),
-            relative_spread=parsed.get("beam.spread", 0.0),
-            distribution_shape=parsed.get("beam.shape", "gaussian"))
-    except ValueError as exc:
-        problems.append(f"beam: {exc}")
+    if not any(key.startswith("beam.") for key in failed):
+        try:
+            beam = BeamState(
+                mean_velocity=parsed.get("beam.velocity", 1.0),
+                relative_spread=parsed.get("beam.spread", 0.0),
+                distribution_shape=parsed.get("beam.shape", "gaussian"))
+        except ValueError as exc:
+            problems.append(f"beam: {exc}")
 
     mode = parsed.get("mode", "spatial")
     for key, owner in _MODE_KEYS.items():
-        if owner != mode and key in parsed:
+        if owner != mode and key in parsed and "mode" not in failed:
             problems.append(f"{key}: applies only to a {owner} scenario, "
                             f"not to a {mode} one")
     config = None

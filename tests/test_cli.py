@@ -113,6 +113,17 @@ def test_validate_broken_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "visibility"])
+def test_non_utf8_scenario_exits_2(runner, tmp_path, command):
+    path = tmp_path / "latin1.cfg"
+    text = read(TLI).replace("c70_tli", "caf\u00e9")
+    path.write_bytes(text.encode("latin-1"))
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: 'utf-8' codec can't decode")
+    assert "Traceback" not in result.output
+
+
 def test_missing_file_exits_3(runner, tmp_path):
     result = invoke(runner, "validate", str(tmp_path / "nope.cfg"))
     assert result.exit_code == 3
@@ -253,11 +264,14 @@ def test_blocked_slit_rejected_by_validate(runner, tmp_path):
         in result.output
 
 
-def test_velocity_sweep_names_column_and_grating_of_blocked_slit(runner,
-                                                                 tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_velocity_sweep_names_column_and_grating_of_blocked_slit(
+        runner, tmp_path, monkeypatch, workers):
     # interaction-free masks with f d / 2 = 0.5 nm are open and pass
     # validate; the vdW column puts the 1 nm wall cutoff on them, which
-    # leaves no slit
+    # leaves no slit. With two workers the error is raised in a worker
+    # process and ends the run the same way.
+    monkeypatch.setenv("NEARWAVE_WORKERS", workers)
     text = read(TLI)
     for n in (1, 2, 3):
         text = with_line(text, f"grating{n}.interaction = none")

@@ -155,11 +155,32 @@ def test_exclusion_map_and_csv(tmp_path):
     assert rows[:, 0] == pytest.approx([1e-12, 1e-3, 1e6])
     assert np.all(rows[0, 1:] > 1e5)
     assert np.all(np.isnan(rows[2, 1:]))
-    # every CSV cell reads back to the number of the JSON matrix
+    # every CSV cell reads back to the number of the JSON matrix, where a
+    # NaN cell is null
     payload = json.loads(CliRunner().invoke(main, args + ["json"]).output)
     assert [float(c) for c in header[1:]] == payload["r_c_m"]
     np.testing.assert_array_equal(
-        rows, [[r["lambda0_hz"], *r["values"]] for r in payload["rows"]])
+        rows, [[r["lambda0_hz"], *(math.nan if v is None else v
+                                   for v in r["values"])]
+               for r in payload["rows"]])
+
+
+def test_csl_map_json_has_no_nan_token():
+    # RFC 8259 has no NaN: the sentinel cells of a wide r_c range are null
+    scenario = str(importlib.resources.files("nearwave") / "data"
+                   / "otima_gold_clusters.cfg")
+    result = CliRunner().invoke(main, ["csl-map", scenario, "--rc-min",
+                                       "1e-3", "--rc-max", "1e3",
+                                       "--format", "json"])
+    assert result.exit_code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(result.output, parse_constant=refuse)
+    cells = [v for row in payload["rows"] for v in row["values"]]
+    assert None in cells
+    assert all(v is None or math.isfinite(v) for v in cells)
 
 
 def _scalar_critical_mass_amu(params, template, threshold):

@@ -5,6 +5,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy import integrate
 from scipy.special import sici
 
@@ -288,7 +289,33 @@ def test_two_column_loader(tmp_path):
         load_two_column(empty)
 
 
-def test_gas_environment_guards():
+# a decohere run: C70 through three 991 nm material masks, 4 pressures
+DECOHERE = """\
+name = gas_sweep
+species = C70
+mode = spatial
+separation = 0.22 m
+grating1.type = material
+grating1.period = 991 nm
+grating1.open_fraction = 0.475
+grating2.type = material
+grating2.period = 991 nm
+grating2.open_fraction = 0.475
+grating3.type = material
+grating3.period = 991 nm
+grating3.open_fraction = 0.475
+beam.velocity = 100 m/s
+gas.mass = 28 amu
+gas.temperature = 300 K
+gas.cross_section = 1e-17 m^2
+sweep.parameter = gas.pressure
+sweep.start = 1e-9 mbar
+sweep.stop = 2e-7 mbar
+sweep.points = 4
+"""
+
+
+def test_gas_environment_guards(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         GasEnvironment(gas_mass=0.0, temperature=300.0, pressure=1e-6)
     with pytest.raises(ValueError):
@@ -303,9 +330,16 @@ def test_gas_environment_guards():
                           scattering_table=((0.0, 0.0), (math.pi, 0.0)))
     with pytest.raises(ValueError):
         collisional_eta(zero, 1e-9)
-    with pytest.raises(SystemExit) as exc:
-        cli._guard(collisional_channel, zero, C70, 1e-17)
-    assert exc.value.code == cli.EXIT_CONFIG
+    # and a decohere run whose gas has that table exits with a config error
+    monkeypatch.setattr(cli, "collisional_channel",
+                        lambda gas, species, sigma:
+                        collisional_channel(zero, species, sigma))
+    path = tmp_path / "gas.cfg"
+    path.write_text(DECOHERE)
+    result = CliRunner().invoke(cli.main, ["decohere", str(path)])
+    assert result.exit_code == cli.EXIT_CONFIG
+    assert result.output == ("config error: scattering table weights |f|^2 "
+                             "sum to zero\n")
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-6)
     for bad in (math.nan, math.inf, -math.inf):

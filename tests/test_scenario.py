@@ -77,6 +77,49 @@ def test_all_problems_reported_at_once(tmp_path):
     assert "grating1.open_fraction" in joined
 
 
+def test_problems_of_every_stage_reported_at_once(tmp_path):
+    # a duplicate line, an unknown key and an unknown species are found by
+    # reading, schema check and assembly: one run names all three, and the
+    # grating whose period fails to parse adds no message of its own
+    text = MINIMAL + "name = twice\nfoo = 1\n"
+    text = text.replace("species = C70", "species = nobodium")
+    text = text.replace("grating1.period = 991 nm", "grating1.period = 991")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert err.value.problems == [
+        "line 12: duplicate key 'name'",
+        "foo: unknown key",
+        "grating1.period: expected '<number> <unit>' with a length unit",
+        "species: unknown species 'nobodium' (library: "
+        "['C60', 'C70', 'PFNS8', 'azobenzene_pf'])"]
+
+
+@pytest.mark.parametrize("line", [
+    "beam.velocity = fast", "species.mass = heavy amu", "mode = sideways"])
+def test_failed_key_gets_one_message(tmp_path, line):
+    # the beam, the species and the mode check are not built from a key
+    # that already failed to parse
+    key = line.split(" = ")[0]
+    rows = [row for row in MINIMAL.splitlines()
+            if not row.startswith(key + " ")]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, "\n".join(rows + [line]) + "\n"))
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith(key + ": ")
+
+
+@pytest.mark.parametrize("mass, problem", [
+    (None, "species: gold_cluster requires a mass"),
+    ("-5 amu", "species.mass: mass_amu must be positive")])
+def test_gold_cluster_mass_problem_is_listed(tmp_path, mass, problem):
+    text = MINIMAL.replace("species = C70", "species = gold_cluster")
+    if mass is not None:
+        text += f"species.mass = {mass}\n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert err.value.problems[0].startswith(problem)
+
+
 def test_unknown_species(tmp_path):
     path = write(tmp_path, MINIMAL.replace("species = C70",
                                            "species = unobtainium"))
