@@ -106,8 +106,12 @@ def _pmap(func, items):
     """Map preserving input order over NEARWAVE_WORKERS processes, clamped
     to 1 .. min(len(items), os.cpu_count())."""
     items = list(items)
-    workers = min(int(os.environ.get("NEARWAVE_WORKERS", "1")), len(items),
-                  os.cpu_count() or 1)
+    requested = os.environ.get("NEARWAVE_WORKERS", "1")
+    try:
+        workers = min(int(requested), len(items), os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError("NEARWAVE_WORKERS must be an integer, "
+                         f"got {requested!r}") from None
     if workers <= 1:
         return [func(item) for item in items]
     # imported here: the pool's modules are loaded only by a run that uses it

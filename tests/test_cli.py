@@ -763,6 +763,16 @@ def test_worker_count_clamped(monkeypatch, workers):
     assert requested == ([clamped] if clamped > 1 else [])
 
 
+@pytest.mark.parametrize("workers", ["abc", "2.5", ""])
+def test_worker_count_not_an_integer_names_the_variable(runner, monkeypatch,
+                                                        workers):
+    monkeypatch.setenv("NEARWAVE_WORKERS", workers)
+    result = invoke(runner, "velocity-sweep", TLI, "--velocities", "1")
+    assert result.exit_code == 2
+    assert result.output == ("config error: NEARWAVE_WORKERS must be an "
+                             f"integer, got {workers!r}\n")
+
+
 @pytest.mark.parametrize("command, path", [
     ("velocity-sweep", TLI), ("power-sweep", KDTLI)])
 def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,

@@ -6,11 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy.special import sici
 
 from nearwave import cli
-from nearwave.constants import AMU
+from nearwave.constants import AMU, BOLTZMANN_KB, HBAR
 from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
@@ -20,8 +21,7 @@ from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
                                   decoherence_factor,
-                                  load_emission_spectrum,
-                                  load_scattering_table, load_two_column,
+                                  load_emission_spectrum, load_two_column,
                                   mean_gas_speed, thermal_emission_channel)
 from nearwave.engine import InterferometerConfig, detector_signal
 from nearwave.gratings import IonizingGrating, MaterialGrating
@@ -113,10 +113,72 @@ def test_collisional_eta_normalization_and_decay():
 
 
 def test_collisional_eta_frozen_value():
+    # the closed form for methane at 1 nm, y^2 = 19,840
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
                          pressure=1e-6)
-    assert collisional_eta(env, 1e-9).real == pytest.approx(
-        0.0001898018073756664, rel=1e-6)
+    assert collisional_eta(env, 1e-9) == pytest.approx(
+        5.0403921634387404e-05, rel=1e-12)
+
+
+def separation_at(env, y):
+    """The path separation x at which y = m_g v_p x / hbar."""
+    return y * HBAR / math.sqrt(2.0 * env.gas_mass * BOLTZMANN_KB
+                                * env.temperature)
+
+
+def collisional_eta_oracle(env, x):
+    """mpmath double integral of sinc(q x / hbar), q = 2 m_g v sin(theta/2),
+    over the isotropic solid angle and the Maxwell-Boltzmann speed pdf."""
+    m = mpmath.mpf(env.gas_mass)
+    vp = mpmath.sqrt(2 * BOLTZMANN_KB * env.temperature / m)
+
+    def integrand(theta, v):
+        pdf = (4 / mpmath.sqrt(mpmath.pi) * v ** 2 / vp ** 3
+               * mpmath.exp(-(v / vp) ** 2))
+        q = 2 * m * v * mpmath.sin(theta / 2)
+        return mpmath.sinc(q * x / HBAR) * mpmath.sin(theta) / 2 * pdf
+
+    # the speed pdf is below e^-49 past 7 v_p
+    with mpmath.workdps(15):
+        return float(mpmath.quad(integrand, [0, mpmath.pi],
+                                 [0, 3 * vp, 7 * vp],
+                                 method="gauss-legendre", maxdegree=4))
+
+
+@pytest.mark.parametrize("y", [0.3, 3.0])
+def test_collisional_eta_matches_double_integral(y):
+    env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
+                         pressure=1e-6)
+    x = separation_at(env, y)
+    assert collisional_eta(env, x) == pytest.approx(
+        collisional_eta_oracle(env, x), rel=1e-13)
+
+
+def test_collisional_eta_limits():
+    env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
+                         pressure=1e-6)
+    # small y: the series to rounding, so 1 - exp(-y^2) does not cancel
+    y = 1e-4
+    assert collisional_eta(env, separation_at(env, y)) == pytest.approx(
+        1.0 - y ** 2 / 2.0 + y ** 4 / 6.0, rel=2e-16)
+    # large y: eta y^2 -> 1
+    for y in (10.0, 1e3, 1e6):
+        assert collisional_eta(env, separation_at(env, y)) * y ** 2 \
+            == pytest.approx(1.0, rel=1e-12)
+
+
+@given(mass_amu=st.floats(1.0, 300.0), temperature=st.floats(1.0, 1000.0),
+       x=st.floats(0.0, 1e-6), ratio=st.floats(1.0, 100.0))
+def test_collisional_eta_bounded_and_decreasing(mass_amu, temperature, x,
+                                                ratio):
+    env = GasEnvironment(gas_mass=mass_amu * AMU, temperature=temperature,
+                         pressure=1e-6)
+    near, far = collisional_eta(env, np.array([x, ratio * x]))
+    assert collisional_eta(env, 0.0) == 1.0
+    assert 0.0 < far and near <= 1.0
+    # does not increase with x, up to rounding: the float closed form can
+    # rise by an ulp between neighbouring y
+    assert far <= near * (1.0 + 2.0 * np.finfo(float).eps)
 
 
 def test_collisional_channel_rate():
@@ -278,7 +340,6 @@ def test_two_column_loader(tmp_path):
     assert load_two_column(path) == [(5e-6, 100.0), (1e-5, 25.0)]
     channel = load_emission_spectrum(path)
     assert channel.rate == pytest.approx(125.0)
-    assert load_scattering_table(path) == ((5e-6, 100.0), (1e-5, 25.0))
     bad = tmp_path / "bad.txt"
     bad.write_text("only-one-column\n")
     with pytest.raises(ValueError):
@@ -315,31 +376,19 @@ sweep.points = 4
 """
 
 
-def test_gas_environment_guards(tmp_path, monkeypatch):
+def test_gas_environment_guards(tmp_path):
     with pytest.raises(ValueError):
         GasEnvironment(gas_mass=0.0, temperature=300.0, pressure=1e-6)
     with pytest.raises(ValueError):
-        GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0, pressure=1e-6,
-                       scattering_model="hard_sphere")
-    with pytest.raises(ValueError):
         collisional_eta(GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                                        pressure=1e-6), -1e-9)
-    # a scattering table whose |f|^2 sums to zero weighs no angle
-    zero = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                          pressure=1e-6, scattering_model="user_table",
-                          scattering_table=((0.0, 0.0), (math.pi, 0.0)))
-    with pytest.raises(ValueError):
-        collisional_eta(zero, 1e-9)
-    # and a decohere run whose gas has that table exits with a config error
-    monkeypatch.setattr(cli, "collisional_channel",
-                        lambda gas, species, sigma:
-                        collisional_channel(zero, species, sigma))
+    # a decohere run whose channel cannot be built exits with a config error
     path = tmp_path / "gas.cfg"
-    path.write_text(DECOHERE)
+    path.write_text(DECOHERE.replace("gas.cross_section = 1e-17 m^2",
+                                     "gas.cross_section = -1e-17 m^2"))
     result = CliRunner().invoke(cli.main, ["decohere", str(path)])
     assert result.exit_code == cli.EXIT_CONFIG
-    assert result.output == ("config error: scattering table weights |f|^2 "
-                             "sum to zero\n")
+    assert result.output == "config error: cross section must be positive\n"
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-6)
     for bad in (math.nan, math.inf, -math.inf):
