@@ -1,18 +1,18 @@
 """Classical moire prediction: straight rays with thin-grating force impulses.
 
 This is the null hypothesis against quantum interference. Rays pass the
-masks ballistically, receive a transverse velocity kick from the
-line-integrated grating potential (impulse approximation), and build a
-shadow histogram at the third grating. The same first-Fourier-component
-extraction as the quantum path keeps the visibility comparison fair.
+masks ballistically and receive a transverse velocity kick from the
+line-integrated grating potential (impulse approximation) at the central
+grating. For an incoherent divergence window the shadow pattern at the
+third grating factorizes into single-grating integrals, which the
+deterministic twin ``classical_visibility_quadrature`` sums; its first
+Fourier component, as on the quantum path, keeps the visibility
+comparison fair.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -28,52 +28,8 @@ from .species import Species
 # perfbench/spans.py, kept until that layer is dropped
 from .gratings import transmission_probability_coefficients  # noqa: F401
 
-MIN_SURVIVORS = 1000
-HISTOGRAM_BINS = 256
-PARTITIONS = 16
-BOOTSTRAP_RESAMPLES = 64
 # sample points of a material or ionizing central grating in the twin
 QUADRATURE_GRID = 1 << 14
-
-
-class AbsorbedRayError(ValueError):
-    """The queried position lies on a grating bar (or inside the cutoff)."""
-
-
-class DegenerateEnsembleError(ValueError):
-    """Illumination is not incoherent: divergence window too narrow."""
-
-
-class StatisticsError(RuntimeError):
-    """Too few surviving rays for a meaningful fringe fit."""
-
-
-@dataclass(frozen=True)
-class RayEnsemble:
-    """Monte Carlo ensemble description.
-
-    ``divergence_window`` is the uniform transverse-velocity half width;
-    ``None`` selects the default of 20 grating periods of transverse travel
-    over one grating separation.
-    """
-
-    count: int = 1_000_000
-    seed: int = 0
-    divergence_window: Optional[float] = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-
-
-@dataclass
-class ClassicalResult:
-    visibility: float
-    stat_error: float
-    histogram: np.ndarray
-    bin_centers: np.ndarray
-    n_survivors: int
-    fringe_phase: float
 
 
 def _survival_probability(g, x: np.ndarray) -> np.ndarray:
@@ -123,21 +79,6 @@ def _kick_strength(g, s: Species, v_z):
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
-def deflection_kick(g, s: Species, v_z: float, x: float) -> float:
-    """Impulse-approximation velocity change for a single ray at position x.
-
-    Material masks use the gradient of the two-wall line-integrated
-    potential, Delta v = -(1 / m v_z) d/dx integral V dz, and ionizing
-    gratings the gradient of their phase; both are Delta v = (hbar / m)
-    dphi/dx. A laser grating's kick carries an extra 1 / v_z.
-    Raises :class:`AbsorbedRayError` if x sits on a bar of a material mask.
-    """
-    if isinstance(g, MaterialGrating):
-        if _survival_probability(g, np.array([x]))[0] == 0.0:
-            raise AbsorbedRayError("ray absorbed on a grating bar")
-    return float(_kick_strength(g, s, v_z) * _kick_shape(g, s, x))
-
-
 def _mask_window(g):
     """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
     a phase never changes |t|. A material mask or an ionizing grating sums
@@ -178,96 +119,9 @@ def _central_grid(g, s: Species):
     return t2.mean(), weight, two_x, shape
 
 
-def classical_visibility(cfg: InterferometerConfig, ensemble: RayEnsemble,
-                         transverse_acceleration: float = 0.0) -> ClassicalResult:
-    """Monte Carlo moire visibility of a spatial-mode configuration.
-
-    Rays are traced G1 -> G2 -> G3 with Bernoulli survival at the masks and
-    a force impulse at G2; the arrival histogram (modulo one period) is
-    convolved with the third mask and fitted by its first Fourier
-    component. Rays fly at the beam's mean velocity. Identical seeds give
-    bit-identical results; ``stat_error`` is the bootstrap spread over the
-    independently seeded partitions.
-    """
-    if cfg.mode != "spatial":
-        raise ValueError("classical model requires spatial mode")
-    s = cfg.species
-    v = cfg.beam.mean_velocity
-    d = cfg.period_d
-    t_flight = cfg.flight_time(v)
-
-    window = ensemble.divergence_window
-    if window is None:
-        window = 20.0 * d / t_flight
-    if window * t_flight < 10.0 * d:
-        raise DegenerateEnsembleError(
-            "divergence_window * (L / v_z) must cover >= 10 grating periods "
-            "for incoherent illumination")
-    if ensemble.count < 10_000:
-        warnings.warn("fewer than 1e4 rays: statistics will be poor",
-                      stacklevel=2)
-
-    seeds = np.random.SeedSequence(ensemble.seed).spawn(PARTITIONS)
-    counts = np.full(PARTITIONS, ensemble.count // PARTITIONS)
-    counts[:ensemble.count % PARTITIONS] += 1
-
-    part_hist = np.zeros((PARTITIONS, HISTOGRAM_BINS))
-    survivors = 0
-    a_ext = transverse_acceleration
-    for p in range(PARTITIONS):
-        rng = np.random.default_rng(seeds[p])
-        n = int(counts[p])
-        if n == 0:
-            continue
-        x1 = rng.uniform(0.0, d, n)
-        vx = rng.uniform(-window, window, n)
-        alive = rng.uniform(size=n) < _survival_probability(cfg.grating1, x1)
-        x1, vx = x1[alive], vx[alive]
-
-        x2 = x1 + vx * t_flight + 0.5 * a_ext * t_flight ** 2
-        alive = rng.uniform(size=len(x2)) < _survival_probability(
-            cfg.grating2, x2)
-        x1, vx, x2 = x1[alive], vx[alive], x2[alive]
-
-        vx2 = vx + a_ext * t_flight + (_kick_strength(cfg.grating2, s, v)
-                                       * _kick_shape(cfg.grating2, s, x2))
-        x3 = x2 + vx2 * t_flight + 0.5 * a_ext * t_flight ** 2
-
-        hist, _ = np.histogram(np.mod(x3, d), bins=HISTOGRAM_BINS,
-                               range=(0.0, d))
-        part_hist[p] = hist
-        survivors += len(x3)
-
-    if survivors < MIN_SURVIVORS:
-        raise StatisticsError(
-            f"only {survivors} rays survive (< {MIN_SURVIVORS})")
-
-    centers = (np.arange(HISTOGRAM_BINS) + 0.5) * d / HISTOGRAM_BINS
-    t3_0, t3_1 = _mask_window(cfg.grating3)
-
-    def fringe(hist):
-        s0 = hist.sum() * t3_0
-        s1 = np.sum(hist * np.exp(-2j * np.pi * centers / d)) * np.conj(t3_1)
-        return 2.0 * abs(s1 / s0), np.angle(s1)
-
-    total = part_hist.sum(axis=0)
-    visibility, phase = fringe(total)
-
-    boot_rng = np.random.default_rng(np.random.SeedSequence([ensemble.seed, 0xB007]))
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        pick = boot_rng.integers(0, PARTITIONS, PARTITIONS)
-        boot[b] = fringe(part_hist[pick].sum(axis=0))[0]
-    stat_error = float(boot.std(ddof=1))
-
-    return ClassicalResult(visibility=float(visibility),
-                           stat_error=stat_error, histogram=total,
-                           bin_centers=centers, n_survivors=survivors,
-                           fringe_phase=float(phase))
-
-
 def classical_visibility_quadrature(cfg, n_velocities: int = 1):
-    """Deterministic twin of the Monte Carlo moire visibility.
+    """Deterministic twin of the Monte Carlo moire visibility (the ray
+    tracer of the tests' oracles).
 
     Valid for an exactly incoherent divergence window (an integer number of
     shadow periods): the arrival phase factorizes into independent
@@ -281,7 +135,7 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
     Bessel value J_2(-2 pi K(v) t_f / d), with t_f = L / v the flight time
-    and K(v) the ray tracer's ``_kick_strength``; one ``bessel_j`` call
+    and K(v) the kick strength ``_kick_strength``; one ``bessel_j`` call
     covers every node of every laser config of a block. Material and
     ionizing central gratings are sampled on ``QUADRATURE_GRID`` cells: the
     survival mask and ``_kick_shape`` are computed once per process
@@ -334,8 +188,4 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     return result if block else float(result[0])
 
 
-__all__ = [
-    "RayEnsemble", "ClassicalResult", "deflection_kick",
-    "classical_visibility", "classical_visibility_quadrature",
-    "AbsorbedRayError", "DegenerateEnsembleError", "StatisticsError",
-]
+__all__ = ["classical_visibility_quadrature"]

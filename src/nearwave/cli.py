@@ -25,14 +25,14 @@ from .classical import classical_visibility_quadrature
 from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
 from .csl import OtimaTemplate, exclusion_map
-from .decoherence import (GasEnvironment, collisional_channel,
-                          collisional_rate)
+from .decoherence import collisional_channel, collisional_rate
 from .engine import (BLOCK_ROWS, grating_coefficients, sinusoidal_visibility,
                      talbot_pattern, time_domain_visibility,
                      velocity_averaged_signal)
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
-from .metrology import DeflectionField, stark_fringe_shift
-from .scenario import Scenario, ScenarioError, apply_sweep_value, load_scenario
+from .metrology import stark_fringe_shift
+from .scenario import (KEY_GROUPS, Scenario, ScenarioError, apply_sweep_value,
+                       load_scenario)
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -88,12 +88,12 @@ def emit_matrix(row_label, row_values, col_label, col_values, matrix,
     _write(text, out)
 
 
-def _require_keys(scenario: Scenario, command: str, keys) -> dict:
-    """The scenario's values, which must hold every key of ``keys``."""
-    missing = [k for k in keys if k not in scenario.values]
-    if missing:
-        raise ValueError(f"{command} needs keys {missing}")
-    return scenario.values
+def _require(built, command: str):
+    """``built``, what the scenario made of ``command``'s key group; None,
+    a scenario that sets none of the keys, is a ValueError naming them."""
+    if built is None:
+        raise ValueError(f"{command} needs keys {list(KEY_GROUPS[command])}")
+    return built
 
 
 def _require_sweep(scenario: Scenario, parameter: str) -> list[float]:
@@ -361,15 +361,12 @@ def carpet(scenario_path, z_max, z_points, x_points, order, out, fmt):
 def decohere(scenario_path, velocities, out, fmt):
     """Visibility versus residual-gas pressure (collisional channel)."""
     scenario = load_scenario(scenario_path)
-    values = _require_keys(scenario, "decohere", (
-        "gas.mass", "gas.temperature", "gas.cross_section"))
+    gas = _require(scenario.gas, "decohere")
     pressures = _require_sweep(scenario, "gas.pressure")
     cfg = scenario.config
-    sigma = values["gas.cross_section"]
+    sigma = scenario.values["gas.cross_section"]
     # eta does not depend on the pressure: one table, one rate per point
-    gas = GasEnvironment(gas_mass=values["gas.mass"],
-                         temperature=values["gas.temperature"], pressure=0.0)
-    table = collisional_channel(gas, cfg.species, sigma)
+    table = collisional_channel(gas, sigma)
 
     def setting(p):
         rate = collisional_rate(replace(gas, pressure=p), sigma)
@@ -413,13 +410,10 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
 def deflect(scenario_path, out, fmt):
     """Stark fringe deflection versus beam velocity."""
     scenario = load_scenario(scenario_path)
-    values = _require_keys(scenario, "deflect", (
-        "deflect.geometry_constant", "deflect.grad_e_squared"))
+    fld = _require(scenario.deflection, "deflect")
     cfg = scenario.config
     velocities = (_require_sweep(scenario, "beam.velocity")
                   if scenario.sweep is not None else [cfg.beam.mean_velocity])
-    fld = DeflectionField(values["deflect.geometry_constant"],
-                          values["deflect.grad_e_squared"])
     alpha_si = (4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0
                 * cfg.species.alpha_stat_vol)
     shifts = stark_fringe_shift(fld, alpha_si, cfg.species.mass,

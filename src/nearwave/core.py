@@ -1,8 +1,7 @@
 """Elementary matter-wave scales, beam velocity averaging, Bessel J_n.
 
 All quantities are SI. The formulas are the textbook near-field optics
-scales: de Broglie wavelength, Talbot length/time, van Cittert-Zernike
-coherence width and the far-field crossover distance.
+scales: de Broglie wavelength and Talbot length/time.
 """
 
 from __future__ import annotations
@@ -72,20 +71,6 @@ def talbot_time(mass, period):
     if mass <= 0.0 or period <= 0.0:
         raise ValueError("mass and period must be positive")
     return mass * period * period / PLANCK_H
-
-
-def coherence_width(distance, wavelength, source_width):
-    """Transverse coherence 2 L lambda / a behind an incoherent source of width ``source_width``."""
-    if distance <= 0.0 or wavelength <= 0.0 or source_width <= 0.0:
-        raise ValueError("all arguments must be positive")
-    return 2.0 * distance * wavelength / source_width
-
-
-def far_field_distance(aperture, wavelength):
-    """Distance a^2/lambda beyond which the diffracted field is in the far-field regime."""
-    if aperture <= 0.0 or wavelength <= 0.0:
-        raise ValueError("aperture and wavelength must be positive")
-    return aperture * aperture / wavelength
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +173,7 @@ def bessel_j(n, x):
 
 __all__ = [
     "BeamState", "de_broglie_wavelength", "talbot_length", "talbot_time",
-    "coherence_width", "far_field_distance", "velocity_weights",
+    "velocity_weights",
     "MIN_VELOCITY_FRACTION", "require_finite", "bessel_j",
     "bessel_node_count",
 ]

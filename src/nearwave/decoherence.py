@@ -27,7 +27,6 @@ import numpy as np
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
 from .core import _unit_rule, require_finite, talbot_time
-from .species import Species
 
 
 @dataclass
@@ -230,7 +229,7 @@ def collisional_rate(env: GasEnvironment, total_cross_section: float) -> float:
     return n_density * total_cross_section * mean_gas_speed(env)
 
 
-def collisional_channel(env: GasEnvironment, s: Species,
+def collisional_channel(env: GasEnvironment,
                         total_cross_section: float) -> DecoherenceChannel:
     """Channel for scattering of residual gas off the delocalized particle.
 
@@ -271,20 +270,6 @@ def thermal_emission_channel(spectrum) -> DecoherenceChannel:
     return DecoherenceChannel(rate=total, eta=eta)
 
 
-def absorption_visibility_factor(mean_photons: float,
-                                 fringe_shift_per_photon: float) -> float:
-    """First-order visibility factor for Poissonian photon absorption.
-
-    Each absorbed photon shifts the interferogram by a fixed fraction s of
-    the period; the Poisson-weighted superposition multiplies S_1 by
-    exp(n (exp(2 pi i s) - 1)), whose magnitude this returns.
-    """
-    if mean_photons < 0.0:
-        raise ValueError("mean_photons must be nonnegative")
-    return math.exp(mean_photons
-                    * (math.cos(2.0 * math.pi * fringe_shift_per_photon) - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # spontaneous localization channel
 
@@ -303,36 +288,9 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
     return DecoherenceChannel(rate=rate, eta=GaussianEta(r_c))
 
 
-# ---------------------------------------------------------------------------
-# file interfaces
-
-def load_two_column(path) -> list[tuple[float, float]]:
-    """Read a two-column numeric text file (comma or whitespace separated)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed table line: {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
-    if not rows:
-        raise ValueError(f"empty table file {path}")
-    return rows
-
-
-def load_emission_spectrum(path) -> DecoherenceChannel:
-    """Thermal emission channel from a (wavelength_m, rate_hz) text file."""
-    return thermal_emission_channel(load_two_column(path))
-
-
 __all__ = [
     "DecoherenceChannel", "GasEnvironment", "decoherence_factor",
     "channel_factor", "TabulatedEta", "GaussianEta", "SincEta",
     "collisional_eta", "mean_gas_speed", "collisional_rate",
-    "collisional_channel", "thermal_emission_channel",
-    "absorption_visibility_factor", "csl_channel",
-    "load_two_column", "load_emission_spectrum",
+    "collisional_channel", "thermal_emission_channel", "csl_channel",
 ]

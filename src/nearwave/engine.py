@@ -39,13 +39,16 @@ from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        _cell_open_fraction, _check_orders, _slit_offsets,
-                       ionizing_transmission, is_pure_phase,
-                       laser_phase_amplitude, laser_phase_transmission,
-                       material_slit_phase, material_transmission)
+                       is_pure_phase, laser_phase_amplitude,
+                       material_slit_phase)
 from .species import Species
 # not called: the lookup site of the trace layer "gratings.fourier" in
 # perfbench/spans.py, kept until that layer is dropped
 from .gratings import fourier_coefficients  # noqa: F401
+# not called: the lookup sites of the trace layer "gratings.transmission"
+# in perfbench/spans.py, kept until that layer is dropped
+from .gratings import (ionizing_transmission,  # noqa: F401
+                       laser_phase_transmission, material_transmission)
 
 DEFAULT_M_MAX = 8
 XI_SANITY_BOUND = 1e6
@@ -124,29 +127,11 @@ class InterferometerConfig:
         return np.full(np.shape(v_z), self.pulse_delay_T)[()]
 
 
-def grating_transmission(g: GratingSpec, s: Species, v_z):
-    """Transmission profile of any grating family at longitudinal speed v_z,
-    sampled on ``DEFAULT_GRID_SIZE`` points.
-
-    An array of speeds gives samples of shape ``shape(v_z) + (grid,)``,
-    or a single row if t(x) does not depend on the speed (ionizing
-    gratings, material masks without an eikonal phase); both broadcast
-    against each other.
-    """
-    if isinstance(g, MaterialGrating):
-        return material_transmission(g, s, v_z)
-    if isinstance(g, LaserPhaseGrating):
-        return laser_phase_transmission(g, s, v_z)
-    if isinstance(g, IonizingGrating):
-        return ionizing_transmission(g)
-    raise TypeError(f"unsupported grating type {type(g).__name__}")
-
-
 def grating_coefficients(g: GratingSpec, s: Species, v_z,
                          j_max: int = DEFAULT_J_MAX) -> CoefficientTable:
-    """Fourier table (|j| <= ``j_max``) of grating ``g`` at speed(s) ``v_z``,
-    shaped like ``grating_transmission``'s samples with orders on the last
-    axis.
+    """Fourier table (|j| <= ``j_max``) of grating ``g`` at speed(s) ``v_z``:
+    one row per speed, or a single row if t(x) does not depend on the
+    speed, with orders on the last axis.
 
     A laser's table is the Bessel closed form (``_laser_table``). A
     material mask or an ionizing grating is even about its slit centre:
@@ -478,8 +463,7 @@ def time_domain_visibility(cfg: InterferometerConfig, T,
 
 
 __all__ = [
-    "InterferometerConfig", "GratingSpec",
-    "grating_transmission", "grating_coefficients",
+    "InterferometerConfig", "GratingSpec", "grating_coefficients",
     "talbot_lau_coefficient", "talbot_pattern",
     "detector_signal", "sinusoidal_visibility",
     "velocity_averaged_signal", "velocity_averaged_pattern",

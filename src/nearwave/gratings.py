@@ -3,10 +3,10 @@
 A grating is reduced to one period of its complex transmission amplitude
 t(x), sampled on a uniform power-of-two grid, from which
 ``fourier_coefficients`` extracts the Fourier coefficients b_j by one
-batched FFT. These sampled profiles and their FFT are the oracle of the
-tests and the input of ``fresnel``; ``engine`` builds every grating table
-without them, as a cosine sum from |t| and the phase on half a period or
-as the Bessel closed form of a laser. Material masks carry an eikonal
+batched FFT. These sampled profiles and their FFT serve the tests'
+oracles and the benchmark's layer trace; ``engine`` builds every grating
+table without them, as a cosine sum from |t| and the phase on half a
+period or as the Bessel closed form of a laser. Material masks carry an eikonal
 dispersion phase accumulated on straight trajectories through the slit;
 laser gratings are pure phase masks; pulsed ionizing gratings combine a
 periodic survival amplitude with a dipole phase.

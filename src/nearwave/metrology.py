@@ -1,6 +1,6 @@
 """Interference-assisted measurement models.
 
-Fringe shifts from static fields and inertial forces, the thermal
+The Stark fringe shift of a static field gradient, the thermal
 polarizability correction, and the contrast penalty of a distribution of
 fringe shifts (dipole orientations, vibrations).
 """
@@ -74,25 +74,6 @@ def total_polarizability(alpha_stat: float, dipole_rms: float,
     return alpha_stat + dipole_rms ** 2 / (3.0 * BOLTZMANN_KB * temperature)
 
 
-def inertial_fringe_shift(acceleration: float, T_free: float) -> float:
-    """Fringe shift a T^2 from a constant acceleration over free time T."""
-    if T_free < 0.0:
-        raise ValueError("T_free must be nonnegative")
-    return acceleration * T_free ** 2
-
-
-def coriolis_acceleration(beam_velocity_vector, earth_rotation_vector):
-    """Coriolis acceleration 2 v x Omega for a moving beam."""
-    v = np.asarray(beam_velocity_vector, dtype=float)
-    omega = np.asarray(earth_rotation_vector, dtype=float)
-    return 2.0 * np.cross(v, omega)
-
-
-def grating_shift_combination(dx1: float, dx2: float, dx3: float) -> float:
-    """Effective fringe shift dx1 - 2 dx2 + dx3 of three displaced gratings."""
-    return dx1 - 2.0 * dx2 + dx3
-
-
 def shift_dephasing_factor(dist: ShiftDistribution, period_d: float) -> complex:
     """Characteristic function of the shift distribution at frequency 2 pi / d.
 
@@ -114,7 +95,5 @@ def shift_dephasing_factor(dist: ShiftDistribution, period_d: float) -> complex:
 
 __all__ = [
     "DeflectionField", "ShiftDistribution", "stark_fringe_shift",
-    "total_polarizability", "inertial_fringe_shift",
-    "coriolis_acceleration", "grating_shift_combination",
-    "shift_dephasing_factor",
+    "total_polarizability", "shift_dephasing_factor",
 ]

@@ -9,13 +9,16 @@ whole file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional
 
 from .constants import AMU
 from .core import BeamState
+from .decoherence import GasEnvironment, collisional_rate
 from .engine import InterferometerConfig
 from .gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
+from .metrology import DeflectionField
 from .species import LIBRARY, get_species
 
 
@@ -87,8 +90,16 @@ _GRATING_KEYS = {
 _GRATING_DEFAULTS = {"laser": {"power_P": 0.0},
                      "ionizing": {"mean_absorbed_photons_n0": 0.0}}
 
-# keys that only one mode reads; in the other mode they are rejected
-_MODE_KEYS = {"separation": "spatial", "pulse_delay": "time_domain"}
+# keys that only one mode reads; in the other mode they are rejected (a
+# time-domain evaluation takes the beam's mean speed alone)
+_MODE_KEYS = {"separation": "spatial", "pulse_delay": "time_domain",
+              "beam.spread": "spatial", "beam.shape": "spatial"}
+
+# the command that reads each key group, and the keys of the group
+KEY_GROUPS = {
+    "decohere": ("gas.mass", "gas.temperature", "gas.cross_section"),
+    "deflect": ("deflect.geometry_constant", "deflect.grad_e_squared"),
+}
 
 SCHEMA: Dict[str, str] = {
     "name": "string",
@@ -139,11 +150,17 @@ class SweepSpec:
 
 @dataclass
 class Scenario:
+    """A checked scenario. ``gas`` (at zero pressure, which a sweep sets)
+    and ``deflection`` are built from their key groups, and are None where
+    the scenario sets none of a group's keys."""
+
     name: str
     config: InterferometerConfig
     sweep: Optional[SweepSpec] = None
     seed: int = 0
     values: Dict[str, object] = field(default_factory=dict)  # parsed SI values
+    gas: Optional[GasEnvironment] = None
+    deflection: Optional[DeflectionField] = None
 
 
 def _read_pairs(path: str, problems: List[str]) -> Dict[str, str]:
@@ -269,6 +286,38 @@ def _build_grating(n: int, parsed, failed, problems: List[str]):
         return None
 
 
+def _gas(mass, temperature, cross_section, pressures=()):
+    """The gas at zero pressure; the cross section and each swept pressure
+    checked as ``decohere`` uses them."""
+    gas = GasEnvironment(gas_mass=mass, temperature=temperature, pressure=0.0)
+    collisional_rate(gas, cross_section)
+    for pressure in pressures:
+        replace(gas, pressure=pressure)
+    return gas
+
+
+def _build_group(command: str, build, pairs, parsed, failed,
+                 problems: List[str], required: bool = False):
+    """``build`` called with the values of ``command``'s key group; None
+    where the scenario sets none of its keys and ``required`` is false, or
+    after a problem. Each missing key is named; it stands in as 1.0, which
+    every field accepts, so that the keys that are set are still checked in
+    the same run."""
+    keys = KEY_GROUPS[command]
+    if not required and not any(key in pairs for key in keys):
+        return None
+    missing = [key for key in keys if key not in pairs]
+    if missing:
+        problems.append(f"{command} needs keys {missing}")
+    if any(key in failed for key in keys):
+        return None
+    try:
+        return build(*(parsed.get(key, 1.0) for key in keys))
+    except ValueError as exc:
+        problems.append(str(exc))
+        return None
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse, validate and assemble a scenario file.
 
@@ -316,6 +365,15 @@ def load_scenario(path: str) -> Scenario:
         if owner != mode and key in parsed and "mode" not in failed:
             problems.append(f"{key}: applies only to a {owner} scenario, "
                             f"not to a {mode} one")
+
+    pressure_sweep = parsed.get("sweep.parameter") == "gas.pressure"
+    pressures = [parsed[key] for key in ("sweep.start", "sweep.stop")
+                 if pressure_sweep and key in parsed]
+    gas = _build_group("decohere", partial(_gas, pressures=pressures), pairs,
+                       parsed, failed, problems, required=pressure_sweep)
+    deflection = _build_group("deflect", DeflectionField, pairs, parsed,
+                              failed, problems)
+
     config = None
     if not problems:
         try:
@@ -337,12 +395,12 @@ def load_scenario(path: str) -> Scenario:
                           points=parsed["sweep.points"])
 
     return Scenario(name=parsed["name"], config=config, sweep=sweep,
-                    seed=parsed.get("seed", 0), values=parsed)
+                    seed=parsed.get("seed", 0), values=parsed, gas=gas,
+                    deflection=deflection)
 
 
 def apply_sweep_value(scenario: Scenario, value: float) -> InterferometerConfig:
     """Return a copy of the scenario config with the swept parameter set."""
-    from dataclasses import replace
     cfg = scenario.config
     target = scenario.sweep.parameter
     if target == "beam.velocity":
@@ -355,5 +413,5 @@ def apply_sweep_value(scenario: Scenario, value: float) -> InterferometerConfig:
 __all__ = [
     "Scenario", "SweepSpec", "ScenarioError", "load_scenario",
     "apply_sweep_value", "parse_quantity", "validate_pairs", "UNITS",
-    "SCHEMA", "SWEEPABLE",
+    "SCHEMA", "SWEEPABLE", "KEY_GROUPS",
 ]

@@ -12,8 +12,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import sici
 
-from nearwave.classical import (RayEnsemble, classical_visibility,
-                                classical_visibility_quadrature)
+from nearwave.classical import classical_visibility_quadrature
 from nearwave.constants import AMU, BOLTZMANN_KB, VACUUM_PERMITTIVITY_EPS0
 from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
@@ -25,7 +24,6 @@ from nearwave.engine import (InterferometerConfig, detector_signal,
                              velocity_averaged_pattern,
                              velocity_averaged_signal,
                              time_domain_visibility)
-from nearwave.fresnel import incoherent_source_pattern
 from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                MaterialGrating, laser_phase_amplitude,
                                material_transmission, fourier_coefficients,
@@ -34,6 +32,7 @@ from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
 from nearwave.engine import talbot_lau_coefficient
 from nearwave.metrology import total_polarizability
 from nearwave.species import get_species
+from oracles import RayEnsemble, classical_visibility, incoherent_source_pattern
 
 C70 = get_species("C70")
 PFNS8 = get_species("PFNS8")
@@ -171,12 +170,12 @@ def test_acceptance_04_coefficient_identities():
            f"power excess={parseval_excess:.1e} < 1e-9")
 
 
-def _gas_exponent(cfg, species, cross_section, v, m=2):
+def _gas_exponent(cfg, cross_section, v, m=2):
     """Decay constant of the order-m factor per unit pressure."""
     p_ref = 1e-7
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=p_ref)
-    channel = collisional_channel(env, species, cross_section)
+    channel = collisional_channel(env, cross_section)
     return -math.log(abs(channel_factor(channel, cfg, m, v))) / p_ref
 
 
@@ -188,7 +187,7 @@ def test_acceptance_05_collisional_pressure_scaling():
     for p in pressures:
         env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                              pressure=float(p))
-        channel = collisional_channel(env, C70, 1e-17)
+        channel = collisional_channel(env, 1e-17)
         signal = detector_signal(cfg, 100.0, m_max=1, channels=[channel])
         vis.append(2.0 * abs(signal[1] / signal[0]))
     vis = np.array(vis)
@@ -198,7 +197,7 @@ def test_acceptance_05_collisional_pressure_scaling():
 
     # a 1e6 amu cluster in a pulsed machine with a geometrically scaled
     # cross section needs a proportionally lower pressure for the same loss
-    k_light = _gas_exponent(cfg, C70, 1e-17, 100.0)
+    k_light = _gas_exponent(cfg, 1e-17, 100.0)
     heavy = get_species("gold_cluster", mass_amu=1e6)
     grating = IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=6.0)
     cfg_heavy = InterferometerConfig(
@@ -206,7 +205,7 @@ def test_acceptance_05_collisional_pressure_scaling():
         beam=BeamState(1.0), mode="time_domain",
         pulse_delay_T=talbot_time(heavy.mass, 78.5e-9))
     sigma_heavy = 1e-17 * (1e6 / 840.0) ** (2.0 / 3.0)
-    k_heavy = _gas_exponent(cfg_heavy, heavy, sigma_heavy, 1.0)
+    k_heavy = _gas_exponent(cfg_heavy, sigma_heavy, 1.0)
     ratio = k_heavy / k_light
 
     ok = residual < 1e-6 and 10.0 <= ratio <= 1000.0

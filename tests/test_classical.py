@@ -3,16 +3,11 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from nearwave.classical import (AbsorbedRayError, DegenerateEnsembleError,
-                                RayEnsemble, StatisticsError,
-                                _central_grid, _kick_shape,
-                                _kick_strength,
-                                classical_visibility,
-                                classical_visibility_quadrature,
-                                deflection_kick)
+from nearwave.classical import (_central_grid, _kick_shape, _kick_strength,
+                                classical_visibility_quadrature)
 from nearwave.constants import HBAR
 from nearwave.core import BeamState, velocity_weights
-from nearwave.engine import InterferometerConfig, grating_transmission
+from nearwave.engine import InterferometerConfig
 from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                MaterialGrating, _wall_coefficient,
                                ionizing_transmission, laser_phase_amplitude,
@@ -20,6 +15,9 @@ from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                transmission_probability_coefficients)
 from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.species import get_species
+from oracles import (AbsorbedRayError, DegenerateEnsembleError, RayEnsemble,
+                     StatisticsError, classical_visibility, deflection_kick,
+                     grating_transmission)
 
 C70 = get_species("C70")
 PFNS8 = get_species("PFNS8")

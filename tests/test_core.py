@@ -4,9 +4,8 @@ from hypothesis import given, strategies as st
 
 from nearwave.constants import AMU, HBAR, PLANCK_H
 from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, _unit_rule,
-                           bessel_j, coherence_width, de_broglie_wavelength,
-                           far_field_distance, talbot_length, talbot_time,
-                           velocity_weights)
+                           bessel_j, de_broglie_wavelength, talbot_length,
+                           talbot_time, velocity_weights)
 
 
 def test_constants_consistency():
@@ -43,21 +42,6 @@ def test_talbot_length_time_consistency():
     lam = de_broglie_wavelength(mass, v)
     assert talbot_length(d, lam) / v == pytest.approx(talbot_time(mass, d),
                                                       rel=1e-12)
-
-
-def test_coherence_width_grows_with_distance():
-    lam = 5e-12
-    assert coherence_width(1.0, lam, 1e-6) == pytest.approx(2 * lam / 1e-6)
-    assert coherence_width(2.0, lam, 1e-6) == pytest.approx(
-        2 * coherence_width(1.0, lam, 1e-6))
-
-
-def test_far_field_distance_is_large_for_molecules():
-    # near-field experiments live at a tiny fraction of a^2 / lambda
-    lam = de_broglie_wavelength(840.0 * AMU, 100.0)
-    # a^2 / lambda for a 0.1 mm aperture is kilometres, far beyond any
-    # table-top baseline
-    assert far_field_distance(1e-4, lam) > 1e3
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0])

@@ -16,12 +16,10 @@ from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
                                   GaussianEta, SincEta, TabulatedEta,
-                                  absorption_visibility_factor,
                                   channel_factor, collisional_channel,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
                                   decoherence_factor,
-                                  load_emission_spectrum, load_two_column,
                                   mean_gas_speed, thermal_emission_channel)
 from nearwave.engine import InterferometerConfig, detector_signal
 from nearwave.gratings import IonizingGrating, MaterialGrating
@@ -185,7 +183,7 @@ def test_collisional_channel_rate():
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
                          pressure=1e-6)
     assert mean_gas_speed(env) == pytest.approx(629.2824140995945, rel=1e-9)
-    channel = collisional_channel(env, C70, 1e-17)
+    channel = collisional_channel(env, 1e-17)
     assert channel.rate == pytest.approx(1.519291323861929, rel=1e-9)
     assert channel.eta(0.0).real == pytest.approx(1.0, rel=1e-3)
 
@@ -199,7 +197,7 @@ def test_visibility_decays_with_pressure():
         else:
             env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                                  pressure=pressure)
-            channels = (collisional_channel(env, C70, 1e-17),)
+            channels = (collisional_channel(env, 1e-17),)
         signal = detector_signal(cfg, 100.0, channels=channels)
         vis.append(2.0 * abs(signal[1] / signal[0]))
     assert vis[0] > vis[1] > vis[2] > 0.0
@@ -210,7 +208,7 @@ def test_channels_compose_multiplicatively():
     c1 = csl_channel(1e-10, 1e-7, C70.mass)
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-7)
-    c2 = collisional_channel(env, C70, 1e-17)
+    c2 = collisional_channel(env, 1e-17)
     both = detector_signal(cfg, 100.0, channels=(c1, c2))
     bare = detector_signal(cfg, 100.0)
     for m in range(1, 3):
@@ -308,16 +306,6 @@ def test_gaussian_eta_loss_without_cancellation():
     assert GaussianEta(417.5).loss(7.85e-8) == pytest.approx(exact, rel=1e-14)
 
 
-def test_absorption_visibility_factor():
-    assert absorption_visibility_factor(0.0, 0.5) == 1.0
-    assert absorption_visibility_factor(3.0, 0.0) == 1.0
-    # half-period shifts: only even photon numbers interfere in phase
-    assert absorption_visibility_factor(2.0, 0.5) == pytest.approx(
-        math.exp(-4.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        absorption_visibility_factor(-1.0, 0.5)
-
-
 def test_csl_channel_scalings():
     c = csl_channel(1e-10, 1e-7, 1e6 * AMU)
     assert c.rate == pytest.approx(1e-10 * 1e12, rel=1e-12)
@@ -332,22 +320,6 @@ def test_csl_channel_scalings():
                      (1e-10, 1e-7, bad)):
             with pytest.raises(ValueError):
                 csl_channel(*args)
-
-
-def test_two_column_loader(tmp_path):
-    path = tmp_path / "table.txt"
-    path.write_text("# comment\n5e-6, 100\n1e-5 25\n\n")
-    assert load_two_column(path) == [(5e-6, 100.0), (1e-5, 25.0)]
-    channel = load_emission_spectrum(path)
-    assert channel.rate == pytest.approx(125.0)
-    bad = tmp_path / "bad.txt"
-    bad.write_text("only-one-column\n")
-    with pytest.raises(ValueError):
-        load_two_column(bad)
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        load_two_column(empty)
 
 
 # a decohere run: C70 through three 991 nm material masks, 4 pressures
@@ -396,7 +368,7 @@ def test_gas_environment_guards(tmp_path):
             with pytest.raises(ValueError):
                 replace(env, **{field: bad})
         with pytest.raises(ValueError):
-            collisional_channel(env, C70, bad)
+            collisional_channel(env, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +403,7 @@ def knot_position(where, grid):
 def test_tabulated_eta_mean_matches_quadrature(where):
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-6)
-    gas = collisional_channel(env, C70, 1e-17)
+    gas = collisional_channel(env, 1e-17)
     assert isinstance(gas.eta, TabulatedEta)
     # a slowly varying table on coarse knots, so the mean weighs every
     # segment and the quadrature reference converges across the kinks
@@ -459,10 +431,10 @@ def test_gaussian_eta_mean_matches_quadrature(r_c):
 def test_pressure_rescale_matches_fresh_channel():
     gas = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=1e-7)
-    table = collisional_channel(gas, C70, 1e-17)
+    table = collisional_channel(gas, 1e-17)
     for pressure in (0.0, 3e-8, 2e-5):
         env = replace(gas, pressure=pressure)
-        fresh = collisional_channel(env, C70, 1e-17)
+        fresh = collisional_channel(env, 1e-17)
         rescaled = replace(table, rate=collisional_rate(env, 1e-17))
         assert rescaled.rate == fresh.rate
         assert np.array_equal(rescaled.eta.x_grid, fresh.eta.x_grid)

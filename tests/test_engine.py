@@ -15,7 +15,6 @@ from nearwave import engine
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, TruncationWarning,
                              detector_signal, grating_coefficients,
-                             grating_transmission,
                              sinusoidal_visibility, talbot_lau_coefficient,
                              talbot_pattern,
                              time_domain_visibility,
@@ -35,6 +34,7 @@ from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
 from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.metrology import DeflectionField
 from nearwave.species import get_species, gold_cluster
+from oracles import grating_transmission
 
 C70 = get_species("C70")
 
@@ -473,7 +473,7 @@ def _oracle_case(name):
                            thickness_b=300e-9, interaction="casimir_polder_r4")
     gas = GasEnvironment(gas_mass=28 * AMU, temperature=300.0, pressure=1e-6)
     return (InterferometerConfig(**dict(tli, grating3=thin)),
-            (collisional_channel(gas, C70, 1e-17),))
+            (collisional_channel(gas, 1e-17),))
 
 
 @pytest.mark.parametrize("name", ["vdw_r3", "casimir_polder_r4", "none",

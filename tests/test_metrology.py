@@ -6,10 +6,8 @@ import pytest
 
 from nearwave.constants import AMU, BOLTZMANN_KB
 from nearwave.metrology import (DeflectionField, ShiftDistribution,
-                                coriolis_acceleration,
-                                grating_shift_combination,
-                                inertial_fringe_shift, shift_dephasing_factor,
-                                stark_fringe_shift, total_polarizability)
+                                shift_dephasing_factor, stark_fringe_shift,
+                                total_polarizability)
 from nearwave.species import get_species
 
 C70 = get_species("C70")
@@ -47,30 +45,6 @@ def test_total_polarizability_thermal_term():
     assert total_polarizability(alpha, d_rms, 1000.0) < expected
     with pytest.raises(ValueError):
         total_polarizability(alpha, d_rms, 0.0)
-
-
-def test_inertial_shift():
-    assert inertial_fringe_shift(9.81, 2.2e-3) == pytest.approx(
-        9.81 * 2.2e-3 ** 2, rel=1e-12)
-    assert inertial_fringe_shift(9.81, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        inertial_fringe_shift(9.81, -1.0)
-
-
-def test_coriolis_acceleration():
-    # 100 m/s eastward beam at the pole: |2 v x Omega| = 2 v Omega
-    a = coriolis_acceleration([100.0, 0.0, 0.0], [0.0, 0.0, 7.29e-5])
-    assert np.linalg.norm(a) == pytest.approx(2.0 * 100.0 * 7.29e-5, rel=1e-12)
-    assert a[2] == 0.0
-    parallel = coriolis_acceleration([0.0, 0.0, 100.0], [0.0, 0.0, 7.29e-5])
-    assert np.allclose(parallel, 0.0)
-
-
-def test_grating_shift_combination():
-    assert grating_shift_combination(1e-9, 2e-9, 3e-9) == pytest.approx(0.0)
-    assert grating_shift_combination(0.0, 1e-9, 0.0) == pytest.approx(-2e-9)
-    # rigidly translating the whole interferometer does nothing
-    assert grating_shift_combination(5e-9, 5e-9, 5e-9) == pytest.approx(0.0)
 
 
 def test_shift_dephasing_delta_and_gaussian():
