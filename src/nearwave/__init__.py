@@ -21,8 +21,7 @@ from .decoherence import (DecoherenceChannel, GasEnvironment,
 from .metrology import (DeflectionField, ShiftDistribution,
                         shift_dephasing_factor, stark_fringe_shift,
                         total_polarizability)
-from .csl import (CslParameters, OtimaTemplate, critical_mass, csl_visibility,
-                  exclusion_map)
+from .csl import critical_mass, exclusion_map
 from .scenario import Scenario, ScenarioError, load_scenario, parse_quantity
 
 __version__ = "0.1.0"

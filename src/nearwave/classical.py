@@ -130,7 +130,9 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     the beam's longitudinal velocity distribution before taking the ratio;
     one node is the mean velocity. ``cfg`` is one config, which gives a
     float, or a sequence of them (a block of sweep points), which gives an
-    array of one visibility per config.
+    array of one visibility per config. A time-domain config, or one that
+    carries decoherence channels, is a ValueError: the twin models
+    neither.
 
     A laser phase grating in the centre transmits everything and kicks by
     K(v) sin(2 pi x / d), so by Jacobi-Anger its central integral is the
@@ -151,6 +153,8 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     cfgs = list(cfg) if block else [cfg]
     if any(c.mode != "spatial" for c in cfgs):
         raise ValueError("classical model requires spatial mode")
+    if any(c.channels for c in cfgs):
+        raise ValueError("classical model has no decoherence channels")
     rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
     q1s = [None] * len(cfgs)
     lasers = [p for p, c in enumerate(cfgs)

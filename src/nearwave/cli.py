@@ -24,7 +24,7 @@ import numpy as np
 from .classical import classical_visibility_quadrature
 from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
-from .csl import OtimaTemplate, exclusion_map
+from .csl import exclusion_map
 from .decoherence import collisional_channel, collisional_rate
 from .engine import (BLOCK_ROWS, grating_coefficients, sinusoidal_visibility,
                      talbot_pattern, time_domain_visibility,
@@ -123,7 +123,8 @@ def _pmap(func, items):
 def _otima_grating(cfg):
     """grating1, which the OTIMA maps apply to all three gratings; a
     scenario that is not time-domain with an ionizing grating1, or whose
-    grating2 or grating3 differs, is a ValueError."""
+    grating2 or grating3 differs, is a ValueError. ``csl-map`` calls it
+    for this check alone: the critical-mass map reads the config itself."""
     if cfg.mode != "time_domain" or not isinstance(cfg.grating1,
                                                    IonizingGrating):
         raise ValueError("this map needs a time-domain scenario with "
@@ -164,28 +165,26 @@ INTERACTIONS = (("quantum_vdw_visibility", "vdw_r3"),
 
 
 
-def _block(n_velocities: int, columns, settings) -> list[dict]:
-    """Visibility columns of a block of (config, decoherence channels)
-    settings, one record per setting.
+def _block(n_velocities: int, columns, cfgs) -> list[dict]:
+    """Visibility columns of a block of configs, one record per config.
 
     Each quantum column is the ``sinusoidal_visibility`` of one engine
-    evaluation over the whole block, of S_0 and S_1 only. The classical
-    twin models neither the time domain nor decoherence: it is added to
-    spatial settings without channels, in one call for the block.
+    evaluation over the whole block, of S_0 and S_1 only; the engine
+    applies each config's own decoherence channels to its rows. The
+    classical twin models neither the time domain nor decoherence: it is
+    added to spatial configs without channels, in one call for the block.
     """
-    cfgs = [cfg for cfg, _ in settings]
-    channels = [chans for _, chans in settings]
-    records = [{} for _ in settings]
+    records = [{} for _ in cfgs]
     for column, interaction in columns:
         variants = (cfgs if interaction is None
                     else [_with_interaction(cfg, column, interaction)
                           for cfg in cfgs])
         signals = velocity_averaged_signal(variants, n_velocities=n_velocities,
-                                           m_max=1, channels=channels)
+                                           m_max=1)
         for record, value in zip(records, sinusoidal_visibility(signals)):
             record[column] = float(value)
-    twins = [p for p, (cfg, chans) in enumerate(settings)
-             if cfg.mode == "spatial" and not chans]
+    twins = [p for p, cfg in enumerate(cfgs)
+             if cfg.mode == "spatial" and not cfg.channels]
     if twins:
         values = classical_visibility_quadrature([cfgs[p] for p in twins],
                                                  n_velocities=n_velocities)
@@ -197,12 +196,14 @@ def _block(n_velocities: int, columns, settings) -> list[dict]:
 def _sweep(label: str, values, setting, n_velocities: int, columns,
            out: str, fmt: str):
     """Emit one record per value: the value under ``label``, then the
-    ``_block`` columns of the setting ``setting(value)``. Consecutive
+    ``_block`` columns of the config ``setting(value)``. Consecutive
     values run in blocks of ``BLOCK_ROWS // n_velocities`` (at least one),
-    and the worker pool maps blocks."""
-    settings = [setting(value) for value in values]
+    and the worker pool maps blocks. A config carries everything its point
+    needs, decoherence channels included, so a block is all that a worker
+    receives."""
+    cfgs = [setting(value) for value in values]
     size = max(1, BLOCK_ROWS // max(1, n_velocities))
-    blocks = [settings[i:i + size] for i in range(0, len(settings), size)]
+    blocks = [cfgs[i:i + size] for i in range(0, len(cfgs), size)]
     rows = [record for records in _pmap(
         partial(_block, n_velocities, columns), blocks) for record in records]
     records = [{label: value, **row} for value, row in zip(values, rows)]
@@ -297,7 +298,7 @@ def validate(scenario_path, out, fmt):
 def visibility(scenario_path, velocities, out, fmt):
     """Quantum and (spatial mode) classical visibility of one configuration."""
     scenario = load_scenario(scenario_path)
-    _sweep("scenario", [scenario.name], lambda _: (scenario.config, ()),
+    _sweep("scenario", [scenario.name], lambda _: scenario.config,
            velocities, QUANTUM, out, fmt)
 
 
@@ -314,9 +315,8 @@ def velocity_sweep(scenario_path, velocities, out, fmt):
     scenario = load_scenario(scenario_path)
     values = _require_sweep(scenario, "beam.velocity")
     columns = INTERACTIONS if _all_material(scenario.config) else QUANTUM
-    _sweep("velocity_m_per_s", values,
-           lambda v: (apply_sweep_value(scenario, v), ()), velocities,
-           columns, out, fmt)
+    _sweep("velocity_m_per_s", values, partial(apply_sweep_value, scenario),
+           velocities, columns, out, fmt)
 
 
 @main.command("power-sweep")
@@ -327,7 +327,7 @@ def power_sweep(scenario_path, velocities, out, fmt):
     """Visibility versus central laser power (quantum and classical)."""
     scenario = load_scenario(scenario_path)
     values = _require_sweep(scenario, "grating2.power")
-    _sweep("power_w", values, lambda p: (apply_sweep_value(scenario, p), ()),
+    _sweep("power_w", values, partial(apply_sweep_value, scenario),
            velocities, QUANTUM, out, fmt)
 
 
@@ -364,13 +364,12 @@ def decohere(scenario_path, velocities, out, fmt):
     gas = _require(scenario.gas, "decohere")
     pressures = _require_sweep(scenario, "gas.pressure")
     cfg = scenario.config
-    sigma = scenario.values["gas.cross_section"]
     # eta does not depend on the pressure: one table, one rate per point
-    table = collisional_channel(gas, sigma)
+    table = collisional_channel(gas)
 
     def setting(p):
-        rate = collisional_rate(replace(gas, pressure=p), sigma)
-        return cfg, [replace(table, rate=rate)]
+        rate = collisional_rate(replace(gas, pressure=p))
+        return replace(cfg, channels=(replace(table, rate=rate),))
 
     _sweep("pressure_pa", pressures, setting, velocities,
            (("visibility", None),), out, fmt)
@@ -445,18 +444,14 @@ def csl_map(scenario_path, lambda_min, lambda_max, lambda_points,
     [1e3, 1e12] amu to a 1% width. A cell whose threshold crossing lies
     outside that bracket is NaN (null in JSON).
     """
-    scenario = load_scenario(scenario_path)
-    cfg = scenario.config
-    grating = _otima_grating(cfg)
+    cfg = load_scenario(scenario_path).config
+    _otima_grating(cfg)
     lambda_grid = np.logspace(np.log10(lambda_min), np.log10(lambda_max),
                               lambda_points)
     rc_grid = np.logspace(np.log10(rc_min), np.log10(rc_max), rc_points)
-    tt = talbot_time(cfg.species.mass, cfg.period_d)
-    template = OtimaTemplate(grating=grating,
-                             delay_over_talbot_time=cfg.pulse_delay_T / tt)
-    emap = exclusion_map(lambda_grid, rc_grid, template, threshold)
-    emit_matrix("lambda0_hz", lambda_grid, "r_c_m", rc_grid,
-                emap.critical_mass / AMU, out, fmt)
+    masses = exclusion_map(cfg, lambda_grid, rc_grid, threshold)
+    emit_matrix("lambda0_hz", lambda_grid, "r_c_m", rc_grid, masses / AMU,
+                out, fmt)
 
 
 if __name__ == "__main__":

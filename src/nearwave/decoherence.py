@@ -29,7 +29,7 @@ from .constants import AMU, BOLTZMANN_KB, HBAR
 from .core import _unit_rule, require_finite, talbot_time
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoherenceChannel:
     """One environmental coupling: event rate and coherence reduction.
 
@@ -37,6 +37,7 @@ class DecoherenceChannel:
     meters to a real factor with magnitude <= 1 (the imaginary part of an
     isotropic coupling vanishes), and its ``loss(x_max)`` gives the mean
     of 1 - eta over [0, x_max]. An eta without ``loss`` is a TypeError.
+    Frozen, so that a configuration that carries it stays hashable.
     """
 
     rate: float
@@ -146,17 +147,22 @@ class SincEta:
 class GasEnvironment:
     """Residual gas for collisional decoherence: a Maxwell-Boltzmann gas of
     particles of mass ``gas_mass`` that scatter isotropically (|f|^2 does
-    not depend on the angle)."""
+    not depend on the angle), with total cross section ``cross_section``
+    against the interfering particle."""
 
     gas_mass: float        # kg
     temperature: float     # K
     pressure: float        # Pa
+    cross_section: float   # m^2
 
     def __post_init__(self):
         require_finite(gas_mass=self.gas_mass, temperature=self.temperature,
-                       pressure=self.pressure)
+                       pressure=self.pressure,
+                       cross_section=self.cross_section)
         if self.gas_mass <= 0.0 or self.temperature <= 0.0 or self.pressure < 0.0:
             raise ValueError("gas parameters must be positive")
+        if self.cross_section <= 0.0:
+            raise ValueError("cross section must be positive")
 
 
 def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
@@ -216,21 +222,17 @@ def mean_gas_speed(env: GasEnvironment) -> float:
                      / (math.pi * env.gas_mass))
 
 
-def collisional_rate(env: GasEnvironment, total_cross_section: float) -> float:
+def collisional_rate(env: GasEnvironment) -> float:
     """Collision rate n sigma v_rel with n = p / (kB T).
 
     The mean Maxwell-Boltzmann gas speed is the relative-speed convention
     (the beam is slow compared to a room-temperature gas).
     """
-    require_finite(total_cross_section=total_cross_section)
-    if total_cross_section <= 0.0:
-        raise ValueError("cross section must be positive")
     n_density = env.pressure / (BOLTZMANN_KB * env.temperature)
-    return n_density * total_cross_section * mean_gas_speed(env)
+    return n_density * env.cross_section * mean_gas_speed(env)
 
 
-def collisional_channel(env: GasEnvironment,
-                        total_cross_section: float) -> DecoherenceChannel:
+def collisional_channel(env: GasEnvironment) -> DecoherenceChannel:
     """Channel for scattering of residual gas off the delocalized particle.
 
     The rate is ``collisional_rate``; eta is ``collisional_eta`` tabulated
@@ -238,7 +240,7 @@ def collisional_channel(env: GasEnvironment,
     pressure, so a pressure sweep builds one channel and replaces only its
     rate.
     """
-    rate = collisional_rate(env, total_cross_section)
+    rate = collisional_rate(env)
     # 200 knots to 5 um, not the closed form's exact ramp loss: the reference
     # outputs hold this table's loss, and the exact one lowers them by 1.2e-3
     x_grid = np.linspace(0.0, 5e-6, 200)

@@ -76,11 +76,15 @@ class NonSinusoidalWarning(UserWarning):
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Full description of a three-grating experiment.
+    """Full description of a three-grating experiment, its environment
+    included.
 
     ``grating3 = None`` selects surface-imaging mode: the fringe pattern at
     the third-grating plane is returned without the readout convolution.
     A pure phase grating1 or grating3 raises ``CoherencePreparationError``.
+    ``channels`` are the decoherence channels that act between the
+    gratings: each multiplies the central-grating coefficient by its
+    reduction factor (``channel_factor``).
     """
 
     grating1: GratingSpec
@@ -91,6 +95,7 @@ class InterferometerConfig:
     separation_L: Optional[float] = None
     pulse_delay_T: Optional[float] = None
     mode: str = "spatial"
+    channels: tuple = ()
 
     def __post_init__(self):
         if self.mode not in ("spatial", "time_domain"):
@@ -302,27 +307,26 @@ def talbot_pattern(b: CoefficientTable, L_over_LT: float,
 
 
 def detector_signal(cfg: InterferometerConfig, v_z: float,
-                    m_max: int = DEFAULT_M_MAX,
-                    channels: Sequence = ()) -> np.ndarray:
+                    m_max: int = DEFAULT_M_MAX) -> np.ndarray:
     """Fourier components S_m (m = 0 .. m_max) of the transmitted signal.
 
     S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T) * conj(B3_m(0)); the last
-    factor is dropped in surface-imaging mode. Decoherence channels
-    multiply the central-grating coefficient by its exponential reduction
-    factor. This is a block of one config with one velocity node
+    factor is dropped in surface-imaging mode. The config's decoherence
+    channels multiply the central-grating coefficient by its exponential
+    reduction factor. This is a block of one config with one velocity node
     (``_block_signals``).
     """
     if not 0.0 < v_z < np.inf:
         raise ValueError("v_z must be positive")
     rule = (np.array([v_z], dtype=float), np.ones(1))
-    return _block_signals([cfg], [rule], m_max, DEFAULT_J_MAX, [channels])[0]
+    return _block_signals([cfg], [rule], m_max, DEFAULT_J_MAX)[0]
 
 
 def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
-                   j_max: int, channels: Sequence) -> np.ndarray:
+                   j_max: int) -> np.ndarray:
     """``detector_signal`` averaged over each config's velocity rule, one
     row per config: ``rules[p]`` holds the nodes and weights of
-    ``cfgs[p]``, and ``channels[p]`` its decoherence channels.
+    ``cfgs[p]``.
 
     Every node of every config is one row of one evaluation. Each distinct
     grating role (the three masks of a symmetric TLI are one) gets one
@@ -360,9 +364,9 @@ def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
     if cfgs[0].grating3 is not None:
         signal *= outer(role("grating3"))
     averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
-    for p, (cfg, (speeds, weights), chans, rows) in enumerate(
-            zip(cfgs, rules, channels, np.split(signal, ends[:-1]))):
-        for channel in chans:
+    for p, (cfg, (speeds, weights), rows) in enumerate(
+            zip(cfgs, rules, np.split(signal, ends[:-1]))):
+        for channel in cfg.channels:
             rows *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
                      for v in speeds]
         averaged[p] = weights @ rows
@@ -409,39 +413,33 @@ def sinusoidal_visibility(signal: np.ndarray) -> float | np.ndarray:
 
 def velocity_averaged_signal(cfg, n_velocities: int = 16,
                              m_max: int = DEFAULT_M_MAX,
-                             j_max: int = DEFAULT_J_MAX,
-                             channels: Sequence = ()) -> np.ndarray:
+                             j_max: int = DEFAULT_J_MAX) -> np.ndarray:
     """Signal components averaged over the beam velocity distribution:
     the weighted sum of the node signals.
 
     ``cfg`` is one config, or a sequence of them (a block of sweep points,
-    evaluated together by ``_block_signals``) with ``channels`` empty or
-    holding one sequence of channels per config; a block gives one row of
+    evaluated together by ``_block_signals``); a block gives one row of
     components per config.
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
-    channel_sets = (channels or [()] * len(cfgs)) if block else [channels]
     rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
-    signals = _block_signals(cfgs, rules, m_max, j_max, channel_sets)
+    signals = _block_signals(cfgs, rules, m_max, j_max)
     return signals if block else signals[0]
 
 
 def velocity_averaged_pattern(cfg: InterferometerConfig,
                               n_velocities: int = 16,
-                              m_max: int = DEFAULT_M_MAX,
-                              channels: Sequence = ()):
+                              m_max: int = DEFAULT_M_MAX):
     """(density CoefficientTable over x in periods, visibility) after
     velocity averaging."""
-    signal = velocity_averaged_signal(cfg, n_velocities, m_max,
-                                      channels=channels)
+    signal = velocity_averaged_signal(cfg, n_velocities, m_max)
     pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
                                                signal]))
     return pattern, sinusoidal_visibility(signal)
 
 
-def time_domain_visibility(cfg: InterferometerConfig, T,
-                           channels: Sequence = ()):
+def time_domain_visibility(cfg: InterferometerConfig, T):
     """Visibility of a pulsed (time-domain) configuration at delay T; an
     array of delays gives an array of visibilities. Each delay is one
     config, evaluated at the beam's mean speed (``velocity_averaged_signal``
@@ -457,8 +455,7 @@ def time_domain_visibility(cfg: InterferometerConfig, T,
         block = [replace(cfg, pulse_delay_T=float(t))
                  for t in delays.flat[start:start + BLOCK_ROWS]]
         values.flat[start:start + len(block)] = sinusoidal_visibility(
-            velocity_averaged_signal(block, 1, m_max=1,
-                                     channels=[channels] * len(block)))
+            velocity_averaged_signal(block, 1, m_max=1))
     return values[()]
 
 

@@ -9,13 +9,13 @@ whole file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional
 
 from .constants import AMU
 from .core import BeamState
-from .decoherence import GasEnvironment, collisional_rate
+from .decoherence import GasEnvironment
 from .engine import InterferometerConfig
 from .gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
 from .metrology import DeflectionField
@@ -158,7 +158,6 @@ class Scenario:
     config: InterferometerConfig
     sweep: Optional[SweepSpec] = None
     seed: int = 0
-    values: Dict[str, object] = field(default_factory=dict)  # parsed SI values
     gas: Optional[GasEnvironment] = None
     deflection: Optional[DeflectionField] = None
 
@@ -287,10 +286,10 @@ def _build_grating(n: int, parsed, failed, problems: List[str]):
 
 
 def _gas(mass, temperature, cross_section, pressures=()):
-    """The gas at zero pressure; the cross section and each swept pressure
-    checked as ``decohere`` uses them."""
-    gas = GasEnvironment(gas_mass=mass, temperature=temperature, pressure=0.0)
-    collisional_rate(gas, cross_section)
+    """The gas at zero pressure; each swept pressure checked as
+    ``decohere`` uses it."""
+    gas = GasEnvironment(gas_mass=mass, temperature=temperature, pressure=0.0,
+                         cross_section=cross_section)
     for pressure in pressures:
         replace(gas, pressure=pressure)
     return gas
@@ -395,7 +394,7 @@ def load_scenario(path: str) -> Scenario:
                           points=parsed["sweep.points"])
 
     return Scenario(name=parsed["name"], config=config, sweep=sweep,
-                    seed=parsed.get("seed", 0), values=parsed, gas=gas,
+                    seed=parsed.get("seed", 0), gas=gas,
                     deflection=deflection)
 
 

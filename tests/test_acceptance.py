@@ -4,8 +4,10 @@ Each test prints a single PASS/FAIL line with its measured numbers so the
 suite output doubles as a scorecard.
 """
 
+import importlib.resources
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from nearwave.classical import classical_visibility_quadrature
 from nearwave.constants import AMU, BOLTZMANN_KB, VACUUM_PERMITTIVITY_EPS0
 from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
                            talbot_time)
-from nearwave.csl import CslParameters, critical_mass
+from nearwave.csl import critical_mass
 from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel,
                                   thermal_emission_channel)
@@ -31,6 +33,7 @@ from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                transmission_probability_coefficients)
 from nearwave.engine import talbot_lau_coefficient
 from nearwave.metrology import total_polarizability
+from nearwave.scenario import load_scenario
 from nearwave.species import get_species
 from oracles import RayEnsemble, classical_visibility, incoherent_source_pattern
 
@@ -174,8 +177,8 @@ def _gas_exponent(cfg, cross_section, v, m=2):
     """Decay constant of the order-m factor per unit pressure."""
     p_ref = 1e-7
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=p_ref)
-    channel = collisional_channel(env, cross_section)
+                         pressure=p_ref, cross_section=cross_section)
+    channel = collisional_channel(env)
     return -math.log(abs(channel_factor(channel, cfg, m, v))) / p_ref
 
 
@@ -186,9 +189,10 @@ def test_acceptance_05_collisional_pressure_scaling():
     vis = []
     for p in pressures:
         env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                             pressure=float(p))
-        channel = collisional_channel(env, 1e-17)
-        signal = detector_signal(cfg, 100.0, m_max=1, channels=[channel])
+                             pressure=float(p), cross_section=1e-17)
+        channel = collisional_channel(env)
+        signal = detector_signal(replace(cfg, channels=(channel,)), 100.0,
+                                 m_max=1)
         vis.append(2.0 * abs(signal[1] / signal[0]))
     vis = np.array(vis)
     slope, intercept = np.polyfit(pressures, np.log(vis), 1)
@@ -278,8 +282,11 @@ def test_acceptance_07_pulsed_resonance_map():
 
 
 def test_acceptance_08_localization_mass_band():
+    # the bundled OTIMA interferometer at its 1e6 amu Talbot time
+    cfg = load_scenario(str(importlib.resources.files("nearwave") / "data"
+                            / "otima_gold_clusters.cfg")).config
     start = time.monotonic()
-    masses = [critical_mass(CslParameters(lambda0=lam0, r_c=1e-7)) / AMU
+    masses = [critical_mass(cfg, lam0, 1e-7) / AMU
               for lam0 in (1e-12, 1e-10, 1e-8)]
     elapsed = time.monotonic() - start
     monotone = masses[0] > masses[1] > masses[2]

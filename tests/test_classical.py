@@ -216,6 +216,18 @@ def test_time_domain_config_rejected():
         classical_visibility(cfg, RayEnsemble(count=10_000))
 
 
+def test_config_with_channels_rejected():
+    # the twin models no decoherence: a config that carries a channel, alone
+    # or in a block, is refused rather than given a visibility without it
+    from dataclasses import replace
+    from nearwave.decoherence import csl_channel
+    cfg = tli_config(vdw_mask())
+    decohered = replace(cfg, channels=(csl_channel(1e-10, 1e-7, C70.mass),))
+    for arg in (decohered, [cfg, decohered]):
+        with pytest.raises(ValueError, match="no decoherence channels"):
+            classical_visibility_quadrature(arg)
+
+
 def _speed_free_window(g):
     """Coefficients 0 and 1 of |t|^2 of a mask: its squared open cell
     fractions, which no speed changes."""

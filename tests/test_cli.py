@@ -303,10 +303,9 @@ def _count_calls(monkeypatch, sites):
 
 
 def _settings(path, count):
-    """(config, no channels) of the first ``count`` points of a bundled
-    sweep."""
+    """The configs of the first ``count`` points of a bundled sweep."""
     scenario = nearwave.load_scenario(path)
-    return [(apply_sweep_value(scenario, value), ())
+    return [apply_sweep_value(scenario, value)
             for value in scenario.sweep.values()[:count]]
 
 
@@ -388,7 +387,7 @@ def test_power_sweep_builds_the_outer_mask_once_per_block(monkeypatch,
         "engine.bessel_j", "classical.bessel_j", "classical._even_table",
         *FFT_SITES])
     settings = _settings(KDTLI, 8)
-    for cfg, _ in settings:
+    for cfg in settings:
         assert cfg.grating1 == cfg.grating3
     blocks = (settings[:4], settings[4:])
     for block in blocks:
@@ -412,7 +411,7 @@ def test_block_rows_equal_one_point_blocks(path, columns, first):
     settings = _settings(path, 4)
     if first is not None:
         scenario = nearwave.load_scenario(path)
-        settings[0] = (apply_sweep_value(scenario, first), ())
+        settings[0] = apply_sweep_value(scenario, first)
     block = cli._block(12, columns, settings)
     for record, setting in zip(block, settings):
         alone = cli._block(12, columns, [setting])[0]
@@ -839,12 +838,18 @@ def test_worker_count_not_an_integer_names_the_variable(runner, monkeypatch,
                              f"integer, got {workers!r}\n")
 
 
-@pytest.mark.parametrize("command, path", [
-    ("velocity-sweep", TLI), ("power-sweep", KDTLI)])
+@pytest.mark.parametrize("command, text", [
+    ("velocity-sweep", read(TLI)), ("power-sweep", read(KDTLI)),
+    ("decohere", with_line(DECOHERE, "sweep.points = 30"))],
+    ids=["velocity-sweep", "power-sweep", "decohere"])
 def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
-                                              command, path):
+                                              command, text):
     # the same bytes from this process and from a pool of two workers,
-    # which map the sweep's blocks of points
+    # which map the sweep's blocks of points: 24 points of two nodes a
+    # block, so each sweep has two blocks or more. decohere's configs
+    # carry their collisional channel to the workers
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -853,7 +858,7 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
             super().__init__(max_workers=max_workers)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    args = [command, path, "--velocities", "2", "--out"]
+    args = [command, str(path), "--velocities", "2", "--out"]
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     serial = tmp_path / "serial.csv"
     assert invoke(runner, *args, str(serial)).exit_code == 0
@@ -1007,7 +1012,7 @@ def test_sweep_points_leave_numpy_ma_unloaded():
         f"                      ({TLI!r}, cli.INTERACTIONS)):",
         "    scenario = load_scenario(path)",
         "    values = scenario.sweep.values()[:4]",
-        "    cli._block(12, columns, [(apply_sweep_value(scenario, v), ())",
+        "    cli._block(12, columns, [apply_sweep_value(scenario, v)",
         "                             for v in values])"])
     assert _loaded_in_fresh_interpreter(code, ("numpy.ma",)) == "[]"
 
@@ -1069,7 +1074,7 @@ def test_deflect_sweep_is_one_evaluation(runner, tmp_path):
     assert result.exit_code == 0
     scenario = nearwave.load_scenario(str(path))
     species = scenario.config.species
-    fld = DeflectionField(1.0, scenario.values["deflect.grad_e_squared"])
+    fld = DeflectionField(1.0, scenario.deflection.grad_E_squared)
     alpha = 4.0 * np.pi * VACUUM_PERMITTIVITY_EPS0 * species.alpha_stat_vol
     rows = result.output.strip().splitlines()[1:]
     assert len(rows) == 5
@@ -1091,12 +1096,27 @@ def test_csl_map(runner):
     assert payload["rows"][1]["values"][0] < masses[0]
 
 
+def test_csl_map_rejects_an_operating_point_without_contrast(runner,
+                                                            tmp_path):
+    # one photon per grating leaves the scenario's own interferometer below
+    # the 0.1 quantum visibility that the map requires
+    text = read(OTIMA)
+    for n in (1, 2, 3):
+        text = with_line(text, f"grating{n}.n0 = 1")
+    path = tmp_path / "otima.cfg"
+    path.write_text(text)
+    result = invoke(runner, "csl-map", str(path))
+    assert result.exit_code == 2
+    assert result.output == ("config error: operating point has "
+                             "insufficient quantum visibility\n")
+
+
 def test_otima_maps_of_equal_gratings_unchanged(runner):
     # the bundled scenario's three gratings are equal, so both maps give
     # the bytes of their grating1 computation
     from nearwave.constants import AMU
     from nearwave.core import talbot_time
-    from nearwave.csl import OtimaTemplate, exclusion_map
+    from nearwave.csl import exclusion_map
     from nearwave.engine import time_domain_visibility
     cfg = nearwave.load_scenario(OTIMA).config
     assert cfg.grating1 == cfg.grating2 == cfg.grating3
@@ -1104,10 +1124,7 @@ def test_otima_maps_of_equal_gratings_unchanged(runner):
 
     lam = np.logspace(np.log10(1e-12), np.log10(1e-8), 2)
     rc = np.logspace(np.log10(1e-7), np.log10(2e-7), 2)
-    template = OtimaTemplate(grating=cfg.grating1,
-                             delay_over_talbot_time=cfg.pulse_delay_T / tt)
-    masses = exclusion_map(lam, rc, template,
-                           float(np.exp(-1.0))).critical_mass / AMU
+    masses = exclusion_map(cfg, lam, rc, float(np.exp(-1.0))) / AMU
     expected = [",".join(["lambda0_hz\\r_c_m"] + [repr(float(r)) for r in rc])]
     expected += [",".join(repr(float(x)) for x in [lv, *row])
                  for lv, row in zip(lam, masses)]

@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,55 +12,74 @@ from nearwave import load_scenario
 from nearwave.constants import AMU, PLANCK_H
 from nearwave.cli import main
 from nearwave.core import talbot_time
-from nearwave.csl import (DEFAULT_OTIMA_PERIOD, MIN_QUANTUM_VISIBILITY,
-                          CslParameters, MassOutOfRangeError, OtimaTemplate,
-                          critical_mass, csl_reduction_factor, csl_visibility,
-                          exclusion_map, quantum_operating_visibility)
+from nearwave.csl import (MIN_QUANTUM_VISIBILITY, MassOutOfRangeError,
+                          critical_mass, csl_reduction_factor, exclusion_map)
 from nearwave.decoherence import channel_factor, csl_channel
-from nearwave.engine import InterferometerConfig
-from nearwave.gratings import IonizingGrating
+from nearwave.engine import InterferometerConfig, time_domain_visibility
 from nearwave.species import gold_cluster
+
+OTIMA = str(importlib.resources.files("nearwave") / "data"
+            / "otima_gold_clusters.cfg")
+
+
+def otima(delay=1.0, n0=6.0):
+    """The bundled OTIMA interferometer for 1e6 amu gold clusters, its
+    pulse delay ``delay`` Talbot times and ``n0`` photons absorbed at each
+    of its three 78.5 nm ionizing gratings."""
+    cfg = load_scenario(OTIMA).config
+    g = replace(cfg.grating1, mean_absorbed_photons_n0=n0)
+    tt = talbot_time(cfg.species.mass, cfg.period_d)
+    return replace(cfg, grating1=g, grating2=g, grating3=g,
+                   pulse_delay_T=delay * tt)
 
 
 def test_operating_point_has_contrast():
-    assert quantum_operating_visibility(OtimaTemplate()) > 0.3
+    cfg = otima()
+    assert time_domain_visibility(cfg, cfg.pulse_delay_T) > 0.3
 
 
-def test_template_without_contrast_rejected():
-    # operating points with visibility 0.045 and 0.0035, below 0.1
+def test_operating_point_without_contrast_rejected():
+    # operating points with visibility 0.045 and 0.0035, below 0.1: both
+    # map entry points refuse them
     assert MIN_QUANTUM_VISIBILITY == 0.1
-    weak = IonizingGrating(period_d=DEFAULT_OTIMA_PERIOD,
-                           mean_absorbed_photons_n0=1.0,
-                           phase_amplitude_phi0=0.0)
-    for kwargs in ({"delay_over_talbot_time": 0.62}, {"grating": weak}):
+    for cfg in (otima(delay=0.62), otima(n0=1.0)):
         with pytest.raises(ValueError,
                            match="insufficient quantum visibility"):
-            OtimaTemplate(**kwargs)
+            critical_mass(cfg, 1e-10, 1e-7)
+        with pytest.raises(ValueError,
+                           match="insufficient quantum visibility"):
+            exclusion_map(cfg, [1e-12, 1e-8], [1e-8, 1e-6])
 
 
-def _reduction_factor_through_config(params, template, mass_amu):
-    # a gold-cluster configuration per mass, read by channel_factor
-    cfg = template.config(mass_amu)
-    assert cfg.species == gold_cluster(mass_amu)
-    channel = csl_channel(params.lambda0, params.r_c, cfg.species.mass)
-    return abs(channel_factor(channel, cfg, 2, 1.0))
+def _reduction_factor_through_config(cfg, lambda0, r_c, mass_amu):
+    # ``cfg`` scaled to a gold cluster of this mass at the same d and
+    # T / T_T, read by channel_factor
+    delay = cfg.pulse_delay_T / talbot_time(cfg.species.mass, cfg.period_d)
+    species = gold_cluster(mass_amu)
+    scaled = replace(cfg, species=species, pulse_delay_T=delay
+                     * talbot_time(species.mass, cfg.period_d))
+    channel = csl_channel(lambda0, r_c, species.mass)
+    return abs(channel_factor(channel, scaled, 2, 1.0))
 
 
 @pytest.mark.parametrize("delay", [1.0, 0.75])
 def test_reduction_factor_equals_configuration_path(delay):
-    template = OtimaTemplate(delay_over_talbot_time=delay)
+    cfg = otima(delay=delay)
     rng = np.random.default_rng(20110421)
     # about two thirds of these factors lie strictly between 1e-6 and 1
     for _ in range(1000):
-        params = CslParameters(lambda0=10.0 ** rng.uniform(-14.0, -8.0),
-                               r_c=10.0 ** rng.uniform(-9.0, -5.0))
+        lambda0 = 10.0 ** rng.uniform(-14.0, -8.0)
+        r_c = 10.0 ** rng.uniform(-9.0, -5.0)
         mass_amu = 10.0 ** rng.uniform(3.0, 8.0)
-        assert csl_reduction_factor(params, template, mass_amu) \
-            == _reduction_factor_through_config(params, template, mass_amu)
+        assert csl_reduction_factor(cfg, lambda0, r_c, mass_amu) \
+            == _reduction_factor_through_config(cfg, lambda0, r_c, mass_amu)
 
 
 def test_critical_mass_builds_no_configuration(monkeypatch):
-    template = OtimaTemplate()
+    # no bisection step builds a configuration: a one-cell critical_mass
+    # and a 16 x 16 map each build one, the delay of the operating-point
+    # check
+    cfg = otima()
     builds = []
     post_init = InterferometerConfig.__post_init__
 
@@ -67,25 +87,25 @@ def test_critical_mass_builds_no_configuration(monkeypatch):
         builds.append(self)
         post_init(self)
     monkeypatch.setattr(InterferometerConfig, "__post_init__", counted)
-    critical_mass(CslParameters(lambda0=1e-10, r_c=1e-7), template)
-    assert builds == []
-    template.config(1e6)
+    critical_mass(cfg, 1e-10, 1e-7)
     assert len(builds) == 1
+    exclusion_map(cfg, np.logspace(-12.0, -8.0, 16),
+                  np.logspace(-8.0, -6.0, 16))
+    assert len(builds) == 2
 
 
 def test_reduction_monotone_in_mass():
-    params = CslParameters(lambda0=1e-11, r_c=1e-7)
-    template = OtimaTemplate()
+    cfg = otima()
     masses = [1e4, 1e5, 1e6, 1e7]
-    factors = [csl_reduction_factor(params, template, m) for m in masses]
+    factors = [csl_reduction_factor(cfg, 1e-11, 1e-7, m) for m in masses]
     assert all(a > b for a, b in zip(factors, factors[1:]))
     assert 0.0 < factors[-1] < factors[0] <= 1.0
 
 
 def test_critical_mass_frozen_values():
     # stronger localization is ruled out by lighter clusters
-    m_strong = critical_mass(CslParameters(lambda0=1e-12, r_c=1e-7))
-    m_weak = critical_mass(CslParameters(lambda0=1e-8, r_c=1e-7))
+    m_strong = critical_mass(otima(), 1e-12, 1e-7)
+    m_weak = critical_mass(otima(), 1e-8, 1e-7)
     assert m_strong / AMU == pytest.approx(8.8e6, rel=0.05)
     assert m_weak < m_strong
     # both land in the cluster regime the pulsed machine can address
@@ -93,47 +113,46 @@ def test_critical_mass_frozen_values():
 
 
 def test_critical_mass_threshold_definition():
-    params = CslParameters(lambda0=1e-10, r_c=1e-7)
-    template = OtimaTemplate()
-    m = critical_mass(params, template)
-    factor = csl_reduction_factor(params, template, m / AMU)
+    cfg = otima()
+    m = critical_mass(cfg, 1e-10, 1e-7)
+    factor = csl_reduction_factor(cfg, 1e-10, 1e-7, m / AMU)
     assert factor == pytest.approx(math.exp(-1.0), rel=0.05)
 
 
 def test_visibility_with_channel_below_unperturbed():
-    template = OtimaTemplate()
-    cfg = template.config(1e6)
-    bare = quantum_operating_visibility(template)
-    perturbed = csl_visibility(cfg, CslParameters(lambda0=1e-9, r_c=1e-7))
+    cfg = otima()
+    bare = time_domain_visibility(cfg, cfg.pulse_delay_T)
+    channel = csl_channel(1e-9, 1e-7, cfg.species.mass)
+    perturbed = time_domain_visibility(replace(cfg, channels=(channel,)),
+                                       cfg.pulse_delay_T)
     assert perturbed < bare
 
 
 def test_out_of_range_masses():
     with pytest.raises(MassOutOfRangeError):
-        critical_mass(CslParameters(lambda0=1e6, r_c=1e-7))
+        critical_mass(otima(), 1e6, 1e-7)
     with pytest.raises(MassOutOfRangeError):
-        critical_mass(CslParameters(lambda0=1e-40, r_c=1e-7))
+        critical_mass(otima(), 1e-40, 1e-7)
 
 
 def test_parameter_guards():
     with pytest.raises(ValueError):
-        CslParameters(lambda0=-1.0, r_c=1e-7)
+        critical_mass(otima(), -1.0, 1e-7)
     with pytest.raises(ValueError):
-        critical_mass(CslParameters(lambda0=1e-10, r_c=1e-7),
-                      reduction_threshold=1.5)
+        critical_mass(otima(), 1e-10, 1e-7, reduction_threshold=1.5)
 
 
 def test_exclusion_map_and_csv(tmp_path):
     lambda0_grid = np.array([1e-12, 1e-10, 1e6])
     r_c_grid = np.array([5e-8, 1e-7])
-    emap = exclusion_map(lambda0_grid, r_c_grid)
-    assert emap.critical_mass.shape == (3, 2)
+    masses = exclusion_map(otima(), lambda0_grid, r_c_grid)
+    assert masses.shape == (3, 2)
     # stronger localization rate -> smaller critical mass, column-wise
-    assert np.all(emap.critical_mass[1] < emap.critical_mass[0])
+    assert np.all(masses[1] < masses[0])
     # unreachable corner is flagged, not silently clamped
-    assert np.all(np.isnan(emap.critical_mass[2]))
+    assert np.all(np.isnan(masses[2]))
     with pytest.raises(ValueError):
-        exclusion_map(np.array([1e-10]), r_c_grid)
+        exclusion_map(otima(), np.array([1e-10]), r_c_grid)
 
     # the CLI writes the same matrix as CSV: r_c axis in the header row,
     # lambda0 axis in the first column, masses in amu, NaN kept
@@ -183,17 +202,19 @@ def test_csl_map_json_has_no_nan_token():
     assert all(v is None or math.isfinite(v) for v in cells)
 
 
-def _scalar_critical_mass_amu(params, template, threshold):
+def _scalar_critical_mass_amu(cfg, lambda0, r_c, threshold):
     """The per-cell search: bisection on log10 of the mass over
     [1e3, 1e12] amu to 1% width, one scalar reduction factor per step;
     NaN where the crossing lies outside the bracket."""
     lo, hi = 3.0, 12.0
-    if (csl_reduction_factor(params, template, 10.0 ** lo) < threshold
-            or csl_reduction_factor(params, template, 10.0 ** hi) > threshold):
+
+    def factor(log_mass):
+        return csl_reduction_factor(cfg, lambda0, r_c, 10.0 ** log_mass)
+    if factor(lo) < threshold or factor(hi) > threshold:
         return math.nan
     while 10.0 ** (hi - lo) - 1.0 >= 0.01:
         mid = 0.5 * (lo + hi)
-        if csl_reduction_factor(params, template, 10.0 ** mid) < threshold:
+        if factor(mid) < threshold:
             hi = mid
         else:
             lo = mid
@@ -201,25 +222,17 @@ def _scalar_critical_mass_amu(params, template, threshold):
 
 
 def test_lockstep_map_equals_per_cell_bisection():
-    # the benchmark's 16 x 16 flag grid on the bundled OTIMA template, with
+    # the benchmark's 16 x 16 flag grid on the bundled OTIMA scenario, with
     # rows whose crossing lies above (1e-40) and below (1e6) the bracket;
     # at 1e300 the exponent overflows to a factor of 0
-    scenario = str(importlib.resources.files("nearwave") / "data"
-                   / "otima_gold_clusters.cfg")
-    cfg = load_scenario(scenario).config
-    template = OtimaTemplate(
-        grating=cfg.grating1,
-        delay_over_talbot_time=cfg.pulse_delay_T
-        / talbot_time(cfg.species.mass, cfg.period_d))
+    cfg = load_scenario(OTIMA).config
     lambda0_grid = np.concatenate(([1e-40], np.logspace(-12.0, -8.0, 16),
                                    [1e6, 1e300]))
     r_c_grid = np.logspace(-8.0, -6.0, 16)
     threshold = math.exp(-1.0)
-    masses = exclusion_map(lambda0_grid, r_c_grid, template,
-                           threshold).critical_mass / AMU
-    expected = np.array([[_scalar_critical_mass_amu(
-        CslParameters(lambda0=lam0, r_c=rc), template, threshold)
-        for rc in r_c_grid] for lam0 in lambda0_grid])
+    masses = exclusion_map(cfg, lambda0_grid, r_c_grid, threshold) / AMU
+    expected = np.array([[_scalar_critical_mass_amu(cfg, lam0, rc, threshold)
+                          for rc in r_c_grid] for lam0 in lambda0_grid])
     assert np.all(np.isnan(expected[[0, -2, -1]]))
     np.testing.assert_array_equal(np.isnan(masses), np.isnan(expected))
     finite = ~np.isnan(expected)
@@ -228,9 +241,8 @@ def test_lockstep_map_equals_per_cell_bisection():
                                atol=0.0)
     # critical_mass is the one-cell case of the same search
     for row in (1, 8, 16):
-        assert critical_mass(CslParameters(lambda0=lambda0_grid[row],
-                                           r_c=r_c_grid[5]),
-                             template, threshold) / AMU == masses[row, 5]
+        assert critical_mass(cfg, lambda0_grid[row], r_c_grid[5],
+                             threshold) / AMU == masses[row, 5]
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "nan"])

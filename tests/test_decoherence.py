@@ -100,7 +100,7 @@ def test_eta_without_loss_rejected():
 
 def test_collisional_eta_normalization_and_decay():
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     assert collisional_eta(env, 0.0).real == pytest.approx(1.0, rel=1e-12)
     # room-temperature methane resolves path separations of a few pm
     xs = [0.0, 5e-13, 1e-12, 2e-12]
@@ -113,7 +113,7 @@ def test_collisional_eta_normalization_and_decay():
 def test_collisional_eta_frozen_value():
     # the closed form for methane at 1 nm, y^2 = 19,840
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     assert collisional_eta(env, 1e-9) == pytest.approx(
         5.0403921634387404e-05, rel=1e-12)
 
@@ -146,7 +146,7 @@ def collisional_eta_oracle(env, x):
 @pytest.mark.parametrize("y", [0.3, 3.0])
 def test_collisional_eta_matches_double_integral(y):
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     x = separation_at(env, y)
     assert collisional_eta(env, x) == pytest.approx(
         collisional_eta_oracle(env, x), rel=1e-13)
@@ -154,7 +154,7 @@ def test_collisional_eta_matches_double_integral(y):
 
 def test_collisional_eta_limits():
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     # small y: the series to rounding, so 1 - exp(-y^2) does not cancel
     y = 1e-4
     assert collisional_eta(env, separation_at(env, y)) == pytest.approx(
@@ -170,7 +170,7 @@ def test_collisional_eta_limits():
 def test_collisional_eta_bounded_and_decreasing(mass_amu, temperature, x,
                                                 ratio):
     env = GasEnvironment(gas_mass=mass_amu * AMU, temperature=temperature,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     near, far = collisional_eta(env, np.array([x, ratio * x]))
     assert collisional_eta(env, 0.0) == 1.0
     assert 0.0 < far and near <= 1.0
@@ -181,9 +181,9 @@ def test_collisional_eta_bounded_and_decreasing(mass_amu, temperature, x,
 
 def test_collisional_channel_rate():
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     assert mean_gas_speed(env) == pytest.approx(629.2824140995945, rel=1e-9)
-    channel = collisional_channel(env, 1e-17)
+    channel = collisional_channel(env)
     assert channel.rate == pytest.approx(1.519291323861929, rel=1e-9)
     assert channel.eta(0.0).real == pytest.approx(1.0, rel=1e-3)
 
@@ -196,9 +196,9 @@ def test_visibility_decays_with_pressure():
             channels = ()
         else:
             env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                                 pressure=pressure)
-            channels = (collisional_channel(env, 1e-17),)
-        signal = detector_signal(cfg, 100.0, channels=channels)
+                                 pressure=pressure, cross_section=1e-17)
+            channels = (collisional_channel(env),)
+        signal = detector_signal(replace(cfg, channels=channels), 100.0)
         vis.append(2.0 * abs(signal[1] / signal[0]))
     assert vis[0] > vis[1] > vis[2] > 0.0
 
@@ -207,9 +207,12 @@ def test_channels_compose_multiplicatively():
     cfg = vdw_config()
     c1 = csl_channel(1e-10, 1e-7, C70.mass)
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=1e-7)
-    c2 = collisional_channel(env, 1e-17)
-    both = detector_signal(cfg, 100.0, channels=(c1, c2))
+                         pressure=1e-7, cross_section=1e-17)
+    c2 = collisional_channel(env)
+    decohered = replace(cfg, channels=(c1, c2))
+    # frozen channels: a config that carries them stays hashable
+    assert hash(decohered) == hash(replace(cfg, channels=(c1, c2)))
+    both = detector_signal(decohered, 100.0)
     bare = detector_signal(cfg, 100.0)
     for m in range(1, 3):
         expected = (bare[m] * channel_factor(c1, cfg, 2 * m, 100.0)
@@ -350,10 +353,12 @@ sweep.points = 4
 
 def test_gas_environment_guards(tmp_path):
     with pytest.raises(ValueError):
-        GasEnvironment(gas_mass=0.0, temperature=300.0, pressure=1e-6)
+        GasEnvironment(gas_mass=0.0, temperature=300.0, pressure=1e-6,
+                       cross_section=1e-17)
     with pytest.raises(ValueError):
         collisional_eta(GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                                       pressure=1e-6), -1e-9)
+                                       pressure=1e-6, cross_section=1e-17),
+                        -1e-9)
     # a decohere run whose channel cannot be built exits with a config error
     path = tmp_path / "gas.cfg"
     path.write_text(DECOHERE.replace("gas.cross_section = 1e-17 m^2",
@@ -362,13 +367,12 @@ def test_gas_environment_guards(tmp_path):
     assert result.exit_code == cli.EXIT_CONFIG
     assert result.output == "config error: cross section must be positive\n"
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     for bad in (math.nan, math.inf, -math.inf):
-        for field in ("gas_mass", "temperature", "pressure"):
+        for field in ("gas_mass", "temperature", "pressure",
+                      "cross_section"):
             with pytest.raises(ValueError):
                 replace(env, **{field: bad})
-        with pytest.raises(ValueError):
-            collisional_channel(env, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +406,8 @@ def knot_position(where, grid):
                                    "past_table_end"])
 def test_tabulated_eta_mean_matches_quadrature(where):
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=1e-6)
-    gas = collisional_channel(env, 1e-17)
+                         pressure=1e-6, cross_section=1e-17)
+    gas = collisional_channel(env)
     assert isinstance(gas.eta, TabulatedEta)
     # a slowly varying table on coarse knots, so the mean weighs every
     # segment and the quadrature reference converges across the kinks
@@ -430,12 +434,12 @@ def test_gaussian_eta_mean_matches_quadrature(r_c):
 
 def test_pressure_rescale_matches_fresh_channel():
     gas = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
-                         pressure=1e-7)
-    table = collisional_channel(gas, 1e-17)
+                         pressure=1e-7, cross_section=1e-17)
+    table = collisional_channel(gas)
     for pressure in (0.0, 3e-8, 2e-5):
         env = replace(gas, pressure=pressure)
-        fresh = collisional_channel(env, 1e-17)
-        rescaled = replace(table, rate=collisional_rate(env, 1e-17))
+        fresh = collisional_channel(env)
+        rescaled = replace(table, rate=collisional_rate(env))
         assert rescaled.rate == fresh.rate
         assert np.array_equal(rescaled.eta.x_grid, fresh.eta.x_grid)
         assert np.array_equal(rescaled.eta.values, fresh.eta.values)
@@ -443,7 +447,7 @@ def test_pressure_rescale_matches_fresh_channel():
 
 def test_collisional_eta_vectorised_matches_scalar():
     env = GasEnvironment(gas_mass=16.04 * AMU, temperature=300.0,
-                         pressure=1e-6)
+                         pressure=1e-6, cross_section=1e-17)
     xs = np.array([0.0, 5e-13, 1e-12, 1e-9, 1e-7])
     table = collisional_eta(env, xs)
     assert table.shape == xs.shape

@@ -415,7 +415,7 @@ def test_config_invariants():
                              mode="fancy")
 
 
-def _per_node_signal(cfg, v, m_max, channels=()):
+def _per_node_signal(cfg, v, m_max):
     """S_m at one speed, the way a per-node loop builds it: a fresh table
     for every grating, real-arithmetic products order by order."""
     def product(a, b):
@@ -434,9 +434,9 @@ def _per_node_signal(cfg, v, m_max, channels=()):
     if cfg.grating3 is not None:
         signal = product(signal, np.conj(
             talbot_lau_coefficient(table(cfg.grating3), m, 0.0)))
-    if channels:
+    if cfg.channels:
         factor = np.ones(m_max + 1, dtype=complex)
-        for channel in channels:
+        for channel in cfg.channels:
             factor = product(factor, np.array(
                 [channel_factor(channel, cfg, 2 * k, v)
                  for k in range(m_max + 1)]))
@@ -453,7 +453,7 @@ def _oracle_case(name):
         g = MaterialGrating(period_d=991e-9, open_fraction_f=0.475,
                             thickness_b=500e-9, interaction=name)
         return InterferometerConfig(**dict(tli, grating1=g, grating2=g,
-                                           grating3=g)), ()
+                                           grating3=g))
     if name == "kdtli":
         outer = MaterialGrating(period_d=266e-9, open_fraction_f=0.42)
         laser = LaserPhaseGrating(period_d=266e-9, power_P=7.0,
@@ -462,18 +462,19 @@ def _oracle_case(name):
         return InterferometerConfig(
             grating1=outer, grating2=laser, grating3=outer,
             species=get_species("PFNS8"), beam=BeamState(75.0, 0.1),
-            separation_L=0.105), ()
+            separation_L=0.105)
     if name == "surface_imaging":
-        return InterferometerConfig(**dict(tli, grating3=None)), ()
+        return InterferometerConfig(**dict(tli, grating3=None))
     if name == "top_hat":
         return InterferometerConfig(
-            **dict(tli, beam=BeamState(100.0, 0.3, "top_hat"))), ()
+            **dict(tli, beam=BeamState(100.0, 0.3, "top_hat")))
     # distinct outer masks and a collisional channel
     thin = MaterialGrating(period_d=991e-9, open_fraction_f=0.4,
                            thickness_b=300e-9, interaction="casimir_polder_r4")
-    gas = GasEnvironment(gas_mass=28 * AMU, temperature=300.0, pressure=1e-6)
-    return (InterferometerConfig(**dict(tli, grating3=thin)),
-            (collisional_channel(gas, 1e-17),))
+    gas = GasEnvironment(gas_mass=28 * AMU, temperature=300.0, pressure=1e-6,
+                         cross_section=1e-17)
+    return InterferometerConfig(**dict(tli, grating3=thin,
+                                       channels=(collisional_channel(gas),)))
 
 
 @pytest.mark.parametrize("name", ["vdw_r3", "casimir_polder_r4", "none",
@@ -482,19 +483,17 @@ def _oracle_case(name):
 def test_velocity_average_equals_per_node_loop(name):
     # one table per distinct grating for all nodes gives, to rounding, the
     # weighted per-node sum of detector_signal and of a per-node build
-    cfg, channels = _oracle_case(name)
+    cfg = _oracle_case(name)
     n, m_max = 12, 3
-    averaged = velocity_averaged_signal(cfg, n, m_max=m_max,
-                                        channels=channels)
+    averaged = velocity_averaged_signal(cfg, n, m_max=m_max)
     by_node = np.zeros(m_max + 1, dtype=complex)
     rebuilt = np.zeros(m_max + 1, dtype=complex)
     for v, w in velocity_weights(cfg.beam, n):
-        single = detector_signal(cfg, v, m_max, channels=channels)
-        np.testing.assert_allclose(single, _per_node_signal(cfg, v, m_max,
-                                                            channels),
+        single = detector_signal(cfg, v, m_max)
+        np.testing.assert_allclose(single, _per_node_signal(cfg, v, m_max),
                                    rtol=1e-12, atol=0.0)
         by_node += w * single
-        rebuilt += w * _per_node_signal(cfg, v, m_max, channels)
+        rebuilt += w * _per_node_signal(cfg, v, m_max)
     np.testing.assert_allclose(averaged, by_node, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(averaged, rebuilt, rtol=1e-12, atol=0.0)
 
@@ -507,31 +506,27 @@ def test_block_rows_equal_each_config_alone():
     cases = [_oracle_case(name) for name in (
         "vdw_r3", "casimir_polder_r4", "none", "kdtli", "top_hat",
         "collisional")]
-    kdtli, _ = _oracle_case("kdtli")
-    cases += [(replace(kdtli, grating2=replace(kdtli.grating2, power_P=p)),
-               ()) for p in (0.0, 0.5, 18.0)]
+    kdtli = _oracle_case("kdtli")
+    cases += [replace(kdtli, grating2=replace(kdtli.grating2, power_P=p))
+              for p in (0.0, 0.5, 18.0)]
     for block in (cases, cases[-4:]):
-        cfgs = [cfg for cfg, _ in block]
-        channels = [chans for _, chans in block]
-        signals = velocity_averaged_signal(cfgs, 12, m_max=3,
-                                           channels=channels)
+        signals = velocity_averaged_signal(block, 12, m_max=3)
         assert signals.shape == (len(block), 4)
-        for row, cfg, chans in zip(signals, cfgs, channels):
-            alone = velocity_averaged_signal(cfg, 12, m_max=3,
-                                             channels=chans)
+        for row, cfg in zip(signals, block):
+            alone = velocity_averaged_signal(cfg, 12, m_max=3)
             np.testing.assert_allclose(row, alone, rtol=1e-12, atol=0.0)
     # the 0 W laser of the last block: b_j = delta_j0, no fringe at all
     assert np.all(signals[1, 1:] == 0.0)
-    surface, _ = _oracle_case("surface_imaging")
+    surface = _oracle_case("surface_imaging")
     with pytest.raises(ValueError, match="mixes surface-imaging"):
-        velocity_averaged_signal([surface, cfgs[0]], 12)
+        velocity_averaged_signal([surface, block[0]], 12)
 
 
 def test_flight_time_over_talbot_time_equals_separation_over_talbot_length():
     # the engine's Talbot argument (L / v) / T_T against L / L_T with
     # L_T = d^2 / lambda, over the speeds of every oracle case
     for name in ("vdw_r3", "kdtli", "top_hat"):
-        cfg, _ = _oracle_case(name)
+        cfg = _oracle_case(name)
         t_t = talbot_time(cfg.species.mass, cfg.period_d)
         for v, _ in velocity_weights(cfg.beam, 12):
             lam = de_broglie_wavelength(cfg.species.mass, v)
@@ -549,7 +544,7 @@ def test_per_node_tables_match_fixed_grid_tables(name):
     # the per-node tables of the loop above against the FFT of t(x) sampled
     # on the fixed 4096-point grid: within rounding for lasers and for the
     # open-cell cosine sum of masks (3.9e-16 measured)
-    cfg, _ = _oracle_case(name)
+    cfg = _oracle_case(name)
     gratings = {cfg.grating1, cfg.grating2, cfg.grating3}
     for v, _ in velocity_weights(cfg.beam, 12):
         for g in gratings:
@@ -637,7 +632,7 @@ def test_mask_cosine_sum_checks_the_amplitude(monkeypatch, fresh_memos):
 
 
 def test_detector_signal_rejects_non_finite_speed():
-    cfg, _ = _oracle_case("kdtli")
+    cfg = _oracle_case("kdtli")
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="v_z must be positive"):
             detector_signal(cfg, bad)
