@@ -12,8 +12,7 @@ from .species import LIBRARY, Species, get_species, gold_cluster
 from .gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
 from .engine import (InterferometerConfig, detector_signal,
                      sinusoidal_visibility, talbot_lau_coefficient,
-                     talbot_pattern, time_domain_visibility,
-                     velocity_averaged_pattern)
+                     talbot_pattern, time_domain_visibility)
 from .classical import classical_visibility_quadrature
 from .decoherence import (DecoherenceChannel, GasEnvironment,
                           collisional_channel, collisional_eta, csl_channel,

@@ -73,19 +73,45 @@ def talbot_time(mass, period):
     return mass * period * period / PLANCK_H
 
 
+def _hermite_e(x, n: int):
+    """Orthonormal probabilists' Hermite He_n at ``x``: numpy's
+    ``_normed_hermite_e_n``, operation for operation."""
+    if n == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(2 * np.pi)))
+    c0, c1 = 0.0, 1.0 / np.sqrt(np.sqrt(2 * np.pi))
+    for nd in range(n, 1, -1):
+        c0, c1 = (-c1 * np.sqrt((nd - 1.0) / nd),
+                  c0 + c1 * x * np.sqrt(1.0 / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _unit_rule(shape: str, n_points: int):
     """Read-only nodes and normalised weights of the n-point rule for a shape.
 
     Gauss-Hermite (probabilists') nodes for ``gaussian``, Gauss-Legendre for
     ``top_hat``; built once per (shape, n_points) and shared by every call.
+    The Gaussian rule is numpy's ``hermegauss`` ported step for step, so that
+    it has its bits without importing ``numpy.polynomial``: the eigenvalues
+    of the symmetric companion matrix, one Newton step, symmetrised weights
+    rescaled to sqrt(2 pi). The top-hat rule is numpy's ``leggauss``.
     Raises ``FloatingPointError`` if a node or weight is not finite (the
     Gauss-Hermite weights overflow at some hundreds of nodes).
     """
-    rule = (np.polynomial.hermite_e.hermegauss if shape == "gaussian"
-            else np.polynomial.legendre.leggauss)
     with np.errstate(all="ignore"):
-        nodes, weights = rule(n_points)
+        if shape == "gaussian":
+            n, off = n_points, np.sqrt(np.arange(1, n_points))
+            nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+            nodes -= _hermite_e(nodes, n) / (_hermite_e(nodes, n - 1)
+                                             * np.sqrt(n))
+            fm = _hermite_e(nodes, n - 1)
+            fm /= np.abs(fm).max()
+            weights = 1 / (fm * fm)
+            weights = (weights + weights[::-1]) / 2
+            nodes = (nodes - nodes[::-1]) / 2
+            weights *= np.sqrt(2 * np.pi) / weights.sum()
+        else:
+            nodes, weights = np.polynomial.legendre.leggauss(n_points)
         weights = weights / weights.sum()
     if not np.isfinite((nodes, weights)).all():
         raise FloatingPointError(f"{n_points}-node velocity rule not finite")

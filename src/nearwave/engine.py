@@ -84,7 +84,8 @@ class InterferometerConfig:
     A pure phase grating1 or grating3 raises ``CoherencePreparationError``.
     ``channels`` are the decoherence channels that act between the
     gratings: each multiplies the central-grating coefficient by its
-    reduction factor (``channel_factor``).
+    reduction factor (``channel_factor``). Any sequence of channels is
+    stored as a tuple, so that the config stays hashable.
     """
 
     grating1: GratingSpec
@@ -98,6 +99,7 @@ class InterferometerConfig:
     channels: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(self.channels))
         if self.mode not in ("spatial", "time_domain"):
             raise ValueError(f"unknown mode {self.mode!r}")
         require_finite(separation_L=self.separation_L,
@@ -225,7 +227,7 @@ def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:
     beyond), one row per speed: the DFT sum_k C[k, j] t_k as two real
     matrix products (a complex one would copy C to complex per call),
     through one buffer the size of ``phase``."""
-    weights = _cosine_weights(n, j_max)[:phase.shape[-1]]
+    weights = _cosine_weights(n, j_max, phase.shape[-1])
     part = np.cos(phase)
     part *= amp
     real = part @ weights
@@ -235,13 +237,14 @@ def _even_table(amp, phase, n: int, j_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _cosine_weights(n: int, j_max: int) -> np.ndarray:
-    """C[k, j] = w_k cos(2 pi j k / N) / N, k = 0 .. N/2, j = 0 .. j_max,
-    w_k = 1 at k = 0 and N/2 (their own mirror images), 2 elsewhere; once
-    per (N, j_max), read-only. j k reduced modulo N picks each cosine from
-    the N values cos(2 pi m / N), so only N cosines are evaluated."""
+def _cosine_weights(n: int, j_max: int, rows: int) -> np.ndarray:
+    """C[k, j] = w_k cos(2 pi j k / N) / N, k = 0 .. rows - 1 <= N/2,
+    j = 0 .. j_max, w_k = 1 at k = 0 and N/2 (their own mirror images), 2
+    elsewhere; once per (N, j_max, rows), read-only: a mask reads only its
+    open cells. j k reduced modulo N picks each cosine from the N values
+    cos(2 pi m / N), so only N cosines are evaluated."""
     _check_orders(j_max, n)
-    k = np.arange(n // 2 + 1)
+    k = np.arange(rows)
     index = np.outer(k, np.arange(j_max + 1))
     index %= n
     ring = np.arange(n, dtype=float)
@@ -428,17 +431,6 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     return signals if block else signals[0]
 
 
-def velocity_averaged_pattern(cfg: InterferometerConfig,
-                              n_velocities: int = 16,
-                              m_max: int = DEFAULT_M_MAX):
-    """(density CoefficientTable over x in periods, visibility) after
-    velocity averaging."""
-    signal = velocity_averaged_signal(cfg, n_velocities, m_max)
-    pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
-                                               signal]))
-    return pattern, sinusoidal_visibility(signal)
-
-
 def time_domain_visibility(cfg: InterferometerConfig, T):
     """Visibility of a pulsed (time-domain) configuration at delay T; an
     array of delays gives an array of visibilities. Each delay is one
@@ -463,8 +455,7 @@ __all__ = [
     "InterferometerConfig", "GratingSpec", "grating_coefficients",
     "talbot_lau_coefficient", "talbot_pattern",
     "detector_signal", "sinusoidal_visibility",
-    "velocity_averaged_signal", "velocity_averaged_pattern",
-    "time_domain_visibility",
+    "velocity_averaged_signal", "time_domain_visibility",
     "CoherencePreparationError", "TruncationWarning", "NonSinusoidalWarning",
     "DEFAULT_M_MAX",
 ]

@@ -15,6 +15,9 @@ them.
   ``nearwave.gratings`` builders. Their FFT is the oracle of the engine's
   cosine-sum and closed-form tables (``test_engine.py``) and of the
   twin's speed-free windows.
+- ``velocity_averaged_pattern`` turns the engine's averaged signal into a
+  density table over x, the form the Fresnel propagator is compared in
+  (acceptance 03).
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import numpy as np
 
 from nearwave.classical import (_kick_shape, _kick_strength, _mask_window,
                                 _survival_probability)
-from nearwave.engine import GratingSpec, InterferometerConfig
-from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
-                               MaterialGrating, TransmissionProfile,
+from nearwave.engine import (DEFAULT_M_MAX, GratingSpec, InterferometerConfig,
+                             sinusoidal_visibility, velocity_averaged_signal)
+from nearwave.gratings import (CoefficientTable, IonizingGrating,
+                               LaserPhaseGrating, MaterialGrating,
+                               TransmissionProfile,
                                ionizing_transmission,
                                laser_phase_transmission,
                                material_transmission)
@@ -328,3 +333,17 @@ def grating_transmission(g: GratingSpec, s: Species, v_z):
     if isinstance(g, IonizingGrating):
         return ionizing_transmission(g)
     raise TypeError(f"unsupported grating type {type(g).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the averaged fringe pattern as a density table
+
+def velocity_averaged_pattern(cfg: InterferometerConfig,
+                              n_velocities: int = 16,
+                              m_max: int = DEFAULT_M_MAX):
+    """(density CoefficientTable over x in periods, visibility) after
+    velocity averaging."""
+    signal = velocity_averaged_signal(cfg, n_velocities, m_max)
+    pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
+                                               signal]))
+    return pattern, sinusoidal_visibility(signal)

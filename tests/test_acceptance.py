@@ -23,7 +23,6 @@ from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel,
                                   thermal_emission_channel)
 from nearwave.engine import (InterferometerConfig, detector_signal,
-                             velocity_averaged_pattern,
                              velocity_averaged_signal,
                              time_domain_visibility)
 from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
@@ -35,7 +34,8 @@ from nearwave.engine import talbot_lau_coefficient
 from nearwave.metrology import total_polarizability
 from nearwave.scenario import load_scenario
 from nearwave.species import get_species
-from oracles import RayEnsemble, classical_visibility, incoherent_source_pattern
+from oracles import (RayEnsemble, classical_visibility,
+                     incoherent_source_pattern, velocity_averaged_pattern)
 
 C70 = get_species("C70")
 PFNS8 = get_species("PFNS8")

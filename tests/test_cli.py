@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import nearwave
-from nearwave import cli, engine
+from nearwave import cli, core, engine
 from nearwave.cli import main
 from nearwave.engine import TruncationWarning
 from nearwave.scenario import SCHEMA, SWEEPABLE, apply_sweep_value
@@ -326,7 +326,9 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     # mask without a phase (a single row) included, and evaluates B_m once
     # for grating2 and once for the outer masks; the classical twin sums
     # one window for its outer masks. A second block builds the same again:
-    # only the cosine weights are kept, one set per order count
+    # only the cosine weights are kept, one set per order count and number
+    # of open cells read (the ideal mask opens to the walls and reads 974,
+    # the vdW and Casimir-Polder masks 970)
     assert set(fresh_memos) == {"engine._open_amplitude",
                                 "engine._cosine_weights",
                                 "classical._central_grid", "core._unit_rule"}
@@ -343,10 +345,10 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
                  "engine.talbot_lau_coefficient": 6,
                  "classical._even_table": 1, **dict.fromkeys(FFT_SITES, 0)}
     assert calls == per_block
-    assert weights.cache_info().misses == 2
+    assert weights.cache_info().misses == 3
     assert cli._block(12, cli.INTERACTIONS, settings) == records
     assert calls == {site: 2 * n for site, n in per_block.items()}
-    assert weights.cache_info().misses == 2
+    assert weights.cache_info().misses == 3
 
 
 def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
@@ -544,16 +546,18 @@ def test_overflowing_velocity_rule_exits_4(runner):
 @pytest.mark.parametrize("count", ["1001", "0"])
 def test_velocities_out_of_range_exit_2(runner, monkeypatch, command, path,
                                         count):
-    # a top-hat rule would build a count x count matrix before any check:
-    # the option is refused before a rule is built
-    built = []
-    for module, name in ((np.polynomial.hermite_e, "hermegauss"),
-                         (np.polynomial.legendre, "leggauss")):
-        monkeypatch.setattr(module, name, lambda n: built.append(n))
+    # a rule would build a count x count companion matrix before any
+    # check: the option is refused before a rule is built
+    built, rule = [], core._unit_rule
+    monkeypatch.setattr(core, "_unit_rule",
+                        lambda shape, n: built.append(n) or rule(shape, n))
     result = runner.invoke(main, [command, path, "--velocities", count])
     assert result.exit_code == 2
     assert "Invalid value for '--velocities'" in result.output
     assert built == []
+    # the patched name is the one the velocity average builds its rule by
+    core.velocity_weights(core.BeamState(100.0, 0.1), 2)
+    assert built == [2]
 
 
 # small grids per command, so that every command runs in well under a second
@@ -999,6 +1003,24 @@ def test_decoherence_reductions_leave_scipy_unloaded(tmp_path):
         f"             ['csl-map', {OTIMA!r}]):",
         f"    cli.main(args + ['--out', {os.devnull!r}], standalone_mode=False)"])
     assert _loaded_in_fresh_interpreter(code, ("scipy",)) == "[]"
+
+
+def test_gaussian_rules_leave_numpy_polynomial_unloaded(tmp_path):
+    # numpy.polynomial loads six polynomial families (~3.5 ms) for one
+    # Gauss rule: a decohere and a Gaussian velocity-sweep build their
+    # rules without it in a fresh interpreter
+    gas = tmp_path / "decohere.cfg"
+    gas.write_text(DECOHERE.replace("beam.velocity = 100 m/s\n",
+                                    "beam.velocity = 100 m/s\n"
+                                    "beam.spread = 0.2\n"))
+    code = "\n".join([
+        "from nearwave import cli",
+        "from nearwave.core import _unit_rule",
+        f"for args in (['decohere', {str(gas)!r}],",
+        f"             ['velocity-sweep', {TLI!r}, '--velocities', '2']):",
+        f"    cli.main(args + ['--out', {os.devnull!r}], standalone_mode=False)",
+        "assert _unit_rule.cache_info().currsize == 2"])
+    assert _loaded_in_fresh_interpreter(code, ("numpy.polynomial",)) == "[]"
 
 
 def test_sweep_points_leave_numpy_ma_unloaded():

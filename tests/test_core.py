@@ -124,6 +124,25 @@ def test_velocity_weights_cached_nodes(shape):
     assert velocity_weights(beam, 12) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 40, 100, 400])
+def test_gaussian_rule_has_the_bits_of_numpy_polynomial(n):
+    # the Gaussian rule is built without numpy.polynomial, and numpy's rule
+    # is its oracle: the same nodes and normalised weights bit for bit,
+    # signed zeros included; the 400-node weights overflow in both
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite_e.hermegauss(n)
+        weights = weights / weights.sum()
+    if not np.isfinite((nodes, weights)).all():
+        assert n == 400
+        with pytest.raises(FloatingPointError, match="400-node"):
+            _unit_rule("gaussian", n)
+        return
+    ported = _unit_rule("gaussian", n)
+    for got, want in zip(ported, (nodes, weights)):
+        assert got.dtype == want.dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
 def test_bessel_j_matches_scipy(n):
     # absolute error: a relative one means nothing near the zeros

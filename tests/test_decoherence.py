@@ -220,6 +220,20 @@ def test_channels_compose_multiplicatively():
         assert both[m] == pytest.approx(expected, rel=1e-9)
 
 
+def test_channels_of_any_sequence_are_a_tuple():
+    # a list or a generator of channels is stored as a tuple: the config
+    # stays hashable and equals the one built from the tuple
+    cfg = vdw_config()
+    channel = csl_channel(1e-10, 1e-7, C70.mass)
+    as_tuple = replace(cfg, channels=(channel,))
+    for spelled in ([channel], (c for c in [channel])):
+        decohered = replace(cfg, channels=spelled)
+        assert decohered.channels == (channel,)
+        assert decohered == as_tuple
+        assert hash(decohered) == hash(as_tuple)
+    assert replace(cfg, channels=[]).channels == ()
+
+
 def test_thermal_emission_eta():
     channel = thermal_emission_channel([(5e-6, 100.0)])
     assert channel.rate == 100.0

@@ -18,7 +18,6 @@ from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              sinusoidal_visibility, talbot_lau_coefficient,
                              talbot_pattern,
                              time_domain_visibility,
-                             velocity_averaged_pattern,
                              velocity_averaged_signal)
 from nearwave.core import talbot_time
 from nearwave.constants import AMU
@@ -34,7 +33,7 @@ from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
 from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.metrology import DeflectionField
 from nearwave.species import get_species, gold_cluster
-from oracles import grating_transmission
+from oracles import grating_transmission, velocity_averaged_pattern
 
 C70 = get_species("C70")
 
@@ -594,8 +593,9 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
         amp = material_amplitude(g)
         assert amp[0] == 1.0
         assert (amp[DEFAULT_GRID_SIZE // 2] > 0.0) == (g.open_fraction_f > 0.99)
-    assert not engine._cosine_weights(DEFAULT_GRID_SIZE,
-                                      DEFAULT_J_MAX).flags.writeable
+    assert not engine._cosine_weights(
+        DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
+        DEFAULT_GRID_SIZE // 2 + 1).flags.writeable
     speeds = np.linspace(40.0, 400.0, 12)
     for v_z in (100.0, np.array([100.0]), speeds, speeds[:, None]):
         table = grating_coefficients(g, species, v_z).values
