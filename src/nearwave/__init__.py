@@ -6,8 +6,7 @@ interferometers (material masks, optical phase gratings and pulsed
 ionizing gratings).
 """
 
-from .core import (BeamState, de_broglie_wavelength, talbot_length,
-                   talbot_time, velocity_weights)
+from .core import BeamState, talbot_time, velocity_weights
 from .species import LIBRARY, Species, get_species, gold_cluster
 from .gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
 from .engine import (InterferometerConfig, detector_signal,
@@ -15,11 +14,8 @@ from .engine import (InterferometerConfig, detector_signal,
                      talbot_pattern, time_domain_visibility)
 from .classical import classical_visibility_quadrature
 from .decoherence import (DecoherenceChannel, GasEnvironment,
-                          collisional_channel, collisional_eta, csl_channel,
-                          thermal_emission_channel)
-from .metrology import (DeflectionField, ShiftDistribution,
-                        shift_dephasing_factor, stark_fringe_shift,
-                        total_polarizability)
+                          collisional_channel, collisional_eta, csl_channel)
+from .metrology import DeflectionField, stark_fringe_shift
 from .csl import critical_mass, exclusion_map
 from .scenario import Scenario, ScenarioError, load_scenario, parse_quantity
 

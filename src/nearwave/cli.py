@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -164,7 +165,6 @@ INTERACTIONS = (("quantum_vdw_visibility", "vdw_r3"),
                 ("quantum_ideal_visibility", "none"))
 
 
-
 def _block(n_velocities: int, columns, cfgs) -> list[dict]:
     """Visibility columns of a block of configs, one record per config.
 
@@ -250,13 +250,22 @@ def with_common(func):
     return func
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, ``warning: <Category>: <message>``,
+    without the package's path and line, which differ between installs."""
+    click.echo(f"warning: {category.__name__}: {message}", err=True)
+
+
 class Commands(click.Group):
     """The command group, and every command's one failure boundary: each
-    failure family ends as its message prefix and exit code."""
+    failure family ends as its message prefix and exit code, and each
+    warning that the filters let through as one ``_show_warning`` line."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                return super().invoke(ctx)
         except FloatingPointError as exc:
             prefix, code, problems = "numerical error", EXIT_NUMERICAL, [exc]
         except ValueError as exc:

@@ -1,7 +1,7 @@
 """Elementary matter-wave scales, beam velocity averaging, Bessel J_n.
 
-All quantities are SI. The formulas are the textbook near-field optics
-scales: de Broglie wavelength and Talbot length/time.
+All quantities are SI. The Talbot time m d^2/h is the near-field scale
+that every flight time is measured in.
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ class BeamState:
             raise ValueError("relative_spread must lie in [0, 1)")
         if self.distribution_shape not in ("gaussian", "top_hat"):
             raise ValueError(f"unknown distribution shape {self.distribution_shape!r}")
-
-
-def de_broglie_wavelength(mass, velocity):
-    """Matter wavelength h/(m v) of a particle of mass ``mass`` at speed ``velocity``."""
-    if mass <= 0.0 or velocity <= 0.0:
-        raise ValueError("mass and velocity must be positive")
-    return PLANCK_H / (mass * velocity)
-
-
-def talbot_length(period, wavelength):
-    """Self-imaging distance d^2/lambda behind a grating of period ``period``."""
-    if period <= 0.0 or wavelength <= 0.0:
-        raise ValueError("period and wavelength must be positive")
-    return period * period / wavelength
 
 
 def talbot_time(mass, period):
@@ -198,8 +184,7 @@ def bessel_j(n, x):
 
 
 __all__ = [
-    "BeamState", "de_broglie_wavelength", "talbot_length", "talbot_time",
-    "velocity_weights",
+    "BeamState", "talbot_time", "velocity_weights",
     "MIN_VELOCITY_FRACTION", "require_finite", "bessel_j",
     "bessel_node_count",
 ]

@@ -2,9 +2,9 @@
 
 A channel is an event rate R plus a decoherence function eta(x) with
 |eta| <= 1 and eta(0) = 1. Every shipped eta is real and even in x: the
-collisional, emission and localization couplings are isotropic. Between
-the outer gratings the path separation probed by the environment grows
-linearly from zero to its maximum at the central grating; with t the time
+collisional and localization couplings are isotropic. Between the outer
+gratings the path separation probed by the environment grows linearly
+from zero to its maximum at the central grating; with t the time
 relative to the central grating, t_f the flight time between gratings
 (L / v_z, or the pulse delay T) and T_T the Talbot time, the order-m
 fringe coefficient is multiplied by
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
-from .core import _unit_rule, require_finite, talbot_time
+from .core import require_finite, talbot_time
 
 
 @dataclass(frozen=True)
@@ -99,48 +99,6 @@ class GaussianEta:
             term *= -z2 / k
             total += term / (2 * k + 1)
         return total
-
-
-@dataclass(frozen=True)
-class SincEta:
-    """eta(x) = sum_i w_i sin(k_i x) / (k_i x), emission of photons of
-    wavenumbers k_i in the proportions w_i. Its loss sum_i w_i (1 - Si(z_i)
-    / z_i), z_i = k_i x_max, takes the power series below z = 1, 40-node
-    Gauss-Legendre for Si(z) / z = int_0^1 sin(z u) / (z u) du up to 32,
-    and the auxiliary-function asymptotics above (Abramowitz and Stegun
-    5.2.14, 5.2.34-35): about 1e-15 relative, without scipy."""
-
-    wavenumbers: tuple
-    weights: tuple
-
-    def __call__(self, x: float) -> float:
-        z = np.multiply(self.wavenumbers, abs(x))
-        return float(np.dot(self.weights, np.sinc(z / np.pi)))
-
-    def loss(self, x_max: float) -> float:
-        z = np.multiply(self.wavenumbers, x_max)
-        loss = np.empty_like(z)
-        small, mid, large = z < 1.0, (z >= 1.0) & (z <= 32.0), z > 32.0
-        # sum_{n>=1} (-1)^(n+1) z^2n / ((2n+1) (2n+1)!)
-        s = z[small] ** 2
-        term, total = np.ones_like(s), np.zeros_like(s)
-        for n in range(1, 11):
-            term *= -s / (2 * n * (2 * n + 1))
-            total -= term / (2 * n + 1)
-        loss[small] = total
-        nodes, weights = _unit_rule("top_hat", 40)   # normalised, [-1, 1]
-        zu = np.outer(z[mid], 0.5 * (nodes + 1.0))
-        loss[mid] = 1.0 - (np.sin(zu) / zu) @ weights
-        y = z[large]
-        r = (1.0 / y) ** 2
-        f = g = term_f = term_g = np.ones_like(y)
-        for n in range(1, 15):
-            term_f = term_f * (-(2 * n - 1) * 2 * n * r)
-            term_g = term_g * (-2 * n * (2 * n + 1) * r)
-            f, g = f + term_f, g + term_g
-        si = 0.5 * math.pi - f / y * np.cos(y) - g * r * np.sin(y)
-        loss[large] = 1.0 - si / y
-        return float(np.dot(self.weights, loss))
 
 
 @dataclass(frozen=True)
@@ -249,30 +207,6 @@ def collisional_channel(env: GasEnvironment) -> DecoherenceChannel:
 
 
 # ---------------------------------------------------------------------------
-# thermal emission channel
-
-def thermal_emission_channel(spectrum) -> DecoherenceChannel:
-    """Channel for isotropic single-photon emission events.
-
-    ``spectrum`` is a sequence of (wavelength_m, rate_hz) pairs. Each
-    emitted photon of wavelength lambda reduces coherence over separation x
-    by sinc(2 pi x / lambda); eta is the ``SincEta`` of the spectrum.
-    """
-    spectrum = [(float(lam), float(r)) for lam, r in spectrum]
-    if not spectrum:
-        raise ValueError("emission spectrum is empty")
-    for lam, r in spectrum:
-        require_finite(wavelength=lam, rate=r)
-        if lam <= 0.0 or r < 0.0:
-            raise ValueError("wavelengths must be positive and rates nonnegative")
-    total = sum(r for _, r in spectrum)
-    eta = SincEta(wavenumbers=tuple(2.0 * math.pi / lam for lam, _ in spectrum),
-                  weights=tuple(r / total if total > 0.0 else r
-                                for _, r in spectrum))
-    return DecoherenceChannel(rate=total, eta=eta)
-
-
-# ---------------------------------------------------------------------------
 # spontaneous localization channel
 
 def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
@@ -292,7 +226,7 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
 
 __all__ = [
     "DecoherenceChannel", "GasEnvironment", "decoherence_factor",
-    "channel_factor", "TabulatedEta", "GaussianEta", "SincEta",
-    "collisional_eta", "mean_gas_speed", "collisional_rate",
-    "collisional_channel", "thermal_emission_channel", "csl_channel",
+    "channel_factor", "TabulatedEta", "GaussianEta", "collisional_eta",
+    "mean_gas_speed", "collisional_rate", "collisional_channel",
+    "csl_channel",
 ]

@@ -297,8 +297,7 @@ def _check_truncation(b: CoefficientTable):
     edge = max(abs(b.get(b.j_max)), abs(b.get(-b.j_max)))
     if edge ** 2 > TRUNCATION_WARN_LEVEL:
         warnings.warn("coefficient table truncated before decay: "
-                      f"|b_jmax|^2 = {edge ** 2:.2e}", TruncationWarning,
-                      stacklevel=3)
+                      f"|b_jmax|^2 = {edge ** 2:.2e}", TruncationWarning)
 
 
 def talbot_pattern(b: CoefficientTable, L_over_LT: float,
@@ -369,9 +368,10 @@ def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
     averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
     for p, (cfg, (speeds, weights), rows) in enumerate(
             zip(cfgs, rules, np.split(signal, ends[:-1]))):
+        # decoherence_factor is exactly 1 at order 0
         for channel in cfg.channels:
-            rows *= [[channel_factor(channel, cfg, 2 * k, v) for k in m]
-                     for v in speeds]
+            rows[:, 1:] *= [[channel_factor(channel, cfg, 2 * k, v)
+                             for k in m[1:]] for v in speeds]
         averaged[p] = weights @ rows
     return averaged
 
@@ -410,7 +410,7 @@ def sinusoidal_visibility(signal: np.ndarray) -> float | np.ndarray:
     value = 2.0 * np.hypot(ratio.real, ratio.imag)
     if np.any(value > 1.0):
         warnings.warn(f"visibility {np.max(value):.3f} > 1: non-sinusoidal "
-                      "regime", NonSinusoidalWarning, stacklevel=2)
+                      "regime", NonSinusoidalWarning)
     return value[()]
 
 

@@ -253,14 +253,6 @@ def _parse_pairs(pairs: Dict[str, str]):
     return parsed, sorted(problems)
 
 
-def validate_pairs(pairs: Dict[str, str]):
-    """Schema-check raw pairs; returns {key: parsed value} or raises."""
-    parsed, problems = _parse_pairs(pairs)
-    if problems:
-        raise ScenarioError(problems)
-    return parsed
-
-
 def _build_grating(n: int, parsed, failed, problems: List[str]):
     """Grating ``n``, or None when it has no type or one of its keys
     already failed with its own message."""
@@ -411,6 +403,6 @@ def apply_sweep_value(scenario: Scenario, value: float) -> InterferometerConfig:
 
 __all__ = [
     "Scenario", "SweepSpec", "ScenarioError", "load_scenario",
-    "apply_sweep_value", "parse_quantity", "validate_pairs", "UNITS",
+    "apply_sweep_value", "parse_quantity", "UNITS",
     "SCHEMA", "SWEEPABLE", "KEY_GROUPS",
 ]

@@ -18,18 +18,31 @@ them.
 - ``velocity_averaged_pattern`` turns the engine's averaged signal into a
   density table over x, the form the Fresnel propagator is compared in
   (acceptance 03).
+- ``de_broglie_wavelength`` and ``talbot_length`` are the spatial
+  near-field scales; the package reads only the Talbot time.
+- ``thermal_emission_channel`` (eta ``SincEta``) is the thermal-emission
+  decoherence channel, checked against the sine-integral closed form
+  (acceptance 06).
+- ``total_polarizability`` adds the thermal dipole term to the static
+  polarizability (acceptance 09), and ``shift_dephasing_factor`` gives the
+  contrast a distribution of fringe shifts (``ShiftDistribution``) keeps.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from nearwave.classical import (_kick_shape, _kick_strength, _mask_window,
                                 _survival_probability)
+from nearwave.constants import BOLTZMANN_KB, PLANCK_H
+from nearwave.core import _unit_rule, require_finite
+from nearwave.decoherence import DecoherenceChannel
 from nearwave.engine import (DEFAULT_M_MAX, GratingSpec, InterferometerConfig,
                              sinusoidal_visibility, velocity_averaged_signal)
 from nearwave.gratings import (CoefficientTable, IonizingGrating,
@@ -347,3 +360,136 @@ def velocity_averaged_pattern(cfg: InterferometerConfig,
     pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
                                                signal]))
     return pattern, sinusoidal_visibility(signal)
+
+
+# ---------------------------------------------------------------------------
+# spatial near-field scales
+
+def de_broglie_wavelength(mass, velocity):
+    """Matter wavelength h/(m v) of a particle of mass ``mass`` at speed ``velocity``."""
+    if mass <= 0.0 or velocity <= 0.0:
+        raise ValueError("mass and velocity must be positive")
+    return PLANCK_H / (mass * velocity)
+
+
+def talbot_length(period, wavelength):
+    """Self-imaging distance d^2/lambda behind a grating of period ``period``."""
+    if period <= 0.0 or wavelength <= 0.0:
+        raise ValueError("period and wavelength must be positive")
+    return period * period / wavelength
+
+
+# ---------------------------------------------------------------------------
+# thermal emission channel
+
+@dataclass(frozen=True)
+class SincEta:
+    """eta(x) = sum_i w_i sin(k_i x) / (k_i x), emission of photons of
+    wavenumbers k_i in the proportions w_i. Its loss sum_i w_i (1 - Si(z_i)
+    / z_i), z_i = k_i x_max, takes the power series below z = 1, 40-node
+    Gauss-Legendre for Si(z) / z = int_0^1 sin(z u) / (z u) du up to 32,
+    and the auxiliary-function asymptotics above (Abramowitz and Stegun
+    5.2.14, 5.2.34-35): about 1e-15 relative, without scipy."""
+
+    wavenumbers: tuple
+    weights: tuple
+
+    def __call__(self, x: float) -> float:
+        z = np.multiply(self.wavenumbers, abs(x))
+        return float(np.dot(self.weights, np.sinc(z / np.pi)))
+
+    def loss(self, x_max: float) -> float:
+        z = np.multiply(self.wavenumbers, x_max)
+        loss = np.empty_like(z)
+        small, mid, large = z < 1.0, (z >= 1.0) & (z <= 32.0), z > 32.0
+        # sum_{n>=1} (-1)^(n+1) z^2n / ((2n+1) (2n+1)!)
+        s = z[small] ** 2
+        term, total = np.ones_like(s), np.zeros_like(s)
+        for n in range(1, 11):
+            term *= -s / (2 * n * (2 * n + 1))
+            total -= term / (2 * n + 1)
+        loss[small] = total
+        nodes, weights = _unit_rule("top_hat", 40)   # normalised, [-1, 1]
+        zu = np.outer(z[mid], 0.5 * (nodes + 1.0))
+        loss[mid] = 1.0 - (np.sin(zu) / zu) @ weights
+        y = z[large]
+        r = (1.0 / y) ** 2
+        f = g = term_f = term_g = np.ones_like(y)
+        for n in range(1, 15):
+            term_f = term_f * (-(2 * n - 1) * 2 * n * r)
+            term_g = term_g * (-2 * n * (2 * n + 1) * r)
+            f, g = f + term_f, g + term_g
+        si = 0.5 * math.pi - f / y * np.cos(y) - g * r * np.sin(y)
+        loss[large] = 1.0 - si / y
+        return float(np.dot(self.weights, loss))
+
+
+def thermal_emission_channel(spectrum) -> DecoherenceChannel:
+    """Channel for isotropic single-photon emission events.
+
+    ``spectrum`` is a sequence of (wavelength_m, rate_hz) pairs. Each
+    emitted photon of wavelength lambda reduces coherence over separation x
+    by sinc(2 pi x / lambda); eta is the ``SincEta`` of the spectrum.
+    """
+    spectrum = [(float(lam), float(r)) for lam, r in spectrum]
+    if not spectrum:
+        raise ValueError("emission spectrum is empty")
+    for lam, r in spectrum:
+        require_finite(wavelength=lam, rate=r)
+        if lam <= 0.0 or r < 0.0:
+            raise ValueError("wavelengths must be positive and rates nonnegative")
+    total = sum(r for _, r in spectrum)
+    eta = SincEta(wavenumbers=tuple(2.0 * math.pi / lam for lam, _ in spectrum),
+                  weights=tuple(r / total if total > 0.0 else r
+                                for _, r in spectrum))
+    return DecoherenceChannel(rate=total, eta=eta)
+
+
+# ---------------------------------------------------------------------------
+# polarizability and fringe-shift distributions
+
+def total_polarizability(alpha_stat: float, dipole_rms: float,
+                         temperature: float) -> float:
+    """Static polarizability plus the thermal nuclear term <d^2>/(3 kB T)."""
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    return alpha_stat + dipole_rms ** 2 / (3.0 * BOLTZMANN_KB * temperature)
+
+
+@dataclass(frozen=True)
+class ShiftDistribution:
+    """Distribution of fringe shifts blurring the interferogram.
+
+    ``model`` is one of ``delta`` (pure shift), ``gaussian`` (mean, sigma)
+    or ``empirical`` (explicit sample list in meters).
+    """
+
+    model: str = "delta"
+    mean: float = 0.0
+    sigma: float = 0.0
+    samples: Sequence[float] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if self.model not in ("delta", "gaussian", "empirical"):
+            raise ValueError(f"unknown shift model {self.model!r}")
+        if self.sigma < 0.0:
+            raise ValueError("sigma must be nonnegative")
+
+
+def shift_dephasing_factor(dist: ShiftDistribution, period_d: float) -> complex:
+    """Characteristic function of the shift distribution at frequency 2 pi / d.
+
+    Multiplies the first-order signal component; its magnitude is the
+    contrast retained under the phase averaging.
+    """
+    if period_d <= 0.0:
+        raise ValueError("period_d must be positive")
+    k = 2.0 * math.pi / period_d
+    if dist.model == "delta":
+        return cmath.exp(1j * k * dist.mean)
+    if dist.model == "gaussian":
+        return cmath.exp(1j * k * dist.mean) * math.exp(-0.5 * (k * dist.sigma) ** 2)
+    if not dist.samples:
+        raise ValueError("empirical shift distribution has no samples")
+    phases = np.exp(1j * k * np.asarray(dist.samples, dtype=float))
+    return complex(phases.mean())

@@ -16,12 +16,10 @@ from scipy.special import sici
 
 from nearwave.classical import classical_visibility_quadrature
 from nearwave.constants import AMU, BOLTZMANN_KB, VACUUM_PERMITTIVITY_EPS0
-from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
-                           talbot_time)
+from nearwave.core import BeamState, talbot_time
 from nearwave.csl import critical_mass
 from nearwave.decoherence import (GasEnvironment, channel_factor,
-                                  collisional_channel,
-                                  thermal_emission_channel)
+                                  collisional_channel)
 from nearwave.engine import (InterferometerConfig, detector_signal,
                              velocity_averaged_signal,
                              time_domain_visibility)
@@ -31,11 +29,12 @@ from nearwave.gratings import (IonizingGrating, LaserPhaseGrating,
                                ionizing_transmission, laser_phase_transmission,
                                transmission_probability_coefficients)
 from nearwave.engine import talbot_lau_coefficient
-from nearwave.metrology import total_polarizability
 from nearwave.scenario import load_scenario
 from nearwave.species import get_species
 from oracles import (RayEnsemble, classical_visibility,
-                     incoherent_source_pattern, velocity_averaged_pattern)
+                     de_broglie_wavelength, incoherent_source_pattern,
+                     talbot_length, thermal_emission_channel,
+                     total_polarizability, velocity_averaged_pattern)
 
 C70 = get_species("C70")
 PFNS8 = get_species("PFNS8")

@@ -17,7 +17,6 @@ from click.testing import CliRunner
 import nearwave
 from nearwave import cli, core, engine
 from nearwave.cli import main
-from nearwave.engine import TruncationWarning
 from nearwave.scenario import SCHEMA, SWEEPABLE, apply_sweep_value
 
 
@@ -426,13 +425,16 @@ def test_block_rows_equal_one_point_blocks(path, columns, first):
         assert block[1]["quantum_visibility"] > 0.0
 
 
+@pytest.mark.filterwarnings("default::nearwave.engine.TruncationWarning")
 def test_carpet_matrix_shape(runner):
-    # the C70 mask's 64-order table is cut before it decays
-    with pytest.warns(TruncationWarning):
-        result = invoke(runner, "carpet", TLI, "--z-points", "5",
-                        "--x-points", "16", "--format", "json")
+    # the C70 mask's 64-order table is cut before it decays: one warning
+    # line, which names no path
+    result = invoke(runner, "carpet", TLI, "--z-points", "5",
+                    "--x-points", "16", "--format", "json")
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    assert result.stderr == ("warning: TruncationWarning: coefficient table "
+                             "truncated before decay: |b_jmax|^2 = 1.07e-04\n")
+    payload = json.loads(result.stdout)
     assert len(payload["rows"]) == 5
     assert len(payload["rows"][0]["values"]) == 16
     assert payload["rows"][0]["z_over_talbot_length"] == 0.0
@@ -894,20 +896,27 @@ def test_package_imports_no_test_code():
     assert found == []
 
 
-def test_trace_lookup_sites_resolve():
-    # the benchmark's layer trace wraps these module attributes; one that
-    # no longer exists would silently drop out of the trace
-    spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
-        / "spans.py"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _trace_sites():
+    """The "module:attribute" lookup sites that the benchmark's layer trace
+    wraps: ``LAYERS`` and ``COUNTED`` of ``perfbench/spans.py``."""
     tables = {}
-    for node in ast.parse(spans.read_text()).body:
+    for node in ast.parse((REPO / "perfbench" / "spans.py").read_text()).body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0],
                                                        ast.Name):
             name = node.targets[0].id
             if name in ("LAYERS", "COUNTED"):
                 tables[name] = ast.literal_eval(node.value)
     sites = [site for names in tables["LAYERS"].values() for site in names]
-    sites += list(tables["COUNTED"].values())
+    return sites + list(tables["COUNTED"].values())
+
+
+def test_trace_lookup_sites_resolve():
+    # the benchmark's layer trace wraps these module attributes; one that
+    # no longer exists would silently drop out of the trace
+    sites = _trace_sites()
     assert len(sites) > 10
     for site in sites:
         module, attr = site.split(":")
@@ -917,11 +926,13 @@ def test_trace_lookup_sites_resolve():
 
 def _fresh_interpreter(*args, **kwargs):
     """``python *args`` run to completion in a new interpreter that imports
-    nearwave from this tree, with no worker pool; output captured."""
+    nearwave and the oracles from this tree, with no worker pool; output
+    captured."""
     src = str(pathlib.Path(nearwave.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+        p for p in (src, str(pathlib.Path(__file__).parent),
+                    env.get("PYTHONPATH")) if p)
     env.pop("NEARWAVE_WORKERS", None)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, **kwargs)
@@ -935,6 +946,93 @@ def _loaded_in_fresh_interpreter(code, prefixes):
              f"    m == p or m.startswith(p + '.') for p in {prefixes!r})))")
     return _fresh_interpreter("-c", code, text=True,
                               check=True).stdout.strip()
+
+
+# package functions that no command runs and no trace site names, kept on
+# purpose ("module:qualified name": reason)
+UNCALLED_PINS = {
+    "gratings:material_amplitude":
+        "builds the t(x) of the traced material_transmission",
+    "gratings:TransmissionProfile.__post_init__":
+        "checks the profiles that the traced builders return",
+    "gratings:TransmissionProfile.grid_size":
+        "the trace's gratings.fft_points counter reads it",
+    "decoherence:csl_channel":
+        "the channel of the traced csl_reduction_factor, the tests' scalar "
+        "reference of the critical-mass map",
+    "decoherence:GaussianEta.__call__":
+        "the eta whose mean GaussianEta.loss gives in closed form",
+}
+
+
+def _package_defs():
+    """{(path, first line): "module:qualified name"} of every def under
+    src/nearwave. A def's first line, its first decorator's if it has one,
+    is the ``co_firstlineno`` of its code object: it names the def in its
+    file on every supported Python (3.10 has no ``co_qualname``)."""
+    defs = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                defs[(path, first)] = f"{path.stem}:{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    package = pathlib.Path(nearwave.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    return defs
+
+
+def test_every_package_function_runs_in_a_command(tmp_path):
+    # a function stays in src/nearwave only if a command runs it (test
+    # oracles live in tests/oracles.py), a trace site names it or it is
+    # pinned above. A fresh interpreter imports the CLI and runs every
+    # command on small grids on every scenario, and a failing validate,
+    # under a profiler; the import counts, and warnings print as they do
+    # on the command line
+    gas, stark = tmp_path / "gas.cfg", tmp_path / "stark.cfg"
+    gas.write_text(DECOHERE)
+    stark.write_text(DEFLECT)
+    runs = [[command, str(path), *SMALL[command]] for command in SMALL
+            for path in (TLI, KDTLI, OTIMA, gas, stark)]
+    runs.append(["validate", str(REPO / "pyproject.toml")])
+    code = "\n".join([
+        "import json, sys",
+        "called = set()",
+        "def profile(frame, event, arg):",
+        "    if event == 'call':",
+        "        code = frame.f_code",
+        "        called.add((code.co_filename, code.co_firstlineno))",
+        "sys.setprofile(profile)",
+        "from nearwave import cli",
+        f"for args in {runs!r}:",
+        "    try:",
+        f"        cli.main(args + ['--out', {os.devnull!r}],",
+        "                 standalone_mode=False)",
+        "    except SystemExit:",
+        "        pass",
+        "sys.setprofile(None)",
+        "print(json.dumps(sorted(called)))"])
+    run = _fresh_interpreter("-c", code, text=True, check=True)
+    defs = _package_defs()
+    ran = {defs.get((pathlib.Path(file).resolve(), line))
+           for file, line in json.loads(run.stdout)}
+    pinned = set(UNCALLED_PINS)
+    for site in _trace_sites():
+        module, attr = site.split(":")
+        func = getattr(importlib.import_module(f"nearwave.{module}"), attr)
+        pinned.add(f"{func.__module__.split('.')[-1]}:{func.__qualname__}")
+    # every pin names a def that no command runs
+    assert set(UNCALLED_PINS) <= set(defs.values()) - ran
+    uncalled = sorted(set(defs.values()) - ran - pinned)
+    assert not uncalled, f"no command runs {', '.join(uncalled)}"
 
 
 def test_cli_freezes_collector_at_exit():
@@ -994,7 +1092,8 @@ def test_decoherence_reductions_leave_scipy_unloaded(tmp_path):
     path = tmp_path / "decohere.cfg"
     path.write_text(DECOHERE)
     code = "\n".join([
-        "from nearwave import cli, thermal_emission_channel",
+        "from nearwave import cli",
+        "from oracles import thermal_emission_channel",
         "from nearwave.decoherence import decoherence_factor",
         "channel = thermal_emission_channel([(5e-6, 75.0), (10e-6, 25.0)])",
         "decoherence_factor(channel, 2, period_d=991e-9, half_span=2.2e-3,",

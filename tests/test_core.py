@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 from nearwave.constants import AMU, HBAR, PLANCK_H
 from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, _unit_rule,
-                           bessel_j, de_broglie_wavelength, talbot_length,
-                           talbot_time, velocity_weights)
+                           bessel_j, talbot_time, velocity_weights)
+from oracles import de_broglie_wavelength, talbot_length
 
 
 def test_constants_consistency():

@@ -12,18 +12,19 @@ from scipy.special import sici
 
 from nearwave import cli
 from nearwave.constants import AMU, BOLTZMANN_KB, HBAR
-from nearwave.core import (BeamState, de_broglie_wavelength, talbot_length,
-                           talbot_time)
+from nearwave.core import BeamState, talbot_time
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
-                                  GaussianEta, SincEta, TabulatedEta,
+                                  GaussianEta, TabulatedEta,
                                   channel_factor, collisional_channel,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
                                   decoherence_factor,
-                                  mean_gas_speed, thermal_emission_channel)
+                                  mean_gas_speed)
 from nearwave.engine import InterferometerConfig, detector_signal
 from nearwave.gratings import IonizingGrating, MaterialGrating
 from nearwave.species import get_species
+from oracles import (SincEta, de_broglie_wavelength, talbot_length,
+                     thermal_emission_channel)
 
 C70 = get_species("C70")
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
-from nearwave.core import (BeamState, bessel_j, de_broglie_wavelength,
-                           talbot_length, velocity_weights)
+from nearwave.core import BeamState, bessel_j, velocity_weights
 from nearwave.decoherence import (GasEnvironment, channel_factor,
                                   collisional_channel)
 from nearwave import engine
@@ -33,7 +32,8 @@ from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
 from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.metrology import DeflectionField
 from nearwave.species import get_species, gold_cluster
-from oracles import grating_transmission, velocity_averaged_pattern
+from oracles import (de_broglie_wavelength, grating_transmission,
+                     talbot_length, velocity_averaged_pattern)
 
 C70 = get_species("C70")
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from nearwave.core import de_broglie_wavelength, talbot_length
 from nearwave.constants import AMU
 from nearwave.gratings import MaterialGrating, material_transmission
 from nearwave.species import get_species
-from oracles import (UndersamplingError, fresnel_propagate,
-                     incoherent_source_pattern, tile_profile)
+from oracles import (UndersamplingError, de_broglie_wavelength,
+                     fresnel_propagate, incoherent_source_pattern,
+                     talbot_length, tile_profile)
 
 C70 = get_species("C70")
 LAM = de_broglie_wavelength(840.0 * AMU, 100.0)

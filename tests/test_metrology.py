@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nearwave.constants import AMU, BOLTZMANN_KB
-from nearwave.metrology import (DeflectionField, ShiftDistribution,
-                                shift_dephasing_factor, stark_fringe_shift,
-                                total_polarizability)
+from nearwave.metrology import DeflectionField, stark_fringe_shift
 from nearwave.species import get_species
+from oracles import (ShiftDistribution, shift_dephasing_factor,
+                     total_polarizability)
 
 C70 = get_species("C70")
 

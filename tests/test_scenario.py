@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from nearwave.gratings import IonizingGrating, LaserPhaseGrating, MaterialGrating
-from nearwave.scenario import (ScenarioError, apply_sweep_value,
-                               load_scenario, parse_quantity, validate_pairs)
+from nearwave.scenario import (ScenarioError, _parse_pairs,
+                               apply_sweep_value, load_scenario,
+                               parse_quantity)
 
 
 def data_path(name):
     return str(importlib.resources.files("nearwave") / "data" / name)
+
+
+def validate_pairs(pairs):
+    """Schema-check raw pairs; returns {key: parsed value} or raises."""
+    parsed, problems = _parse_pairs(pairs)
+    if problems:
+        raise ScenarioError(problems)
+    return parsed
 
 
 MINIMAL = """\
