@@ -19,7 +19,7 @@ import numpy as np
 from .constants import HBAR
 from .core import bessel_j, velocity_weights
 from .engine import (MEMO_SIZE, InterferometerConfig, _even_table,
-                     _half_amplitude)
+                     _laser_table, _open_amplitude)
 from .gratings import (DEFAULT_GRID_SIZE, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, _wall_coefficient, _wall_distances,
                        laser_phase_amplitude)
@@ -81,18 +81,23 @@ def _kick_strength(g, s: Species, v_z):
 
 def _mask_window(g):
     """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
-    a phase never changes |t|. A material mask or an ionizing grating sums
-    |t|^2 over half a period in the engine's even cosine sum, a laser
-    grating transmits everything, (1, 0), and without a mask (``g`` None)
-    the window is (1, 1).
+    a phase never changes |t|. A material mask sums |t|^2 over half a
+    period in the engine's even cosine sum; an ionizing grating's
+    exp(-n0 cos^2(pi x / d)) is the laser's closed form at the phase i n0
+    (``_laser_table``). A laser grating transmits everything, (1, 0), and
+    without a mask (``g`` None) the window is (1, 1).
     """
     if g is None:
         return 1.0, 1.0 + 0.0j
     if isinstance(g, LaserPhaseGrating):
         return 1.0, 0.0j
-    probability = np.square(_half_amplitude(g))
-    c0, c1 = _even_table(probability, np.zeros_like(probability),
-                         DEFAULT_GRID_SIZE, 1)
+    if isinstance(g, IonizingGrating):
+        c0, c1 = _laser_table(1j * g.mean_absorbed_photons_n0, 1).values[1:]
+    elif isinstance(g, MaterialGrating):
+        t2 = np.square(_open_amplitude(g.period_d, g.open_half_width))
+        c0, c1 = _even_table(t2, np.zeros_like(t2), DEFAULT_GRID_SIZE, 1)
+    else:
+        raise TypeError(f"unsupported grating type {type(g).__name__}")
     return c0.real, c1
 
 

@@ -117,7 +117,7 @@ def _pmap(func, items):
         return [func(item) for item in items]
     # imported here: the pool's modules are loaded only by a run that uses it
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(workers, initializer=_one_line_warnings) as pool:
         return list(pool.map(func, items))
 
 
@@ -256,6 +256,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     click.echo(f"warning: {category.__name__}: {message}", err=True)
 
 
+def _one_line_warnings():
+    """Print this process's warnings as ``_show_warning`` lines."""
+    warnings.showwarning = _show_warning
+
+
 class Commands(click.Group):
     """The command group, and every command's one failure boundary: each
     failure family ends as its message prefix and exit code, and each
@@ -264,7 +269,7 @@ class Commands(click.Group):
     def invoke(self, ctx):
         try:
             with warnings.catch_warnings():
-                warnings.showwarning = _show_warning
+                _one_line_warnings()
                 return super().invoke(ctx)
         except FloatingPointError as exc:
             prefix, code, problems = "numerical error", EXIT_NUMERICAL, [exc]

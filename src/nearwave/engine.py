@@ -14,14 +14,14 @@ One evaluation covers a block of configurations (the points of a sweep)
 and the velocity nodes of each: one row per node of every point. Each
 distinct grating gets one table over all rows, and one coefficient
 evaluation runs over row x order. Every grating family has one table
-path (``grating_coefficients``): a laser's table is the Bessel closed
-form, one ``bessel_j`` call for all rows even where the points differ in
-power; a material mask's or an ionizing grating's is a cosine sum over
-|t| and the phase on half a period. A grating whose phase does not
-depend on the speed (an ionizing grating, a mask without an eikonal
-phase) gives a single row for all nodes. Within one block each distinct
-outer grating's factor conj B_m(0) is evaluated once, so grating3 ==
-grating1 reuses it.
+path (``grating_coefficients``): a laser's or an ionizing grating's
+table is the Bessel closed form at a real or a complex phase, one
+``bessel_j`` call for all rows even where the points differ in power; a
+material mask's is a cosine sum over |t| and the phase on half a period.
+A grating whose phase does not depend on the speed (an ionizing grating,
+a mask without an eikonal phase) gives a single row for all nodes.
+Within one block each distinct outer grating's factor conj B_m(0) is
+evaluated once, so grating3 == grating1 reuses it.
 """
 
 from __future__ import annotations
@@ -140,28 +140,31 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     one row per speed, or a single row if t(x) does not depend on the
     speed, with orders on the last axis.
 
-    A laser's table is the Bessel closed form (``_laser_table``). A
-    material mask or an ionizing grating is even about its slit centre:
-    its table is one cosine sum (``_even_table``) of |t| and the phase at
-    the grid points k = 0 .. N/2 of ``DEFAULT_GRID_SIZE`` = N where it
-    transmits (``_half_amplitude``), for all speeds at once. A mask with
-    an eikonal phase gives one row per speed; a grating whose phase does
-    not depend on the speed gives a single row, as its phase is one.
-    Stacked rows round differently from single speeds, by about 1e-15.
+    A laser's table is the Bessel closed form (``_laser_table``), and an
+    ionizing grating's t = exp(c cos^2(pi x / d)), c = -n0/2 + i phi0, is
+    that form at the phase phi0 + i n0/2: b_j = e^(c/2) I_j(c/2)
+    (Nimmrichter et al., NJP 13, 075002 (2011)). A material mask's is one
+    cosine sum (``_even_table``) of |t| and the phase at the grid points
+    k = 0 .. N/2 of ``DEFAULT_GRID_SIZE`` = N where it transmits
+    (``_open_amplitude``), for all speeds at once. A mask with an eikonal
+    phase gives one row per speed, any other grating a single row. Stacked
+    rows round differently from single speeds, by about 1e-15.
     """
     v_z = np.asarray(v_z, dtype=float)
     if not np.all((v_z > 0.0) & (v_z < np.inf)):
         raise ValueError("v_z must be positive")
     if isinstance(g, LaserPhaseGrating):
         return _laser_table(laser_phase_amplitude(g, s, v_z), j_max)
+    if isinstance(g, IonizingGrating):
+        return _laser_table(g.phase_amplitude_phi0
+                            + 0.5j * g.mean_absorbed_photons_n0, j_max)
+    if not isinstance(g, MaterialGrating):
+        raise TypeError(f"unsupported grating type {type(g).__name__}")
     n = DEFAULT_GRID_SIZE
-    amp = _half_amplitude(g)
-    if isinstance(g, MaterialGrating):
-        # one row per speed, so that each product is a single matrix product
-        phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
-                                    np.arange(amp.size) * g.period_d / n)
-    else:
-        phase = g.phase_amplitude_phi0 * _standing_wave(n)
+    amp = _open_amplitude(g.period_d, g.open_half_width)
+    # one row per speed, so that each product is a single matrix product
+    phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
+                                np.arange(amp.size) * g.period_d / n)
     half = _even_table(amp, phase, n, j_max)
     if phase.ndim > 1:
         half = half.reshape(v_z.shape + (-1,))
@@ -172,35 +175,16 @@ def _laser_table(phi0, j_max: int) -> CoefficientTable:
     """Table of t(x) = exp(i phi0 cos^2(pi x / d)) for each entry of
     ``phi0``, orders on a new last axis, in closed form (Jacobi-Anger):
     b_j = e^(iz) i^|j| J_|j|(z) with z = phi0 / 2, from one ``bessel_j``
-    call (Hornberger et al., NJP 11, 043032 (2009)). A zero phase gives
-    b_j = delta_j0 exactly (``bessel_j`` is exact at 0): a laser without
-    power, or a species without optical polarizability, has no fringe."""
+    call (Hornberger et al., NJP 11, 043032 (2009)). A phase phi0 + i a
+    absorbs, |t| = exp(-a cos^2), and overflows from a = 1,418 on. A zero
+    phase gives b_j = delta_j0 exactly (``bessel_j`` is exact at 0): a
+    laser without power, or a species without polarizability, no fringe."""
     _check_orders(j_max, DEFAULT_GRID_SIZE)
-    z = np.asarray(phi0, dtype=float) / 2.0
+    z = np.asarray(phi0) / 2.0
     j = np.arange(j_max + 1)
     half = (np.exp(1j * z)[..., None] * np.array([1, 1j, -1, -1j])[j % 4]
             * bessel_j(j, z))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
-
-
-def _half_amplitude(g) -> np.ndarray:
-    """|t_k| of a material mask or an ionizing grating at the grid points
-    k = 0 .. K-1 <= N/2 of ``DEFAULT_GRID_SIZE`` = N, zero beyond: a mask's
-    open cells (``_open_amplitude``), an ionizing grating's survival
-    amplitude exp(-n0/2 cos^2(pi k / N)) at all N/2 + 1. Neither the speed
-    nor a phase changes it."""
-    if isinstance(g, MaterialGrating):
-        return _open_amplitude(g.period_d, g.open_half_width)
-    if isinstance(g, IonizingGrating):
-        return np.exp(-(g.mean_absorbed_photons_n0 / 2.0)
-                      * _standing_wave(DEFAULT_GRID_SIZE))
-    raise TypeError(f"unsupported grating type {type(g).__name__}")
-
-
-def _standing_wave(n: int) -> np.ndarray:
-    """cos^2(pi k / N) at k = 0 .. N/2, the profile of a standing light
-    wave with its antinode at the slit centre."""
-    return np.cos(np.pi * np.arange(n // 2 + 1) / n) ** 2
 
 
 @lru_cache(maxsize=MEMO_SIZE)

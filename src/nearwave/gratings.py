@@ -31,6 +31,7 @@ from .species import Species
 DEFAULT_GRID_SIZE = 4096
 DEFAULT_J_MAX = 64
 DEFAULT_WALL_CUTOFF = 1e-9  # molecules closer to a wall are counted as absorbed
+MAX_ABSORBED_PHOTONS_N0 = 1000.0  # the Bessel sums overflow from n0 = 1,418
 
 
 class SlitBlockedError(ValueError):
@@ -120,6 +121,9 @@ class IonizingGrating:
             raise ValueError("period_d must be positive")
         if self.mean_absorbed_photons_n0 < 0.0:
             raise ValueError("mean_absorbed_photons_n0 must be nonnegative")
+        if self.mean_absorbed_photons_n0 > MAX_ABSORBED_PHOTONS_N0:
+            raise ValueError("mean_absorbed_photons_n0 must be at most "
+                             f"{MAX_ABSORBED_PHOTONS_N0:g}")
 
 
 def is_pure_phase(g) -> bool:

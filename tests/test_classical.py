@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearwave.classical import (_central_grid, _kick_shape, _kick_strength,
-                                classical_visibility_quadrature)
+                                _mask_window, classical_visibility_quadrature)
 from nearwave.constants import HBAR
 from nearwave.core import BeamState, velocity_weights
 from nearwave.engine import InterferometerConfig
@@ -391,3 +391,25 @@ def test_speed_free_window_equals_window_at_each_speed(interaction):
         assert table.get(1) == pytest.approx(w1, rel=1e-15, abs=0.0)
         if interaction == "none":
             assert (table.get(0).real, table.get(1)) == (w0, w1)
+
+
+@pytest.mark.parametrize("n0", [1e-3, 0.5, 6.0, 1000.0])
+def test_ionizing_window_is_the_modified_bessel_closed_form(n0):
+    # |t|^2 = exp(-n0 cos^2(pi x / d)) has the coefficients
+    # e^(-n0/2) I_0(n0/2) and -e^(-n0/2) I_1(n0/2), whatever the phase;
+    # finite at the largest n0
+    import mpmath
+    half = mpmath.mpf(n0) / 2
+    for phi0 in (0.0, 40.0):
+        c0, c1 = _mask_window(IonizingGrating(
+            period_d=78.5e-9, mean_absorbed_photons_n0=n0,
+            phase_amplitude_phi0=phi0))
+        assert c0 == pytest.approx(
+            float(mpmath.exp(-half) * mpmath.besseli(0, half)), abs=1e-15)
+        assert c1 == pytest.approx(
+            -float(mpmath.exp(-half) * mpmath.besseli(1, half)), abs=1e-15)
+
+
+def test_window_of_an_unknown_grating_is_a_type_error():
+    with pytest.raises(TypeError, match="unsupported grating type object"):
+        _mask_window(object())

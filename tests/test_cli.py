@@ -643,6 +643,20 @@ def test_empty_or_non_finite_grid_exits_2(runner, args):
     assert "\\" not in result.output
 
 
+@pytest.mark.parametrize("command, n0, args", [
+    ("validate", "1001", []), ("visibility", "1001", []),
+    ("otima-map", "6", ["--n0-max", "1001", "--ratio-points", "2"])])
+def test_more_than_1000_absorbed_photons_exit_2(runner, tmp_path, command,
+                                                n0, args):
+    # past n0 = 1,000 an ionizing grating is refused: its closed-form
+    # tables overflow from 1,418 on, where visibility would write nan
+    path = tmp_path / "otima.cfg"
+    path.write_text(read(OTIMA).replace("n0 = 6\n", f"n0 = {n0}\n"))
+    result = invoke(runner, command, str(path), *args)
+    assert result.exit_code == 2
+    assert "mean_absorbed_photons_n0 must be at most 1000" in result.output
+
+
 @pytest.mark.parametrize("args, option", [
     (["csl-map", OTIMA, "--lambda-points", "-3"], "--lambda-points"),
     (["csl-map", OTIMA, "--rc-points", "1"], "--rc-points"),
@@ -813,7 +827,7 @@ def test_worker_count_clamped(monkeypatch, workers):
 
     class InProcessPool:
         # records the pool size and maps in this process: no process starts
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             requested.append(max_workers)
 
         def __enter__(self):
@@ -859,9 +873,9 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, initializer=initializer)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
     args = [command, str(path), "--velocities", "2", "--out"]
@@ -873,6 +887,29 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
     assert invoke(runner, *args, str(pooled)).exit_code == 0
     assert sizes == ([2] if (os.cpu_count() or 1) >= 2 else [])
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_pool_workers_print_warnings_as_the_command_does(tmp_path):
+    # a worker started by forkserver inherits none of the command's warning
+    # state: each must print a warning as one line that names no path. Three
+    # 0.1-open masks of 1 um period give non-sinusoidal fringes on a
+    # 60-point sweep, three blocks for a pool of two workers
+    path = tmp_path / "masks.cfg"
+    path.write_text(with_line(
+        read(TLI).replace("open_fraction = 0.475", "open_fraction = 0.1")
+        .replace("period = 991 nm", "period = 1 um"), "sweep.points = 60"))
+    code = "\n".join([
+        "import multiprocessing, os",
+        "multiprocessing.set_start_method('forkserver')",
+        "os.environ['NEARWAVE_WORKERS'] = '2'",
+        "from nearwave.cli import main",
+        f"main(['velocity-sweep', {str(path)!r}, '--velocities', '2',",
+        f"      '--out', {os.devnull!r}])"])
+    run = _fresh_interpreter("-c", code, text=True)
+    lines = run.stderr.splitlines()
+    assert run.returncode == 0
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert not any("engine.py" in line for line in lines)
 
 
 def test_package_imports_no_test_code():

@@ -184,3 +184,22 @@ def test_bessel_j_shape_and_finite_input():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             bessel_j(2, np.array([1.0, bad]))
+
+
+def test_bessel_j_complex_argument_matches_scipy():
+    # the same rule at complex z, as an ionizing grating's table reads it
+    # (|Im z| = n0 / 4 <= 250): its terms grow like e^|Im z|, so the error
+    # is absolute on that scale; scipy's complex jv itself errs by about
+    # 2e-14 of it near |z| = 650. A real z keeps a real result
+    from scipy.special import jv
+    orders = np.arange(-64, 65)
+    imag = np.array([-250.0, -20.0, -1e-3, 0.0, 1e-3, 3.0, 250.0])
+    z = (np.linspace(-800.0, 800.0, 41)[:, None] + 1j * imag).ravel()
+    for chunk in np.array_split(z, 8):
+        table = bessel_j(orders, chunk)
+        assert table.dtype == complex
+        scale = np.exp(np.abs(chunk.imag))[:, None]
+        assert np.max(np.abs(table - jv(orders, chunk[:, None])) / scale) \
+            < 1e-13
+    assert np.array_equal(bessel_j(orders, 0j), orders == 0)
+    assert bessel_j(orders, 975.3).dtype == float

@@ -579,14 +579,15 @@ EVEN_GRATINGS = [
 
 @pytest.mark.parametrize("g", EVEN_GRATINGS)
 def test_mask_cosine_sum_equals_full_grid_fft(g):
-    # the even cosine sum against the FFT of the full 4096-point grid, for
-    # one speed and 12, scalar and node-stacked. A mask sums its open cells
-    # of that grid and an ionizing grating its half period: the FFT within
-    # 8.9e-16, and single-speed rows within 1.7e-15 (the products round
-    # differently for one row and for 12). A laser's closed form: both
-    # within 1e-13. A grating whose phase does not depend on the speed (an
-    # ionizing grating, a mask without an eikonal phase) gives one row for
-    # every speed, and every family refuses the same speeds
+    # each table against the FFT of the full 4096-point grid, for one
+    # speed and 12, scalar and node-stacked. A mask sums its open cells of
+    # that grid: the FFT within 8.9e-16, and single-speed rows within
+    # 1.7e-15 (the products round differently for one row and for 12). A
+    # laser's closed form: both within 1e-13. An ionizing grating's is the
+    # laser's at the complex phase phi0 + i n0 / 2: the FFT within 5.9e-16.
+    # A grating whose phase does not depend on the speed (an ionizing
+    # grating, a mask without an eikonal phase) gives one row for every
+    # speed, and every family refuses the same speeds
     species = C70 if isinstance(g, MaterialGrating) else get_species("PFNS8")
     bound = 1e-13 if isinstance(g, LaserPhaseGrating) else 4e-15
     if isinstance(g, MaterialGrating):
@@ -618,6 +619,30 @@ def test_mask_cosine_sum_equals_full_grid_fft(g):
             grating_coefficients(g, species, bad)
     with pytest.raises(AliasingError):
         grating_coefficients(g, species, 100.0, DEFAULT_GRID_SIZE // 2 + 1)
+
+
+@pytest.mark.parametrize("n0, phi0", [(6.0, 0.0), (2.0, 40.0), (0.5, 0.0),
+                                      (1000.0, 0.0), (8.0, 1500.0)])
+def test_ionizing_table_is_the_modified_bessel_closed_form(n0, phi0):
+    # t = exp(c cos^2(pi x / d)) with c = -n0 / 2 + i phi0 has
+    # b_j = e^(c/2) I_j(c/2) (Nimmrichter, Haslinger, Hornberger and Arndt,
+    # NJP 13, 075002 (2011)): within 1e-14 of mpmath, finite at the largest
+    # n0, one row for every speed
+    import mpmath
+    g = IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=n0,
+                        phase_amplitude_phi0=phi0)
+    table = grating_coefficients(g, gold_cluster(1e6),
+                                 np.array([[40.0], [75.0]])).values
+    c = mpmath.mpc(-n0 / 2.0, phi0)
+    exact = [complex(mpmath.exp(c / 2) * mpmath.besseli(abs(j), c / 2))
+             for j in range(-DEFAULT_J_MAX, DEFAULT_J_MAX + 1)]
+    assert table.shape == (2 * DEFAULT_J_MAX + 1,)
+    assert np.max(np.abs(table - exact)) < 1e-14
+
+
+def test_table_of_an_unknown_grating_is_a_type_error():
+    with pytest.raises(TypeError, match="unsupported grating type object"):
+        grating_coefficients(object(), C70, 100.0)
 
 
 def test_mask_cosine_sum_checks_the_amplitude(monkeypatch, fresh_memos):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nearwave.constants import AMU
 from nearwave.gratings import (AliasingError, CoefficientTable,
                                IonizingGrating, LaserPhaseGrating,
-                               MaterialGrating,
+                               MAX_ABSORBED_PHOTONS_N0, MaterialGrating,
                                SlitBlockedError, _slit_offsets,
                                fourier_coefficients,
                                ionizing_transmission, laser_phase_amplitude,
@@ -165,6 +165,16 @@ def test_ionizing_transmission_examples():
     trivial = ionizing_transmission(
         IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=0.0), 1024)
     assert np.allclose(trivial.samples, 1.0)
+
+
+def test_ionizing_grating_absorbs_at_most_1000_photons():
+    # its closed-form tables overflow from n0 = 1,418 on (see
+    # MAX_ABSORBED_PHOTONS_N0)
+    g = IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=1000.0)
+    assert g.mean_absorbed_photons_n0 == MAX_ABSORBED_PHOTONS_N0 == 1000.0
+    with pytest.raises(ValueError, match="mean_absorbed_photons_n0 must be "
+                                         "at most 1000$"):
+        IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=1000.5)
 
 
 def test_aliasing_error():
