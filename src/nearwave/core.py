@@ -154,7 +154,9 @@ def bessel_j(n, x):
     ``n`` is one order or a 1-D array of orders, and ``x`` any array; one
     rule serves every entry, and the result has shape
     ``shape(x) + shape(n)``. A complex ``x`` gives a complex result, within
-    2e-15 e^|Im x| of ``mpmath`` for |x| <= 800; it overflows at |Im x| = 709.
+    2e-15 e^|Im x| of ``mpmath`` for |x| <= 800. From |Im x| = 709 on the
+    terms overflow, and a result that is not finite raises
+    ``FloatingPointError``.
     """
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     orders = np.asarray(n)
@@ -173,12 +175,16 @@ def bessel_j(n, x):
     period = 8 * quarter
     cosines = np.cos(np.arange(period) * (2.0 * np.pi / period))
     steps = np.multiply.outer(2 * np.arange(quarter) + 1, flat)
-    for parity, trig, shift in ((even, np.cos, 0),
-                                (~even, np.sin, 2 * quarter)):
-        if parity.any():
-            result[..., parity] = trig(arg) @ cosines[
-                (steps[:, parity] - shift) % period]
-    result /= quarter
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parity, trig, shift in ((even, np.cos, 0),
+                                    (~even, np.sin, 2 * quarter)):
+            if parity.any():
+                result[..., parity] = trig(arg) @ cosines[
+                    (steps[:, parity] - shift) % period]
+        result /= quarter
+    if not np.isfinite(result).all():
+        raise FloatingPointError(f"J_n(x) overflows at |Im x| = "
+                                 f"{np.max(np.abs(x.imag)):g}")
     # J_n(0) = delta_n0 exactly, where the sums of cos(n tau) leave 1e-17
     result[x == 0.0] = flat == 0
     return result.reshape(x.shape + orders.shape)[()]

@@ -56,8 +56,8 @@ def csl_reduction_factor(cfg: InterferometerConfig, lambda0: float,
     tt = talbot_time(mass, d)
     channel = csl_channel(lambda0, r_c, mass)
     # looked up on the module, where a layer trace can wrap it
-    return abs(decoherence.decoherence_factor(
-        channel, 2, period_d=d, half_span=delay * tt, talbot_scale=tt))
+    return decoherence.decoherence_factor(
+        channel, 2, period_d=d, half_span=delay * tt, talbot_scale=tt)
 
 
 def critical_mass(cfg: InterferometerConfig, lambda0: float, r_c: float,

@@ -124,24 +124,23 @@ class GasEnvironment:
 
 
 def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
-                       half_span: float, talbot_scale: float) -> complex:
+                       half_span: float, talbot_scale: float) -> float:
     """Exponential reduction factor of the order-m coefficient.
 
     ``half_span`` is the flight time t_f between gratings and
     ``talbot_scale`` the Talbot time T_T, so that the separation argument
     reads (m d / 2)(|t| - half_span) / talbot_scale with t the time
-    relative to the central grating. eta is real, so the factor is real; it
-    is returned as a complex number to multiply complex coefficients.
+    relative to the central grating. eta is real, so the factor is real.
     """
     if m == 0:
-        return 1.0 + 0.0j
+        return 1.0
     x_max = (abs(m) * period_d / 2.0) * half_span / talbot_scale
     exponent = 2.0 * half_span * float(channel.rate) * channel.eta.loss(x_max)
-    return complex(math.exp(-exponent))
+    return math.exp(-exponent)
 
 
 def channel_factor(channel: DecoherenceChannel, cfg, m: int,
-                   v_z: float) -> complex:
+                   v_z: float) -> float:
     """Reduction factor of the order-m coefficient for a full configuration.
 
     ``m`` is the Talbot-Lau index, twice the fringe order: S_1 takes m = 2.

@@ -10,9 +10,11 @@ the only quantity that depends on the mode. The sinusoidal visibility is
 the ratio 2 |S_1 / S_0| of the transmitted signal components, formed in
 one place (``sinusoidal_visibility``) for a signal or a block of them.
 
-One evaluation covers a block of configurations (the points of a sweep)
-and the velocity nodes of each: one row per node of every point. Each
-distinct grating gets one table over all rows, and one coefficient
+A config is the engine's whole input. One evaluation
+(``velocity_averaged_signal``) covers a block of configs (the points of a
+sweep) and the velocity nodes of each config's beam: one row per node of
+every point; ``detector_signal`` is a config whose beam is one speed.
+Each distinct grating gets one table over all rows, and one coefficient
 evaluation runs over row x order. Every grating family has one table
 path (``grating_coefficients``): a laser's or an ionizing grating's
 table is the Bessel closed form at a real or a complex phase, one
@@ -29,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,8 +79,11 @@ class NonSinusoidalWarning(UserWarning):
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Full description of a three-grating experiment, its environment
-    included.
+    included: the one value that the engine evaluates.
 
+    Exactly one of ``separation_L`` (the distance between adjacent
+    gratings, spatial mode) and ``pulse_delay_T`` (the time between pulses,
+    time domain) is given, and it is positive; ``mode`` follows from which.
     ``grating3 = None`` selects surface-imaging mode: the fringe pattern at
     the third-grating plane is returned without the readout convolution.
     A pure phase grating1 or grating3 raises ``CoherencePreparationError``.
@@ -95,21 +100,17 @@ class InterferometerConfig:
     grating3: Optional[GratingSpec] = None
     separation_L: Optional[float] = None
     pulse_delay_T: Optional[float] = None
-    mode: str = "spatial"
     channels: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        if self.mode not in ("spatial", "time_domain"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         require_finite(separation_L=self.separation_L,
                        pulse_delay_T=self.pulse_delay_T)
-        if self.mode == "spatial":
-            if self.separation_L is None or self.separation_L <= 0.0:
-                raise ValueError("spatial mode requires separation_L > 0")
-        else:
-            if self.pulse_delay_T is None or self.pulse_delay_T <= 0.0:
-                raise ValueError("time domain mode requires pulse_delay_T > 0")
+        flights = [t for t in (self.separation_L, self.pulse_delay_T)
+                   if t is not None]
+        if len(flights) != 1 or flights[0] <= 0.0:
+            raise ValueError("exactly one of separation_L and pulse_delay_T "
+                             "must be given, and be positive")
         g1, g3 = self.grating1, self.grating3
         d = g1.period_d
         for g in (self.grating2, g3):
@@ -120,6 +121,11 @@ class InterferometerConfig:
             raise CoherencePreparationError(
                 f"{which} is a pure phase grating: no coherence "
                 "preparation/readout")
+
+    @property
+    def mode(self) -> str:
+        """The mode of the flight held: "spatial" (L) or "time_domain" (T)."""
+        return "spatial" if self.separation_L is not None else "time_domain"
 
     @property
     def period_d(self) -> float:
@@ -176,7 +182,8 @@ def _laser_table(phi0, j_max: int) -> CoefficientTable:
     ``phi0``, orders on a new last axis, in closed form (Jacobi-Anger):
     b_j = e^(iz) i^|j| J_|j|(z) with z = phi0 / 2, from one ``bessel_j``
     call (Hornberger et al., NJP 11, 043032 (2009)). A phase phi0 + i a
-    absorbs, |t| = exp(-a cos^2), and overflows from a = 1,418 on. A zero
+    absorbs, |t| = exp(-a cos^2); from a = 1,418 on ``bessel_j``
+    overflows and raises ``FloatingPointError``. A zero
     phase gives b_j = delta_j0 exactly (``bessel_j`` is exact at 0): a
     laser without power, or a species without polarizability, no fringe."""
     _check_orders(j_max, DEFAULT_GRID_SIZE)
@@ -294,90 +301,13 @@ def talbot_pattern(b: CoefficientTable, L_over_LT: float,
 
 def detector_signal(cfg: InterferometerConfig, v_z: float,
                     m_max: int = DEFAULT_M_MAX) -> np.ndarray:
-    """Fourier components S_m (m = 0 .. m_max) of the transmitted signal.
-
-    S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T) * conj(B3_m(0)); the last
-    factor is dropped in surface-imaging mode. The config's decoherence
-    channels multiply the central-grating coefficient by its exponential
-    reduction factor. This is a block of one config with one velocity node
-    (``_block_signals``).
-    """
+    """Fourier components S_m (m = 0 .. m_max) of the signal at one speed:
+    ``velocity_averaged_signal`` of ``cfg`` with its beam at ``v_z``, at
+    one node."""
     if not 0.0 < v_z < np.inf:
         raise ValueError("v_z must be positive")
-    rule = (np.array([v_z], dtype=float), np.ones(1))
-    return _block_signals([cfg], [rule], m_max, DEFAULT_J_MAX)[0]
-
-
-def _block_signals(cfgs: Sequence[InterferometerConfig], rules, m_max: int,
-                   j_max: int) -> np.ndarray:
-    """``detector_signal`` averaged over each config's velocity rule, one
-    row per config: ``rules[p]`` holds the nodes and weights of
-    ``cfgs[p]``.
-
-    Every node of every config is one row of one evaluation. Each distinct
-    grating role (the three masks of a symmetric TLI are one) gets one
-    table over all rows (``_block_table``) and each distinct outer role
-    one factor conj B_m(0). Each row equals a block of its config alone up
-    to rounding. The configs are all surface-imaging or all not.
-    """
-    if len({cfg.grating3 is None for cfg in cfgs}) > 1:
-        raise ValueError("a block mixes surface-imaging and three-grating "
-                         "configs")
-    nodes = np.concatenate([rule[0] for rule in rules])[:, None]
-    ends = np.cumsum([len(rule[0]) for rule in rules])
-    tables, outer_factors = {}, {}
-    m = np.arange(m_max + 1)
-
-    def role(name):
-        return tuple((getattr(cfg, name), cfg.species) for cfg in cfgs)
-
-    def table(key):
-        if key not in tables:
-            tables[key] = _block_table(key, nodes, ends, j_max)
-        return tables[key]
-
-    def outer(key):
-        if key not in outer_factors:
-            outer_factors[key] = np.conj(
-                talbot_lau_coefficient(table(key), m, 0.0))
-        return outer_factors[key]
-
-    xi_unit = np.concatenate([
-        cfg.flight_time(rule[0]) / talbot_time(cfg.species.mass, cfg.period_d)
-        for cfg, rule in zip(cfgs, rules)])[:, None]
-    signal = outer(role("grating1")) \
-        * talbot_lau_coefficient(table(role("grating2")), 2 * m, m * xi_unit)
-    if cfgs[0].grating3 is not None:
-        signal *= outer(role("grating3"))
-    averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
-    for p, (cfg, (speeds, weights), rows) in enumerate(
-            zip(cfgs, rules, np.split(signal, ends[:-1]))):
-        # decoherence_factor is exactly 1 at order 0
-        for channel in cfg.channels:
-            rows[:, 1:] *= [[channel_factor(channel, cfg, 2 * k, v)
-                             for k in m[1:]] for v in speeds]
-        averaged[p] = weights @ rows
-    return averaged
-
-
-def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
-    """One table, a row per node, for the (grating, species) pair of each
-    config of a block (``key``): ``grating_coefficients`` over all nodes
-    where the configs share one (a single row if its phase does not depend
-    on the speed), one closed form over each config's own laser phase where
-    all are lasers (a power sweep), and else each config's own table."""
-    if len(set(key)) == 1:
-        g, s = key[0]
-        return grating_coefficients(g, s, nodes, j_max)
-    per_config = np.split(nodes, ends[:-1])
-    if all(isinstance(g, LaserPhaseGrating) for g, _ in key):
-        return _laser_table(np.concatenate([
-            laser_phase_amplitude(g, s, v)
-            for (g, s), v in zip(key, per_config)]), j_max)
-    return CoefficientTable(np.concatenate([
-        np.broadcast_to(grating_coefficients(g, s, v, j_max).values,
-                        v.shape + (2 * j_max + 1,))
-        for (g, s), v in zip(key, per_config)]))
+    one_speed = replace(cfg, beam=replace(cfg.beam, mean_velocity=v_z))
+    return velocity_averaged_signal(one_speed, 1, m_max)
 
 
 def sinusoidal_visibility(signal: np.ndarray) -> float | np.ndarray:
@@ -401,18 +331,78 @@ def sinusoidal_visibility(signal: np.ndarray) -> float | np.ndarray:
 def velocity_averaged_signal(cfg, n_velocities: int = 16,
                              m_max: int = DEFAULT_M_MAX,
                              j_max: int = DEFAULT_J_MAX) -> np.ndarray:
-    """Signal components averaged over the beam velocity distribution:
-    the weighted sum of the node signals.
+    """Fourier components S_m (m = 0 .. m_max) of the transmitted signal,
+    averaged over the ``n_velocities`` nodes of the beam's
+    ``velocity_weights``: at each, S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T)
+    * conj(B3_m(0)), without the last factor in surface-imaging mode, the
+    central factor reduced by each decoherence channel (``channel_factor``).
 
     ``cfg`` is one config, or a sequence of them (a block of sweep points,
-    evaluated together by ``_block_signals``); a block gives one row of
-    components per config.
+    all surface-imaging or all not) that gives one row per config. Each
+    distinct grating role gets one table over all nodes of the block
+    (``_block_table``); each row equals its config alone up to rounding.
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
+    if len({c.grating3 is None for c in cfgs}) > 1:
+        raise ValueError("a block mixes surface-imaging and three-grating "
+                         "configs")
     rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
-    signals = _block_signals(cfgs, rules, m_max, j_max)
-    return signals if block else signals[0]
+    nodes = np.concatenate([rule[0] for rule in rules])[:, None]
+    ends = np.cumsum([len(rule[0]) for rule in rules])
+    tables, outer_factors = {}, {}
+    m = np.arange(m_max + 1)
+
+    def role(name):
+        return tuple((getattr(c, name), c.species) for c in cfgs)
+
+    def table(key):
+        if key not in tables:
+            tables[key] = _block_table(key, nodes, ends, j_max)
+        return tables[key]
+
+    def outer(key):
+        if key not in outer_factors:
+            outer_factors[key] = np.conj(
+                talbot_lau_coefficient(table(key), m, 0.0))
+        return outer_factors[key]
+
+    xi_unit = np.concatenate([
+        c.flight_time(rule[0]) / talbot_time(c.species.mass, c.period_d)
+        for c, rule in zip(cfgs, rules)])[:, None]
+    signal = outer(role("grating1")) \
+        * talbot_lau_coefficient(table(role("grating2")), 2 * m, m * xi_unit)
+    if cfgs[0].grating3 is not None:
+        signal *= outer(role("grating3"))
+    averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
+    for p, (c, (speeds, weights), rows) in enumerate(
+            zip(cfgs, rules, np.split(signal, ends[:-1]))):
+        # decoherence_factor is exactly 1 at order 0
+        for channel in c.channels:
+            rows[:, 1:] *= [[channel_factor(channel, c, 2 * k, v)
+                             for k in m[1:]] for v in speeds]
+        averaged[p] = weights @ rows
+    return averaged if block else averaged[0]
+
+
+def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
+    """One table, a row per node, for the (grating, species) pair of each
+    config of a block (``key``): ``grating_coefficients`` over all nodes
+    where the configs share one (a single row if its phase does not depend
+    on the speed), one closed form over each config's own laser phase where
+    all are lasers (a power sweep), and else each config's own table."""
+    if len(set(key)) == 1:
+        g, s = key[0]
+        return grating_coefficients(g, s, nodes, j_max)
+    per_config = np.split(nodes, ends[:-1])
+    if all(isinstance(g, LaserPhaseGrating) for g, _ in key):
+        return _laser_table(np.concatenate([
+            laser_phase_amplitude(g, s, v)
+            for (g, s), v in zip(key, per_config)]), j_max)
+    return CoefficientTable(np.concatenate([
+        np.broadcast_to(grating_coefficients(g, s, v, j_max).values,
+                        v.shape + (2 * j_max + 1,))
+        for (g, s), v in zip(key, per_config)]))
 
 
 def time_domain_visibility(cfg: InterferometerConfig, T):

@@ -352,10 +352,14 @@ def load_scenario(path: str) -> Scenario:
             problems.append(f"beam: {exc}")
 
     mode = parsed.get("mode", "spatial")
-    for key, owner in _MODE_KEYS.items():
-        if owner != mode and key in parsed and "mode" not in failed:
-            problems.append(f"{key}: applies only to a {owner} scenario, "
-                            f"not to a {mode} one")
+    if "mode" not in failed:
+        for key, owner in _MODE_KEYS.items():
+            if owner != mode and key in parsed:
+                problems.append(f"{key}: applies only to a {owner} "
+                                f"scenario, not to a {mode} one")
+        flight = "separation" if mode == "spatial" else "pulse_delay"
+        if flight not in failed and not parsed.get(flight, 0.0) > 0.0:
+            problems.append(f"{flight}: a {mode} scenario needs it positive")
 
     pressure_sweep = parsed.get("sweep.parameter") == "gas.pressure"
     pressures = [parsed[key] for key in ("sweep.start", "sweep.stop")
@@ -370,7 +374,7 @@ def load_scenario(path: str) -> Scenario:
         try:
             config = InterferometerConfig(
                 grating1=g1, grating2=g2, grating3=g3,
-                species=species, beam=beam, mode=mode,
+                species=species, beam=beam,
                 separation_L=parsed.get("separation"),
                 pulse_delay_T=parsed.get("pulse_delay"))
         except (TypeError, ValueError) as exc:

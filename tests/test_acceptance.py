@@ -205,8 +205,7 @@ def test_acceptance_05_collisional_pressure_scaling():
     grating = IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=6.0)
     cfg_heavy = InterferometerConfig(
         grating1=grating, grating2=grating, grating3=grating, species=heavy,
-        beam=BeamState(1.0), mode="time_domain",
-        pulse_delay_T=talbot_time(heavy.mass, 78.5e-9))
+        beam=BeamState(1.0), pulse_delay_T=talbot_time(heavy.mass, 78.5e-9))
     sigma_heavy = 1e-17 * (1e6 / 840.0) ** (2.0 / 3.0)
     k_heavy = _gas_exponent(cfg_heavy, sigma_heavy, 1.0)
     ratio = k_heavy / k_light
@@ -256,7 +255,7 @@ def test_acceptance_07_pulsed_resonance_map():
                             phase_amplitude_phi0=phi0)
         return InterferometerConfig(
             grating1=g, grating2=g, grating3=g, species=heavy,
-            beam=BeamState(1.0), mode="time_domain", pulse_delay_T=tt)
+            beam=BeamState(1.0), pulse_delay_T=tt)
 
     ratios = np.linspace(0.7, 1.3, 25)
     ridge_ok = True

@@ -209,7 +209,7 @@ def test_time_domain_config_rejected():
     cfg = InterferometerConfig(
         grating1=g, grating2=g, grating3=g,
         species=get_species("gold_cluster", mass_amu=1e6),
-        beam=BeamState(100.0, 0.0), pulse_delay_T=1e-3, mode="time_domain")
+        beam=BeamState(100.0, 0.0), pulse_delay_T=1e-3)
     with pytest.raises(ValueError):
         classical_visibility_quadrature(cfg)
     with pytest.raises(ValueError):

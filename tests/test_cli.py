@@ -610,13 +610,16 @@ def test_bundled_scenario_gives_finite_numbers_or_a_config_error(
     ids=["spatial", "time-domain", "otima-map"])
 def test_vanishing_signal_offset_exits_4(runner, monkeypatch, args):
     # a zero S_0 is a numerical error, not a row of nan or of 0.0
-    signals = engine._block_signals
+    signals = engine.velocity_averaged_signal
 
-    def dark_last(*block):
-        result = signals(*block)
+    def dark_last(*block, **options):
+        result = signals(*block, **options)
         result[-1, 0] = 0.0
         return result
-    monkeypatch.setattr(engine, "_block_signals", dark_last)
+    # the sweeps look the evaluation up in the cli, time_domain_visibility
+    # in the engine
+    monkeypatch.setattr(cli, "velocity_averaged_signal", dark_last)
+    monkeypatch.setattr(engine, "velocity_averaged_signal", dark_last)
     result = invoke(runner, *args)
     assert result.exit_code == 4
     assert "numerical error: zeroth signal component S_0 vanishes" \
@@ -732,6 +735,28 @@ def test_key_of_the_other_mode_rejected(runner, tmp_path, path, line,
     result = invoke(runner, "validate", str(scenario))
     assert result.exit_code == 2
     assert f"config error: {message}" in result.output
+
+
+@pytest.mark.parametrize("path, key, unit", [(TLI, "separation", "m"),
+                                             (OTIMA, "pulse_delay", "ms")],
+                         ids=["spatial", "time_domain"])
+@pytest.mark.parametrize("number", [None, "0", "-1"],
+                         ids=["missing", "zero", "negative"])
+def test_flight_names_the_scenario_key(runner, tmp_path, path, key, unit,
+                                       number):
+    # a config holds one positive flight, and a scenario without one is
+    # told the key that sets it
+    mode = "spatial" if key == "separation" else "time_domain"
+    text = "".join(line for line in read(path).splitlines(True)
+                   if not line.startswith(key + " "))
+    if number is not None:
+        text += f"{key} = {number} {unit}\n"
+    scenario = tmp_path / "flight.cfg"
+    scenario.write_text(text)
+    result = invoke(runner, "validate", str(scenario))
+    assert result.exit_code == 2
+    assert result.output == \
+        f"config error: {key}: a {mode} scenario needs it positive\n"
 
 
 def test_missing_grating_key_names_the_field(runner, tmp_path):
@@ -1312,12 +1337,12 @@ def test_otima_maps_of_equal_gratings_unchanged(runner):
 def test_otima_map_is_one_block_per_photon_number(runner, monkeypatch):
     # each n0 column is one engine evaluation over all its delays; a delay
     # that is not positive is still a config error
-    calls = _count_calls(monkeypatch, ["engine._block_signals"])
+    calls = _count_calls(monkeypatch, ["engine.velocity_averaged_signal"])
     result = invoke(runner, "otima-map", OTIMA, "--ratio-points", "5",
                     "--n0-points", "3")
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 6
-    assert calls == {"engine._block_signals": 3}
+    assert calls == {"engine.velocity_averaged_signal": 3}
     for ratio_min in ("-0.5", "0"):
         result = invoke(runner, "otima-map", OTIMA, "--ratio-min", ratio_min)
         assert result.exit_code == 2

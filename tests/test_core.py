@@ -203,3 +203,20 @@ def test_bessel_j_complex_argument_matches_scipy():
             < 1e-13
     assert np.array_equal(bessel_j(orders, 0j), orders == 0)
     assert bessel_j(orders, 975.3).dtype == float
+
+
+def test_bessel_j_overflow_raises():
+    # the terms grow like e^|Im x|: 708j is the last finite integer step,
+    # within 2e-15 e^|Im x| of mpmath, and 709j raises instead of giving
+    # inf and nan (pytest turns a leaked RuntimeWarning into an error)
+    import mpmath
+    orders = np.array([0, 1, 2])
+    value = bessel_j(orders, 708j)
+    assert np.isfinite(value).all()
+    with mpmath.workdps(30):
+        exact = np.array([complex(mpmath.besselj(int(n), mpmath.mpc(0, 708)))
+                          for n in orders])
+    assert np.max(np.abs(value - exact)) < 2e-15 * np.exp(708.0)
+    for x in (709j, np.array([1.0, -709j])):
+        with pytest.raises(FloatingPointError, match="overflows"):
+            bessel_j(orders, x)

@@ -288,7 +288,7 @@ def test_thermal_emission_sine_integral_time_domain(wavelength):
     g = IonizingGrating(period_d=d, mean_absorbed_photons_n0=2.0)
     cfg = InterferometerConfig(grating1=g, grating2=g, grating3=g,
                                species=heavy, beam=BeamState(1.0),
-                               mode="time_domain", pulse_delay_T=0.9 * tt)
+                               pulse_delay_T=0.9 * tt)
     rate = 0.4 / cfg.pulse_delay_T
     x_max = d * cfg.pulse_delay_T / tt
     expected = sine_integral_exponent(rate * 2.0 * cfg.pulse_delay_T,

@@ -237,7 +237,7 @@ def test_half_open_masks_null_at_full_talbot_separation():
     cfg = InterferometerConfig(
         grating1=binary(0.5), grating2=binary(0.5), grating3=binary(0.5),
         species=C70, beam=BeamState(100.0, 0.0),
-        separation_L=0.20673769177271675, mode="spatial")
+        separation_L=0.20673769177271675)
     signal = detector_signal(cfg, 100.0)
     # the null is exact analytically; grid pixelation of the f = 1/2
     # edges leaves a small residual
@@ -245,7 +245,7 @@ def test_half_open_masks_null_at_full_talbot_separation():
     detuned = InterferometerConfig(
         grating1=binary(0.5), grating2=binary(0.5), grating3=binary(0.5),
         species=C70, beam=BeamState(100.0, 0.0),
-        separation_L=0.7 * 0.20673769177271675, mode="spatial")
+        separation_L=0.7 * 0.20673769177271675)
     strong = detector_signal(detuned, 100.0)
     assert abs(strong[1]) / abs(strong[0]) > 20.0 * abs(signal[1]) / abs(signal[0])
 
@@ -318,7 +318,7 @@ def _otima_config(n0=6.0):
     return InterferometerConfig(
         grating1=g, grating2=g, grating3=g,
         species=get_species("gold_cluster", mass_amu=1e6),
-        beam=BeamState(100.0, 0.0), pulse_delay_T=1e-3, mode="time_domain")
+        beam=BeamState(100.0, 0.0), pulse_delay_T=1e-3)
 
 
 def test_time_domain_resonance_and_symmetry():
@@ -366,25 +366,25 @@ def test_time_domain_delays_are_one_block(monkeypatch):
         resonant = time_domain_visibility(cfg, np.array([0.6, 1.0]) * t_t)
     assert resonant[0] == pytest.approx(block[0], rel=1e-13, abs=0.0)
     assert resonant[1] > 1.0
-    signals = engine._block_signals
+    signals = engine.velocity_averaged_signal
 
-    def dark_second(*args):
-        result = signals(*args)
+    def dark_second(*args, **options):
+        result = signals(*args, **options)
         result[1] = 0.0
         return result
-    monkeypatch.setattr(engine, "_block_signals", dark_second)
+    monkeypatch.setattr(engine, "velocity_averaged_signal", dark_second)
     with pytest.raises(FloatingPointError, match="S_0 vanishes"):
         time_domain_visibility(cfg, delays)
     for bad in (np.array([t_t, 0.0]), np.array([-t_t, t_t]), 0.0):
         with pytest.raises(ValueError, match="T must be positive"):
             time_domain_visibility(cfg, bad)
-    monkeypatch.setattr(engine, "_block_signals", signals)
+    monkeypatch.setattr(engine, "velocity_averaged_signal", signals)
     calls = []
 
-    def counted(cfgs, *args):
+    def counted(cfgs, *args, **options):
         calls.append(len(cfgs))
-        return signals(cfgs, *args)
-    monkeypatch.setattr(engine, "_block_signals", counted)
+        return signals(cfgs, *args, **options)
+    monkeypatch.setattr(engine, "velocity_averaged_signal", counted)
     monkeypatch.setattr(engine, "BLOCK_ROWS", 3)
     many = np.array([0.6, 0.65, 0.7, 0.8, 1.2, 1.3, 1.4]).reshape(7, 1) * t_t
     chunked = time_domain_visibility(cfg, many)
@@ -401,17 +401,29 @@ def test_time_domain_delays_are_one_block(monkeypatch):
 
 def test_config_invariants():
     g = binary(0.5)
+    # neither a separation nor a pulse delay
     with pytest.raises(ValueError):
         InterferometerConfig(grating1=g, grating2=g, grating3=g, species=C70,
-                             beam=BeamState(100.0, 0.0), mode="spatial")
+                             beam=BeamState(100.0, 0.0))
     with pytest.raises(ValueError):
         InterferometerConfig(grating1=g, grating2=binary(0.5, d=500e-9),
                              grating3=g, species=C70,
                              beam=BeamState(100.0, 0.0), separation_L=0.1)
-    with pytest.raises(ValueError):
+    # a config holds one flight: a separation or a pulse delay, not both
+    with pytest.raises(ValueError, match="exactly one of separation_L and "
+                       "pulse_delay_T"):
         InterferometerConfig(grating1=g, grating2=g, grating3=g, species=C70,
                              beam=BeamState(100.0, 0.0), separation_L=0.1,
-                             mode="fancy")
+                             pulse_delay_T=1e-3)
+    for flight in ({"separation_L": 0.1}, {"pulse_delay_T": 1e-3}):
+        cfg = InterferometerConfig(grating1=g, grating2=g, grating3=g,
+                                   species=C70, beam=BeamState(100.0, 0.0),
+                                   **flight)
+        assert cfg.mode == ("spatial" if "separation_L" in flight
+                            else "time_domain")
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="be positive"):
+                replace(cfg, **dict.fromkeys(flight, bad))
 
 
 def _per_node_signal(cfg, v, m_max):
@@ -845,7 +857,7 @@ GUARDS = {
         beam=BeamState(100.0), separation_L=x), 0.22),
     "config.pulse_delay_T": (lambda x: InterferometerConfig(
         grating1=_ionizing(), grating2=_ionizing(), species=C70,
-        beam=BeamState(100.0), pulse_delay_T=x, mode="time_domain"), 1e-3),
+        beam=BeamState(100.0), pulse_delay_T=x), 1e-3),
 }
 
 
