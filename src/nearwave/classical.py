@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import HBAR
-from .core import bessel_j, velocity_weights
+from .core import bessel_j
 from .engine import (MEMO_SIZE, InterferometerConfig, _even_table,
-                     _laser_table, _open_amplitude)
+                     _laser_table, _open_amplitude, _velocity_rules)
 from .gratings import (DEFAULT_GRID_SIZE, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, _wall_coefficient, _wall_distances,
                        laser_phase_amplitude)
@@ -79,12 +79,13 @@ def _kick_strength(g, s: Species, v_z):
     raise TypeError(f"unsupported grating type {type(g).__name__}")
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _mask_window(g):
-    """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed:
-    a phase never changes |t|. A material mask sums |t|^2 over half a
-    period in the engine's even cosine sum; an ionizing grating's
-    exp(-n0 cos^2(pi x / d)) is the laser's closed form at the phase i n0
-    (``_laser_table``). A laser grating transmits everything, (1, 0), and
+    """Coefficients 0 and 1 of the mask's |t(x)|^2, the same at every speed
+    (a phase never changes |t|), so built once per process and grating. A
+    material mask sums |t|^2 over half a period in the engine's even
+    cosine sum; an ionizing grating's exp(-n0 cos^2(pi x / d)) is the
+    laser's closed form at the phase i n0 (``_laser_table``). A laser grating transmits everything, (1, 0), and
     without a mask (``g`` None) the window is (1, 1).
     """
     if g is None:
@@ -150,9 +151,9 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
     node only scales the shape. Their |t|^2 is even and their kick odd
     about the slit centre, so the sum runs over the open cells of half a
     period as the real sum_k weight_k cos(phase_k), with no complex
-    exponential, one node at a time. The
-    outer masks' windows do not depend on the speed: one per distinct
-    outer mask of the block (``_mask_window``).
+    exponential, one node at a time. The outer masks' windows do not
+    depend on the speed: one per outer mask and process (``_mask_window``).
+    The velocity rule is built once per distinct beam of the block.
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
@@ -160,7 +161,7 @@ def classical_visibility_quadrature(cfg, n_velocities: int = 1):
         raise ValueError("classical model requires spatial mode")
     if any(c.channels for c in cfgs):
         raise ValueError("classical model has no decoherence channels")
-    rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
+    rules = _velocity_rules(cfgs, n_velocities)
     q1s = [None] * len(cfgs)
     lasers = [p for p, c in enumerate(cfgs)
               if isinstance(c.grating2, LaserPhaseGrating)]

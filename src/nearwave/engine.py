@@ -20,10 +20,12 @@ path (``grating_coefficients``): a laser's or an ionizing grating's
 table is the Bessel closed form at a real or a complex phase, one
 ``bessel_j`` call for all rows even where the points differ in power; a
 material mask's is a cosine sum over |t| and the phase on half a period.
-A grating whose phase does not depend on the speed (an ionizing grating,
-a mask without an eikonal phase) gives a single row for all nodes.
-Within one block each distinct outer grating's factor conj B_m(0) is
-evaluated once, so grating3 == grating1 reuses it.
+A grating whose phase does not depend on the speed (``is_speed_free``: an
+ionizing grating, a mask without an eikonal phase) gives a single row for
+all nodes, and its table and outer factor conj B_m(0) are built once per
+process (``_speed_free_factors``). Any other outer grating's factor is
+evaluated once per block, so grating3 == grating1 reuses it, and a block
+builds one velocity rule per distinct beam.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .decoherence import channel_factor
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        _cell_open_fraction, _check_orders, _slit_offsets,
-                       is_pure_phase, laser_phase_amplitude,
+                       is_pure_phase, is_speed_free, laser_phase_amplitude,
                        material_slit_phase)
 from .species import Species
 # not called: the lookup site of the trace layer "gratings.fourier" in
@@ -152,29 +154,50 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     (Nimmrichter et al., NJP 13, 075002 (2011)). A material mask's is one
     cosine sum (``_even_table``) of |t| and the phase at the grid points
     k = 0 .. N/2 of ``DEFAULT_GRID_SIZE`` = N where it transmits
-    (``_open_amplitude``), for all speeds at once. A mask with an eikonal
-    phase gives one row per speed, any other grating a single row. Stacked
-    rows round differently from single speeds, by about 1e-15.
+    (``_open_amplitude``), for all speeds at once. A grating that
+    ``is_speed_free`` gives a single row, a laser or a mask with an eikonal
+    phase one row per speed. Stacked rows round differently from single
+    speeds, by about 1e-15.
     """
     v_z = np.asarray(v_z, dtype=float)
     if not np.all((v_z > 0.0) & (v_z < np.inf)):
         raise ValueError("v_z must be positive")
     if isinstance(g, LaserPhaseGrating):
         return _laser_table(laser_phase_amplitude(g, s, v_z), j_max)
-    if isinstance(g, IonizingGrating):
-        return _laser_table(g.phase_amplitude_phi0
-                            + 0.5j * g.mean_absorbed_photons_n0, j_max)
-    if not isinstance(g, MaterialGrating):
+    if not isinstance(g, (IonizingGrating, MaterialGrating)):
         raise TypeError(f"unsupported grating type {type(g).__name__}")
+    if is_speed_free(g, s):
+        return _single_row_table(g, j_max)
     n = DEFAULT_GRID_SIZE
     amp = _open_amplitude(g.period_d, g.open_half_width)
     # one row per speed, so that each product is a single matrix product
     phase = material_slit_phase(g, s, v_z.reshape(-1, 1),
                                 np.arange(amp.size) * g.period_d / n)
-    half = _even_table(amp, phase, n, j_max)
-    if phase.ndim > 1:
-        half = half.reshape(v_z.shape + (-1,))
+    half = _even_table(amp, phase, n, j_max).reshape(v_z.shape + (-1,))
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
+
+
+def _single_row_table(g, j_max: int) -> CoefficientTable:
+    """The one table of a grating that ``is_speed_free``: the closed form
+    of an ionizing grating, or the cosine sum of a mask's |t| alone."""
+    if isinstance(g, IonizingGrating):
+        return _laser_table(g.phase_amplitude_phi0
+                            + 0.5j * g.mean_absorbed_photons_n0, j_max)
+    amp = _open_amplitude(g.period_d, g.open_half_width)
+    half = _even_table(amp, np.zeros(amp.size), DEFAULT_GRID_SIZE, j_max)
+    return CoefficientTable(np.concatenate([half[:0:-1], half]))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _speed_free_factors(g, m_max: int, j_max: int):
+    """(table, outer factor conj B_m(0), m = 0 .. ``m_max``) of a grating
+    that ``is_speed_free`` for the species it is used with (the caller
+    checks): built once per process, grating and order counts; read-only."""
+    table = _single_row_table(g, j_max)
+    outer = np.conj(talbot_lau_coefficient(table, np.arange(m_max + 1), 0.0))
+    table.values.flags.writeable = False
+    outer.flags.writeable = False
+    return table, outer
 
 
 def _laser_table(phi0, j_max: int) -> CoefficientTable:
@@ -278,8 +301,13 @@ def talbot_lau_coefficient(b: CoefficientTable, m, xi):
             * np.conj(rows[:, lo - order + j_max:hi - order + j_max + 1])
         xi_at = xi[at]
         if np.any(xi_at):
-            products = products * np.exp(1j * np.pi * (order - 2 * j)
-                                         * xi_at[:, None])
+            # k = order - 2 j runs over -K, -K + 2 .. K with K = hi - lo:
+            # one exponential per |k|, and e^(-i pi k xi) is its conjugate
+            top = hi - lo
+            half = np.exp(1j * np.pi * np.arange(top % 2, top + 1, 2)
+                          * xi_at[:, None])
+            products = products * np.concatenate(
+                [half[:, ::-1], np.conj(half[:, 1 - top % 2:])], axis=1)
         result[at] = np.sum(products, axis=-1)
     return result[()]
 
@@ -340,14 +368,17 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     ``cfg`` is one config, or a sequence of them (a block of sweep points,
     all surface-imaging or all not) that gives one row per config. Each
     distinct grating role gets one table over all nodes of the block
-    (``_block_table``); each row equals its config alone up to rounding.
+    (``_block_table``), or, where the block shares one grating that
+    ``is_speed_free``, its table and outer factor of the process
+    (``_speed_free_factors``); each row equals its config alone up to
+    rounding.
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
     if len({c.grating3 is None for c in cfgs}) > 1:
         raise ValueError("a block mixes surface-imaging and three-grating "
                          "configs")
-    rules = [np.array(velocity_weights(c.beam, n_velocities)).T for c in cfgs]
+    rules = _velocity_rules(cfgs, n_velocities)
     nodes = np.concatenate([rule[0] for rule in rules])[:, None]
     ends = np.cumsum([len(rule[0]) for rule in rules])
     tables, outer_factors = {}, {}
@@ -355,6 +386,11 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
 
     def role(name):
         return tuple((getattr(c, name), c.species) for c in cfgs)
+
+    for key in map(role, ("grating1", "grating2", "grating3")):
+        if len(set(key)) == 1 and is_speed_free(*key[0]):
+            tables[key], outer_factors[key] = _speed_free_factors(
+                key[0][0], m_max, j_max)
 
     def table(key):
         if key not in tables:
@@ -385,12 +421,20 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     return averaged if block else averaged[0]
 
 
+def _velocity_rules(cfgs, n_velocities: int) -> list:
+    """(nodes, weights) of each config's beam, built once per distinct
+    beam as ``np.array(velocity_weights(beam, n_velocities)).T``."""
+    rules = {beam: np.array(velocity_weights(beam, n_velocities)).T
+             for beam in {c.beam for c in cfgs}}
+    return [rules[c.beam] for c in cfgs]
+
+
 def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
     """One table, a row per node, for the (grating, species) pair of each
     config of a block (``key``): ``grating_coefficients`` over all nodes
-    where the configs share one (a single row if its phase does not depend
-    on the speed), one closed form over each config's own laser phase where
-    all are lasers (a power sweep), and else each config's own table."""
+    where the configs share one, one closed form over each config's own
+    laser phase where all are lasers (a power sweep), and else each
+    config's own table."""
     if len(set(key)) == 1:
         g, s = key[0]
         return grating_coefficients(g, s, nodes, j_max)

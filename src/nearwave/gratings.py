@@ -137,6 +137,16 @@ def is_pure_phase(g) -> bool:
     return False
 
 
+def is_speed_free(g, s: Species) -> bool:
+    """Whether t(x) of ``g`` for species ``s`` is the same at every speed:
+    an ionizing grating, or a material mask without an eikonal phase (no
+    wall coefficient or no thickness). A laser's phase goes as 1 / v_z."""
+    if isinstance(g, IonizingGrating):
+        return True
+    return isinstance(g, MaterialGrating) and (
+        g.thickness_b == 0.0 or _wall_coefficient(g, s)[0] == 0.0)
+
+
 @dataclass(frozen=True)
 class TransmissionProfile:
     """One period of t(x) on a uniform grid starting at the slit center.
@@ -191,9 +201,9 @@ def material_slit_phase(g: MaterialGrating, s: Species, v_z, x):
     ``v_z`` and ``x`` broadcast against each other; the wall-distance sum
     is computed once for all speeds.
     """
-    coeff, power = _wall_coefficient(g, s)
-    if coeff == 0.0 or g.thickness_b == 0.0:
+    if is_speed_free(g, s):
         return np.zeros_like(np.asarray(x, dtype=float))
+    coeff, power = _wall_coefficient(g, s)
     r_minus, r_plus = _wall_distances(g, x)
     return g.thickness_b / (HBAR * v_z) * coeff * (r_minus ** -power
                                                    + r_plus ** -power)
@@ -367,6 +377,7 @@ __all__ = [
     "ionizing_transmission", "fourier_coefficients",
     "transmission_probability_coefficients",
     "material_slit_phase", "laser_phase_amplitude", "is_pure_phase",
+    "is_speed_free",
     "SlitBlockedError", "AliasingError",
     "DEFAULT_GRID_SIZE", "DEFAULT_J_MAX", "DEFAULT_WALL_CUTOFF",
 ]

@@ -324,13 +324,17 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     # one coefficient table over all 48 rows in one even cosine sum, the
     # mask without a phase (a single row) included, and evaluates B_m once
     # for grating2 and once for the outer masks; the classical twin sums
-    # one window for its outer masks. A second block builds the same again:
-    # only the cosine weights are kept, one set per order count and number
-    # of open cells read (the ideal mask opens to the walls and reads 974,
-    # the vdW and Casimir-Polder masks 970)
+    # one window for its outer masks. A second block rebuilds only what
+    # depends on the speed: the vdW and Casimir-Polder tables and their
+    # four B_m. The phase-free mask's table and outer factor, the twin's
+    # window and the cosine weights are kept, one set of weights per order
+    # count and number of open cells read (the ideal mask opens to the
+    # walls and reads 974, the vdW and Casimir-Polder masks 970)
     assert set(fresh_memos) == {"engine._open_amplitude",
                                 "engine._cosine_weights",
-                                "classical._central_grid", "core._unit_rule"}
+                                "engine._speed_free_factors",
+                                "classical._central_grid",
+                                "classical._mask_window", "core._unit_rule"}
     weights = engine._cosine_weights
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.talbot_lau_coefficient",
@@ -340,14 +344,17 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     assert len(records) == 4
     assert list(records[0]) == [name for name, _ in cli.INTERACTIONS] \
         + ["classical_visibility"]
-    per_block = {"engine._even_table": 3,
-                 "engine.talbot_lau_coefficient": 6,
-                 "classical._even_table": 1, **dict.fromkeys(FFT_SITES, 0)}
-    assert calls == per_block
+    first = {"engine._even_table": 3,
+             "engine.talbot_lau_coefficient": 6,
+             "classical._even_table": 1, **dict.fromkeys(FFT_SITES, 0)}
+    assert calls == first
     assert weights.cache_info().misses == 3
     assert cli._block(12, cli.INTERACTIONS, settings) == records
-    assert calls == {site: 2 * n for site, n in per_block.items()}
+    assert calls == {**first, "engine._even_table": 3 + 2,
+                     "engine.talbot_lau_coefficient": 6 + 5}
     assert weights.cache_info().misses == 3
+    for memo in ("engine._speed_free_factors", "classical._mask_window"):
+        assert fresh_memos[memo].cache_info().misses == 1
 
 
 def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
@@ -357,17 +364,23 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     # one slit geometry (the wall cutoff is the same), the ideal variant
     # opens to the walls: one velocity-sweep run builds and checks the |t|
     # of each geometry once, and its three points at two nodes form one
-    # block, with one cosine-sum table per column
+    # block, with one cosine-sum table per column. The ideal mask's table
+    # and its outer factor are built once for all three of its roles, and
+    # kept for the process
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     calls = _count_calls(monkeypatch, ["engine._cell_open_fraction",
-                                       "engine._even_table"])
+                                       "engine._even_table",
+                                       "engine.talbot_lau_coefficient"])
     path = tmp_path / "tli.cfg"
     path.write_text(with_line(read(TLI), "sweep.points = 3"))
     result = invoke(runner, "velocity-sweep", str(path), "--velocities", "2")
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 4
     assert calls == {"engine._cell_open_fraction": 2,
-                     "engine._even_table": 3}
+                     "engine._even_table": 3,
+                     "engine.talbot_lau_coefficient": 6}
+    speed_free = fresh_memos["engine._speed_free_factors"].cache_info()
+    assert (speed_free.misses, speed_free.currsize) == (1, 1)
     memo = engine._open_amplitude
     assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
     cfg = nearwave.load_scenario(TLI).config
@@ -375,29 +388,32 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     assert not amplitude.flags.writeable
 
 
-def test_power_sweep_builds_the_outer_mask_once_per_block(monkeypatch,
-                                                          fresh_memos):
-    # the KDTLI's outer mask has no eikonal phase: each of two power-sweep
-    # blocks of four points sums its single-row table once, evaluates its
-    # outer factor once and takes one twin window. Each block builds its
-    # laser tables, which differ in power, from one multi-order Bessel call
-    # over all 48 rows, evaluates grating2 once, and takes its four
-    # classical twins from one more Bessel call
+def test_power_sweep_builds_the_outer_mask_once_per_process(monkeypatch,
+                                                            fresh_memos):
+    # the KDTLI's outer mask has no eikonal phase: over two power-sweep
+    # blocks of four points its single-row table is summed once, its outer
+    # factor evaluated once and its twin window taken once. Each block
+    # builds the velocity rule of its one beam once for the quantum column
+    # and once for the twin, its laser tables, which differ in power, from
+    # one multi-order Bessel call over all 48 rows, evaluates grating2
+    # once, and takes its four classical twins from one more Bessel call
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.talbot_lau_coefficient",
-        "engine.bessel_j", "classical.bessel_j", "classical._even_table",
-        *FFT_SITES])
+        "engine.bessel_j", "engine.velocity_weights", "classical.bessel_j",
+        "classical._even_table", *FFT_SITES])
     settings = _settings(KDTLI, 8)
     for cfg in settings:
         assert cfg.grating1 == cfg.grating3
+    assert len({cfg.beam for cfg in settings}) == 1
     blocks = (settings[:4], settings[4:])
     for block in blocks:
         cli._block(12, cli.QUANTUM, block)
-    assert calls == {"engine._even_table": len(blocks),
-                     "engine.talbot_lau_coefficient": 2 * len(blocks),
+    assert calls == {"engine._even_table": 1,
+                     "engine.talbot_lau_coefficient": 1 + len(blocks),
                      "engine.bessel_j": len(blocks),
+                     "engine.velocity_weights": 2 * len(blocks),
                      "classical.bessel_j": len(blocks),
-                     "classical._even_table": len(blocks),
+                     "classical._even_table": 1,
                      **dict.fromkeys(FFT_SITES, 0)}
 
 

@@ -25,7 +25,7 @@ from nearwave.gratings import (DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                                LaserPhaseGrating, MaterialGrating,
                                _cell_open_fraction,
                                fourier_coefficients, ionizing_transmission,
-                               is_pure_phase,
+                               is_pure_phase, is_speed_free,
                                laser_phase_amplitude, laser_phase_transmission,
                                material_amplitude, material_transmission,
                                transmission_probability_coefficients)
@@ -666,6 +666,101 @@ def test_mask_cosine_sum_checks_the_amplitude(monkeypatch, fresh_memos):
                         lambda *args: 1.5 * _cell_open_fraction(*args))
     with pytest.raises(ValueError, match="must not exceed 1"):
         grating_coefficients(g, C70, 100.0)
+
+
+def _every_k(b, order, xi):
+    """B_order(xi) of a single table with e^(i pi k xi) evaluated for every
+    k = order - 2 j, no mirrored half: the engine's sum before each |k|
+    shared one exponential."""
+    j_max = b.j_max
+    lo, hi = max(-j_max, order - j_max), min(j_max, order + j_max)
+    j = np.arange(lo, hi + 1)
+    products = b.values[j + j_max] * np.conj(b.values[j - order + j_max])
+    return np.sum(products * np.exp(1j * np.pi * (order - 2 * j) * xi))
+
+
+def test_mirrored_phases_equal_every_k_exponentiated():
+    # the bundled KDTLI laser at 1 W and the C70 vdW mask, each at its
+    # scenario's speed: for m = -3 .. 3 and the single-term orders
+    # +-2 j_max, B_m(xi) with e^(-i pi k xi) taken as the conjugate of
+    # e^(i pi k xi) equals bit for bit the sum that exponentiates every k
+    data = files("nearwave") / "data"
+    kdtli = load_scenario(str(data / "pfns8_kdtli_power_sweep.cfg")).config
+    tli = load_scenario(str(data / "c70_tli_velocity_sweep.cfg")).config
+    tables = [grating_coefficients(replace(kdtli.grating2, power_P=1.0),
+                                   kdtli.species, 75.0),
+              grating_coefficients(tli.grating1, tli.species, 100.0)]
+    m = np.array([-2 * DEFAULT_J_MAX, -3, -2, -1, 0, 1, 2, 3,
+                  2 * DEFAULT_J_MAX])
+    rng = np.random.default_rng(30)
+    for b in tables:
+        for xi in (0.0183 * m + 0.011, rng.uniform(-2.5, 2.5, m.size)):
+            assert np.all(xi != 0.0)
+            got = talbot_lau_coefficient(b, m, xi)
+            for order, x, value in zip(m, xi, got):
+                assert value == _every_k(b, order, x)
+
+
+def test_speed_free_memos_hold_read_only_factors(fresh_memos):
+    # a phase-free mask's table and outer factor, and the twin's window of
+    # a mask, are built on the first call; a hit returns the same objects,
+    # and the arrays cannot be written
+    from nearwave import classical
+    mask = _material(period_d=266e-9, open_fraction_f=0.42)
+    table, outer = engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)
+    assert engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)[0] is table
+    assert engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)[1] is outer
+    for array in (table.values, outer):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert np.array_equal(table.values,
+                          grating_coefficients(mask, C70, 100.0).values)
+    assert np.array_equal(outer, np.conj(
+        talbot_lau_coefficient(table, np.arange(2), 0.0)))
+    window = classical._mask_window(mask)
+    assert classical._mask_window(mask) is window
+    assert engine._speed_free_factors.cache_info().misses == 1
+    assert classical._mask_window.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name, entries", [
+    ("vdw_r3", 0), ("casimir_polder_r4", 0), ("kdtli", 1), ("none", 1)])
+def test_only_speed_free_gratings_enter_the_memo(fresh_memos, name, entries):
+    # a mask with a wall phase and a laser build their tables at the nodes
+    # of each block; the phase-free masks (the KDTLI's outer mask, the
+    # ideal TLI mask in all three roles) enter the memo once
+    cfg = _oracle_case(name)
+    speed_free = [g for g in (cfg.grating1, cfg.grating2, cfg.grating3)
+                  if is_speed_free(g, cfg.species)]
+    assert len(set(speed_free)) == entries
+    velocity_averaged_signal([cfg, cfg], 4, m_max=1)
+    assert engine._speed_free_factors.cache_info().currsize == entries
+
+
+def test_speed_free_rule():
+    # an ionizing grating, and a mask without wall coefficient or without
+    # thickness, have the same t(x) at every speed; a laser does not, even
+    # switched off, nor a mask whose species feels its walls
+    pfns8 = get_species("PFNS8")
+    assert is_speed_free(_ionizing(), gold_cluster(1e6))
+    assert is_speed_free(_material(), C70)
+    assert is_speed_free(_material(interaction="vdw_r3"), C70)
+    assert is_speed_free(_material(thickness_b=500e-9), C70)
+    assert is_speed_free(_material(thickness_b=500e-9, interaction="vdw_r3"),
+                         replace(C70, c3_coefficient=0.0))
+    assert not is_speed_free(_material(thickness_b=500e-9,
+                                       interaction="vdw_r3"), C70)
+    assert not is_speed_free(_laser(), pfns8)
+    assert not is_speed_free(_laser(power_P=0.0), pfns8)
+    # a speed-free mask gives one row for stacked speeds, a phased one a row
+    # per speed
+    v = np.array([[40.0], [75.0]])
+    assert grating_coefficients(_material(thickness_b=500e-9), C70,
+                                v).values.shape == (2 * DEFAULT_J_MAX + 1,)
+    assert grating_coefficients(
+        _material(thickness_b=500e-9, interaction="vdw_r3"), C70,
+        v).values.shape == (2, 1, 2 * DEFAULT_J_MAX + 1)
 
 
 def test_detector_signal_rejects_non_finite_speed():
