@@ -143,18 +143,20 @@ def _all_material(cfg) -> bool:
                if g is not None)
 
 
-def _with_interaction(cfg, column: str, interaction: str):
-    """``cfg`` with ``interaction`` on every mask, for quantum ``column``."""
-    swapped = {}
-    for name in ("grating1", "grating2", "grating3"):
-        g = getattr(cfg, name)
-        try:
-            swapped[name] = (None if g is None
-                             else replace(g, interaction=interaction))
-        except SlitBlockedError as exc:
-            raise SlitBlockedError(f"{column}: {name} with interaction "
-                                   f"{interaction!r}: {exc}") from None
-    return replace(cfg, **swapped)
+def _with_interaction(cfgs, column: str, interaction: str) -> list:
+    """``cfgs`` with ``interaction`` on every mask, for quantum ``column``:
+    each distinct mask is swapped once for the whole block."""
+    names = ("grating1", "grating2", "grating3")
+    swapped = {None: None}
+    for name, g in ((n, getattr(cfg, n)) for cfg in cfgs for n in names):
+        if g not in swapped:
+            try:
+                swapped[g] = replace(g, interaction=interaction)
+            except SlitBlockedError as exc:
+                raise SlitBlockedError(f"{column}: {name} with interaction "
+                                       f"{interaction!r}: {exc}") from None
+    return [replace(cfg, **{n: swapped[getattr(cfg, n)] for n in names})
+            for cfg in cfgs]
 
 
 # quantum columns: (name, wall interaction given to every material mask,
@@ -177,8 +179,7 @@ def _block(n_velocities: int, columns, cfgs) -> list[dict]:
     records = [{} for _ in cfgs]
     for column, interaction in columns:
         variants = (cfgs if interaction is None
-                    else [_with_interaction(cfg, column, interaction)
-                          for cfg in cfgs])
+                    else _with_interaction(cfgs, column, interaction))
         signals = velocity_averaged_signal(variants, n_velocities=n_velocities,
                                            m_max=1)
         for record, value in zip(records, sinusoidal_visibility(signals)):

@@ -13,8 +13,8 @@ fringe coefficient is multiplied by
 
 over the transit. The integral is 2 t_f R (1 - mean eta), the mean taken
 over [0, x_max] with x_max = |m| d t_f / (2 T_T). Every eta gives that
-loss, the mean of 1 - eta, as ``loss(x_max)``: no eta is integrated
-adaptively, and nothing here needs scipy.
+loss, the mean of 1 - eta, as ``loss(x_max)``, on a number or an array
+of x_max: no eta is integrated adaptively, and nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ from typing import Callable
 import numpy as np
 
 from .constants import AMU, BOLTZMANN_KB, HBAR
-from .core import require_finite, talbot_time
+from .core import require_finite
 
 
 @dataclass(frozen=True)
 class DecoherenceChannel:
     """One environmental coupling: event rate and coherence reduction.
 
-    ``rate`` is a constant (events/s); ``eta`` maps a path separation in
-    meters to a real factor with magnitude <= 1 (the imaginary part of an
-    isotropic coupling vanishes), and its ``loss(x_max)`` gives the mean
-    of 1 - eta over [0, x_max]. An eta without ``loss`` is a TypeError.
+    ``rate`` is a finite constant >= 0 (events/s); ``eta`` maps a path
+    separation in meters to a real factor with magnitude <= 1 (the
+    imaginary part of an isotropic coupling vanishes), and its
+    ``loss(x_max)`` gives the mean of 1 - eta over [0, x_max], on a number
+    or an array. An eta without ``loss`` is a TypeError.
     Frozen, so that a configuration that carries it stays hashable.
     """
 
@@ -44,6 +45,8 @@ class DecoherenceChannel:
     eta: Callable[[float], float]
 
     def __post_init__(self):
+        if not 0.0 <= self.rate < math.inf:
+            raise ValueError(f"rate must be finite and >= 0: {self.rate!r}")
         if not callable(getattr(self.eta, "loss", None)):
             raise TypeError("eta needs loss(x_max), the mean of 1 - eta")
 
@@ -61,20 +64,20 @@ class TabulatedEta:
             0.5 * (self.values[1:] + self.values[:-1])
             * np.diff(self.x_grid))))
 
-    def __call__(self, x: float) -> float:
-        return float(np.interp(abs(x), self.x_grid, self.values))
+    def __call__(self, x):
+        return np.interp(np.abs(x), self.x_grid, self.values)
 
-    def loss(self, x_max: float) -> float:
-        if x_max == 0.0:
-            return 1.0 - float(self.values[0])
-        x_end = self.x_grid[-1]
-        if x_max >= x_end:
-            area = self._area[-1] + self.values[-1] * (x_max - x_end)
-        else:
-            k = int(np.searchsorted(self.x_grid, x_max, side="right")) - 1
-            area = self._area[k] + 0.5 * (self.values[k] + self(x_max)) * (
-                x_max - self.x_grid[k])
-        return 1.0 - float(area / x_max)
+    def loss(self, x_max):
+        x_max = np.asarray(x_max, dtype=float)
+        k = np.searchsorted(self.x_grid, x_max, side="right") - 1
+        area = np.where(
+            x_max >= self.x_grid[-1],
+            self._area[-1] + self.values[-1] * (x_max - self.x_grid[-1]),
+            self._area[k] + 0.5 * (self.values[k] + self(x_max))
+            * (x_max - self.x_grid[k]))
+        mean = np.divide(area, x_max, where=x_max > 0.0,
+                         out=np.full(x_max.shape, self.values[0]))
+        return (1.0 - mean)[()]
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,10 @@ class GaussianEta:
     def __call__(self, x: float) -> float:
         return math.exp(-x * x / (4.0 * self.r_c * self.r_c))
 
-    def loss(self, x_max: float) -> float:
+    def loss(self, x_max):
+        if np.ndim(x_max):
+            # element by element, as Python floats: the bits the CSL map holds
+            return np.vectorize(self.loss, otypes=[float])(x_max)
         z2 = (x_max / (2.0 * self.r_c)) ** 2
         if z2 >= 0.25:
             return 1.0 - (self.r_c * math.sqrt(math.pi)
@@ -123,32 +129,21 @@ class GasEnvironment:
             raise ValueError("cross section must be positive")
 
 
-def decoherence_factor(channel: DecoherenceChannel, m: int, *, period_d: float,
-                       half_span: float, talbot_scale: float) -> float:
-    """Exponential reduction factor of the order-m coefficient.
+def decoherence_factor(channel: DecoherenceChannel, m, *, period_d: float,
+                       half_span, talbot_scale: float):
+    """Real reduction factor of the order-m coefficient, exactly 1 at
+    m = 0; m is the Talbot-Lau index, twice the fringe order.
 
     ``half_span`` is the flight time t_f between gratings and
     ``talbot_scale`` the Talbot time T_T, so that the separation argument
     reads (m d / 2)(|t| - half_span) / talbot_scale with t the time
-    relative to the central grating. eta is real, so the factor is real.
+    relative to the central grating. ``m`` and ``half_span`` broadcast: a
+    column of node flight times against a row of orders gives a config's
+    (node x order) grid of factors in one call.
     """
-    if m == 0:
-        return 1.0
     x_max = (abs(m) * period_d / 2.0) * half_span / talbot_scale
     exponent = 2.0 * half_span * float(channel.rate) * channel.eta.loss(x_max)
-    return math.exp(-exponent)
-
-
-def channel_factor(channel: DecoherenceChannel, cfg, m: int,
-                   v_z: float) -> float:
-    """Reduction factor of the order-m coefficient for a full configuration.
-
-    ``m`` is the Talbot-Lau index, twice the fringe order: S_1 takes m = 2.
-    """
-    d = cfg.period_d
-    return decoherence_factor(channel, m, period_d=d,
-                              half_span=cfg.flight_time(v_z),
-                              talbot_scale=talbot_time(cfg.species.mass, d))
+    return np.where(m == 0, 1.0, np.exp(-exponent))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def csl_channel(lambda0: float, r_c: float, mass: float) -> DecoherenceChannel:
 
 __all__ = [
     "DecoherenceChannel", "GasEnvironment", "decoherence_factor",
-    "channel_factor", "TabulatedEta", "GaussianEta", "collisional_eta",
+    "TabulatedEta", "GaussianEta", "collisional_eta",
     "mean_gas_speed", "collisional_rate", "collisional_channel",
     "csl_channel",
 ]

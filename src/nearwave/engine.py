@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import (BeamState, bessel_j, require_finite, talbot_time,
                    velocity_weights)
-from .decoherence import channel_factor
+from . import decoherence
 from .gratings import (CoefficientTable, IonizingGrating, LaserPhaseGrating,
                        MaterialGrating, DEFAULT_GRID_SIZE, DEFAULT_J_MAX,
                        _cell_open_fraction, _check_orders, _slit_offsets,
@@ -91,7 +91,7 @@ class InterferometerConfig:
     A pure phase grating1 or grating3 raises ``CoherencePreparationError``.
     ``channels`` are the decoherence channels that act between the
     gratings: each multiplies the central-grating coefficient by its
-    reduction factor (``channel_factor``). Any sequence of channels is
+    reduction factor (``decoherence_factor``). Any sequence of channels is
     stored as a tuple, so that the config stays hashable.
     """
 
@@ -363,7 +363,7 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     averaged over the ``n_velocities`` nodes of the beam's
     ``velocity_weights``: at each, S_m = conj(B1_m(0)) * B2_{2m}(m t / T_T)
     * conj(B3_m(0)), without the last factor in surface-imaging mode, the
-    central factor reduced by each decoherence channel (``channel_factor``).
+    central factor reduced by each channel's ``decoherence_factor``.
 
     ``cfg`` is one config, or a sequence of them (a block of sweep points,
     all surface-imaging or all not) that gives one row per config. Each
@@ -413,10 +413,12 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     averaged = np.empty((len(cfgs), m_max + 1), dtype=complex)
     for p, (c, (speeds, weights), rows) in enumerate(
             zip(cfgs, rules, np.split(signal, ends[:-1]))):
-        # decoherence_factor is exactly 1 at order 0
         for channel in c.channels:
-            rows[:, 1:] *= [[channel_factor(channel, c, 2 * k, v)
-                             for k in m[1:]] for v in speeds]
+            # looked up on the module, where a layer trace can wrap it
+            rows *= decoherence.decoherence_factor(
+                channel, 2 * m, period_d=c.period_d,
+                half_span=c.flight_time(speeds)[:, None],
+                talbot_scale=talbot_time(c.species.mass, c.period_d))
         averaged[p] = weights @ rows
     return averaged if block else averaged[0]
 

@@ -389,7 +389,8 @@ class SincEta:
     / z_i), z_i = k_i x_max, takes the power series below z = 1, 40-node
     Gauss-Legendre for Si(z) / z = int_0^1 sin(z u) / (z u) du up to 32,
     and the auxiliary-function asymptotics above (Abramowitz and Stegun
-    5.2.14, 5.2.34-35): about 1e-15 relative, without scipy."""
+    5.2.14, 5.2.34-35): about 1e-15 relative, without scipy. An array of
+    x_max takes each element on its own."""
 
     wavenumbers: tuple
     weights: tuple
@@ -398,7 +399,9 @@ class SincEta:
         z = np.multiply(self.wavenumbers, abs(x))
         return float(np.dot(self.weights, np.sinc(z / np.pi)))
 
-    def loss(self, x_max: float) -> float:
+    def loss(self, x_max):
+        if np.ndim(x_max):
+            return np.vectorize(self.loss, otypes=[float])(x_max)
         z = np.multiply(self.wavenumbers, x_max)
         loss = np.empty_like(z)
         small, mid, large = z < 1.0, (z >= 1.0) & (z <= 32.0), z > 32.0

@@ -18,8 +18,8 @@ from nearwave.classical import classical_visibility_quadrature
 from nearwave.constants import AMU, BOLTZMANN_KB, VACUUM_PERMITTIVITY_EPS0
 from nearwave.core import BeamState, talbot_time
 from nearwave.csl import critical_mass
-from nearwave.decoherence import (GasEnvironment, channel_factor,
-                                  collisional_channel)
+from nearwave.decoherence import (GasEnvironment, collisional_channel,
+                                  decoherence_factor)
 from nearwave.engine import (InterferometerConfig, detector_signal,
                              velocity_averaged_signal,
                              time_domain_visibility)
@@ -178,7 +178,11 @@ def _gas_exponent(cfg, cross_section, v, m=2):
     env = GasEnvironment(gas_mass=28.0 * AMU, temperature=300.0,
                          pressure=p_ref, cross_section=cross_section)
     channel = collisional_channel(env)
-    return -math.log(abs(channel_factor(channel, cfg, m, v))) / p_ref
+    f = decoherence_factor(channel, m, period_d=cfg.period_d,
+                           half_span=cfg.flight_time(v),
+                           talbot_scale=talbot_time(cfg.species.mass,
+                                                    cfg.period_d))
+    return -math.log(abs(f)) / p_ref
 
 
 def test_acceptance_05_collisional_pressure_scaling():
@@ -228,7 +232,9 @@ def test_acceptance_06_thermal_photon_budget():
         # S_1 carries the order-2 Talbot-Lau coefficient of the central
         # grating, so its reduction factor is the one of index m = 2
         channel = thermal_emission_channel([(wavelength, rate)])
-        return abs(channel_factor(channel, cfg, 2, v))
+        return abs(decoherence_factor(
+            channel, 2, period_d=cfg.period_d, half_span=cfg.flight_time(v),
+            talbot_scale=talbot_time(cfg.species.mass, cfg.period_d)))
 
     r_half = brentq(lambda r: first_order_factor(r) - 0.5,
                     1e-3 / t_span, 1e3 / t_span, xtol=1e-6)

@@ -14,7 +14,7 @@ from nearwave.cli import main
 from nearwave.core import talbot_time
 from nearwave.csl import (MIN_QUANTUM_VISIBILITY, MassOutOfRangeError,
                           critical_mass, csl_reduction_factor, exclusion_map)
-from nearwave.decoherence import channel_factor, csl_channel
+from nearwave.decoherence import csl_channel, decoherence_factor
 from nearwave.engine import InterferometerConfig, time_domain_visibility
 from nearwave.species import gold_cluster
 
@@ -53,13 +53,17 @@ def test_operating_point_without_contrast_rejected():
 
 def _reduction_factor_through_config(cfg, lambda0, r_c, mass_amu):
     # ``cfg`` scaled to a gold cluster of this mass at the same d and
-    # T / T_T, read by channel_factor
+    # T / T_T, read by decoherence_factor at the config's flight time and
+    # Talbot time
     delay = cfg.pulse_delay_T / talbot_time(cfg.species.mass, cfg.period_d)
     species = gold_cluster(mass_amu)
     scaled = replace(cfg, species=species, pulse_delay_T=delay
                      * talbot_time(species.mass, cfg.period_d))
     channel = csl_channel(lambda0, r_c, species.mass)
-    return abs(channel_factor(channel, scaled, 2, 1.0))
+    tt = talbot_time(species.mass, scaled.period_d)
+    return abs(decoherence_factor(channel, 2, period_d=scaled.period_d,
+                                  half_span=scaled.flight_time(1.0),
+                                  talbot_scale=tt))
 
 
 @pytest.mark.parametrize("delay", [1.0, 0.75])

@@ -15,7 +15,7 @@ from nearwave.constants import AMU, BOLTZMANN_KB, HBAR
 from nearwave.core import BeamState, talbot_time
 from nearwave.decoherence import (DecoherenceChannel, GasEnvironment,
                                   GaussianEta, TabulatedEta,
-                                  channel_factor, collisional_channel,
+                                  collisional_channel,
                                   collisional_eta, collisional_rate,
                                   csl_channel,
                                   decoherence_factor,
@@ -97,6 +97,17 @@ def test_separation_ramp_quadratic_eta():
 def test_eta_without_loss_rejected():
     with pytest.raises(TypeError):
         DecoherenceChannel(rate=1.0, eta=lambda x: 1.0)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0])
+def test_channel_rate_finite_and_nonnegative(rate):
+    # a negative rate would raise the coefficient it is meant to reduce
+    with pytest.raises(ValueError, match="^rate must be"):
+        DecoherenceChannel(rate=rate, eta=GaussianEta(1e-7))
+    channel = csl_channel(1e-10, 1e-7, C70.mass)
+    with pytest.raises(ValueError, match="^rate must be"):
+        replace(channel, rate=rate)
+    assert replace(channel, rate=0.0).rate == 0.0
 
 
 def test_collisional_eta_normalization_and_decay():
@@ -215,9 +226,11 @@ def test_channels_compose_multiplicatively():
     assert hash(decohered) == hash(replace(cfg, channels=(c1, c2)))
     both = detector_signal(decohered, 100.0)
     bare = detector_signal(cfg, 100.0)
+    flight = dict(period_d=cfg.period_d, half_span=cfg.flight_time(100.0),
+                  talbot_scale=talbot_time(C70.mass, cfg.period_d))
     for m in range(1, 3):
-        expected = (bare[m] * channel_factor(c1, cfg, 2 * m, 100.0)
-                    * channel_factor(c2, cfg, 2 * m, 100.0))
+        expected = (bare[m] * decoherence_factor(c1, 2 * m, **flight)
+                    * decoherence_factor(c2, 2 * m, **flight))
         assert both[m] == pytest.approx(expected, rel=1e-9)
 
 
@@ -273,7 +286,9 @@ def test_thermal_emission_sine_integral_spatial(wavelength):
     n_photons = rate * 2.0 * cfg.separation_L / v
     expected = sine_integral_exponent(n_photons, wavelength, x_max)
     channel = thermal_emission_channel([(wavelength, rate)])
-    f = channel_factor(channel, cfg, 2, v)
+    f = decoherence_factor(channel, 2, period_d=cfg.period_d,
+                           half_span=cfg.flight_time(v),
+                           talbot_scale=talbot_time(C70.mass, cfg.period_d))
     assert -math.log(f.real) == pytest.approx(expected, rel=1e-12)
     assert f.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -293,8 +308,9 @@ def test_thermal_emission_sine_integral_time_domain(wavelength):
     x_max = d * cfg.pulse_delay_T / tt
     expected = sine_integral_exponent(rate * 2.0 * cfg.pulse_delay_T,
                                       wavelength, x_max)
-    f = channel_factor(thermal_emission_channel([(wavelength, rate)]),
-                       cfg, 2, 1.0)
+    f = decoherence_factor(thermal_emission_channel([(wavelength, rate)]),
+                           2, period_d=d, half_span=cfg.flight_time(1.0),
+                           talbot_scale=tt)
     assert -math.log(f.real) == pytest.approx(expected, rel=1e-12)
     assert f.imag == pytest.approx(0.0, abs=1e-12)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from nearwave.core import BeamState, bessel_j, velocity_weights
-from nearwave.decoherence import (GasEnvironment, channel_factor,
-                                  collisional_channel)
+from nearwave.decoherence import (GasEnvironment, collisional_channel,
+                                  decoherence_factor)
 from nearwave import engine
 from nearwave.engine import (CoherencePreparationError, InterferometerConfig,
                              NonSinusoidalWarning, TruncationWarning,
@@ -73,10 +73,13 @@ def symmetric_tables(j_max=6):
 
 @settings(max_examples=50, deadline=None)
 @given(b=coefficient_tables(), m=st.integers(min_value=-4, max_value=4),
-       xi=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
-def test_coefficient_periodic_in_xi(b, m, xi):
-    assert talbot_lau_coefficient(b, m, xi + 2.0) == pytest.approx(
-        talbot_lau_coefficient(b, m, xi), rel=1e-9, abs=1e-9)
+       xi=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+       shift=st.sampled_from([1, 2]))
+def test_coefficient_periodic_in_xi(b, m, xi, shift):
+    # B_m(xi + 1) = (-1)^m B_m(xi), so B_m(xi + 2) = B_m(xi)
+    assert talbot_lau_coefficient(b, m, xi + shift) == pytest.approx(
+        (-1) ** (m * shift) * talbot_lau_coefficient(b, m, xi),
+        rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -449,7 +452,10 @@ def _per_node_signal(cfg, v, m_max):
         factor = np.ones(m_max + 1, dtype=complex)
         for channel in cfg.channels:
             factor = product(factor, np.array(
-                [channel_factor(channel, cfg, 2 * k, v)
+                [decoherence_factor(channel, 2 * k, period_d=cfg.period_d,
+                                    half_span=cfg.flight_time(v),
+                                    talbot_scale=talbot_time(
+                                        cfg.species.mass, cfg.period_d))
                  for k in range(m_max + 1)]))
         signal = product(signal, factor)
     return signal
