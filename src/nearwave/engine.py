@@ -30,6 +30,7 @@ builds one velocity rule per distinct beam.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -271,44 +272,43 @@ def _cosine_weights(n: int, j_max: int, rows: int) -> np.ndarray:
 
 
 def talbot_lau_coefficient(b: CoefficientTable, m, xi):
-    """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi).
-
-    ``m``, ``xi`` and the leading axes of a node-stacked table broadcast
-    against each other; scalars and a single table give a complex scalar,
-    arrays an array of coefficients of the broadcast shape. For each
-    distinct order m the sum runs over the slice of j where both b_j and
-    b_{j-m} lie in the table; an order with |m| > 2 j_max gives zero. An
-    order whose every xi is 0 (the outer factors B_m(0), the central B_0)
-    sums the products alone: exp(0j) = 1 exactly, so skipping it changes
-    no bit.
+    """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi), zero for
+    |m| > 2 j_max. ``m``, ``xi`` and the leading axes of a node-stacked
+    table broadcast: scalars and a single table give a complex scalar; a
+    non-finite xi or |xi| >= ``XI_SANITY_BOUND`` raises ``ValueError``.
+    Order-major: per entry of ``m``, b_j conj(b_{j-m}) are two slices of
+    the table's own rows, times the phases only where its xi is non-zero
+    (exp(0j) = 1: skipping it moves no bit), summed over j.
     """
-    m, xi = np.broadcast_arrays(m, xi)
-    if np.any(np.abs(xi) >= XI_SANITY_BOUND):
+    m, xi = np.asarray(m), np.asarray(xi)
+    if not (np.abs(xi) < XI_SANITY_BOUND).all():
         raise ValueError("xi outside sanity bound")
-    j_max = b.j_max
-    shape = np.broadcast_shapes(b.values.shape[:-1], m.shape)
-    tables = np.broadcast_to(b.values, shape + b.values.shape[-1:])
-    m, xi = np.broadcast_to(m, shape), np.broadcast_to(xi, shape)
-    result = np.zeros(shape, dtype=complex)
-    for order in sorted(set(m.ravel().tolist())):
+    j_max, shape = b.j_max, np.broadcast(b.values[..., 0], m, xi).shape
+    # the table's rows, xi and m, with their axes aligned to the result's
+    rows = b.values[(None,) * (len(shape) + 1 - b.values.ndim)]
+    xi, result = xi[(None,) * (len(shape) - xi.ndim)], np.zeros(shape, complex)
+    m, conj = m.reshape((1,) * (len(shape) - m.ndim) + m.shape), np.conj(rows)
+
+    def parts(a):
+        # each entry's view of ``a``, in m's C order: its index where both vary
+        return itertools.product(*(
+            [slice(i, i + 1) for i in range(size)] if a.shape[k] == size
+            else [slice(None)] * size for k, size in enumerate(m.shape)))
+    for order, t, x, r in zip(m.ravel().tolist(),
+                              *map(parts, (rows, xi, result))):
         lo, hi = max(-j_max, order - j_max), min(j_max, order + j_max)
         if lo > hi:
             continue
-        at = m == order
-        rows = tables[at]
-        j = np.arange(lo, hi + 1)
-        products = rows[:, lo + j_max:hi + j_max + 1] \
-            * np.conj(rows[:, lo - order + j_max:hi - order + j_max + 1])
-        xi_at = xi[at]
-        if np.any(xi_at):
-            # k = order - 2 j runs over -K, -K + 2 .. K with K = hi - lo:
-            # one exponential per |k|, and e^(-i pi k xi) is its conjugate
+        products = rows[t][..., lo + j_max:hi + j_max + 1] \
+            * conj[t][..., lo - order + j_max:hi - order + j_max + 1]
+        if xi[x].any():
+            # e^(i pi k xi) once per |k| of k = order - 2j; -|k| its conjugate
             top = hi - lo
             half = np.exp(1j * np.pi * np.arange(top % 2, top + 1, 2)
-                          * xi_at[:, None])
+                          * xi[x][..., None])
             products = products * np.concatenate(
-                [half[:, ::-1], np.conj(half[:, 1 - top % 2:])], axis=1)
-        result[at] = np.sum(products, axis=-1)
+                [half[..., ::-1], np.conj(half[..., 1 - top % 2:])], axis=-1)
+        result[r] = np.add.reduce(products, axis=-1)
     return result[()]
 
 

@@ -18,6 +18,10 @@ them.
 - ``velocity_averaged_pattern`` turns the engine's averaged signal into a
   density table over x, the form the Fresnel propagator is compared in
   (acceptance 03).
+- ``talbot_lau_reference`` is the Talbot-Lau sum as the package computed
+  it before its order-major kernel: it gathers each order's rows of the
+  broadcast table. The kernel must equal it bit for bit
+  (``test_engine.py``).
 - ``de_broglie_wavelength`` and ``talbot_length`` are the spatial
   near-field scales; the package reads only the Talbot time.
 - ``thermal_emission_channel`` (eta ``SincEta``) is the thermal-emission
@@ -43,7 +47,8 @@ from nearwave.classical import (_kick_shape, _kick_strength, _mask_window,
 from nearwave.constants import BOLTZMANN_KB, PLANCK_H
 from nearwave.core import _unit_rule, require_finite
 from nearwave.decoherence import DecoherenceChannel
-from nearwave.engine import (DEFAULT_M_MAX, GratingSpec, InterferometerConfig,
+from nearwave.engine import (DEFAULT_M_MAX, XI_SANITY_BOUND, GratingSpec,
+                             InterferometerConfig,
                              sinusoidal_visibility, velocity_averaged_signal)
 from nearwave.gratings import (CoefficientTable, IonizingGrating,
                                LaserPhaseGrating, MaterialGrating,
@@ -360,6 +365,44 @@ def velocity_averaged_pattern(cfg: InterferometerConfig,
     pattern = CoefficientTable(np.concatenate([np.conj(signal[:0:-1]),
                                                signal]))
     return pattern, sinusoidal_visibility(signal)
+
+
+# ---------------------------------------------------------------------------
+# the Talbot-Lau sum by gather and scatter
+
+def talbot_lau_reference(b: CoefficientTable, m, xi):
+    """B_m(xi) = sum_j b_j conj(b_{j-m}) exp(i pi (m - 2j) xi), with the
+    broadcasting of ``nearwave.engine.talbot_lau_coefficient``: for each
+    distinct order, the rows of the table broadcast to the result's shape
+    where m has that order are gathered and their sums scattered back. An
+    order whose every xi is 0 sums the products alone."""
+    m, xi = np.broadcast_arrays(m, xi)
+    if np.any(np.abs(xi) >= XI_SANITY_BOUND):
+        raise ValueError("xi outside sanity bound")
+    j_max = b.j_max
+    shape = np.broadcast_shapes(b.values.shape[:-1], m.shape)
+    tables = np.broadcast_to(b.values, shape + b.values.shape[-1:])
+    m, xi = np.broadcast_to(m, shape), np.broadcast_to(xi, shape)
+    result = np.zeros(shape, dtype=complex)
+    for order in sorted(set(m.ravel().tolist())):
+        lo, hi = max(-j_max, order - j_max), min(j_max, order + j_max)
+        if lo > hi:
+            continue
+        at = m == order
+        rows = tables[at]
+        products = rows[:, lo + j_max:hi + j_max + 1] \
+            * np.conj(rows[:, lo - order + j_max:hi - order + j_max + 1])
+        xi_at = xi[at]
+        if np.any(xi_at):
+            # k = order - 2 j runs over -K, -K + 2 .. K with K = hi - lo:
+            # one exponential per |k|, and e^(-i pi k xi) is its conjugate
+            top = hi - lo
+            half = np.exp(1j * np.pi * np.arange(top % 2, top + 1, 2)
+                          * xi_at[:, None])
+            products = products * np.concatenate(
+                [half[:, ::-1], np.conj(half[:, 1 - top % 2:])], axis=1)
+        result[at] = np.sum(products, axis=-1)
+    return result[()]
 
 
 # ---------------------------------------------------------------------------

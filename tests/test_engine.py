@@ -33,7 +33,8 @@ from nearwave.scenario import apply_sweep_value, load_scenario
 from nearwave.metrology import DeflectionField
 from nearwave.species import get_species, gold_cluster
 from oracles import (de_broglie_wavelength, grating_transmission,
-                     talbot_length, velocity_averaged_pattern)
+                     talbot_lau_reference, talbot_length,
+                     velocity_averaged_pattern)
 
 C70 = get_species("C70")
 
@@ -199,6 +200,61 @@ def test_coefficient_equals_literal_double_loop():
         assert np.ndim(value) == 0 and isinstance(value, complex)
         assert abs(value - _literal_coefficient(values[0, 0], order,
                                                 xi)) <= 1e-13
+
+
+@st.composite
+def talbot_lau_arguments(draw):
+    """(table values, m, xi) in each layout the kernel broadcasts: a single
+    table against an order set and a scalar or row xi, a node-stacked
+    (rows, 1, width) table against an order set and (rows, orders) xi (the
+    engine's layout), a column of orders against a row of xi, and scalar m
+    and xi. Orders run past 2 j_max, and xi mixes exact zeros in."""
+    j_max = draw(st.integers(min_value=1, max_value=6))
+    width, rows = 2 * j_max + 1, draw(st.integers(min_value=1, max_value=4))
+    size = draw(st.integers(min_value=1, max_value=5))
+    m = np.array(draw(st.lists(
+        st.integers(min_value=-2 * j_max - 2, max_value=2 * j_max + 2),
+        min_size=size, max_size=size)))
+
+    def xi(shape):
+        values = st.one_of(st.just(0.0),
+                           st.floats(min_value=-3.0, max_value=3.0))
+        n = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                        dtype=float).reshape(shape)
+
+    layout = draw(st.sampled_from(["single", "stacked", "column", "scalar"]))
+    if layout == "single":
+        return (draw(_complex_arrays((width,))), m,
+                xi(draw(st.sampled_from([(), (size,)]))))
+    if layout == "stacked":
+        return (draw(_complex_arrays((rows, 1, width))), m,
+                xi(draw(st.sampled_from([(), (size,), (rows, size)]))))
+    if layout == "column":
+        return (draw(_complex_arrays((width,))), m[:, None],
+                xi(draw(st.sampled_from([(1, rows), (size, rows)]))))
+    table = draw(st.sampled_from([(width,), (rows, 1, width)]))
+    return draw(_complex_arrays(table)), int(m[0]), float(xi(()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=talbot_lau_arguments())
+def test_coefficient_equals_gather_scatter_reference_bit_for_bit(args):
+    # the order-major kernel sums the same products in the same order as
+    # the sum that gathers each order's rows of the broadcast table
+    values, m, xi = args
+    b = CoefficientTable(values)
+    got, want = talbot_lau_coefficient(b, m, xi), talbot_lau_reference(b, m, xi)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e6, -1e6])
+def test_coefficient_rejects_nonfinite_or_huge_xi(bad):
+    b = CoefficientTable(np.array([0.5, 1.0, 0.5], dtype=complex))
+    for m, xi in ((1, bad), (np.arange(3), np.array([0.2, bad, 0.0]))):
+        with pytest.raises(ValueError, match="xi outside sanity bound"):
+            talbot_lau_coefficient(b, m, xi)
 
 
 def test_signal_orders_do_not_depend_on_m_max():

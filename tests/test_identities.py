@@ -1,8 +1,9 @@
 """Identities that follow from the model alone, whatever the integrator.
 
 A rewrite that breaks one has a sign, convention or bookkeeping error that
-a fixed operating point might miss: the environment factor, the blocks of
-configs that one evaluation covers, and the two flight modes.
+a fixed operating point might miss: the Talbot-Lau symmetries of real
+grating tables, the environment factor, the blocks of configs that one
+evaluation covers, and the two flight modes.
 """
 
 from dataclasses import replace
@@ -71,6 +72,56 @@ configs = st.one_of(
               spreads),
     st.builds(_otima, st.floats(min_value=1.0, max_value=8.0),
               st.floats(min_value=0.3, max_value=1.5)))
+
+
+def _mask_table(interaction, v):
+    return grating_coefficients(_tli(interaction, v, 0.0).grating1, C70, v)
+
+
+def _laser_table(power, v):
+    return grating_coefficients(_kdtli(power, v, 0.0).grating2, PFNS8, v)
+
+
+def _ionizing_table(n0, phi0):
+    g = IonizingGrating(period_d=78.5e-9, mean_absorbed_photons_n0=n0,
+                        phase_amplitude_phi0=phi0)
+    return grating_coefficients(g, C70, 100.0)
+
+
+# the tables of real gratings: TLI masks of each wall interaction, KDTLI
+# lasers from 0 to 18 W, OTIMA ionizing gratings
+tables = st.one_of(
+    st.builds(_mask_table,
+              st.sampled_from(["vdw_r3", "casimir_polder_r4", "none"]), speeds),
+    st.builds(_laser_table, st.floats(min_value=0.0, max_value=18.0), speeds),
+    st.builds(_ionizing_table, st.floats(min_value=0.0, max_value=8.0),
+              st.floats(min_value=0.0, max_value=3.0)))
+orders = st.integers(min_value=-8, max_value=8)
+xis = st.floats(min_value=-3.0, max_value=3.0)
+
+
+def _term_scale(b, m):
+    """sum_j |b_j b_{j-m}|: the size of B_m before its phases cancel."""
+    return talbot_lau_coefficient(CoefficientTable(np.abs(b.values)), m,
+                                  0.0).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=tables, m=orders, xi=xis)
+def test_talbot_lau_shift_by_one(b, m, xi):
+    # B_m(xi + 1) = (-1)^m B_m(xi)
+    assert (abs(talbot_lau_coefficient(b, m, xi + 1.0)
+                - (-1) ** m * talbot_lau_coefficient(b, m, xi))
+            <= ROW_TOL * _term_scale(b, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=tables, m=orders, xi=xis)
+def test_talbot_lau_conjugation(b, m, xi):
+    # B_{-m}(xi) = conj B_m(-xi)
+    assert (abs(talbot_lau_coefficient(b, -m, xi)
+                - np.conj(talbot_lau_coefficient(b, m, -xi)))
+            <= ROW_TOL * _term_scale(b, m))
 
 
 @st.composite
