@@ -27,9 +27,11 @@ from .constants import AMU, VACUUM_PERMITTIVITY_EPS0
 from .core import talbot_time
 from .csl import exclusion_map
 from .decoherence import collisional_channel, collisional_rate
-from .engine import (BLOCK_ROWS, grating_coefficients, sinusoidal_visibility,
-                     talbot_pattern, time_domain_visibility,
-                     velocity_averaged_signal)
+from .engine import (grating_coefficients, sinusoidal_visibility,
+                     talbot_pattern, velocity_averaged_signal)
+# not called: the lookup site of the trace layer "engine.time_domain" in
+# perfbench/spans.py, kept until that layer is dropped
+from .engine import time_domain_visibility  # noqa: F401
 from .gratings import IonizingGrating, MaterialGrating, SlitBlockedError
 from .metrology import stark_fringe_shift
 from .scenario import (KEY_GROUPS, Scenario, ScenarioError, apply_sweep_value,
@@ -38,6 +40,9 @@ from .scenario import (KEY_GROUPS, Scenario, ScenarioError, apply_sweep_value,
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+# one engine evaluation takes at most this many rows: the velocity nodes of
+# a block of sweep points, or the delays of an otima-map block
+BLOCK_ROWS = 48
 
 
 def _fmt(value) -> str:
@@ -194,19 +199,28 @@ def _block(n_velocities: int, columns, cfgs) -> list[dict]:
     return records
 
 
+def _blocks(cfgs: list, n_velocities: int) -> list[list]:
+    """Consecutive ``cfgs`` in blocks of ``BLOCK_ROWS // n_velocities``
+    configs (at least one)."""
+    size = max(1, BLOCK_ROWS // max(1, n_velocities))
+    return [cfgs[i:i + size] for i in range(0, len(cfgs), size)]
+
+
+def _evaluate(blocks, n_velocities: int, columns) -> list[dict]:
+    """The ``_block`` records of ``blocks`` in order, mapped by the worker
+    pool. A config carries everything its point needs, decoherence
+    channels included, so a block is all that a worker receives."""
+    return [record for records in _pmap(
+        partial(_block, n_velocities, columns), blocks) for record in records]
+
+
 def _sweep(label: str, values, setting, n_velocities: int, columns,
            out: str, fmt: str):
     """Emit one record per value: the value under ``label``, then the
-    ``_block`` columns of the config ``setting(value)``. Consecutive
-    values run in blocks of ``BLOCK_ROWS // n_velocities`` (at least one),
-    and the worker pool maps blocks. A config carries everything its point
-    needs, decoherence channels included, so a block is all that a worker
-    receives."""
+    ``_block`` columns of the config ``setting(value)``, consecutive values
+    evaluated in ``_blocks``."""
     cfgs = [setting(value) for value in values]
-    size = max(1, BLOCK_ROWS // max(1, n_velocities))
-    blocks = [cfgs[i:i + size] for i in range(0, len(cfgs), size)]
-    rows = [record for records in _pmap(
-        partial(_block, n_velocities, columns), blocks) for record in records]
+    rows = _evaluate(_blocks(cfgs, n_velocities), n_velocities, columns)
     records = [{label: value, **row} for value, row in zip(values, rows)]
     emit(records, list(records[0]), out, fmt)
 
@@ -348,7 +362,7 @@ def power_sweep(scenario_path, velocities, out, fmt):
 
 @main.command()
 @click.argument("scenario_path")
-@click.option("--z-max", type=FINITE, default=2.0, show_default=True,
+@click.option("--z-max", type=POSITIVE, default=2.0, show_default=True,
               help="Largest propagation distance in Talbot lengths.")
 @click.option("--z-points", type=POINTS, default=64, show_default=True)
 @click.option("--x-points", type=POINTS, default=128, show_default=True)
@@ -408,12 +422,17 @@ def otima_map(scenario_path, ratio_min, ratio_max, ratio_points,
     tt = talbot_time(cfg.species.mass, cfg.period_d)
     ratios = np.linspace(ratio_min, ratio_max, ratio_points)
     n0_values = np.linspace(n0_min, n0_max, n0_points)
-    matrix = np.empty((len(ratios), len(n0_values)))
-    for j, n0 in enumerate(n0_values):
+    delays = (ratios * tt).tolist()
+    if min(delays) <= 0.0:
+        raise ValueError("T must be positive")
+    # each photon number's delays in blocks, at the beam's mean speed
+    blocks = []
+    for n0 in n0_values:
         g = replace(grating, mean_absorbed_photons_n0=float(n0))
-        # one block of delays per photon number
-        matrix[:, j] = time_domain_visibility(
-            replace(cfg, grating1=g, grating2=g, grating3=g), ratios * tt)
+        base = replace(cfg, grating1=g, grating2=g, grating3=g)
+        blocks += _blocks([replace(base, pulse_delay_T=t) for t in delays], 1)
+    matrix = np.reshape([record["quantum_visibility"] for record
+                         in _evaluate(blocks, 1, QUANTUM)], (n0_points, -1)).T
     emit_matrix("delay_over_talbot_time", ratios, "n0", n0_values, matrix,
                 out, fmt)
 

@@ -95,11 +95,13 @@ class GaussianEta:
         if np.ndim(x_max):
             # element by element, as Python floats: the bits the CSL map holds
             return np.vectorize(self.loss, otypes=[float])(x_max)
-        z2 = (x_max / (2.0 * self.r_c)) ** 2
-        if z2 >= 0.25:
-            return 1.0 - (self.r_c * math.sqrt(math.pi)
-                          * math.erf(x_max / (2.0 * self.r_c)) / x_max)
+        # a subnormal r_c gives z = inf, where the loss is 1
+        with np.errstate(over="ignore"):
+            z = x_max / (2.0 * self.r_c)
+        if z >= 0.5:
+            return 1.0 - self.r_c * math.sqrt(math.pi) * math.erf(z) / x_max
         # sum_{k>=1} (-1)^(k+1) z^2k / (k! (2k+1)), to 1e-19
+        z2 = z ** 2
         total, term = 0.0, -1.0
         for k in range(1, 15):
             term *= -z2 / k

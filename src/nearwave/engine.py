@@ -22,10 +22,10 @@ table is the Bessel closed form at a real or a complex phase, one
 material mask's is a cosine sum over |t| and the phase on half a period.
 A grating whose phase does not depend on the speed (``is_speed_free``: an
 ionizing grating, a mask without an eikonal phase) gives a single row for
-all nodes, and its table and outer factor conj B_m(0) are built once per
-process (``_speed_free_factors``). Any other outer grating's factor is
-evaluated once per block, so grating3 == grating1 reuses it, and a block
-builds one velocity rule per distinct beam.
+all nodes, and its table is built once per process
+(``_single_row_table``). Every outer factor conj B_m(0) is evaluated once
+per block, so grating3 == grating1 reuses it, and a block builds one
+velocity rule per distinct beam.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ from .gratings import (ionizing_transmission,  # noqa: F401
 DEFAULT_M_MAX = 8
 XI_SANITY_BOUND = 1e6
 TRUNCATION_WARN_LEVEL = 1e-8
-# entries kept by each per-process memo of mask amplitudes and weights
+# entries kept by each per-process memo of tables, mask amplitudes and
+# weights
 MEMO_SIZE = 64
-# one evaluation takes at most this many rows (velocity nodes of a block
-# of sweep points, or delays of a time-domain block)
-BLOCK_ROWS = 48
 
 GratingSpec = MaterialGrating | LaserPhaseGrating | IonizingGrating
 
@@ -178,27 +176,21 @@ def grating_coefficients(g: GratingSpec, s: Species, v_z,
     return CoefficientTable(np.concatenate([half[..., :0:-1], half], axis=-1))
 
 
-def _single_row_table(g, j_max: int) -> CoefficientTable:
-    """The one table of a grating that ``is_speed_free``: the closed form
-    of an ionizing grating, or the cosine sum of a mask's |t| alone."""
-    if isinstance(g, IonizingGrating):
-        return _laser_table(g.phase_amplitude_phi0
-                            + 0.5j * g.mean_absorbed_photons_n0, j_max)
-    amp = _open_amplitude(g.period_d, g.open_half_width)
-    half = _even_table(amp, np.zeros(amp.size), DEFAULT_GRID_SIZE, j_max)
-    return CoefficientTable(np.concatenate([half[:0:-1], half]))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def _speed_free_factors(g, m_max: int, j_max: int):
-    """(table, outer factor conj B_m(0), m = 0 .. ``m_max``) of a grating
-    that ``is_speed_free`` for the species it is used with (the caller
-    checks): built once per process, grating and order counts; read-only."""
-    table = _single_row_table(g, j_max)
-    outer = np.conj(talbot_lau_coefficient(table, np.arange(m_max + 1), 0.0))
+def _single_row_table(g, j_max: int) -> CoefficientTable:
+    """The one table of a grating that ``is_speed_free`` (the caller
+    checks): the closed form of an ionizing grating, or the cosine sum of
+    a mask's |t| alone. Built once per process, grating and order count;
+    read-only."""
+    if isinstance(g, IonizingGrating):
+        table = _laser_table(g.phase_amplitude_phi0
+                             + 0.5j * g.mean_absorbed_photons_n0, j_max)
+    else:
+        amp = _open_amplitude(g.period_d, g.open_half_width)
+        half = _even_table(amp, np.zeros(amp.size), DEFAULT_GRID_SIZE, j_max)
+        table = CoefficientTable(np.concatenate([half[:0:-1], half]))
     table.values.flags.writeable = False
-    outer.flags.writeable = False
-    return table, outer
+    return table
 
 
 def _laser_table(phi0, j_max: int) -> CoefficientTable:
@@ -368,10 +360,9 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
     ``cfg`` is one config, or a sequence of them (a block of sweep points,
     all surface-imaging or all not) that gives one row per config. Each
     distinct grating role gets one table over all nodes of the block
-    (``_block_table``), or, where the block shares one grating that
-    ``is_speed_free``, its table and outer factor of the process
-    (``_speed_free_factors``); each row equals its config alone up to
-    rounding.
+    (``_block_table``), a single row of the process where the grating
+    ``is_speed_free``, and each outer role one factor; each row equals its
+    config alone up to rounding.
     """
     block = not isinstance(cfg, InterferometerConfig)
     cfgs = list(cfg) if block else [cfg]
@@ -386,11 +377,6 @@ def velocity_averaged_signal(cfg, n_velocities: int = 16,
 
     def role(name):
         return tuple((getattr(c, name), c.species) for c in cfgs)
-
-    for key in map(role, ("grating1", "grating2", "grating3")):
-        if len(set(key)) == 1 and is_speed_free(*key[0]):
-            tables[key], outer_factors[key] = _speed_free_factors(
-                key[0][0], m_max, j_max)
 
     def table(key):
         if key not in tables:
@@ -451,24 +437,16 @@ def _block_table(key, nodes, ends, j_max: int) -> CoefficientTable:
         for (g, s), v in zip(key, per_config)]))
 
 
-def time_domain_visibility(cfg: InterferometerConfig, T):
-    """Visibility of a pulsed (time-domain) configuration at delay T; an
-    array of delays gives an array of visibilities. Each delay is one
-    config, evaluated at the beam's mean speed (``velocity_averaged_signal``
-    with one node) in blocks of at most ``BLOCK_ROWS`` configs: the flight
-    time is T at every speed."""
-    delays = np.asarray(T, dtype=float)
-    if np.any(delays <= 0.0):
+def time_domain_visibility(cfg: InterferometerConfig, T: float) -> float:
+    """Visibility of a pulsed (time-domain) configuration at delay T,
+    evaluated at the beam's mean speed (``velocity_averaged_signal`` with
+    one node): the flight time is T at every speed."""
+    if T <= 0.0:
         raise ValueError("T must be positive")
     if cfg.mode != "time_domain":
         raise ValueError("config must be in time_domain mode")
-    values = np.empty(delays.shape)
-    for start in range(0, delays.size, BLOCK_ROWS):
-        block = [replace(cfg, pulse_delay_T=float(t))
-                 for t in delays.flat[start:start + BLOCK_ROWS]]
-        values.flat[start:start + len(block)] = sinusoidal_visibility(
-            velocity_averaged_signal(block, 1, m_max=1))
-    return values[()]
+    return sinusoidal_visibility(velocity_averaged_signal(
+        replace(cfg, pulse_delay_T=T), 1, m_max=1))
 
 
 __all__ = [

@@ -291,7 +291,7 @@ def _count_calls(monkeypatch, sites):
     calls = dict.fromkeys(sites, 0)
     for site in calls:
         module_name, attr = site.split(".")
-        module = {"engine": engine, "classical": classical,
+        module = {"cli": cli, "engine": engine, "classical": classical,
                   "gratings": gratings}[module_name]
 
         def counted(*args, _site=site, _func=getattr(module, attr), **kw):
@@ -324,15 +324,15 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     # one coefficient table over all 48 rows in one even cosine sum, the
     # mask without a phase (a single row) included, and evaluates B_m once
     # for grating2 and once for the outer masks; the classical twin sums
-    # one window for its outer masks. A second block rebuilds only what
-    # depends on the speed: the vdW and Casimir-Polder tables and their
-    # four B_m. The phase-free mask's table and outer factor, the twin's
-    # window and the cosine weights are kept, one set of weights per order
-    # count and number of open cells read (the ideal mask opens to the
-    # walls and reads 974, the vdW and Casimir-Polder masks 970)
+    # one window for its outer masks. A second block rebuilds the vdW and
+    # Casimir-Polder tables, which depend on the speed, and evaluates all
+    # six B_m again. The phase-free mask's table, the twin's window and the
+    # cosine weights are kept, one set of weights per order count and
+    # number of open cells read (the ideal mask opens to the walls and
+    # reads 974, the vdW and Casimir-Polder masks 970)
     assert set(fresh_memos) == {"engine._open_amplitude",
                                 "engine._cosine_weights",
-                                "engine._speed_free_factors",
+                                "engine._single_row_table",
                                 "classical._central_grid",
                                 "classical._mask_window", "core._unit_rule"}
     weights = engine._cosine_weights
@@ -351,9 +351,9 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
     assert weights.cache_info().misses == 3
     assert cli._block(12, cli.INTERACTIONS, settings) == records
     assert calls == {**first, "engine._even_table": 3 + 2,
-                     "engine.talbot_lau_coefficient": 6 + 5}
+                     "engine.talbot_lau_coefficient": 6 + 6}
     assert weights.cache_info().misses == 3
-    for memo in ("engine._speed_free_factors", "classical._mask_window"):
+    for memo in ("engine._single_row_table", "classical._mask_window"):
         assert fresh_memos[memo].cache_info().misses == 1
 
 
@@ -365,8 +365,7 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     # opens to the walls: one velocity-sweep run builds and checks the |t|
     # of each geometry once, and its three points at two nodes form one
     # block, with one cosine-sum table per column. The ideal mask's table
-    # and its outer factor are built once for all three of its roles, and
-    # kept for the process
+    # is built once for all three of its roles, and kept for the process
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     calls = _count_calls(monkeypatch, ["engine._cell_open_fraction",
                                        "engine._even_table",
@@ -379,7 +378,7 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
     assert calls == {"engine._cell_open_fraction": 2,
                      "engine._even_table": 3,
                      "engine.talbot_lau_coefficient": 6}
-    speed_free = fresh_memos["engine._speed_free_factors"].cache_info()
+    speed_free = fresh_memos["engine._single_row_table"].cache_info()
     assert (speed_free.misses, speed_free.currsize) == (1, 1)
     memo = engine._open_amplitude
     assert (memo.cache_info().misses, memo.cache_info().currsize) == (2, 2)
@@ -391,12 +390,12 @@ def test_velocity_sweep_builds_each_mask_amplitude_once(runner, tmp_path,
 def test_power_sweep_builds_the_outer_mask_once_per_process(monkeypatch,
                                                             fresh_memos):
     # the KDTLI's outer mask has no eikonal phase: over two power-sweep
-    # blocks of four points its single-row table is summed once, its outer
-    # factor evaluated once and its twin window taken once. Each block
-    # builds the velocity rule of its one beam once for the quantum column
-    # and once for the twin, its laser tables, which differ in power, from
-    # one multi-order Bessel call over all 48 rows, evaluates grating2
-    # once, and takes its four classical twins from one more Bessel call
+    # blocks of four points its single-row table is summed once and its
+    # twin window taken once. Each block builds the velocity rule of its
+    # one beam once for the quantum column and once for the twin, its laser
+    # tables, which differ in power, from one multi-order Bessel call over
+    # all 48 rows, evaluates the outer factor and grating2 once each, and
+    # takes its four classical twins from one more Bessel call
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.talbot_lau_coefficient",
         "engine.bessel_j", "engine.velocity_weights", "classical.bessel_j",
@@ -409,7 +408,7 @@ def test_power_sweep_builds_the_outer_mask_once_per_process(monkeypatch,
     for block in blocks:
         cli._block(12, cli.QUANTUM, block)
     assert calls == {"engine._even_table": 1,
-                     "engine.talbot_lau_coefficient": 1 + len(blocks),
+                     "engine.talbot_lau_coefficient": 2 * len(blocks),
                      "engine.bessel_j": len(blocks),
                      "engine.velocity_weights": 2 * len(blocks),
                      "classical.bessel_j": len(blocks),
@@ -632,10 +631,8 @@ def test_vanishing_signal_offset_exits_4(runner, monkeypatch, args):
         result = signals(*block, **options)
         result[-1, 0] = 0.0
         return result
-    # the sweeps look the evaluation up in the cli, time_domain_visibility
-    # in the engine
+    # every visibility command looks the evaluation up in the cli
     monkeypatch.setattr(cli, "velocity_averaged_signal", dark_last)
-    monkeypatch.setattr(engine, "velocity_averaged_signal", dark_last)
     result = invoke(runner, *args)
     assert result.exit_code == 4
     assert "numerical error: zeroth signal component S_0 vanishes" \
@@ -653,9 +650,11 @@ def test_vanishing_signal_offset_exits_4(runner, monkeypatch, args):
     ["otima-map", OTIMA, "--n0-points", "0"],
     ["otima-map", OTIMA, "--ratio-max", "nan"],
     ["otima-map", OTIMA, "--n0-min", "-inf"],
+    ["carpet", TLI, "--z-max", "-1"],
 ])
 def test_empty_or_non_finite_grid_exits_2(runner, args):
-    # a NaN range would write a matrix of nan, and no points a header only
+    # a NaN range would write a matrix of nan, no points a header only, and
+    # a negative distance a carpet in front of the first grating
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Invalid value for" in result.output
@@ -899,16 +898,20 @@ def test_worker_count_not_an_integer_names_the_variable(runner, monkeypatch,
                              f"integer, got {workers!r}\n")
 
 
-@pytest.mark.parametrize("command, text", [
-    ("velocity-sweep", read(TLI)), ("power-sweep", read(KDTLI)),
-    ("decohere", with_line(DECOHERE, "sweep.points = 30"))],
-    ids=["velocity-sweep", "power-sweep", "decohere"])
+@pytest.mark.parametrize("command, text, options", [
+    ("velocity-sweep", read(TLI), ["--velocities", "2"]),
+    ("power-sweep", read(KDTLI), ["--velocities", "2"]),
+    ("decohere", with_line(DECOHERE, "sweep.points = 30"),
+     ["--velocities", "2"]),
+    ("otima-map", read(OTIMA), ["--ratio-points", "5", "--n0-points", "3"])],
+    ids=["velocity-sweep", "power-sweep", "decohere", "otima-map"])
 def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
-                                              command, text):
+                                              command, text, options):
     # the same bytes from this process and from a pool of two workers,
-    # which map the sweep's blocks of points: 24 points of two nodes a
-    # block, so each sweep has two blocks or more. decohere's configs
-    # carry their collisional channel to the workers
+    # which map the command's blocks: 24 sweep points of two nodes a
+    # block, so each sweep has two blocks or more, and one block per
+    # photon number of the OTIMA map. decohere's configs carry their
+    # collisional channel to the workers
     path = tmp_path / "scenario.cfg"
     path.write_text(text)
     sizes = []
@@ -919,7 +922,7 @@ def test_worker_count_leaves_output_unchanged(runner, tmp_path, monkeypatch,
             super().__init__(max_workers=max_workers, initializer=initializer)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    args = [command, str(path), "--velocities", "2", "--out"]
+    args = [command, str(path), *options, "--out"]
     monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
     serial = tmp_path / "serial.csv"
     assert invoke(runner, *args, str(serial)).exit_code == 0
@@ -1295,6 +1298,28 @@ def test_csl_map(runner):
     assert payload["rows"][1]["values"][0] < masses[0]
 
 
+# the rows of a default csl-map on the bundled OTIMA scenario: a correlation
+# length far below x_max has the loss 1, so its column equals the next
+TINY_RC_ROWS = """\
+1e-12,3188159.4892459614,3188159.4892459614,39808479.14062525
+1e-10,688285.3957961601,688285.3957961601,8594173.194211427
+1e-08,147842.67255170556,147842.67255170556,1846015.5353648344
+"""
+
+
+@pytest.mark.parametrize("rc_min, header", [
+    ("1e-300", "lambda0_hz\\r_c_m,1e-300,1e-153,1e-06"),
+    ("5e-324", "lambda0_hz\\r_c_m,5e-324,2.2227587494850626e-165,1e-06")],
+    ids=["tiny", "subnormal"])
+def test_csl_map_at_a_tiny_correlation_length(runner, rc_min, header):
+    # z = x_max / (2 r_c) overflows its square at r_c = 1e-300 and itself
+    # at a subnormal r_c: the loss is 1 there, without a warning line
+    result = invoke(runner, "csl-map", OTIMA, "--rc-min", rc_min)
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert result.stdout == header + "\n" + TINY_RC_ROWS
+
+
 def test_csl_map_rejects_an_operating_point_without_contrast(runner,
                                                             tmp_path):
     # one photon per grating leaves the scenario's own interferometer below
@@ -1351,14 +1376,28 @@ def test_otima_maps_of_equal_gratings_unchanged(runner):
 
 
 def test_otima_map_is_one_block_per_photon_number(runner, monkeypatch):
-    # each n0 column is one engine evaluation over all its delays; a delay
-    # that is not positive is still a config error
-    calls = _count_calls(monkeypatch, ["engine.velocity_averaged_signal"])
+    # each n0 column is one engine evaluation over all its delays, up to
+    # BLOCK_ROWS delays a block: a column of 100 delays runs as 48, 48 and
+    # 4; a delay that is not positive is still a config error
+    monkeypatch.delenv("NEARWAVE_WORKERS", raising=False)
+    calls = _count_calls(monkeypatch, ["cli.velocity_averaged_signal"])
     result = invoke(runner, "otima-map", OTIMA, "--ratio-points", "5",
                     "--n0-points", "3")
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 6
-    assert calls == {"engine.velocity_averaged_signal": 3}
+    assert calls == {"cli.velocity_averaged_signal": 3}
+    sizes = []
+    signals = cli.velocity_averaged_signal
+
+    def sized(cfgs, *args, **options):
+        sizes.append(len(cfgs))
+        return signals(cfgs, *args, **options)
+    monkeypatch.setattr(cli, "velocity_averaged_signal", sized)
+    result = invoke(runner, "otima-map", OTIMA, "--ratio-points", "100",
+                    "--n0-points", "2")
+    assert result.exit_code == 0
+    assert len(result.output.strip().splitlines()) == 101
+    assert sizes == [48, 48, 4] * 2
     for ratio_min in ("-0.5", "0"):
         result = invoke(runner, "otima-map", OTIMA, "--ratio-min", ratio_min)
         assert result.exit_code == 2

@@ -340,6 +340,15 @@ def test_gaussian_eta_loss_without_cancellation():
     assert GaussianEta(417.5).loss(7.85e-8) == pytest.approx(exact, rel=1e-14)
 
 
+def test_gaussian_eta_loss_of_a_tiny_correlation_length():
+    # z = x_max / (2 r_c) far above 0.5, or infinite at a subnormal r_c:
+    # the loss is 1 to double precision, without an OverflowError or an
+    # overflow warning (an error under the test settings)
+    for r_c in (1e-300, 5e-324):
+        assert GaussianEta(r_c).loss(7.85e-8) == 1.0
+        assert GaussianEta(r_c).loss(np.float64(7.85e-8)) == 1.0
+
+
 def test_csl_channel_scalings():
     c = csl_channel(1e-10, 1e-7, 1e6 * AMU)
     assert c.rate == pytest.approx(1e-10 * 1e12, rel=1e-12)

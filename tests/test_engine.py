@@ -406,56 +406,32 @@ def test_time_domain_guards():
 
 
 def test_time_domain_delays_are_one_block(monkeypatch):
-    # an array of delays is one block of configs: each visibility equals
-    # the scalar call at its delay, a delay whose S_0 vanishes is a
-    # numerical error, a non-sinusoidal fringe still warns, and a delay
-    # <= 0 is refused;
-    # more delays than BLOCK_ROWS run in blocks of at most BLOCK_ROWS, and
-    # no delay gives an empty array without an evaluation
+    # a delay is one config: its visibility is a float that the config's
+    # own delay does not change, a delay whose S_0 vanishes is a numerical
+    # error, a non-sinusoidal fringe still warns, and a delay <= 0 is
+    # refused. A map's blocks of delays run through the cli
+    # (test_otima_map_is_one_block_per_photon_number)
     cfg = _otima_config(n0=12.0)
     t_t = talbot_time(1e6 * AMU, 78.5e-9)
-    delays = np.array([0.6, 0.8, 1.2, 1.4]) * t_t
-    block = time_domain_visibility(cfg, delays)
-    assert block.shape == delays.shape
-    for value, delay in zip(block, delays):
-        alone = time_domain_visibility(cfg, float(delay))
-        assert isinstance(alone, float)
-        assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
+    value = time_domain_visibility(cfg, 0.6 * t_t)
+    assert isinstance(value, float)
+    assert time_domain_visibility(replace(cfg, pulse_delay_T=3.0 * t_t),
+                                  0.6 * t_t) == value
     with pytest.warns(NonSinusoidalWarning):
-        resonant = time_domain_visibility(cfg, np.array([0.6, 1.0]) * t_t)
-    assert resonant[0] == pytest.approx(block[0], rel=1e-13, abs=0.0)
-    assert resonant[1] > 1.0
+        resonant = time_domain_visibility(cfg, t_t)
+    assert resonant > 1.0
     signals = engine.velocity_averaged_signal
 
-    def dark_second(*args, **options):
+    def dark(*args, **options):
         result = signals(*args, **options)
-        result[1] = 0.0
+        result[0] = 0.0
         return result
-    monkeypatch.setattr(engine, "velocity_averaged_signal", dark_second)
+    monkeypatch.setattr(engine, "velocity_averaged_signal", dark)
     with pytest.raises(FloatingPointError, match="S_0 vanishes"):
-        time_domain_visibility(cfg, delays)
-    for bad in (np.array([t_t, 0.0]), np.array([-t_t, t_t]), 0.0):
+        time_domain_visibility(cfg, 0.6 * t_t)
+    for bad in (0.0, -t_t):
         with pytest.raises(ValueError, match="T must be positive"):
             time_domain_visibility(cfg, bad)
-    monkeypatch.setattr(engine, "velocity_averaged_signal", signals)
-    calls = []
-
-    def counted(cfgs, *args, **options):
-        calls.append(len(cfgs))
-        return signals(cfgs, *args, **options)
-    monkeypatch.setattr(engine, "velocity_averaged_signal", counted)
-    monkeypatch.setattr(engine, "BLOCK_ROWS", 3)
-    many = np.array([0.6, 0.65, 0.7, 0.8, 1.2, 1.3, 1.4]).reshape(7, 1) * t_t
-    chunked = time_domain_visibility(cfg, many)
-    assert calls == [3, 3, 1]
-    assert chunked.shape == (7, 1)
-    for value, delay in zip(chunked.ravel(), many.ravel()):
-        alone = time_domain_visibility(cfg, float(delay))
-        assert value == pytest.approx(alone, rel=1e-13, abs=0.0)
-    calls.clear()
-    empty = time_domain_visibility(cfg, np.array([]))
-    assert empty.shape == (0,) and empty.dtype == float
-    assert calls == []
 
 
 def test_config_invariants():
@@ -764,25 +740,21 @@ def test_mirrored_phases_equal_every_k_exponentiated():
 
 
 def test_speed_free_memos_hold_read_only_factors(fresh_memos):
-    # a phase-free mask's table and outer factor, and the twin's window of
-    # a mask, are built on the first call; a hit returns the same objects,
-    # and the arrays cannot be written
+    # a phase-free mask's table, and the twin's window of a mask, are
+    # built on the first call; a hit returns the same objects, the table at
+    # every speed, and the arrays cannot be written
     from nearwave import classical
     mask = _material(period_d=266e-9, open_fraction_f=0.42)
-    table, outer = engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)
-    assert engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)[0] is table
-    assert engine._speed_free_factors(mask, 1, DEFAULT_J_MAX)[1] is outer
-    for array in (table.values, outer):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.0
-    assert np.array_equal(table.values,
-                          grating_coefficients(mask, C70, 100.0).values)
-    assert np.array_equal(outer, np.conj(
-        talbot_lau_coefficient(table, np.arange(2), 0.0)))
+    table = engine._single_row_table(mask, DEFAULT_J_MAX)
+    assert engine._single_row_table(mask, DEFAULT_J_MAX) is table
+    assert grating_coefficients(mask, C70, 100.0) is table
+    assert grating_coefficients(mask, C70, [80.0, 120.0]) is table
+    assert not table.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.values[0] = 0.0
     window = classical._mask_window(mask)
     assert classical._mask_window(mask) is window
-    assert engine._speed_free_factors.cache_info().misses == 1
+    assert engine._single_row_table.cache_info().misses == 1
     assert classical._mask_window.cache_info().misses == 1
 
 
@@ -797,7 +769,7 @@ def test_only_speed_free_gratings_enter_the_memo(fresh_memos, name, entries):
                   if is_speed_free(g, cfg.species)]
     assert len(set(speed_free)) == entries
     velocity_averaged_signal([cfg, cfg], 4, m_max=1)
-    assert engine._speed_free_factors.cache_info().currsize == entries
+    assert engine._single_row_table.cache_info().currsize == entries
 
 
 def test_speed_free_rule():
