@@ -126,14 +126,50 @@ def velocity_weights(beam: BeamState, n_points: int):
     return list(zip(velocities.tolist(), weights.tolist()))
 
 
-def bessel_node_count(n: int, x: float) -> int:
-    """Nodes N of a full period that resolve J_n(x): the N-point rule errs
-    only by the aliased orders J_{kN +- n}(x), and with
-    N = ceil(|x| + |n| + 10 |x|^(1/3)) + 40 the first of them lies far past
-    the Bessel turning point, whose width grows like |x|^(1/3).
+# Bessel rules kept per process: one per rung of the power-of-two ladder
+# and set of orders that a run asks for (a power sweep reads about ten)
+BESSEL_MEMO_SIZE = 32
+
+
+def bessel_node_count(n: int, x):
+    """Nodes N of a full period that resolve J_n(x), for each entry of
+    ``x``: the N-point rule errs only by the aliased orders J_{kN +- n}(x),
+    and with N = ceil(|x| + |n| + 10 |x|^(1/3)) + 40 the first of them lies
+    far past the Bessel turning point, whose width grows like |x|^(1/3).
     """
-    x = abs(x)
-    return math.ceil(x + abs(n) + 10.0 * x ** (1.0 / 3.0)) + 40
+    x = np.abs(x)
+    return (np.ceil(x + abs(n) + 10.0 * x ** (1.0 / 3.0)) + 40).astype(int)
+
+
+def _rule_quarters(widest: int, x):
+    """The quarter Q of each entry's Bessel rule: ceil(N/4) for the
+    ``bessel_node_count`` N of order ``widest`` at that entry, rounded up
+    to a power of two (frexp(c - 1) gives the least 2^e >= c)."""
+    return 2 ** np.frexp(-(-bessel_node_count(widest, x) // 4) - 1)[1]
+
+
+@lru_cache(maxsize=BESSEL_MEMO_SIZE)
+def _bessel_rule(quarter: int, orders: tuple):
+    """Read-only tables of the midpoint rule with ``quarter`` nodes on
+    [0, pi/2], for the integer ``orders``: sin tau, the even-order mask,
+    cos(n tau) of the even orders and sin(n tau) of the odd ones.
+
+    n tau_k = 2 pi n (2k + 1) / P with P = 8 ``quarter``, a power of two:
+    reduced modulo P by a bit mask, every cos(n tau) is one of P cosines,
+    and sin(n tau) the one P/4 steps back. Built once per process for each
+    (quarter, orders).
+    """
+    flat = np.array(orders, dtype=int)
+    even = flat % 2 == 0
+    period = 8 * quarter
+    cosines = np.cos(np.arange(period) * (2.0 * np.pi / period))
+    steps = np.multiply.outer(2 * np.arange(quarter) + 1, flat)
+    sines = np.sin((np.arange(quarter) + 0.5) * (np.pi / (2 * quarter)))
+    rule = (sines, even, cosines[steps[:, even] & (period - 1)],
+            cosines[(steps[:, ~even] - 2 * quarter) & (period - 1)])
+    for table in rule:
+        table.flags.writeable = False
+    return rule
 
 
 def bessel_j(n, x):
@@ -141,52 +177,57 @@ def bessel_j(n, x):
 
     Trapezoid rule on Bessel's integral
     J_n(x) = (1/pi) int_0^pi cos(n tau - x sin tau) dtau at the H midpoints
-    of [0, pi], H = ceil(N/2) rounded up to even, N the
-    ``bessel_node_count`` of the largest |n| and |x|. The integrand is
-    smooth and 2 pi-periodic, so the absolute error against
+    of [0, pi]. Each entry of ``x`` has its own rule: H = 2 Q, where the
+    quarter Q is ceil(N/4) rounded up to a power of two and N the
+    ``bessel_node_count`` of the largest |n| and the entry's own |x|. A
+    small argument does not pay for a large one beside it, and an entry's
+    value is the same bits as the call at that entry alone. The integrand
+    is smooth and 2 pi-periodic, so the absolute error against
     ``scipy.special.jv`` stays below 1e-13 for |n| <= 130 and
     |x| <= 2e4. The midpoints pair up about pi/2, which folds the rule
     onto [0, pi/2]: (2/H) sum cos(n tau) cos(x sin tau) for even n and
-    (2/H) sum sin(n tau) sin(x sin tau) for odd n, one real matrix
-    product per parity; J_-n = (-1)^n J_n follows from the parity of cos
-    and sin. At x = 0 the result is exactly J_n(0) = delta_n0.
+    (2/H) sum sin(n tau) sin(x sin tau) for odd n, one real
+    vector-matrix product per entry and parity; J_-n = (-1)^n J_n follows
+    from the parity of cos and sin. The entries are evaluated one rule at
+    a time, and each rule's tables are built once per process
+    (``_bessel_rule``). At x = 0 the result is exactly J_n(0) = delta_n0.
 
-    ``n`` is one order or a 1-D array of orders, and ``x`` any array; one
-    rule serves every entry, and the result has shape
-    ``shape(x) + shape(n)``. A complex ``x`` gives a complex result, within
-    2e-15 e^|Im x| of ``mpmath`` for |x| <= 800. From |Im x| = 709 on the
-    terms overflow, and a result that is not finite raises
-    ``FloatingPointError``.
+    ``n`` is one order or a 1-D array of orders, and ``x`` any array; the
+    result has shape ``shape(x) + shape(n)``. A complex ``x`` gives a
+    complex result, within 2e-15 e^|Im x| of ``mpmath`` for |x| <= 800.
+    From |Im x| = 709 on the terms overflow, and a result that is not
+    finite raises ``FloatingPointError``.
     """
     x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
     orders = np.asarray(n)
     largest = float(np.max(np.abs(x), initial=0.0))
     if not math.isfinite(largest):
         raise ValueError(f"x must be finite, got largest |x| = {largest!r}")
-    widest = int(np.max(np.abs(orders), initial=0))
-    quarter = -(-bessel_node_count(widest, largest) // 4)
-    tau = (np.arange(quarter) + 0.5) * (np.pi / (2 * quarter))
-    arg = x[..., None] * np.sin(tau)
     flat = np.atleast_1d(orders)
-    result = np.empty(x.shape + flat.shape, dtype=x.dtype)
-    even = flat % 2 == 0
-    # n tau_k = 2 pi n (2k + 1) / P with P = 4 H: reduced modulo P, every
-    # cos(n tau) is one of P cosines, and sin(n tau) the one H steps back
-    period = 8 * quarter
-    cosines = np.cos(np.arange(period) * (2.0 * np.pi / period))
-    steps = np.multiply.outer(2 * np.arange(quarter) + 1, flat)
+    values = x.ravel()
+    widest = int(np.max(np.abs(flat), initial=0))
+    quarters = _rule_quarters(widest, values)
+    result = np.empty(values.shape + flat.shape, dtype=x.dtype)
+    key = tuple(flat.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        for parity, trig, shift in ((even, np.cos, 0),
-                                    (~even, np.sin, 2 * quarter)):
-            if parity.any():
-                result[..., parity] = trig(arg) @ cosines[
-                    (steps[:, parity] - shift) % period]
-        result /= quarter
+        for quarter in sorted(set(quarters.tolist())):
+            rows = np.flatnonzero(quarters == quarter)
+            sines, even, cos_table, sin_table = _bessel_rule(quarter, key)
+            # one vector-matrix product per entry: BLAS rounds a row of a
+            # matrix product differently by the rows beside it
+            arg = np.multiply.outer(values[rows], sines)[:, None]
+            block = np.empty((rows.size, 1) + flat.shape, dtype=x.dtype)
+            for parity, trig, table in ((even, np.cos, cos_table),
+                                        (~even, np.sin, sin_table)):
+                if table.size:
+                    block[..., parity] = trig(arg) @ table
+            block /= quarter
+            result[rows] = block[:, 0]
     if not np.isfinite(result).all():
         raise FloatingPointError(f"J_n(x) overflows at |Im x| = "
                                  f"{np.max(np.abs(x.imag)):g}")
     # J_n(0) = delta_n0 exactly, where the sums of cos(n tau) leave 1e-17
-    result[x == 0.0] = flat == 0
+    result[values == 0.0] = flat == 0
     return result.reshape(x.shape + orders.shape)[()]
 
 

@@ -89,7 +89,11 @@ class GaussianEta:
     r_c: float
 
     def __call__(self, x: float) -> float:
-        return math.exp(-x * x / (4.0 * self.r_c * self.r_c))
+        # at z = x / (2 r_c), as ``loss``: 4 r_c^2 underflows to 0 below
+        # r_c = 1e-162, where z^2 overflows to inf and eta is 0
+        with np.errstate(over="ignore"):
+            z = x / (2.0 * self.r_c)
+            return math.exp(-z * z)
 
     def loss(self, x_max):
         if np.ndim(x_max):

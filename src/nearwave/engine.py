@@ -18,8 +18,10 @@ Each distinct grating gets one table over all rows, and one coefficient
 evaluation runs over row x order. Every grating family has one table
 path (``grating_coefficients``): a laser's or an ionizing grating's
 table is the Bessel closed form at a real or a complex phase, one
-``bessel_j`` call for all rows even where the points differ in power; a
-material mask's is a cosine sum over |t| and the phase on half a period.
+``bessel_j`` call for all rows even where the points differ in power
+(each row has the Bessel rule of its own phase, so a row is the same
+bits in any block); a material mask's is a cosine sum over |t| and the
+phase on half a period.
 A grating whose phase does not depend on the speed (``is_speed_free``: an
 ionizing grating, a mask without an eikonal phase) gives a single row for
 all nodes, and its table is built once per process

@@ -334,7 +334,8 @@ def test_block_builds_each_table_once(monkeypatch, fresh_memos):
                                 "engine._cosine_weights",
                                 "engine._single_row_table",
                                 "classical._central_grid",
-                                "classical._mask_window", "core._unit_rule"}
+                                "classical._mask_window", "core._unit_rule",
+                                "core._bessel_rule"}
     weights = engine._cosine_weights
     calls = _count_calls(monkeypatch, [
         "engine._even_table", "engine.talbot_lau_coefficient",

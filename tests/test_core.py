@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nearwave.constants import AMU, HBAR, PLANCK_H
-from nearwave.core import (BeamState, MIN_VELOCITY_FRACTION, _unit_rule,
-                           bessel_j, talbot_time, velocity_weights)
+from nearwave.core import (BESSEL_MEMO_SIZE, BeamState,
+                           MIN_VELOCITY_FRACTION, _bessel_rule,
+                           _rule_quarters, _unit_rule, bessel_j,
+                           talbot_time, velocity_weights)
 from oracles import de_broglie_wavelength, talbot_length
 
 
@@ -203,6 +205,100 @@ def test_bessel_j_complex_argument_matches_scipy():
             < 1e-13
     assert np.array_equal(bessel_j(orders, 0j), orders == 0)
     assert bessel_j(orders, 975.3).dtype == float
+
+
+def _rung_edges(widest, top=2e4):
+    """(last, first) about each power-of-two edge of the Bessel rules of
+    order ``widest`` up to |x| = ``top``: the largest x that a rung serves
+    and the next float, the smallest x of the next rung."""
+    edges, last = [], 0.0
+    while _rule_quarters(widest, top) > _rule_quarters(widest, last):
+        quarter, first = _rule_quarters(widest, last), top
+        while np.nextafter(last, top) < first:
+            mid = (last + first) / 2.0
+            if _rule_quarters(widest, mid) == quarter:
+                last = mid
+            else:
+                first = mid
+        edges.append((last, first))
+        last = first
+    return edges
+
+
+EDGES = {widest: _rung_edges(widest) for widest in (2, 64, 130)}
+
+
+@pytest.mark.parametrize("orders", [2, np.arange(65), np.arange(-130, 131)],
+                         ids=["J2", "0..64", "-130..130"])
+def test_bessel_j_at_each_rung_edge_matches_scipy(orders):
+    # each entry has the rule of its own |x|, ceil(N/4) rounded up to a
+    # power of two: on each rung the last entry before the edge has the
+    # fewest nodes for its argument (no rounding up), the first after it
+    # starts the next rung; both within the unchanged 1e-13 absolute
+    from scipy.special import jv
+    widest = int(np.max(np.abs(orders)))
+    edges = EDGES[widest]
+    rungs = _rule_quarters(widest, 2e4) // _rule_quarters(widest, 0.0)
+    assert 2 ** len(edges) == rungs >= 2 ** 7
+    x = np.array(edges).ravel()
+    x = np.concatenate([x, -x])
+    table = bessel_j(orders, x)
+    exact = jv(orders, x[:, None]).reshape(table.shape)
+    assert np.max(np.abs(table - exact)) < 1e-13
+
+
+arguments = st.one_of(
+    st.sampled_from([0.0, 1e-300, -1e-300, 2e4, -2e4]
+                    + [x for pair in EDGES[64] for x in pair]),
+    st.floats(-2e4, 2e4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(real=st.lists(arguments, min_size=1, max_size=40), data=st.data(),
+       orders=st.sampled_from([2, np.arange(65),
+                               np.array([7, -3, 0, 64, -64, 12])]))
+def test_bessel_j_entry_equals_its_own_call(real, data, orders):
+    # each entry of one call over many arguments is the call at that
+    # argument alone, bit for bit, real or complex (|Im x| <= 250, the
+    # ionizing gratings' range): the value does not depend on the entries
+    # beside it, nor on their rules
+    x = np.array(real)
+    if data.draw(st.booleans()):
+        imag = data.draw(st.lists(st.floats(-250.0, 250.0),
+                                  min_size=x.size, max_size=x.size))
+        x = x + 1j * np.array(imag)
+    table = bessel_j(orders, x)
+    for value, entry in zip(table, x):
+        assert (np.asarray(value).tobytes()
+                == np.asarray(bessel_j(orders, entry)).tobytes())
+
+
+def test_bessel_rule_built_once_per_quarter_and_orders(fresh_memos):
+    # one read-only rule per (quarter, orders), kept for the process and
+    # shared by every call; the memo is bounded
+    memo = fresh_memos["core._bessel_rule"]
+    assert memo is _bessel_rule
+    assert memo.cache_info().maxsize == BESSEL_MEMO_SIZE
+    orders, x = np.arange(65), np.linspace(0.0, 2000.0, 201)
+    rungs = sorted(set(_rule_quarters(64, x).tolist()))
+    assert len(rungs) >= 5
+    first = bessel_j(orders, x)
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (len(rungs), len(rungs))
+    assert bessel_j(orders, x).tobytes() == first.tobytes()
+    bessel_j(orders[::-1], x)
+    assert memo.cache_info().misses == 2 * len(rungs)
+    for quarter in rungs:
+        sines, even, cos_table, sin_table = memo(quarter, tuple(range(65)))
+        assert sines.shape == (quarter,)
+        assert cos_table.shape == (quarter, 33)
+        assert sin_table.shape == (quarter, 32)
+        for table in (sines, even, cos_table, sin_table):
+            assert not table.flags.writeable
+    assert memo.cache_info().misses == 2 * len(rungs)
+    for order in range(BESSEL_MEMO_SIZE + 1):
+        memo(16, (order,))
+    assert memo.cache_info().currsize == BESSEL_MEMO_SIZE
 
 
 def test_bessel_j_overflow_raises():

@@ -349,6 +349,17 @@ def test_gaussian_eta_loss_of_a_tiny_correlation_length():
         assert GaussianEta(r_c).loss(np.float64(7.85e-8)) == 1.0
 
 
+def test_gaussian_eta_of_a_tiny_correlation_length():
+    # eta(0) = 1; at r_c = 1e-300 the square 4 r_c^2 underflows to 0, and
+    # eta at any separation is 0, without a ZeroDivisionError or an
+    # overflow warning (an error under the test settings)
+    for r_c in (1e-7, 1e-300, 5e-324):
+        assert GaussianEta(r_c)(0.0) == 1.0
+    for r_c in (1e-300, 5e-324):
+        assert GaussianEta(r_c)(1e-9) == 0.0
+        assert GaussianEta(r_c)(np.float64(1e-9)) == 0.0
+
+
 def test_csl_channel_scalings():
     c = csl_channel(1e-10, 1e-7, 1e6 * AMU)
     assert c.rate == pytest.approx(1e-10 * 1e12, rel=1e-12)
